@@ -2,7 +2,7 @@
 machine-readable output.
 
 Exit codes: 0 all checks pass, 1 verification failure, 2 usage or parse
-error, 3 inconclusive events present.
+error or input out of range, 3 inconclusive events present.
 """
 
 from __future__ import annotations
@@ -18,7 +18,6 @@ from fractions import Fraction
 from . import __version__
 from .coding import (
     CodeStream,
-    InadmissibleWordError,
     code_of_rational,
     cylinder,
     is_admissible,
@@ -110,10 +109,6 @@ def parse_krange(text: str) -> tuple[int, int]:
     return lo, hi
 
 
-def _point_str(x) -> str:
-    return str(x)
-
-
 def _emit(text: str, out_path):
     if out_path:
         with open(out_path, "w", encoding="utf-8") as fh:
@@ -149,7 +144,7 @@ def cmd_iterate(args) -> int:
     rows = []
     cycle = {"0/1", "1/1", "1/0"}
     for step in range(args.steps + 1):
-        val = _point_str(x)
+        val = str(x)
         rows.append((step, val, "%.12g" % float(x),
                      "cycle" if val in cycle else ""))
         x = phi_surd(x) if isinstance(x, QuadraticSurd) and not x.is_rational else \
@@ -477,7 +472,7 @@ def main(argv=None) -> int:
     except CliError as exc:
         print("error: %s" % exc, file=sys.stderr)
         return exc.code
-    except InadmissibleWordError as exc:
+    except ValueError as exc:  # a library guard rejected the input
         print("error: %s" % exc, file=sys.stderr)
         return USAGE_ERROR
 

@@ -35,9 +35,6 @@ from .exact import (
 PSI0 = MobiusMap(0, 1, 1, 1)   # y -> 1/(1+y)
 PSI1 = MobiusMap(0, 1, -1, 1)  # y -> 1/(1-y)
 
-BRANCH_DOWN = MobiusMap(-1, 1, 1, 0)  # phi on [0, 1]:        x -> (1-x)/x
-BRANCH_UP = MobiusMap(1, -1, 1, 0)    # phi on [1, infinity]: x -> (x-1)/x
-
 
 class InadmissibleWordError(ValueError):
     """Word contains the forbidden factor "11" (or a bad character)."""
@@ -176,11 +173,6 @@ class CodeStream:
     @classmethod
     def zeros(cls) -> "CodeStream":
         return cls.periodic("", "0")
-
-    @classmethod
-    def from_word_recycled(cls, word: str) -> "CodeStream":
-        """Finite word repeated forever (a general 2-shift point)."""
-        return cls.periodic("", word)
 
     def symbol_at(self, n: int) -> int:
         if n < 0:

@@ -3,7 +3,9 @@ model f, and the order homeomorphism h that conjugates the two maps.
 
 h sends the level-n node with index i to the dyadic i/2^n; at rationals
 it is computed exactly from the continued fraction (a batched form of
-the mediant walk down the Stern-Brocot tree of [0, infinity]).
+the mediant walk down the Stern-Brocot tree of [0, infinity]).  The
+level-n approximation and enclosure take n steps of that walk, O(n),
+and build no level.
 """
 
 from __future__ import annotations
@@ -78,12 +80,15 @@ class FareyLevel:
     entries: tuple
 
 
-def farey_level(n: int, max_level: int = 24) -> FareyLevel:
+_MAX_LEVEL = 24  # 2^24 + 1 entries: the memory guard of farey_level
+
+
+def farey_level(n: int) -> FareyLevel:
     """Exact level-n sequence; level n+1 interleaves level n with mediants."""
     if n < 0:
         raise ValueError("negative level")
-    if n > max_level:
-        raise ValueError("level %d above the memory guard %d" % (n, max_level))
+    if n > _MAX_LEVEL:
+        raise ValueError("level %d above the memory guard %d" % (n, _MAX_LEVEL))
     entries = [ZERO, INF]
     for _ in range(n):
         nxt = []
@@ -172,46 +177,51 @@ def h_inverse(d) -> ExtendedRational:
     return ExtendedRational(num, den)
 
 
+def _descend(x, n: int) -> tuple[int, ExtendedRational, ExtendedRational]:
+    """Level-n cell of x, found by n mediant steps down from [0/1, 1/0].
+
+    Each step goes right (index bit 1) when x is at or above the mediant
+    and left (bit 0) otherwise.  Returns (i, lo, hi): the level-n nodes i
+    and i + 1, with lo <= x < hi unless x is infinity (then hi = 1/0 too).
+    x is an ExtendedRational or a QuadraticSurd.
+    """
+    i, lo, hi = 0, ZERO, INF
+    for _ in range(n):
+        mid = lo.mediant(hi)
+        if x < mid:
+            i, hi = 2 * i, mid
+        else:
+            i, lo = 2 * i + 1, mid
+    return i, lo, hi
+
+
 def h_level(n: int, x: ExtendedRational) -> Fraction:
-    """Piecewise-linear level-n approximation of h.
+    """Piecewise-linear level-n approximation of h, in O(n) steps.
 
     Interpolates the level-n nodes (node i maps to i/2^n); everything at
     or beyond the last finite node takes the flat value (2^n - 1)/2^n,
-    which is also the level value assigned to infinity.
+    which is also the level value assigned to infinity.  The two nodes
+    around x come from the mediant walk; no level is built.
     """
     if n < 1:
         raise ValueError("level must be positive")
-    entries = farey_level(n).entries
-    last_finite = entries[-2]
-    if x >= last_finite:
-        return Fraction(2 ** n - 1, 2 ** n)
-    lo_i, hi_i = 0, len(entries) - 2
-    while lo_i < hi_i:  # invariant: entries[lo_i] <= x < entries[hi_i + 1]
-        mid = (lo_i + hi_i + 1) // 2
-        if entries[mid] <= x:
-            lo_i = mid
-        else:
-            hi_i = mid - 1
-    node = entries[lo_i]
-    if node == x:
-        return Fraction(lo_i, 2 ** n)
-    nxt = entries[lo_i + 1]
-    t = (x.as_fraction() - node.as_fraction()) / (nxt.as_fraction() - node.as_fraction())
-    return Fraction(lo_i, 2 ** n) + t * Fraction(1, 2 ** n)
+    i, lo, hi = _descend(x, n)
+    if lo == x or hi.is_infinite:
+        return Fraction(i, 2 ** n)
+    t = (x.as_fraction() - lo.as_fraction()) / (hi.as_fraction() - lo.as_fraction())
+    return (i + t) / 2 ** n
 
 
 def h_enclosure(x: QuadraticSurd, n: int) -> tuple[Fraction, Fraction]:
-    """Dyadic bracket of h at an irrational point from the level-n nodes."""
-    entries = farey_level(n).entries
-    lo_i = 0
-    for i, node in enumerate(entries):
-        if node.is_infinite:
-            break
-        if x >= node.as_fraction():
-            lo_i = i
-        else:
-            break
-    return Fraction(lo_i, 2 ** n), Fraction(lo_i + 1, 2 ** n)
+    """Dyadic bracket [i/2^n, (i+1)/2^n] of h at an irrational point.
+
+    i is the index of the level-n cell holding x, found in O(n) mediant
+    steps without building the level.
+    """
+    if n < 0:
+        raise ValueError("negative level")
+    i = _descend(x, n)[0]
+    return Fraction(i, 2 ** n), Fraction(i + 1, 2 ** n)
 
 
 def conjugacy_check(x: ExtendedRational) -> bool:

@@ -132,7 +132,10 @@ def _f_preimages(y: Fraction) -> list[Fraction]:
     return out
 
 
-def lap_count(n: int, max_n: int = 32) -> int:
+_MAX_LAP_DEPTH = 32
+
+
+def lap_count(n: int) -> int:
     """Number of maximal monotone pieces of the n-th iterate of f.
 
     Computed exactly: the interior breakpoints of f^n are the points
@@ -142,8 +145,8 @@ def lap_count(n: int, max_n: int = 32) -> int:
     """
     if n < 1:
         raise ValueError("n must be positive")
-    if n > max_n:
-        raise ValueError("depth %d above the guard %d" % (n, max_n))
+    if n > _MAX_LAP_DEPTH:
+        raise ValueError("depth %d above the guard %d" % (n, _MAX_LAP_DEPTH))
     level = {Fraction(1, 2)}
     breaks = set(level)
     for _ in range(n - 1):

@@ -405,9 +405,6 @@ class MobiusMap:
         return "MobiusMap(%d, %d, %d, %d)" % (self.a, self.b, self.c, self.d)
 
 
-IDENTITY_MAP = MobiusMap(1, 0, 0, 1)
-
-
 def mobius_apply(m: MobiusMap, x):
     """Apply m to an ExtendedRational or QuadraticSurd, whichever x is."""
     if isinstance(x, QuadraticSurd):

@@ -42,12 +42,13 @@ from .exact import (
 
 _RUNS = ((1, 0, 0), (0, 0, 1), (0, 1, 0))
 _100 = (1, 0, 0)
+_TAU_MAX_K = 16  # largest block tau_code will index
 
 
 def _as_stream(bits) -> CodeStream:
     if isinstance(bits, CodeStream):
         return bits
-    return CodeStream.from_word_recycled(str(bits))
+    return CodeStream.periodic("", str(bits))  # the finite word repeated forever
 
 
 def _factorial_block(n: int) -> tuple[int, int]:
@@ -222,8 +223,7 @@ def c_star_block(code: CodeStream, i: int, j: int) -> str:
     return "100" * (length // 3)
 
 
-def tau_code(beta, alpha: CodeStream | None = None, x_codes=None,
-             max_k: int = 16) -> CodeStream:
+def tau_code(beta, alpha: CodeStream | None = None, x_codes=None) -> CodeStream:
     """Unbounded-family stream: transitive, beta-separated, target-tracking.
 
     Block k spans [k!, (k+1)!) and is k strings of length k!:
@@ -251,8 +251,8 @@ def tau_code(beta, alpha: CodeStream | None = None, x_codes=None,
         if n == 119:
             return 0
         k, fk = _factorial_block(n)
-        if k > max_k:
-            raise ValueError("index beyond the configured max block size k=%d" % max_k)
+        if k > _TAU_MAX_K:
+            raise ValueError("index beyond the configured max block size k=%d" % _TAU_MAX_K)
         part, off = divmod(n - fk, fk)
         if part == 0:
             return alpha[off]

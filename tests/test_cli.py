@@ -131,6 +131,23 @@ class TestCommands:
         assert main(["interval"]) == 2
         assert main(["nosuchcommand"]) == 2
 
+    @pytest.mark.parametrize("argv", [
+        "point (0) --max-prefix 0",
+        "point (0) --precision 0",
+        "scramble theorem1 --k-range 5..12",
+        "farey --level 30",
+        "conjugacy --level 30",
+        "conjugacy --level -1",
+        "entropy --lap-depth 40",
+        "entropy --depth 0",
+        "code 1/2 --length 0",
+    ])
+    def test_rejected_input_exit_code(self, capsys, argv):
+        assert main(argv.split()) == 2
+        captured = capsys.readouterr()
+        assert captured.err.startswith("error: ")
+        assert "Traceback" not in captured.err
+
     def test_inconclusive_exit_code(self, capsys):
         # a tiny prefix budget leaves the far enclosures undecided
         code = main(["scramble", "theorem2", "--beta", "0110", "--eta", "1001",

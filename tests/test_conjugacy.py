@@ -1,9 +1,11 @@
+import bisect
 import random
 from fractions import Fraction
 
 import pytest
 
 from fareyshift import (
+    GOLDEN_FIXED_POINT,
     INF,
     ONE,
     ZERO,
@@ -43,6 +45,21 @@ def h_oracle(x: ExtendedRational) -> Fraction:
             hi, h_hi = mid, h_mid
         else:
             lo, h_lo = mid, h_mid
+
+
+def level_cell_reference(level, x) -> int:
+    """Index of the level cell holding x: a bisect over the built level."""
+    return bisect.bisect_right(level.entries, x) - 1
+
+
+def h_level_reference(level, x: ExtendedRational) -> Fraction:
+    """h_level recomputed from the built level node list."""
+    n, entries = level.n, level.entries
+    i = level_cell_reference(level, x)
+    if i >= 2 ** n - 1:
+        return Fraction(2 ** n - 1, 2 ** n)
+    lo, hi = entries[i].as_fraction(), entries[i + 1].as_fraction()
+    return (i + (x.as_fraction() - lo) / (hi - lo)) / 2 ** n
 
 
 class TestDyadicRational:
@@ -187,6 +204,52 @@ class TestHLevel:
             x = xr(rng.randrange(0, 60), rng.randrange(1, 60))
             err = abs(h_level(n, x) - h_rational(x).as_fraction())
             assert err <= Fraction(1, 2 ** n)
+
+
+class TestDescentMatchesLevelSearch:
+    """The O(n) mediant descent against a search over the built level."""
+
+    def test_h_level_on_next_level_nodes(self):
+        for n in range(1, 11):
+            level = farey_level(n)
+            for x in farey_level(n + 1).entries:
+                assert h_level(n, x) == h_level_reference(level, x), (n, x)
+
+    def test_h_level_random_rationals(self):
+        levels = [farey_level(n) for n in range(13)]
+        rng = random.Random(37)
+        for _ in range(400):
+            n = rng.randrange(1, 13)
+            x = xr(rng.randrange(0, 400), rng.randrange(1, 400))
+            assert h_level(n, x) == h_level_reference(levels[n], x), (n, x)
+        for n in range(1, 13):
+            assert h_level(n, INF) == h_level_reference(levels[n], INF)
+            assert h_level(n, ZERO) == h_level_reference(levels[n], ZERO) == 0
+
+    def test_h_enclosure_random_surds(self):
+        levels = [farey_level(n) for n in range(13)]
+        rng = random.Random(41)
+        checked = 0
+        while checked < 300:
+            try:
+                z = QuadraticSurd(rng.randint(-6, 9), rng.randint(1, 5),
+                                  rng.randint(1, 9), rng.choice((2, 3, 5, 7, 13)))
+            except ValueError:  # negative value
+                continue
+            n = rng.randrange(0, 13)
+            i = level_cell_reference(levels[n], z)
+            assert h_enclosure(z, n) == (Fraction(i, 2 ** n), Fraction(i + 1, 2 ** n))
+            checked += 1
+
+    def test_levels_beyond_the_level_memory_guard(self):
+        for x in (xr(1, 9999), xr(355, 113), xr(10 ** 6 + 1, 10 ** 6), xr(7, 3)):
+            err = abs(h_level(40, x) - h_rational(x).as_fraction())
+            assert err <= Fraction(1, 2 ** 40), x
+        lo, hi = h_enclosure(GOLDEN_FIXED_POINT, 40)
+        assert hi - lo == Fraction(1, 2 ** 40)
+        left, right = h_inverse(lo), h_inverse(hi)
+        assert right.num * left.den - left.num * right.den == 1  # neighbouring nodes
+        assert left < GOLDEN_FIXED_POINT < right
 
 
 class TestConjugacy:
