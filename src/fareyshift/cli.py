@@ -170,11 +170,12 @@ def cmd_interval(args) -> int:
 def cmd_point(args) -> int:
     stream = parse_code(args.code)
     enc = point_of_code(stream, args.max_prefix, args.precision)
+    width = enc.interval.width()
     payload = {
         "code": args.code,
         "enclosure": str(enc.interval),
         "prefix_used": enc.prefix_len,
-        "width": str(enc.interval.width()) if enc.interval.width() is not None else "inf",
+        "width": "inf" if width is None else str(width),
         "width_goal_met": enc.width_ok,
     }
     if args.format == "table":

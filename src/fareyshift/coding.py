@@ -14,7 +14,6 @@ eventually periodic data or a pure index -> symbol procedure.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable
@@ -232,16 +231,22 @@ def shift(s: CodeStream, k: int) -> CodeStream:
     return s.shifted(k)
 
 
-def sigma_metric(s: CodeStream, t: CodeStream, tol: float) -> float:
-    """Sum of |s_i - t_i| / 2^(i+1), truncated so the tail is below tol."""
+def sigma_metric(s: CodeStream, t: CodeStream, tol) -> Fraction:
+    """Sum of |s_i - t_i| / 2^(i+1), truncated so the tail is below tol.
+
+    Exact: the first n = k + 1 terms are summed, where k >= 0 is the
+    least integer with 2^k >= 1/tol (n = 1 when tol >= 1).
+    """
+    tol = Fraction(tol)
     if tol <= 0:
         raise ValueError("tol must be positive")
-    n = max(1, math.ceil(math.log2(1.0 / tol)) + 1)
+    ceil_inv = -(-tol.denominator // tol.numerator)  # ceil(1/tol)
+    n = (ceil_inv - 1).bit_length() + 1
     total = Fraction(0)
     for i in range(n):
         if s[i] != t[i]:
             total += Fraction(1, 2 ** (i + 1))
-    return float(total)
+    return total
 
 
 # Right-multiplication by the inverse-branch matrices.  The running
@@ -266,6 +271,13 @@ def _interval_of(m: tuple[int, int, int, int], last_sym: int) -> FareyInterval:
     return FareyInterval(p1, p2) if p1 <= p2 else FareyInterval(p2, p1)
 
 
+def _word_matrix(word: str) -> tuple[int, int, int, int]:
+    m = (1, 0, 0, 1)
+    for ch in word:
+        m = _advance(m, int(ch))
+    return m
+
+
 def cylinder(word: str) -> FareyInterval:
     """Exact cylinder interval of an admissible word.
 
@@ -275,10 +287,7 @@ def cylinder(word: str) -> FareyInterval:
     _require_admissible(word)
     if not word:
         raise InadmissibleWordError("empty word has no cylinder")
-    m = (1, 0, 0, 1)
-    for ch in word:
-        m = _advance(m, int(ch))
-    return _interval_of(m, int(word[-1]))
+    return _interval_of(_word_matrix(word), int(word[-1]))
 
 
 @dataclass(frozen=True)
@@ -297,26 +306,37 @@ def point_of_code(s: CodeStream, max_prefix: int, width_goal) -> PointEnclosure:
     narrower than width_goal, or max_prefix symbols are consumed; in the
     second case the returned enclosure has width_ok = False ("width goal
     not reached").  The prefix read must be admissible.
+
+    Each symbol costs one matrix step and one integer compare.  The
+    cylinder's endpoints b/d and p/q form a unimodular pair, so a bounded
+    cylinder has width exactly 1/|d*q| (an unbounded one has d*q = 0),
+    and width < goal iff goal.denominator < goal.numerator * |d*q|.  The
+    compare is made on bit lengths until they show that it can pass, so
+    the product is formed only on the last few symbols.  The
+    FareyInterval is built once, for the prefix that is returned.
     """
     if max_prefix < 1:
         raise ValueError("max_prefix must be positive")
     goal = Fraction(width_goal)
     if goal <= 0:
         raise ValueError("width_goal must be positive")
+    goal_num, goal_den = goal.numerator, goal.denominator
+    # goal_num * |d*q| has at most goal_num's bits + d's bits + q's bits;
+    # while d's + q's are at most this, it is below goal_den
+    short_bits = goal_den.bit_length() - goal_num.bit_length() - 1
     m = (1, 0, 0, 1)
     prev = 0
-    iv = FULL_LINE
     for i in range(max_prefix):
         sym = s[i]
         if prev == 1 and sym == 1:
             raise InadmissibleWordError("stream prefix contains '11' at index %d" % i)
         m = _advance(m, sym)
-        iv = _interval_of(m, sym)
-        w = iv.width()
-        if w is not None and w < goal:
-            return PointEnclosure(iv, i + 1, True)
+        d = m[3]  # denominator of the image of 0
+        q = m[2] + d if sym else m[2]  # denominator of the image of 1 or infinity
+        if d.bit_length() + q.bit_length() > short_bits and goal_den < goal_num * abs(d * q):
+            return PointEnclosure(_interval_of(m, sym), i + 1, True)
         prev = sym
-    return PointEnclosure(iv, max_prefix, False)
+    return PointEnclosure(_interval_of(m, prev), max_prefix, False)
 
 
 def itinerary(x, n: int, tie_high: bool = False) -> str:
@@ -364,10 +384,7 @@ def periodic_point(preperiod: str, period: str):
     if not period:
         raise InadmissibleWordError("period must be nonempty")
     _require_admissible(preperiod + period + period)
-    m = (1, 0, 0, 1)
-    for ch in period:
-        m = _advance(m, int(ch))
-    x = mobius_fixed_point(MobiusMap(*m), within=cylinder(period))
+    x = mobius_fixed_point(MobiusMap(*_word_matrix(period)), within=cylinder(period))
     for ch in reversed(preperiod):
         x = _apply_branch_inverse(ch, x)
     return x

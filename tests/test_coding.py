@@ -18,10 +18,12 @@ from fareyshift import (
     InadmissibleWordError,
     QuadraticSurd,
     admissible_words,
+    alpha_transitive,
     code_of_rational,
     cylinder,
     is_admissible,
     itinerary,
+    mu_code,
     periodic_point,
     phi_interval_image,
     phi_rat,
@@ -29,7 +31,9 @@ from fareyshift import (
     point_of_code,
     shift,
     sigma_metric,
+    tau_code,
 )
+from fareyshift.coding import PointEnclosure, _advance, _interval_of
 
 
 def xr(n, d=1):
@@ -44,6 +48,53 @@ def fib(n):
 
 
 admissible_word = st.text(alphabet="01", min_size=1, max_size=14).filter(is_admissible)
+
+
+def _point_of_code_reference(s, max_prefix, width_goal):
+    """The per-symbol FareyInterval loop that point_of_code replaced."""
+    if max_prefix < 1:
+        raise ValueError("max_prefix must be positive")
+    goal = Fraction(width_goal)
+    if goal <= 0:
+        raise ValueError("width_goal must be positive")
+    m = (1, 0, 0, 1)
+    prev = 0
+    iv = FULL_LINE
+    for i in range(max_prefix):
+        sym = s[i]
+        if prev == 1 and sym == 1:
+            raise InadmissibleWordError("stream prefix contains '11' at index %d" % i)
+        m = _advance(m, sym)
+        iv = _interval_of(m, sym)
+        w = iv.width()
+        if w is not None and w < goal:
+            return PointEnclosure(iv, i + 1, True)
+        prev = sym
+    return PointEnclosure(iv, max_prefix, False)
+
+
+_TRACKED = [code_of_rational(ONE), code_of_rational(xr(3, 5))]
+_PROCEDURAL = [mu_code("011010"), mu_code("1"),
+               tau_code("011010", alpha_transitive(), _TRACKED)]
+
+periodic_codes = st.builds(
+    CodeStream.periodic,
+    st.text(alphabet="01", max_size=6),
+    st.text(alphabet="01", min_size=1, max_size=8),
+)
+admissible_periodic_codes = periodic_codes.filter(lambda c: c.check_admissible())
+rational_and_unbounded_codes = st.sampled_from(
+    [CodeStream.periodic("", per) for per in ("100", "010", "001")])
+procedural_codes = st.builds(
+    shift,
+    st.sampled_from(_PROCEDURAL),
+    st.one_of(st.integers(0, 6000), st.sampled_from([118, 119, 120, 239, 719, 720, 5039])),
+)
+width_goals = st.one_of(
+    st.integers(0, 60).map(lambda k: Fraction(1, 10 ** k)),
+    st.sampled_from([Fraction(3, 7), Fraction(5), 5, Fraction(22, 7), Fraction(1, 3 ** 40)]),
+    st.builds(Fraction, st.integers(1, 10 ** 6), st.integers(1, 10 ** 9)),
+)
 
 
 class TestWords:
@@ -101,6 +152,18 @@ class TestSigmaMetric:
     def test_full_difference_geometric(self):
         ones = CodeStream.periodic("", "1")
         assert abs(sigma_metric(CodeStream.zeros(), ones, 1e-6) - 1.0) <= 1e-6
+
+    def test_exact_truncation_matches_log2_rule(self):
+        # zeros vs ones sums 1 - 2^-n over the n terms kept, so the exact
+        # result exposes n; it must be the rule max(1, ceil(log2(1/tol)) + 1)
+        ones = CodeStream.periodic("", "1")
+        tols = [Fraction(1, 10 ** k) for k in range(13)] + \
+            [Fraction(1, 2 ** k) for k in range(40)] + [Fraction(3, 7), Fraction(5), 1e-9]
+        for tol in tols:
+            n = max(1, math.ceil(math.log2(1 / float(tol))) + 1)
+            got = sigma_metric(CodeStream.zeros(), ones, tol)
+            assert isinstance(got, Fraction)
+            assert got == 1 - Fraction(1, 2 ** n)
 
 
 class TestCylinder:
@@ -263,6 +326,51 @@ class TestPointOfCode:
     def test_rejects_inadmissible_stream(self):
         with pytest.raises(InadmissibleWordError):
             point_of_code(CodeStream.periodic("", "110"), 10, Fraction(1, 10))
+
+    @settings(max_examples=300, deadline=None)
+    @given(
+        st.one_of(admissible_periodic_codes, periodic_codes,
+                  rational_and_unbounded_codes, procedural_codes),
+        st.integers(1, 400),
+        width_goals,
+    )
+    def test_matches_per_symbol_reference(self, s, max_prefix, goal):
+        try:
+            want = _point_of_code_reference(s, max_prefix, goal)
+        except InadmissibleWordError as exc:
+            with pytest.raises(InadmissibleWordError) as got:
+                point_of_code(s, max_prefix, goal)
+            assert str(got.value) == str(exc)
+            return
+        enc = point_of_code(s, max_prefix, goal)
+        assert enc == want
+        iv = enc.interval
+        if iv.is_bounded:
+            assert iv.width() == Fraction(1, iv.lo.den * iv.hi.den)
+
+    def test_goals_at_each_cylinder_width(self):
+        # goals at and just above the width 1/(d*q) of a cylinder: the
+        # sharpest cases for the stopping compare
+        for n in range(1, 10):
+            for w in admissible_words(n):
+                iv = cylinder(w)
+                if not iv.is_bounded:
+                    continue
+                p = iv.lo.den * iv.hi.den
+                s = CodeStream.periodic(w, "0")
+                goals = [Fraction(1, p)] + [Fraction(k, k * p - 1) for k in range(1, 9) if k * p > 1]
+                for goal in goals:
+                    assert point_of_code(s, n, goal) == _point_of_code_reference(s, n, goal)
+
+    def test_deep_golden_enclosure_is_zero_run_cylinder(self):
+        goal = Fraction(1, 10 ** 1000)
+        n, fn, fn1 = 1, 1, 1  # fn, fn1 = fib(n), fib(n + 1)
+        while fn * fn1 <= 10 ** 1000:
+            n, fn, fn1 = n + 1, fn1, fn + fn1
+        enc = point_of_code(CodeStream.zeros(), 10 ** 4, goal)
+        assert enc == PointEnclosure(cylinder("0" * n), n, True)
+        iv = enc.interval
+        assert iv.width() == Fraction(1, iv.lo.den * iv.hi.den) < goal
 
 
 class TestPeriodicPoint:
