@@ -138,19 +138,23 @@ class CodeStream:
     """An infinite 0/1 sequence addressed by nonnegative index.
 
     Two kinds: eventually periodic (preperiod + repeating period) and
-    procedural (a pure index -> symbol function).  Evaluation is pure
+    procedural (a pure index -> symbol function).  A procedural stream
+    may instead be defined by a segment function runs(n) -> (word, end):
+    symbols n..end-1 read word repeated (end None: forever); its symbols
+    and prefixes are then read off the segments.  Evaluation is pure
     given the index; the prefix cache is an idempotent memo only.
     Streams are general points of the full 2-shift; admissibility (no
     "11") is a property checked where an operation requires it.
     """
 
-    __slots__ = ("kind", "pre", "per", "_fn", "_offset", "label", "_prefix_cache")
+    __slots__ = ("kind", "pre", "per", "_fn", "_runs", "_offset", "label", "_prefix_cache")
 
-    def __init__(self, kind, pre=None, per=None, fn=None, offset=0, label=""):
+    def __init__(self, kind, pre=None, per=None, fn=None, runs=None, offset=0, label=""):
         self.kind = kind
         self.pre = pre
         self.per = per
         self._fn = fn
+        self._runs = runs
         self._offset = offset
         self.label = label
         self._prefix_cache = ""
@@ -170,6 +174,12 @@ class CodeStream:
         return cls("procedural", fn=fn, label=label)
 
     @classmethod
+    def segmented(cls, runs: Callable[[int], tuple[str, int | None]],
+                  label: str = "segmented") -> "CodeStream":
+        """Procedural stream given by its segment function (see the class)."""
+        return cls("procedural", fn=lambda n: int(runs(n)[0][0]), runs=runs, label=label)
+
+    @classmethod
     def zeros(cls) -> "CodeStream":
         return cls.periodic("", "0")
 
@@ -184,18 +194,45 @@ class CodeStream:
 
     __getitem__ = symbol_at
 
+    def run_at(self, n: int) -> tuple[str, int | None]:
+        """(word, end): symbols n..end-1 read word repeated; end None is forever.
+
+        Periodic streams give the rest of the preperiod, then the rotated
+        period forever; plain procedural streams give one symbol.
+        """
+        if n < 0:
+            raise IndexError("negative index")
+        if self.kind == "periodic":
+            p = len(self.pre)
+            if n < p:
+                return self.pre[n:], p
+            j = (n - p) % len(self.per)
+            return self.per[j:] + self.per[:j], None
+        off = self._offset
+        if self._runs is None:
+            return ("1" if self._fn(n + off) else "0"), n + 1
+        word, end = self._runs(n + off)
+        if end is None:
+            return word, None
+        if end <= n + off:
+            raise ValueError("empty segment at index %d" % n)
+        return word, end - off
+
     def prefix(self, n: int) -> str:
         if self.kind == "periodic":
             if n <= len(self.pre):
                 return self.pre[:n]
             reps = (n - len(self.pre)) // len(self.per) + 1
             return (self.pre + self.per * reps)[:n]
-        if len(self._prefix_cache) < n:
-            fn, off = self._fn, self._offset
-            start = len(self._prefix_cache)
-            self._prefix_cache += "".join(
-                "1" if fn(i + off) else "0" for i in range(start, n)
-            )
+        i = len(self._prefix_cache)
+        if i < n:
+            parts = []
+            while i < n:
+                word, end = self.run_at(i)
+                stop = n if end is None else min(end, n)
+                parts.append((word * -(-(stop - i) // len(word)))[:stop - i])
+                i = stop
+            self._prefix_cache += "".join(parts)
         return self._prefix_cache[:n]
 
     def shifted(self, k: int) -> "CodeStream":
@@ -210,7 +247,7 @@ class CodeStream:
             j = (k - len(self.pre)) % len(self.per)
             return CodeStream.periodic("", self.per[j:] + self.per[:j],
                                        label="shift(%s,%d)" % (self.label, k))
-        return CodeStream("procedural", fn=self._fn, offset=self._offset + k,
+        return CodeStream("procedural", fn=self._fn, runs=self._runs, offset=self._offset + k,
                           label="shift(%s,%d)" % (self.label, k))
 
     def admissible_prefix(self, n: int) -> bool:
@@ -271,6 +308,12 @@ def _interval_of(m: tuple[int, int, int, int], last_sym: int) -> FareyInterval:
     return FareyInterval(p1, p2) if p1 <= p2 else FareyInterval(p2, p1)
 
 
+def _mul(x: tuple[int, int, int, int], y: tuple[int, int, int, int]) -> tuple[int, int, int, int]:
+    a, b, c, d = x
+    e, f, g, h = y
+    return (a * e + b * g, a * f + b * h, c * e + d * g, c * f + d * h)
+
+
 def _word_matrix(word: str) -> tuple[int, int, int, int]:
     m = (1, 0, 0, 1)
     for ch in word:
@@ -314,6 +357,9 @@ def point_of_code(s: CodeStream, max_prefix: int, width_goal) -> PointEnclosure:
     compare is made on bit lengths until they show that it can pass, so
     the product is formed only on the last few symbols.  The
     FareyInterval is built once, for the prefix that is returned.
+
+    A stream with a segment function is read segment by segment instead,
+    with the same result (see _walk_segments).
     """
     if max_prefix < 1:
         raise ValueError("max_prefix must be positive")
@@ -324,6 +370,8 @@ def point_of_code(s: CodeStream, max_prefix: int, width_goal) -> PointEnclosure:
     # goal_num * |d*q| has at most goal_num's bits + d's bits + q's bits;
     # while d's + q's are at most this, it is below goal_den
     short_bits = goal_den.bit_length() - goal_num.bit_length() - 1
+    if s._runs is not None:
+        return _walk_segments(s, max_prefix, goal_num, goal_den, short_bits)
     m = (1, 0, 0, 1)
     prev = 0
     for i in range(max_prefix):
@@ -336,6 +384,66 @@ def point_of_code(s: CodeStream, max_prefix: int, width_goal) -> PointEnclosure:
         if d.bit_length() + q.bit_length() > short_bits and goal_den < goal_num * abs(d * q):
             return PointEnclosure(_interval_of(m, sym), i + 1, True)
         prev = sym
+    return PointEnclosure(_interval_of(m, prev), max_prefix, False)
+
+
+def _walk_segments(s: CodeStream, max_prefix: int, goal_num: int, goal_den: int,
+                   short_bits: int) -> PointEnclosure:
+    """point_of_code on a segmented stream, in O(segments * log run) multiplies.
+
+    A run of r >= 2 whole periods of a word w (no "11" in w, across the
+    seam between repetitions, or at the join with the symbol before) is
+    consumed by galloping over W, W^2, W^4, ... (W the matrix of w) and
+    then descending: this finds the most periods after which the width
+    goal is still unmet, which is exact because cylinders are nested, so
+    "goal met" is monotone in the prefix length.  At most one more period
+    is then read symbol by symbol, as is every other segment.  Galloping
+    only forms powers up to about the size the goal needs.
+    """
+
+    def met(m, sym):
+        d = m[3]
+        q = m[2] + d if sym else m[2]
+        return d.bit_length() + q.bit_length() > short_bits and goal_den < goal_num * abs(d * q)
+
+    m = (1, 0, 0, 1)
+    prev = 0
+    i = 0
+    while i < max_prefix:
+        word, end = s.run_at(i)
+        count = (max_prefix if end is None else min(end, max_prefix)) - i
+        size = len(word)
+        reps = count // size
+        done = 0
+        if reps >= 2 and "11" not in word + word and not (prev and word[0] == "1"):
+            last = int(word[-1])
+            powers = [_word_matrix(word)]  # powers[j] = W^(2^j)
+            t, j = 0, 0
+            while t + (1 << j) <= reps:
+                if j == len(powers):
+                    powers.append(_mul(powers[-1], powers[-1]))
+                nxt = _mul(m, powers[j])
+                if met(nxt, last):
+                    break
+                m, t, j = nxt, t + (1 << j), j + 1
+            while j:
+                j -= 1
+                if t + (1 << j) <= reps:
+                    nxt = _mul(m, powers[j])
+                    if not met(nxt, last):
+                        m, t = nxt, t + (1 << j)
+            if t:
+                prev, done = last, t * size
+        for p in range(done, count):
+            sym = 1 if word[p % size] == "1" else 0
+            if prev == 1 and sym == 1:
+                raise InadmissibleWordError(
+                    "stream prefix contains '11' at index %d" % (i + p))
+            m = _advance(m, sym)
+            if met(m, sym):
+                return PointEnclosure(_interval_of(m, sym), i + p + 1, True)
+            prev = sym
+        i += count
     return PointEnclosure(_interval_of(m, prev), max_prefix, False)
 
 

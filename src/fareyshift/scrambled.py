@@ -18,6 +18,7 @@ an explicit "inconclusive" (never a silent pass).
 from __future__ import annotations
 
 import bisect
+import functools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
@@ -40,8 +41,7 @@ from .exact import (
     phi_rat,
 )
 
-_RUNS = ((1, 0, 0), (0, 0, 1), (0, 1, 0))
-_100 = (1, 0, 0)
+_RUNS = ("100", "001", "010")
 _TAU_MAX_K = 16  # largest block tau_code will index
 
 
@@ -51,13 +51,10 @@ def _as_stream(bits) -> CodeStream:
     return CodeStream.periodic("", str(bits))  # the finite word repeated forever
 
 
-def _factorial_block(n: int) -> tuple[int, int]:
-    """k and k! with k! <= n < (k+1)!, for n >= 5!."""
-    k, fk = 5, 120
-    while fk * (k + 1) <= n:
-        k += 1
-        fk *= k
-    return k, fk
+def _rotate(word: str, j: int) -> str:
+    """word read from position j on, cyclically."""
+    j %= len(word)
+    return word[j:] + word[:j]
 
 
 @dataclass(frozen=True)
@@ -113,26 +110,42 @@ class BlockLayout:
         return self.tracking_start(i) + self.string_len // 2 + (j - 1) * (self.window - 1)
 
 
+@functools.cache
+def _layout(k: int) -> BlockLayout:
+    return BlockLayout.for_k(k)
+
+
+def _block_at(n: int) -> BlockLayout:
+    """Layout of the block [k!, (k+1)!) holding the index n >= 5!."""
+    k, fk = 5, 120
+    while fk * (k + 1) <= n:
+        k += 1
+        fk *= k
+    return _layout(k)
+
+
 def mu_code(beta) -> CodeStream:
     """Bounded-family stream for the parameter beta (stream or recycled word).
 
     Index layout: 0^(5!) then blocks spanning [k!, (k+1)!) for k = 5, 6, ...
     Each block is k strings of length k!: the head string 01 0^(k!-2),
     then 0 b 0^(k!-2) with b running through beta.  No block is ever
-    materialised; a symbol lookup is plain index arithmetic.
+    materialised: the stream is its segments, the cells and the zero
+    runs between them.
     """
     beta = _as_stream(beta)
 
-    def sym(n: int) -> int:
+    def runs(n: int):
         if n < 120:
-            return 0
-        k, fk = _factorial_block(n)
-        j, off = divmod(n - fk, fk)
-        if off != 1:
-            return 0
-        return 1 if j == 0 else beta[j - 1]
+            return "0", 121
+        lay = _block_at(n)
+        j, off = divmod(n - lay.start, lay.string_len)
+        cell = lay.part_start(j) + 1
+        if off == 1:
+            return ("1" if j == 0 else str(beta[j - 1])), cell + 1
+        return "0", cell if off == 0 else cell + lay.string_len  # to the next cell
 
-    return CodeStream.procedural(sym, label="mu(%s)" % beta.label)
+    return CodeStream.segmented(runs, label="mu(%s)" % beta.label)
 
 
 def _build_alpha_blocks(m_schedule=None, limit: int = 10 ** 18):
@@ -186,15 +199,15 @@ def alpha_transitive(m_schedule=None) -> CodeStream:
     blocks = _build_alpha_blocks(m_schedule)
     starts = [s for s, _ in blocks]
 
-    def sym(n: int) -> int:
+    def runs(n: int):
         i = bisect.bisect_right(starts, n) - 1
         if i >= 0:
             start, word = blocks[i]
             if n < start + len(word):
-                return int(word[n - start])
-        return 0
+                return word[n - start:], start + len(word)
+        return "0", starts[i + 1] if i + 1 < len(starts) else None
 
-    return CodeStream.procedural(sym, label="alpha")
+    return CodeStream.segmented(runs, label="alpha")
 
 
 def enumerate_admissible(count: int) -> list[str]:
@@ -244,6 +257,8 @@ def tau_code(beta, alpha: CodeStream | None = None, x_codes=None) -> CodeStream:
 
     Before the first block: alpha's first 5!-1 symbols and a forced 0.
     Tracked codes are recycled cyclically when fewer than k-3 are given.
+    The stream is its segments: alpha's runs, the zero and separation
+    runs, the cells, and the tracked codes' runs clipped to each window.
     """
     beta = _as_stream(beta)
     if alpha is None:
@@ -252,40 +267,45 @@ def tau_code(beta, alpha: CodeStream | None = None, x_codes=None) -> CodeStream:
         raise ValueError("need at least one tracked code")
     x_codes = list(x_codes)
 
-    def sym(n: int) -> int:
+    def clipped(code: CodeStream, a: int, n: int, stop: int):
+        """code's run at a, placed at stream index n and cut at stop."""
+        word, end = code.run_at(a)
+        return word, stop if end is None else min(stop, n + end - a)
+
+    def runs(n: int):
         if n < 119:
-            return alpha[n]
+            return clipped(alpha, n, n, 119)
         if n == 119:
-            return 0
-        k, fk = _factorial_block(n)
-        if k > _TAU_MAX_K:
+            return "0", 120
+        lay = _block_at(n)
+        if lay.k > _TAU_MAX_K:
             raise ValueError("index beyond the configured max block size k=%d" % _TAU_MAX_K)
-        part, off = divmod(n - fk, fk)
+        part, off = divmod(n - lay.start, lay.string_len)
         if part == 0:
-            return alpha[off]
+            return clipped(alpha, off, n, lay.part_start(1))
         if part == 1:
-            quarter = fk // 4
-            if off < quarter:
-                return 0
-            seg, po = divmod(off - quarter, quarter)
-            return _RUNS[seg][po % 3]
+            if off < lay.quarter:
+                return "0", lay.run_start(0)
+            which, po = divmod(off - lay.quarter, lay.quarter)
+            return _rotate(_RUNS[which], po), lay.run_start(which) + lay.quarter
         if part == 2:
-            j, po = divmod(off, fk // k)
-            return beta[j] if po % 3 == 0 else 0
+            j, po = divmod(off, lay.encode_sub)
+            return _rotate(str(beta[j]) + "00", po), lay.encode_cell(j) + lay.encode_sub
         i = part - 2  # tracked code index, 1-based
         code = x_codes[(i - 1) % len(x_codes)]
-        half = fk // k // 2  # (k-1)!/2, the window length
-        j2, so = divmod(off, half)
-        src = (3 + i) * fk
-        if j2 < k:  # copy window j2+1
-            a = src + j2 * (half - 1)
-            return code[a + so] if so < half - 1 else 0
-        a = src + fk // 2 + (j2 - k) * (half - 1)
-        if code[a] == 1:
-            return 0 if so == 0 else _100[(so - 1) % 3]
-        return _100[so % 3]
+        j, so = divmod(off, lay.window)
+        window_end = n - so + lay.window
+        if j < lay.k:  # copy window j+1: the code's symbols, then a 0
+            if so == lay.window - 1:
+                return "0", window_end
+            return clipped(code, lay.copy_source(i, j + 1) + so, n, window_end - 1)
+        if code[lay.separation_source(i, j - lay.k + 1)] == 1:  # 0 (100)^m 10
+            if so == 0:
+                return "0", n + 1
+            so -= 1
+        return _rotate("100", so), window_end
 
-    return CodeStream.procedural(sym, label="tau(%s)" % beta.label)
+    return CodeStream.segmented(runs, label="tau(%s)" % beta.label)
 
 
 @dataclass(frozen=True)

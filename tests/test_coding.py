@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 
 from fareyshift import (
     FULL_LINE,
+    BlockLayout,
     GOLDEN_FIXED_POINT,
     INF,
     ONE,
@@ -29,9 +30,12 @@ from fareyshift import (
     phi_rat,
     phi_surd,
     point_of_code,
+    rational_vs_tau,
+    schedule_events,
     shift,
     sigma_metric,
     tau_code,
+    verify_scrambling,
 )
 from fareyshift.coding import PointEnclosure, _advance, _interval_of
 
@@ -371,6 +375,140 @@ class TestPointOfCode:
         assert enc == PointEnclosure(cylinder("0" * n), n, True)
         iv = enc.interval
         assert iv.width() == Fraction(1, iv.lo.den * iv.hi.den) < goal
+
+
+def _assert_matches_reference(s, max_prefix, goal):
+    """point_of_code equals the per-symbol reference, errors included."""
+    try:
+        want = _point_of_code_reference(s, max_prefix, goal)
+    except InadmissibleWordError as exc:
+        with pytest.raises(InadmissibleWordError) as got:
+            point_of_code(s, max_prefix, goal)
+        assert str(got.value) == str(exc)  # the message carries the index
+        return
+    assert point_of_code(s, max_prefix, goal) == want
+
+
+def _pieces_stream(pieces):
+    """Segmented stream: each word repeated reps times (reps None: forever)."""
+    table, start = [], 0
+    for word, reps in pieces:
+        end = None if reps is None else start + reps * len(word)
+        table.append((start, end, word))
+        if end is None:
+            break
+        start = end
+    else:
+        table.append((start, None, "0"))
+
+    def runs(n):
+        for start, end, word in table:
+            if end is None or n < end:
+                j = (n - start) % len(word)
+                return word[j:] + word[:j], end
+
+    return CodeStream.segmented(runs, label="pieces")
+
+
+EPS = Fraction(1, 100)
+
+
+def _schedule_cases(k):
+    """(s, t, events, m_big) for every schedule family at block size k; s is
+    None for rational_vs_tau, whose first point is an exact orbit point."""
+    alpha = alpha_transitive()
+    tracked = [code_of_rational(xr(3, 5))]
+    x_code = CodeStream.periodic("1", "00100")
+    mu_s, mu_t = mu_code("0110"), mu_code("1010")
+    tau_s, tau_t = tau_code("0110", alpha, tracked), tau_code("1001", alpha, tracked)
+    big = Fraction(1000)
+    return [
+        (mu_s, mu_t, schedule_events("theorem1", (k, k), diff_indices=[0, 1]), Fraction(3, 2)),
+        (mu_s, mu_s.shifted(2), schedule_events("theorem1", (k, k), shift=2), Fraction(3, 2)),
+        (tau_s, tau_t, schedule_events("theorem2", (k, k), diff_index=0), big),
+        (tau_s, tau_t.shifted(1), schedule_events("theorem2", (k, k), shift=1), big),
+        (x_code, tau_code("01", alpha, [x_code]),
+         schedule_events("theorem2_tracked", (k, k), track_index=1, x_code=x_code), big),
+        (None, tau_s, schedule_events("rational_vs_tau", (k, k), escape=3, eps=EPS), big),
+    ]
+
+
+def _rewrap(s):
+    """The same symbols as a plain procedural stream: the per-symbol loop."""
+    return CodeStream.procedural(s.symbol_at, label=s.label)
+
+
+class TestSegmentWalk:
+    """The segment walk against the per-symbol reference, on segmented streams."""
+
+    @pytest.mark.parametrize("k", [5, 6, 7, 8])
+    def test_schedule_events_match_reference(self, k):
+        for s, t, events, _ in _schedule_cases(k):
+            assert t._runs is not None
+            for ev in events:
+                budget = min(10 ** 5, ev.prefix_cap) if ev.prefix_cap else 10 ** 5
+                if s is not None:
+                    _assert_matches_reference(shift(s, ev.index), budget, EPS / 8)
+                _assert_matches_reference(shift(t, ev.index + ev.t_offset), budget, EPS / 8)
+
+    def test_budgets_ending_mid_period(self):
+        tau = tau_code("0110", alpha_transitive(), [CodeStream.periodic("1", "00100")])
+        goals = (Fraction(1, 10 ** 12), Fraction(1, 800), Fraction(1, 90), Fraction(1, 7))
+        for k in (5, 6):
+            lay = BlockLayout.for_k(k)
+            anchors = [lay.run_start(w) + t for w in range(3) for t in range(3)]
+            anchors += [lay.encode_cell(1) + 1, lay.tracking_start(1) + 1,
+                        lay.separation_source(1, 1) + 2]
+            for n in anchors:
+                for budget in (2, 4, 5, 31, 32, 151, 152, lay.quarter - 1):
+                    for goal in goals:
+                        _assert_matches_reference(shift(tau, n), budget, goal)
+
+    @pytest.mark.parametrize("pieces, index", [
+        ([("00", 3), ("0110", 4)], 8),                  # '11' inside a word
+        ([("0", 4), ("1001", 5)], 8),                   # 1|1 between repetitions
+        ([("0", 4), ("0001", 3), ("100", None)], 16),   # 1|1 between segments
+    ])
+    def test_inadmissible_segments(self, pieces, index):
+        s = _pieces_stream(pieces)
+        with pytest.raises(InadmissibleWordError, match="at index %d$" % index):
+            point_of_code(s, 100, Fraction(1, 10 ** 30))
+        _assert_matches_reference(s, 100, Fraction(1, 10 ** 30))
+        _assert_matches_reference(s, index, Fraction(1, 10 ** 30))  # budget ends before it
+
+    def test_empty_segment_rejected(self):
+        # a segment function that makes no progress is an error, not a hang
+        s = CodeStream.segmented(lambda n: ("0", n if n >= 3 else 3))
+        with pytest.raises(ValueError, match="empty segment at index 3"):
+            point_of_code(s, 10, Fraction(1, 10 ** 9))
+        with pytest.raises(ValueError, match="empty segment at index 1"):
+            s.shifted(2).prefix(5)
+
+    @settings(max_examples=300, deadline=None)
+    @given(
+        st.lists(st.tuples(st.one_of(admissible_word, st.text(alphabet="01", min_size=1, max_size=5)),
+                           st.integers(1, 60)), min_size=1, max_size=6),
+        st.one_of(st.none(), st.sampled_from(["0", "100", "010", "001", "00100"])),
+        st.integers(1, 700),
+        width_goals,
+    )
+    def test_random_segmented_streams(self, pieces, tail, max_prefix, goal):
+        if tail is not None:
+            pieces = pieces + [(tail, None)]
+        _assert_matches_reference(_pieces_stream(pieces), max_prefix, goal)
+
+    @pytest.mark.parametrize("k", [5, 6, 7, 8])
+    def test_reports_unchanged_on_the_per_symbol_loop(self, k):
+        for s, t, events, m_big in _schedule_cases(k):
+            if s is None:
+                r = xr(22, 7)
+                want = rational_vs_tau(r, t, (k, k), eps=EPS, m_big=m_big).to_dict()
+                got = rational_vs_tau(r, _rewrap(t), (k, k), eps=EPS, m_big=m_big).to_dict()
+            else:
+                want = verify_scrambling(s, t, events, eps=EPS, m_big=m_big, pair="p").to_dict()
+                got = verify_scrambling(_rewrap(s), _rewrap(t), events, eps=EPS,
+                                        m_big=m_big, pair="p").to_dict()
+            assert got == want
 
 
 class TestPeriodicPoint:

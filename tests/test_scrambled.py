@@ -1,10 +1,14 @@
+import bisect
 import math
 import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from fareyshift import (
+    BlockLayout,
     INF,
     INFINITE_DISTANCE,
     ONE,
@@ -33,6 +37,77 @@ from fareyshift.scrambled import _build_alpha_blocks
 
 def xr(n, d=1):
     return ExtendedRational(n, d)
+
+
+# The per-index symbol functions the segment functions replaced, kept
+# verbatim as the reference oracle.
+
+_RUNS = ((1, 0, 0), (0, 0, 1), (0, 1, 0))
+_100 = (1, 0, 0)
+_TAU_MAX_K = 16
+
+
+def _factorial_block(n):
+    """k and k! with k! <= n < (k+1)!, for n >= 5!."""
+    k, fk = 5, 120
+    while fk * (k + 1) <= n:
+        k += 1
+        fk *= k
+    return k, fk
+
+
+def _mu_symbol_reference(beta, n):
+    if n < 120:
+        return 0
+    k, fk = _factorial_block(n)
+    j, off = divmod(n - fk, fk)
+    if off != 1:
+        return 0
+    return 1 if j == 0 else beta[j - 1]
+
+
+def _alpha_symbol_reference(blocks, n):
+    starts = [s for s, _ in blocks]
+    i = bisect.bisect_right(starts, n) - 1
+    if i >= 0:
+        start, word = blocks[i]
+        if n < start + len(word):
+            return int(word[n - start])
+    return 0
+
+
+def _tau_symbol_reference(beta, alpha, x_codes, n):
+    if n < 119:
+        return alpha[n]
+    if n == 119:
+        return 0
+    k, fk = _factorial_block(n)
+    if k > _TAU_MAX_K:
+        raise ValueError("index beyond the configured max block size k=%d" % _TAU_MAX_K)
+    part, off = divmod(n - fk, fk)
+    if part == 0:
+        return alpha[off]
+    if part == 1:
+        quarter = fk // 4
+        if off < quarter:
+            return 0
+        seg, po = divmod(off - quarter, quarter)
+        return _RUNS[seg][po % 3]
+    if part == 2:
+        j, po = divmod(off, fk // k)
+        return beta[j] if po % 3 == 0 else 0
+    i = part - 2  # tracked code index, 1-based
+    code = x_codes[(i - 1) % len(x_codes)]
+    half = fk // k // 2  # (k-1)!/2, the window length
+    j2, so = divmod(off, half)
+    src = (3 + i) * fk
+    if j2 < k:  # copy window j2+1
+        a = src + j2 * (half - 1)
+        return code[a + so] if so < half - 1 else 0
+    a = src + fk // 2 + (j2 - k) * (half - 1)
+    if code[a] == 1:
+        return 0 if so == 0 else _100[(so - 1) % 3]
+    return _100[so % 3]
 
 
 BOUND_UNION = (
@@ -240,6 +315,139 @@ class TestTauCode:
     def test_needs_tracked_codes(self):
         with pytest.raises(ValueError):
             tau_code("01", self.alpha, [])
+
+
+def _reference_alpha():
+    blocks = _build_alpha_blocks()
+    return CodeStream.procedural(lambda n: _alpha_symbol_reference(blocks, n), label="alpha-ref")
+
+
+def _reference_tau(beta, alpha, x_codes):
+    beta = CodeStream.periodic("", beta) if isinstance(beta, str) else beta
+    return CodeStream.procedural(
+        lambda n: _tau_symbol_reference(beta, alpha, x_codes, n), label="tau-ref")
+
+
+def _random_bits(seed):
+    return CodeStream.procedural(
+        lambda n: random.Random(seed * 1_000_003 + n).getrandbits(1), label="random")
+
+
+# parameter streams: a recycled word or a random procedural stream
+betas = st.one_of(st.text(alphabet="01", min_size=1, max_size=8),
+                  st.integers(0, 2 ** 32).map(_random_bits))
+
+
+@st.composite
+def tracked_pairs(draw):
+    """(code, its oracle): periodic, rational, plain procedural or segmented."""
+    kind = draw(st.sampled_from(["periodic", "rational", "procedural", "segmented"]))
+    if kind == "periodic":
+        code = CodeStream.periodic(draw(st.text(alphabet="01", max_size=5)),
+                                   draw(st.text(alphabet="01", min_size=1, max_size=7)))
+    elif kind == "rational":
+        code = code_of_rational(xr(draw(st.integers(0, 60)), draw(st.integers(1, 60))))
+    elif kind == "procedural":
+        mod = draw(st.integers(2, 9))
+        res = draw(st.integers(0, mod - 1))
+        code = CodeStream.procedural(lambda n: 1 if n % mod == res else 0)
+    else:  # a tau stream tracking a tau stream
+        beta = draw(betas)
+        inner = CodeStream.periodic("", draw(st.text(alphabet="01", min_size=1, max_size=7)))
+        return (tau_code(beta, alpha_transitive(), [inner]),
+                _reference_tau(beta, _reference_alpha(), [inner]))
+    return code, code
+
+
+def _boundaries(family):
+    """Every block, part, quarter, cell and window boundary for k = 5..10."""
+    if family == "alpha":
+        return {b for start, word in _build_alpha_blocks() if start < math.factorial(11)
+                for b in (start, start + len(word))}
+    out = set()
+    for k in range(5, 11):
+        lay = BlockLayout.for_k(k)
+        out.update(lay.part_start(p) for p in range(k))
+        out.add(lay.start + lay.length)
+        if family == "tau":
+            out.update(lay.run_start(w) for w in range(3))
+            out.update(lay.encode_cell(j) for j in range(k))
+            for i in range(1, k - 2):
+                out.update(lay.tracking_start(i) + w * lay.window for w in range(2 * k))
+    return out
+
+
+def _assert_segments_match(stream, oracle, shift_by, starts, span=8):
+    """From each start, run_at segments read the oracle's symbols.
+
+    Reads span symbols across segments, and also checks each segment it
+    visits at its last symbol and at one inside it, so a long run is
+    checked beyond the window.
+    """
+    rng = random.Random(len(starts))
+    for n in sorted(starts):
+        if n < 0:
+            continue
+        assert stream[n] == oracle(n + shift_by), n
+        i, got = n, ""
+        while len(got) < span:
+            word, end = stream.run_at(i)
+            assert word and (end is None or end > i), (i, word, end)
+            last = i + 10 ** 6 if end is None else end - 1
+            for at in (last, rng.randint(i, last)):
+                assert int(word[(at - i) % len(word)]) == oracle(at + shift_by), (i, at)
+            take = span - len(got) if end is None else min(end - i, span - len(got))
+            got += (word * (take // len(word) + 1))[:take]
+            i += take
+        assert got == "".join(str(oracle(n + shift_by + p)) for p in range(span)), n
+
+
+def _starts(family, shift_by):
+    return {b + delta - shift_by for b in _boundaries(family) for delta in range(-2, 3)} \
+        | {119 - shift_by, 120 - shift_by}
+
+
+class TestSegmentsMatchReference:
+    """run_at segments against the per-index symbol functions they replaced."""
+
+    @settings(max_examples=25, deadline=None)
+    @given(betas, st.integers(0, 5), st.integers(0, math.factorial(11)))
+    def test_mu(self, beta, shift_by, extra):
+        ref = CodeStream.periodic("", beta) if isinstance(beta, str) else beta
+        stream = mu_code(beta).shifted(shift_by)
+        _assert_segments_match(stream, lambda n: _mu_symbol_reference(ref, n), shift_by,
+                               _starts("mu", shift_by) | {extra})
+
+    @settings(max_examples=10, deadline=None)
+    @given(st.integers(0, 5), st.integers(0, math.factorial(11)))
+    def test_alpha(self, shift_by, extra):
+        blocks = _build_alpha_blocks()
+        stream = alpha_transitive().shifted(shift_by)
+        _assert_segments_match(stream, lambda n: _alpha_symbol_reference(blocks, n), shift_by,
+                               _starts("alpha", shift_by) | {extra})
+
+    @settings(max_examples=25, deadline=None)
+    @given(betas, st.lists(tracked_pairs(), min_size=1, max_size=2), st.integers(0, 5),
+           st.integers(0, math.factorial(11) - 100))
+    def test_tau(self, beta, tracked, shift_by, extra):
+        stream = tau_code(beta, alpha_transitive(), [c for c, _ in tracked]).shifted(shift_by)
+        ref = _reference_tau(beta, _reference_alpha(), [r for _, r in tracked])
+        _assert_segments_match(stream, ref.symbol_at, shift_by, _starts("tau", shift_by) | {extra})
+
+    def test_index_past_the_last_block_raises_alike(self):
+        tau = tau_code("0110", alpha_transitive(), [code_of_rational(ONE)])
+        f17 = math.factorial(17)
+        message = "index beyond the configured max block size k=16"
+        for n in (f17, f17 + 5, math.factorial(18)):
+            with pytest.raises(ValueError) as by_symbol:
+                tau.symbol_at(n)
+            with pytest.raises(ValueError) as by_enclosure:
+                point_of_code(shift(tau, n), 10, Fraction(1, 100))
+            assert str(by_symbol.value) == str(by_enclosure.value) == message
+        # an enclosure that walks into 17! raises there, as the symbols do
+        assert tau[f17 - 1] in (0, 1)
+        with pytest.raises(ValueError, match=message):
+            point_of_code(shift(tau, f17 - 3), 10, Fraction(1, 10 ** 9))
 
 
 class TestBlockBookkeeping:
