@@ -8,6 +8,7 @@ error or input out of range, 3 inconclusive events present.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import math
 import random
@@ -371,7 +372,14 @@ def _add_common(p, fmt_default):
     p.add_argument("--seed", type=int, default=0, help="seed for any sampling")
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The command parser, built on first use and shared by every later call.
+
+    Sharing is safe because parsing leaves the parser unchanged and every
+    default is immutable (str, int, float, bool, None or Fraction);
+    callers must not add to the returned parser.
+    """
     ap = argparse.ArgumentParser(
         prog="fareyshift",
         description="Exact symbolic dynamics for the map x -> |1 - 1/x| on [0, infinity].",

@@ -81,10 +81,6 @@ class FareyInterval:
     def is_bounded(self) -> bool:
         return not self.hi.is_infinite
 
-    @property
-    def is_point(self) -> bool:
-        return self.lo == self.hi
-
     def width(self) -> Fraction | None:
         """Exact width, or None when the interval reaches infinity."""
         if not self.is_bounded:

@@ -266,7 +266,8 @@ def farey_properties_report(n: int) -> FareyPropertyReport:
     """
     if n < 1:
         raise ValueError("n must be positive")
-    entries = farey_level(n).entries
+    nxt = farey_level(n + 1).entries
+    entries = nxt[::2]  # level n+1 interleaves level n with mediants
     half = 2 ** (n - 1)
     full = 2 ** n
 
@@ -287,7 +288,6 @@ def farey_properties_report(n: int) -> FareyPropertyReport:
     fold = run(range(half + 1),
                lambda i: phi_rat(entries[half + i]) == entries[i],
                "phi_fold")
-    nxt = farey_level(n + 1).entries
     ref = run(range(full + 1),
               lambda i: phi_rat(nxt[i]) == entries[full - i],
               "phi_refine")

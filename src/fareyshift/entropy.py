@@ -23,7 +23,6 @@ from .coding import (
     periodic_point,
     phi_interval_image,
 )
-from .conjugacy import f_map
 from .exact import QuadraticSurd
 
 
@@ -125,13 +124,6 @@ def transition_spectral_radius(iterations: int) -> EntropyEstimate:
                            iterations, bound)
 
 
-def _f_preimages(y: Fraction) -> list[Fraction]:
-    out = [(1 - y) / 2]
-    if y <= Fraction(1, 2):
-        out.append(y + Fraction(1, 2))
-    return out
-
-
 _MAX_LAP_DEPTH = 32
 
 
@@ -140,19 +132,26 @@ def lap_count(n: int) -> int:
 
     Computed exactly: the interior breakpoints of f^n are the points
     whose first n-1 iterates hit 1/2, accumulated by pulling 1/2 back
-    through the two linear branches.  Breakpoint count grows like the
-    golden ratio to the n, hence the depth guard.
+    through the two linear branches.  Every such point is a dyadic
+    a/2^n, so only the integer numerators a are kept: y = a/2^n pulls
+    back to (1 - y)/2 = ((2^n - a)/2)/2^n and, when y <= 1/2, to
+    y + 1/2 = (a + 2^(n-1))/2^n.  Breakpoint count grows like the golden
+    ratio to the n, hence the depth guard.
     """
     if n < 1:
         raise ValueError("n must be positive")
     if n > _MAX_LAP_DEPTH:
         raise ValueError("depth %d above the guard %d" % (n, _MAX_LAP_DEPTH))
-    level = {Fraction(1, 2)}
+    full = 1 << n
+    half = full >> 1
+    level = {half}
     breaks = set(level)
     for _ in range(n - 1):
-        level = {x for y in level for x in _f_preimages(y)}
+        # before the last step every point has denominator <= 2^(n-1): a is even
+        level = {(full - a) >> 1 for a in level} | \
+            {a + half for a in level if a <= half}
         breaks |= level
-    interior = [x for x in breaks if 0 < x < 1]
+    interior = [a for a in breaks if 0 < a < full]
     return 1 + len(interior)
 
 

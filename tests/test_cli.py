@@ -1,9 +1,14 @@
+import argparse
 import hashlib
 import json
+import os
+import subprocess
+import sys
 
 import pytest
 
-from fareyshift.cli import main, parse_code, parse_krange, parse_point
+import fareyshift
+from fareyshift.cli import build_parser, main, parse_code, parse_krange, parse_point
 from fareyshift.exact import ExtendedRational, QuadraticSurd
 
 
@@ -185,3 +190,49 @@ class TestCommands:
         code, out = run(capsys, *argv.split())
         assert code == 0
         assert hashlib.sha256(out.encode()).hexdigest() == digest
+
+
+class TestSharedParser:
+    """main() reuses one parser per process; no call may leak into the next."""
+
+    SEQUENCE = [
+        ["scramble", "theorem1", "--beta", "01", "--xi", "10", "--k-range", "5..6",
+         "--seed", "3"],
+        ["scramble", "theorem1", "--xi", "10", "--k-range", "5..6", "--seed", "3"],
+        ["interval"],
+        ["entropy", "--lap-depth", "40"],
+        ["--version"],
+        ["point", "0(010)", "--max-prefix", "64", "--precision", "1/1000",
+         "--format", "json"],
+        ["farey", "--level", "4", "--report"],
+        ["entropy", "--lap-depth", "12"],
+        ["code", "1/1", "--length", "7"],
+        ["scramble", "theorem1", "--beta", "01", "--xi", "10", "--k-range", "5..6",
+         "--seed", "3"],
+    ]
+
+    def test_in_process_equals_fresh_process(self, capsys, monkeypatch):
+        # argparse wraps usage lines at the terminal width; pin it for both runs
+        monkeypatch.setenv("COLUMNS", "80")
+        src = os.path.dirname(os.path.dirname(os.path.abspath(fareyshift.__file__)))
+        env = dict(os.environ)
+        env["PYTHONPATH"] = src + os.pathsep + env.get("PYTHONPATH", "")
+        for argv in self.SEQUENCE:
+            code = main(list(argv))
+            got = capsys.readouterr()
+            fresh = subprocess.run([sys.executable, "-m", "fareyshift", *argv],
+                                   capture_output=True, text=True, env=env)
+            assert (got.out, got.err, code) == \
+                (fresh.stdout, fresh.stderr, fresh.returncode), argv
+
+    def test_no_mutable_defaults(self):
+        def parsers(ap):
+            yield ap
+            for action in ap._actions:
+                if isinstance(action, argparse._SubParsersAction):
+                    for sub in action.choices.values():
+                        yield from parsers(sub)
+
+        for ap in parsers(build_parser()):
+            defaults = [a.default for a in ap._actions] + list(ap._defaults.values())
+            assert not any(isinstance(d, (list, dict, set)) for d in defaults), ap.prog

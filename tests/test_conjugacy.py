@@ -284,3 +284,8 @@ class TestFareyProperties:
 
     def test_report_note_mentions_window(self):
         assert "2^(n-1)" in farey_properties_report(3).index_note
+
+    def test_next_level_even_entries_are_the_level(self):
+        # the report reads level n off level n+1 this way
+        for n in range(13):
+            assert farey_level(n + 1).entries[::2] == farey_level(n).entries

@@ -110,6 +110,49 @@ def laps_by_grid(n, grid=4096):
     return 1 + sum(1 for d1, d2 in zip(dirs, dirs[1:]) if d1 != d2)
 
 
+def _f_preimages(y: Fraction) -> list[Fraction]:
+    out = [(1 - y) / 2]
+    if y <= Fraction(1, 2):
+        out.append(y + Fraction(1, 2))
+    return out
+
+
+_MAX_LAP_DEPTH = 32
+
+
+def _lap_count_reference(n: int) -> int:
+    """The Fraction pull-back that lap_count replaced, kept as an oracle."""
+    if n < 1:
+        raise ValueError("n must be positive")
+    if n > _MAX_LAP_DEPTH:
+        raise ValueError("depth %d above the guard %d" % (n, _MAX_LAP_DEPTH))
+    level = {Fraction(1, 2)}
+    breaks = set(level)
+    for _ in range(n - 1):
+        level = {x for y in level for x in _f_preimages(y)}
+        breaks |= level
+    interior = [x for x in breaks if 0 < x < 1]
+    return 1 + len(interior)
+
+
+class TestLapCountMatchesReference:
+    def test_counts_agree(self):
+        for n in range(1, 23):
+            assert lap_count(n) == _lap_count_reference(n)
+
+    @pytest.mark.parametrize("n, message", [
+        (0, "n must be positive"),
+        (33, "depth 33 above the guard 32"),
+        (40, "depth 40 above the guard 32"),
+    ])
+    def test_guard_messages_agree(self, n, message):
+        with pytest.raises(ValueError) as ref:
+            _lap_count_reference(n)
+        with pytest.raises(ValueError) as got:
+            lap_count(n)
+        assert str(got.value) == str(ref.value) == message
+
+
 class TestLapCounts:
     def test_small_values(self):
         assert lap_count(1) == 2
