@@ -269,10 +269,7 @@ def cmd_mixing(args) -> int:
 
 
 def cmd_periodic(args) -> int:
-    try:
-        x = dense_periodic_witness(args.word)
-    except ValueError as exc:
-        raise CliError(str(exc))
+    x = dense_periodic_witness(args.word)
     payload = {
         "word": args.word,
         "witness": str(x),

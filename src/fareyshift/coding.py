@@ -25,7 +25,8 @@ from .exact import (
     ExtendedRational,
     MobiusMap,
     QuadraticSurd,
-    escape_time,
+    _escape_word,
+    mobius_apply,
     mobius_fixed_point,
     phi_rat,
     phi_surd,
@@ -448,33 +449,23 @@ def itinerary(x, n: int, tie_high: bool = False) -> str:
 
     At the boundary point 1 the symbol 0 is emitted; with tie_high the
     first visit to 1 emits 1 instead, which selects the other of the two
-    codes a positive rational has.
+    codes a positive rational has (0 and infinity have one code each).
+    A rational's symbols are read off its continued fraction.
     """
     if n < 1:
         raise ValueError("need at least one symbol")
     if isinstance(x, QuadraticSurd) and x.is_rational:
         x = x.as_extended_rational()
-    out = []
-    tie_pending = tie_high
-    for _ in range(n):
-        if isinstance(x, QuadraticSurd):
+    if isinstance(x, QuadraticSurd):
+        out = []
+        for _ in range(n):
             out.append("1" if x > 1 else "0")
             x = phi_surd(x)
-        else:
-            if x == ONE and tie_pending:
-                out.append("1")
-                tie_pending = False
-            else:
-                out.append("1" if x > ONE else "0")
-            x = phi_rat(x)
-    return "".join(out)
-
-
-def _apply_branch_inverse(sym: str, x):
-    psi = PSI0 if sym == "0" else PSI1
-    if isinstance(x, QuadraticSurd):
-        return psi.apply_surd(x)
-    return psi.apply(x)
+        return "".join(out)
+    if x.is_infinite:
+        return code_of_rational(x).prefix(n)
+    # only n symbols are read, so no run of the escape word need be longer
+    return (_escape_word(x, tie_high, n) + "010" * n)[:n]
 
 
 def periodic_point(preperiod: str, period: str):
@@ -489,9 +480,7 @@ def periodic_point(preperiod: str, period: str):
         raise InadmissibleWordError("period must be nonempty")
     _require_admissible(preperiod + period + period)
     x = mobius_fixed_point(MobiusMap(*_word_matrix(period)), within=cylinder(period))
-    for ch in reversed(preperiod):
-        x = _apply_branch_inverse(ch, x)
-    return x
+    return mobius_apply(MobiusMap(*_word_matrix(preperiod)), x)
 
 
 def phi_interval_image(iv: FareyInterval) -> list[FareyInterval]:
@@ -510,14 +499,11 @@ def phi_interval_image(iv: FareyInterval) -> list[FareyInterval]:
 def code_of_rational(x: ExtendedRational, tie_high: bool = False) -> CodeStream:
     """Eventually periodic code of a rational point of [0, infinity].
 
-    After the finite escape to 0 the code is the period-3 cycle code
-    010 010 ...; tie_high picks the 1-leading variant of the two codes a
-    positive rational has.
+    The preperiod is x's escape word, read off its continued fraction;
+    after the escape to 0 the code is the period-3 cycle code
+    010 010 ...  tie_high reads the visit to 1 as 1, which picks the
+    other of the two codes a positive rational has.
     """
     if x.is_infinite:
         return CodeStream.periodic("", "100", label="code(1/0)")
-    e = escape_time(x)
-    if e == 0:
-        return CodeStream.periodic("", "010", label="code(0/1)")
-    pre = itinerary(x, e, tie_high=tie_high)
-    return CodeStream.periodic(pre, "010", label="code(%s)" % x)
+    return CodeStream.periodic(_escape_word(x, tie_high), "010", label="code(%s)" % x)

@@ -13,7 +13,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .exact import INF, ONE, ZERO, ExtendedRational, QuadraticSurd, phi_rat
+from .exact import INF, ZERO, ExtendedRational, QuadraticSurd, _cf_digits, phi_rat
 
 
 class DyadicRational:
@@ -110,15 +110,6 @@ def f_map(x: Fraction) -> Fraction:
     return x - Fraction(1, 2)
 
 
-def _cf_digits(num: int, den: int) -> list[int]:
-    out = []
-    while den:
-        q, r = divmod(num, den)
-        out.append(q)
-        num, den = den, r
-    return out
-
-
 def h_rational(x: ExtendedRational) -> DyadicRational:
     """Exact dyadic value of the conjugating homeomorphism at a rational.
 
@@ -132,18 +123,19 @@ def h_rational(x: ExtendedRational) -> DyadicRational:
     if x.is_infinite:
         return DyadicRational(1, 0)
     digits = _cf_digits(x.num, x.den)
-    bits = []
-    last = len(digits) - 1
+    digits[-1] -= 1
+    m = 0
     for idx, a in enumerate(digits):
-        run = a - 1 if idx == last else a
-        bits.append(("1" if idx % 2 == 0 else "0") * run)
-    bits.append("1")
-    s = "".join(bits)
-    return DyadicRational(int(s, 2), len(s))
+        m = m << a if idx % 2 else ((m + 1) << a) - 1
+    return DyadicRational(2 * m + 1, sum(digits) + 1)
 
 
 def h_inverse(d) -> ExtendedRational:
-    """The unique rational with h_rational(result) = d; exact round trip."""
+    """The unique rational with h_rational(result) = d; exact round trip.
+
+    The runs of the whole mantissa, closing 1 included, are continued-
+    fraction digits of the result: [.., a - 1, 1] is [.., a].
+    """
     if isinstance(d, DyadicRational):
         f = d.as_fraction()
     else:
@@ -156,21 +148,12 @@ def h_inverse(d) -> ExtendedRational:
         return ZERO
     if f == 1:
         return INF
-    e = f.denominator.bit_length() - 1
-    bits = bin(f.numerator)[2:].zfill(e)[:-1]  # mantissa is odd: drop the closing 1
+    m, n = f.numerator, f.denominator.bit_length() - 1  # n-bit mantissa
     digits = []
-    want = "1"
-    pos = 0
-    while pos < len(bits):
-        run = 0
-        while pos < len(bits) and bits[pos] == want:
-            run += 1
-            pos += 1
-        digits.append(run)
-        want = "0" if want == "1" else "1"
-    if not digits:
-        digits = [0]
-    digits[-1] += 1
+    while n:
+        m ^= (1 << n) - 1  # the leading run of 1s becomes 0s, the next run 1s
+        digits.append(n - m.bit_length())
+        n = m.bit_length()
     num, den = digits[-1], 1
     for a in reversed(digits[:-1]):
         num, den = a * num + den, num

@@ -163,20 +163,46 @@ def phi_rat(x: ExtendedRational) -> ExtendedRational:
     return ExtendedRational(abs(x.num - x.den), x.num)
 
 
-def escape_time(x: ExtendedRational) -> int:
-    """Smallest n >= 0 with phi^n(x) = 0.
+def _cf_digits(num: int, den: int) -> list[int]:
+    out = []
+    while den:
+        q, r = divmod(num, den)
+        out.append(q)
+        num, den = den, r
+    return out
 
-    Total on finite rationals: from p/q < 1 the numerator+denominator sum
-    drops by p in one step, and from p/q > 1 it drops to p in two steps,
-    so the orbit reaches 0 after finitely many exact iterations.
+
+def _escape_word(x: ExtendedRational, tie_high: bool = False, limit: float = math.inf) -> str:
+    """Symbols of the orbit of a finite x up to its first visit to 0.
+
+    Read off the continued fraction x = [b; a1, ..., an]: each 2 taken
+    off b is one pass x -> (x - 1)/x -> 1/(x - 1) -> x - 2, read 100.
+    A 1 left over with digits to come is x in (1, 2), read 10, going to
+    [a1; a2, ...]; a 0 left over is x < 1, read 0, going to
+    [a1 - 1; a2, ...]; a 1 left over after the last digit is x = 1,
+    read 0.  The last symbol is always the visit to 1, which tie_high
+    reads as 1.  Each run of passes is cut at `limit` passes, so the
+    word is exact on its first `limit` symbols.
+    """
+    digits = _cf_digits(x.num, x.den)
+    b, parts = digits[0], []
+    for a in digits[1:]:
+        parts.append("100" * min(b >> 1, limit) + ("10" if b & 1 else "0"))
+        b = a if b & 1 else a - 1
+    parts.append("100" * min(b >> 1, limit) + "0" * (b & 1))
+    word = "".join(parts)
+    return word[:-1] + "1" if tie_high and word else word
+
+
+def escape_time(x: ExtendedRational) -> int:
+    """Smallest n >= 0 with phi^n(x) = 0: the length of x's escape word.
+
+    Total on finite rationals: every continued-fraction digit is used up
+    by finitely many symbols, so the orbit reaches 0.
     """
     if x.is_infinite:
         raise ValueError("escape_time is defined for finite rationals only")
-    n = 0
-    while not x.is_zero:
-        x = phi_rat(x)
-        n += 1
-    return n
+    return len(_escape_word(x))
 
 
 def _squarefree_split(d: int) -> tuple[int, int]:

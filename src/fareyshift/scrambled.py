@@ -210,39 +210,6 @@ def alpha_transitive(m_schedule=None) -> CodeStream:
     return CodeStream.segmented(runs, label="alpha")
 
 
-def enumerate_admissible(count: int) -> list[str]:
-    """First `count` admissible words, length-lexicographic from length 5."""
-    if count < 0:
-        raise ValueError("negative count")
-    gen = iter_admissible_words(5)
-    return [next(gen) for _ in range(count)]
-
-
-def c_block(code: CodeStream, i: int, j: int) -> str:
-    """Copy symbols i..j-1 of the code and append a 0 (concatenation-safe)."""
-    if not (j > i >= 5):
-        raise ValueError("need j > i >= 5")
-    if (j - i + 1) % 3:
-        raise ValueError("window length must be a multiple of 3")
-    return "".join(str(code[t]) for t in range(i, j)) + "0"
-
-
-def c_star_block(code: CodeStream, i: int, j: int) -> str:
-    """Separation window: 0 (100)^m 10 when the code reads 1 at i, else (100)^m.
-
-    Same length as the matching copy window and 0-terminated, so the two
-    kinds concatenate without ever producing "11".
-    """
-    if not (j > i >= 5):
-        raise ValueError("need j > i >= 5")
-    length = j - i + 1
-    if length % 3:
-        raise ValueError("window length must be a multiple of 3")
-    if code[i] == 1:
-        return "0" + "100" * ((length - 3) // 3) + "10"
-    return "100" * (length // 3)
-
-
 def tau_code(beta, alpha: CodeStream | None = None, x_codes=None) -> CodeStream:
     """Unbounded-family stream: transitive, beta-separated, target-tracking.
 
@@ -555,6 +522,15 @@ class ScrambleReport:
         }
 
 
+def _thresholds(eps, m_big) -> tuple[Fraction, Fraction]:
+    """eps and m_big as Fractions, rejected unless both are positive."""
+    eps, m_big = Fraction(eps), Fraction(m_big)
+    for name, value in (("eps", eps), ("m_big", m_big)):
+        if value <= 0:
+            raise ValueError("%s must be positive, got %s" % (name, value))
+    return eps, m_big
+
+
 def verify_scrambling(s: CodeStream, t: CodeStream, events,
                       eps=Fraction(1, 100), m_big=Fraction(3, 2),
                       prefix_len: int = 10 ** 5,
@@ -564,9 +540,10 @@ def verify_scrambling(s: CodeStream, t: CodeStream, events,
     Close events pass when the enclosures force |x - y| < eps, far
     events when they force a gap above m_big or a positive gap with
     exactly one enclosure reaching infinity.  An enclosure too wide to
-    decide yields "inconclusive", never a silent pass.
+    decide yields "inconclusive", never a silent pass.  eps and m_big
+    must be positive (ValueError, raised before any enclosure).
     """
-    eps, m_big = Fraction(eps), Fraction(m_big)
+    eps, m_big = _thresholds(eps, m_big)
     outcomes = []
     for ev in events:
         budget = min(prefix_len, ev.prefix_cap) if ev.prefix_cap else prefix_len
@@ -602,7 +579,7 @@ def rational_vs_tau(r: ExtendedRational, t: CodeStream, k_range,
     """
     if r.is_infinite:
         raise ValueError("r must be a finite rational")
-    eps, m_big = Fraction(eps), Fraction(m_big)
+    eps, m_big = _thresholds(eps, m_big)
     e = escape_time(r)
     events = schedule_events("rational_vs_tau", k_range, escape=e, eps=eps)
     outcomes = []

@@ -147,6 +147,8 @@ class TestCommands:
         "entropy --lap-depth 40",
         "entropy --depth 0",
         "code 1/2 --length 0",
+        "scramble theorem1 --beta 01 --xi 10 --k-range 5..5 --m-big -1",
+        "scramble theorem1 --beta 01 --xi 10 --k-range 5..5 --m-big 0",
     ])
     def test_rejected_input_exit_code(self, capsys, argv):
         assert main(argv.split()) == 2

@@ -22,6 +22,7 @@ from fareyshift import (
     alpha_transitive,
     code_of_rational,
     cylinder,
+    escape_time,
     is_admissible,
     itinerary,
     mu_code,
@@ -37,7 +38,7 @@ from fareyshift import (
     tau_code,
     verify_scrambling,
 )
-from fareyshift.coding import PointEnclosure, _advance, _interval_of
+from fareyshift.coding import PSI0, PSI1, PointEnclosure, _advance, _interval_of
 
 
 def xr(n, d=1):
@@ -270,6 +271,16 @@ class TestItinerary:
     def test_special_points(self):
         assert itinerary(ZERO, 6) == "010010"
         assert itinerary(INF, 6) == "100100"
+        # one code each, so the tie rule leaves them alone
+        assert itinerary(ZERO, 9, tie_high=True) == "010010010"
+        assert itinerary(INF, 9, tie_high=True) == "100100100"
+
+    @pytest.mark.parametrize("tie_high", [False, True])
+    def test_every_rational_itinerary_is_admissible(self, tie_high):
+        points = {ZERO, INF} | {xr(p, q) for p in range(1, 41) for q in range(1, 41)}
+        for x in points:
+            word = itinerary(x, escape_time(x) + 6 if x != INF else 9, tie_high)
+            assert is_admissible(word), (x, word)
 
     def test_round_trip_periodic_points(self):
         rng = random.Random(20)
@@ -532,6 +543,24 @@ class TestPeriodicPoint:
         x = periodic_point("", per)
         for reps in range(1, 5):
             assert cylinder(per * reps).contains(x)
+
+    def test_preperiod_push_matches_per_symbol_branches(self):
+        def push_reference(preperiod, x):
+            for ch in reversed(preperiod):
+                psi = PSI0 if ch == "0" else PSI1
+                x = psi.apply_surd(x) if isinstance(x, QuadraticSurd) else psi.apply(x)
+            return x
+
+        rng = random.Random(41)
+        checked = 0
+        while checked < 300:
+            pre = rng.choice(admissible_words(rng.randrange(0, 13)))
+            per = rng.choice(admissible_words(rng.randrange(1, 7)))
+            if not is_admissible(pre + per + per):
+                continue
+            fixed = periodic_point("", per)
+            assert periodic_point(pre, per) == push_reference(pre, fixed), (pre, per)
+            checked += 1
 
     def test_inadmissible_rejected(self):
         with pytest.raises(InadmissibleWordError):

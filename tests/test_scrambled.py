@@ -16,13 +16,12 @@ from fareyshift import (
     CodeStream,
     ExtendedRational,
     FareyInterval,
+    ScheduleEvent,
     alpha_transitive,
-    c_block,
-    c_star_block,
     code_of_rational,
     cylinder,
-    enumerate_admissible,
     g_map,
+    iter_admissible_words,
     mu_code,
     phi_interval_image,
     point_of_code,
@@ -196,6 +195,42 @@ class TestAlpha:
     def test_admissible(self):
         al = alpha_transitive()
         assert "11" not in al.prefix(10 ** 5)
+
+
+# Word and window builders with no library caller, kept as independent
+# oracles for the stream layouts (tau_block_literal assembles tau blocks from them).
+
+def enumerate_admissible(count: int) -> list[str]:
+    """First `count` admissible words, length-lexicographic from length 5."""
+    if count < 0:
+        raise ValueError("negative count")
+    gen = iter_admissible_words(5)
+    return [next(gen) for _ in range(count)]
+
+
+def c_block(code: CodeStream, i: int, j: int) -> str:
+    """Copy symbols i..j-1 of the code and append a 0 (concatenation-safe)."""
+    if not (j > i >= 5):
+        raise ValueError("need j > i >= 5")
+    if (j - i + 1) % 3:
+        raise ValueError("window length must be a multiple of 3")
+    return "".join(str(code[t]) for t in range(i, j)) + "0"
+
+
+def c_star_block(code: CodeStream, i: int, j: int) -> str:
+    """Separation window: 0 (100)^m 10 when the code reads 1 at i, else (100)^m.
+
+    Same length as the matching copy window and 0-terminated, so the two
+    kinds concatenate without ever producing "11".
+    """
+    if not (j > i >= 5):
+        raise ValueError("need j > i >= 5")
+    length = j - i + 1
+    if length % 3:
+        raise ValueError("window length must be a multiple of 3")
+    if code[i] == 1:
+        return "0" + "100" * ((length - 3) // 3) + "10"
+    return "100" * (length // 3)
 
 
 class TestEnumerateAdmissible:
@@ -577,6 +612,23 @@ class TestVerifyScrambling:
             statuses[o.event.kind].add(o.status)
         assert "pass" in statuses["far"]
         assert "pass" in statuses["close"]
+
+    @pytest.mark.parametrize("thresholds, name", [
+        (dict(m_big=-1), "m_big"), (dict(m_big=0), "m_big"),
+        (dict(eps=0), "eps"), (dict(eps=Fraction(-1, 100)), "eps"),
+    ])
+    def test_nonpositive_thresholds_rejected(self, thresholds, name, monkeypatch):
+        # a far event between a point and itself passed with m_big = -1
+        def no_enclosure(*args):
+            raise AssertionError("enclosure computed before the check")
+
+        monkeypatch.setattr("fareyshift.scrambled.point_of_code", no_enclosure)
+        s = mu_code("01")
+        with pytest.raises(ValueError, match=name):
+            verify_scrambling(s, s, [ScheduleEvent("far", 200, "same point")], **thresholds)
+        tau = tau_code("0110", alpha_transitive(), [code_of_rational(ONE)])
+        with pytest.raises(ValueError, match=name):
+            rational_vs_tau(ONE, tau, (5, 5), **thresholds)
 
     def test_report_json_round_trip(self):
         import json
