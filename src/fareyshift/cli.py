@@ -363,10 +363,13 @@ def cmd_gdemo(args) -> int:
     return 0 if all(checks.values()) else 1
 
 
-def _add_common(p, fmt_default):
-    p.add_argument("--format", choices=("json", "csv", "table"), default=fmt_default)
+def _add_common(p, fmt_default=None, formats=("json", "csv", "table"), seed=False):
+    """--out on every command; --format and --seed only where the command reads them."""
+    if fmt_default:
+        p.add_argument("--format", choices=formats, default=fmt_default)
     p.add_argument("--out", default=None, help="write output to a file")
-    p.add_argument("--seed", type=int, default=0, help="seed for any sampling")
+    if seed:
+        p.add_argument("--seed", type=int, default=0, help="seed for any sampling")
 
 
 @functools.cache
@@ -395,12 +398,12 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--length", type=int, default=12)
     p.add_argument("--tie-high", action="store_true",
                    help="emit 1 at the first visit to 1 (the other rational code)")
-    _add_common(p, "table")
+    _add_common(p)
     p.set_defaults(func=cmd_code)
 
     p = sub.add_parser("interval", help="exact cylinder of an admissible word")
     p.add_argument("word")
-    _add_common(p, "table")
+    _add_common(p)
     p.set_defaults(func=cmd_interval)
 
     p = sub.add_parser("point", help="certified enclosure of a coded point")
@@ -408,7 +411,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--max-prefix", type=int, default=64)
     p.add_argument("--precision", type=parse_fraction, default=Fraction(1, 1000),
                    help="enclosure width goal, a fraction like 1/1000")
-    _add_common(p, "table")
+    _add_common(p, "table", formats=("json", "table"))
     p.set_defaults(func=cmd_point)
 
     p = sub.add_parser("conjugacy", help="level table with exact h values and checks")
@@ -430,17 +433,17 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--depth", type=int, default=50)
     p.add_argument("--lap-depth", type=int, default=18)
     p.add_argument("--tol", type=float, default=1e-12)
-    _add_common(p, "json")
+    _add_common(p)
     p.set_defaults(func=cmd_entropy)
 
     p = sub.add_parser("mixing", help="exact covering certificate of a cylinder")
     p.add_argument("word")
-    _add_common(p, "json")
+    _add_common(p)
     p.set_defaults(func=cmd_mixing)
 
     p = sub.add_parser("periodic", help="irrational periodic witness inside a cylinder")
     p.add_argument("word")
-    _add_common(p, "json")
+    _add_common(p)
     p.set_defaults(func=cmd_periodic)
 
     p = sub.add_parser("scramble", help="scheduled close/far event verification")
@@ -456,12 +459,12 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--eps", default="1/100")
     p.add_argument("--m-big", default="3/2")
     p.add_argument("--prefix-budget", type=int, default=10 ** 5)
-    _add_common(p, "json")
+    _add_common(p, seed=True)
     p.set_defaults(func=cmd_scramble)
 
     p = sub.add_parser("gdemo", help="counterexample map sanity demonstration")
     p.add_argument("--samples", type=int, default=50)
-    _add_common(p, "json")
+    _add_common(p, seed=True)
     p.set_defaults(func=cmd_gdemo)
 
     return ap

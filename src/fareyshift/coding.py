@@ -23,7 +23,6 @@ from .exact import (
     ONE,
     ZERO,
     ExtendedRational,
-    MobiusMap,
     QuadraticSurd,
     _escape_word,
     mobius_apply,
@@ -31,10 +30,6 @@ from .exact import (
     phi_rat,
     phi_surd,
 )
-
-PSI0 = MobiusMap(0, 1, 1, 1)   # y -> 1/(1+y)
-PSI1 = MobiusMap(0, 1, -1, 1)  # y -> 1/(1-y)
-
 
 class InadmissibleWordError(ValueError):
     """Word contains the forbidden factor "11" (or a bad character)."""
@@ -283,7 +278,9 @@ def sigma_metric(s: CodeStream, t: CodeStream, tol) -> Fraction:
     return total
 
 
-# Right-multiplication by the inverse-branch matrices.  The running
+# Right-multiplication by the inverse-branch matrices, (0, 1, 1, 1) for
+# psi0 and (0, 1, -1, 1) for psi1; a matrix is the tuple (a, b, c, d)
+# of x -> (a*x + b)/(c*x + d), acted on by mobius_apply.  The running
 # product M satisfies enclosure = M(base), base = [0, infinity] after a
 # trailing 0 and [0, 1] after a trailing 1 (the next symbol after a 1 is
 # forced to 0, so psi1 is only ever applied inside [0, 1]).
@@ -296,12 +293,8 @@ def _advance(m: tuple[int, int, int, int], sym: int) -> tuple[int, int, int, int
 
 
 def _interval_of(m: tuple[int, int, int, int], last_sym: int) -> FareyInterval:
-    a, b, c, d = m
-    p1 = ExtendedRational.from_projective(b, d)  # image of 0
-    if last_sym == 0:
-        p2 = ExtendedRational.from_projective(a, c)  # image of infinity
-    else:
-        p2 = ExtendedRational.from_projective(a + b, c + d)  # image of 1
+    p1 = mobius_apply(m, ZERO)
+    p2 = mobius_apply(m, ONE if last_sym else INF)
     return FareyInterval(p1, p2) if p1 <= p2 else FareyInterval(p2, p1)
 
 
@@ -479,8 +472,8 @@ def periodic_point(preperiod: str, period: str):
     if not period:
         raise InadmissibleWordError("period must be nonempty")
     _require_admissible(preperiod + period + period)
-    x = mobius_fixed_point(MobiusMap(*_word_matrix(period)), within=cylinder(period))
-    return mobius_apply(MobiusMap(*_word_matrix(preperiod)), x)
+    x = mobius_fixed_point(_word_matrix(period), within=cylinder(period))
+    return mobius_apply(_word_matrix(preperiod), x)
 
 
 def phi_interval_image(iv: FareyInterval) -> list[FareyInterval]:

@@ -4,8 +4,8 @@ The dynamics iterate phi(x) = |1 - 1/x|, extended by phi(0) = infinity
 and phi(infinity) = 1.  Everything here is integer arithmetic: points
 are nonnegative rationals stored projectively (infinity is 1/0), real
 quadratic surds (p + q*sqrt(d))/r for the periodic-itinerary points,
-and unimodular integer Mobius maps.  All values are immutable and all
-operations are pure.
+and 2x2 integer matrices (a, b, c, d) acting as Mobius maps.  All values
+are immutable and all operations are pure.
 """
 
 from __future__ import annotations
@@ -172,25 +172,33 @@ def _cf_digits(num: int, den: int) -> list[int]:
     return out
 
 
-def _escape_word(x: ExtendedRational, tie_high: bool = False, limit: float = math.inf) -> str:
-    """Symbols of the orbit of a finite x up to its first visit to 0.
+def _escape_runs(x: ExtendedRational) -> list[tuple[int, str]]:
+    """The orbit of a finite x up to its first visit to 0, as (passes, tail) runs.
 
     Read off the continued fraction x = [b; a1, ..., an]: each 2 taken
     off b is one pass x -> (x - 1)/x -> 1/(x - 1) -> x - 2, read 100.
     A 1 left over with digits to come is x in (1, 2), read 10, going to
     [a1; a2, ...]; a 0 left over is x < 1, read 0, going to
     [a1 - 1; a2, ...]; a 1 left over after the last digit is x = 1,
-    read 0.  The last symbol is always the visit to 1, which tie_high
-    reads as 1.  Each run of passes is cut at `limit` passes, so the
-    word is exact on its first `limit` symbols.
+    read 0.  Each digit gives one run: its passes, then that tail.
     """
     digits = _cf_digits(x.num, x.den)
-    b, parts = digits[0], []
+    b, runs = digits[0], []
     for a in digits[1:]:
-        parts.append("100" * min(b >> 1, limit) + ("10" if b & 1 else "0"))
+        runs.append((b >> 1, "10" if b & 1 else "0"))
         b = a if b & 1 else a - 1
-    parts.append("100" * min(b >> 1, limit) + "0" * (b & 1))
-    word = "".join(parts)
+    runs.append((b >> 1, "0" * (b & 1)))
+    return runs
+
+
+def _escape_word(x: ExtendedRational, tie_high: bool = False, limit: float = math.inf) -> str:
+    """Symbols of the orbit of a finite x up to its first visit to 0.
+
+    The last symbol is always the visit to 1, which tie_high reads as 1.
+    Each run of passes is cut at `limit` passes, so the word is exact on
+    its first `limit` symbols.
+    """
+    word = "".join(["100" * min(passes, limit) + tail for passes, tail in _escape_runs(x)])
     return word[:-1] + "1" if tie_high and word else word
 
 
@@ -198,11 +206,12 @@ def escape_time(x: ExtendedRational) -> int:
     """Smallest n >= 0 with phi^n(x) = 0: the length of x's escape word.
 
     Total on finite rationals: every continued-fraction digit is used up
-    by finitely many symbols, so the orbit reaches 0.
+    by finitely many symbols, so the orbit reaches 0.  Summed off the
+    runs, so it costs O(digits) whatever the escape time.
     """
     if x.is_infinite:
         raise ValueError("escape_time is defined for finite rationals only")
-    return len(_escape_word(x))
+    return sum(3 * passes + len(tail) for passes, tail in _escape_runs(x))
 
 
 def _squarefree_split(d: int) -> tuple[int, int]:
@@ -365,81 +374,30 @@ def phi_surd(x: QuadraticSurd) -> QuadraticSurd:
     return QuadraticSurd(pp, qq, rr, d)
 
 
-class MobiusMap:
-    """x -> (a*x + b)/(c*x + d) with integer entries and determinant +-1."""
+def mobius_apply(m: tuple[int, int, int, int], x):
+    """x -> (a*x + b)/(c*x + d) for the matrix m = (a, b, c, d).
 
-    __slots__ = ("a", "b", "c", "d")
-
-    def __init__(self, a: int, b: int, c: int, d: int):
-        if a * d - b * c not in (1, -1):
-            raise ValueError("map must be unimodular")
-        self.a, self.b, self.c, self.d = int(a), int(b), int(c), int(d)
-
-    def apply(self, x: ExtendedRational) -> ExtendedRational:
-        """Exact projective action; infinity maps to a/c.
-
-        Raises ValueError when the image leaves [0, infinity] (the branch
-        maps used by the dynamics never do).
-        """
-        n = self.a * x.num + self.b * x.den
-        m = self.c * x.num + self.d * x.den
-        return ExtendedRational.from_projective(n, m)
-
-    def apply_surd(self, x: QuadraticSurd) -> QuadraticSurd:
-        if x.is_rational:
-            img = self.apply(x.as_extended_rational())
-            return QuadraticSurd(img.num, 0, img.den, 0)
-        p, q, r, d = x.p, x.q, x.r, x.d
-        na, nb = self.a * p + self.b * r, self.a * q
-        dc, dd = self.c * p + self.d * r, self.c * q
-        denom = dc * dc - dd * dd * d
-        if denom == 0:
-            raise ZeroDivisionError("pole of the map")
-        return QuadraticSurd(na * dc - nb * dd * d, nb * dc - na * dd, denom, d)
-
-    def compose(self, other: "MobiusMap") -> "MobiusMap":
-        return MobiusMap(
-            self.a * other.a + self.b * other.c,
-            self.a * other.b + self.b * other.d,
-            self.c * other.a + self.d * other.c,
-            self.c * other.b + self.d * other.d,
-        )
-
-    def inverse(self) -> "MobiusMap":
-        return MobiusMap(self.d, -self.b, -self.c, self.a)
-
-    @property
-    def is_identity(self) -> bool:
-        return self.b == self.c == 0 and self.a == self.d
-
-    def __eq__(self, other):
-        if not isinstance(other, MobiusMap):
-            return NotImplemented
-        mine = (self.a, self.b, self.c, self.d)
-        theirs = (other.a, other.b, other.c, other.d)
-        return mine == theirs or mine == tuple(-t for t in theirs)
-
-    def __hash__(self):
-        sign = 1
-        for t in (self.a, self.b, self.c, self.d):
-            if t:
-                sign = 1 if t > 0 else -1
-                break
-        return hash(tuple(sign * t for t in (self.a, self.b, self.c, self.d)))
-
-    def __repr__(self):
-        return "MobiusMap(%d, %d, %d, %d)" % (self.a, self.b, self.c, self.d)
+    Exact projective action on an ExtendedRational (infinity maps to a/c)
+    or a QuadraticSurd, whichever x is.  Raises ValueError when the image
+    leaves [0, infinity] (the branch maps used by the dynamics never do).
+    """
+    a, b, c, d = m
+    if not isinstance(x, QuadraticSurd):
+        return ExtendedRational.from_projective(a * x.num + b * x.den, c * x.num + d * x.den)
+    if x.is_rational:
+        img = mobius_apply(m, x.as_extended_rational())
+        return QuadraticSurd(img.num, 0, img.den, 0)
+    p, q, r, rad = x.p, x.q, x.r, x.d
+    na, nb = a * p + b * r, a * q
+    dc, dd = c * p + d * r, c * q
+    denom = dc * dc - dd * dd * rad
+    if denom == 0:
+        raise ZeroDivisionError("pole of the map")
+    return QuadraticSurd(na * dc - nb * dd * rad, nb * dc - na * dd, denom, rad)
 
 
-def mobius_apply(m: MobiusMap, x):
-    """Apply m to an ExtendedRational or QuadraticSurd, whichever x is."""
-    if isinstance(x, QuadraticSurd):
-        return m.apply_surd(x)
-    return m.apply(x)
-
-
-def _fixed_point_candidates(m: MobiusMap) -> list:
-    a, b, c, d = m.a, m.b, m.c, m.d
+def _fixed_point_candidates(m: tuple[int, int, int, int]) -> list:
+    a, b, c, d = m
     out = []
     if c == 0:
         out.append(INF)
@@ -467,7 +425,7 @@ def _fixed_point_candidates(m: MobiusMap) -> list:
     return out
 
 
-def mobius_fixed_point(m: MobiusMap, within=None):
+def mobius_fixed_point(m: tuple[int, int, int, int], within=None):
     """The fixed point of m on [0, infinity], solving c*x^2 + (d-a)*x - b = 0.
 
     Rational when the discriminant is a perfect square, a QuadraticSurd
@@ -475,7 +433,8 @@ def mobius_fixed_point(m: MobiusMap, within=None):
     disambiguate by passing `within` (anything with a contains() method,
     e.g. a cylinder interval).
     """
-    if m.is_identity:
+    a, b, c, d = m
+    if b == c == 0 and a == d:
         raise ValueError("identity map fixes everything")
     candidates = _fixed_point_candidates(m)
     if within is not None:

@@ -11,43 +11,47 @@ from fractions import Fraction
 
 import pytest
 
-from fareyshift import (
-    FULL_LINE,
+from fareyshift.exact import (
     INF,
     INFINITE_DISTANCE,
     ONE,
     ZERO,
-    CodeStream,
     ExtendedRational,
-    FareyInterval,
     QuadraticSurd,
+    escape_time,
+    phi_rat,
+    phi_surd,
+)
+from fareyshift.coding import (
+    FULL_LINE,
+    CodeStream,
+    FareyInterval,
     admissible_words,
-    alpha_transitive,
     code_of_rational,
-    conjugacy_check,
     cylinder,
+    periodic_point,
+    phi_interval_image,
+    point_of_code,
+    shift,
+)
+from fareyshift.conjugacy import conjugacy_check, farey_level, farey_properties_report
+from fareyshift.entropy import (
     dense_periodic_witness,
     entropy_lap,
     entropy_polynomial_root,
     entropy_word_growth,
-    escape_time,
-    farey_level,
-    farey_properties_report,
-    g_map,
     mixing_certificate,
-    mu_code,
-    periodic_point,
-    phi_interval_image,
-    phi_rat,
-    phi_surd,
-    point_of_code,
-    rational_vs_tau,
-    schedule_events,
-    shift,
-    tau_code,
     transition_spectral_radius,
     transitivity_check,
     verify_cubic_factorization,
+)
+from fareyshift.scrambled import (
+    alpha_transitive,
+    g_map,
+    mu_code,
+    rational_vs_tau,
+    schedule_events,
+    tau_code,
     verify_scrambling,
 )
 

@@ -156,6 +156,24 @@ class TestCommands:
         assert captured.err.startswith("error: ")
         assert "Traceback" not in captured.err
 
+    @pytest.mark.parametrize("argv", [
+        *("%s --format json" % cmd for cmd in (
+            "code 1/1", "interval 0100", "entropy", "mixing 00", "periodic 0100",
+            "scramble theorem1", "gdemo")),
+        *("%s --seed 3" % cmd for cmd in (
+            "iterate 3/5", "code 1/1", "interval 0100", "point (0)", "conjugacy", "farey",
+            "entropy", "mixing 00", "periodic 0100")),
+        "point (0) --format csv",
+    ])
+    def test_flags_a_command_does_not_read_are_rejected(self, capsys, argv):
+        # --format only where the output has formats, --seed only where
+        # something is sampled; argparse rejects the rest as usage errors
+        assert main(argv.split()) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "unrecognized arguments" in captured.err or "invalid choice" in captured.err
+        assert "Traceback" not in captured.err
+
     def test_inconclusive_exit_code(self, capsys):
         # a tiny prefix budget leaves the far enclosures undecided
         code = main(["scramble", "theorem2", "--beta", "0110", "--eta", "1001",

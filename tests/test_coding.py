@@ -6,39 +6,46 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from fareyshift import (
-    FULL_LINE,
-    BlockLayout,
+from fareyshift.exact import (
     GOLDEN_FIXED_POINT,
     INF,
     ONE,
     ZERO,
-    CodeStream,
     ExtendedRational,
-    FareyInterval,
-    InadmissibleWordError,
     QuadraticSurd,
-    admissible_words,
-    alpha_transitive,
-    code_of_rational,
-    cylinder,
     escape_time,
-    is_admissible,
-    itinerary,
-    mu_code,
-    periodic_point,
-    phi_interval_image,
+    mobius_apply,
     phi_rat,
     phi_surd,
+)
+from fareyshift.coding import (
+    FULL_LINE,
+    CodeStream,
+    FareyInterval,
+    InadmissibleWordError,
+    PointEnclosure,
+    _advance,
+    _interval_of,
+    admissible_words,
+    code_of_rational,
+    cylinder,
+    is_admissible,
+    itinerary,
+    periodic_point,
+    phi_interval_image,
     point_of_code,
-    rational_vs_tau,
-    schedule_events,
     shift,
     sigma_metric,
+)
+from fareyshift.scrambled import (
+    BlockLayout,
+    alpha_transitive,
+    mu_code,
+    rational_vs_tau,
+    schedule_events,
     tau_code,
     verify_scrambling,
 )
-from fareyshift.coding import PSI0, PSI1, PointEnclosure, _advance, _interval_of
 
 
 def xr(n, d=1):
@@ -193,16 +200,16 @@ class TestCylinder:
     def test_against_recursive_oracle(self):
         # independent route: intersect-and-map right to left with the
         # branch inverses applied endpoint by endpoint
-        from fareyshift import PSI0, PSI1
+        psi0, psi1 = (0, 1, 1, 1), (0, 1, -1, 1)  # y -> 1/(1+y), y -> 1/(1-y)
 
         def oracle(word):
             lo, hi = ZERO, INF
             for ch in reversed(word):
                 if ch == "0":
-                    lo, hi = PSI0.apply(hi), PSI0.apply(lo)
+                    lo, hi = mobius_apply(psi0, hi), mobius_apply(psi0, lo)
                 else:
                     hi = min(hi, ONE)
-                    lo, hi = PSI1.apply(lo), PSI1.apply(hi)
+                    lo, hi = mobius_apply(psi1, lo), mobius_apply(psi1, hi)
             return FareyInterval(lo, hi)
 
         for n in range(1, 11):
@@ -547,8 +554,7 @@ class TestPeriodicPoint:
     def test_preperiod_push_matches_per_symbol_branches(self):
         def push_reference(preperiod, x):
             for ch in reversed(preperiod):
-                psi = PSI0 if ch == "0" else PSI1
-                x = psi.apply_surd(x) if isinstance(x, QuadraticSurd) else psi.apply(x)
+                x = mobius_apply((0, 1, 1, 1) if ch == "0" else (0, 1, -1, 1), x)
             return x
 
         rng = random.Random(41)

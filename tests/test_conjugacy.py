@@ -4,14 +4,17 @@ from fractions import Fraction
 
 import pytest
 
-from fareyshift import (
+from fareyshift.exact import (
     GOLDEN_FIXED_POINT,
     INF,
     ONE,
     ZERO,
-    DyadicRational,
     ExtendedRational,
     QuadraticSurd,
+    phi_rat,
+)
+from fareyshift.conjugacy import (
+    DyadicRational,
     conjugacy_check,
     f_map,
     farey_level,
@@ -20,7 +23,6 @@ from fareyshift import (
     h_inverse,
     h_level,
     h_rational,
-    phi_rat,
 )
 
 

@@ -2,21 +2,13 @@
 fraction, against the per-step walks and the string-built h they replaced."""
 
 import random
+import tracemalloc
 
 import pytest
 
-from fareyshift import (
-    ONE,
-    ZERO,
-    DyadicRational,
-    ExtendedRational,
-    code_of_rational,
-    escape_time,
-    h_inverse,
-    h_rational,
-    itinerary,
-    phi_rat,
-)
+from fareyshift.exact import ONE, ZERO, ExtendedRational, _escape_word, escape_time, phi_rat
+from fareyshift.coding import code_of_rational, itinerary
+from fareyshift.conjugacy import DyadicRational, h_inverse, h_rational
 
 # The replaced functions, kept verbatim as references.
 
@@ -101,7 +93,19 @@ def escape_times():
 def test_escape_time_matches_per_step_walk(escape_times):
     for x in POINTS:
         assert escape_time(x) == escape_times[x], x
+        assert len(_escape_word(x)) == escape_times[x], x
     assert escape_times[ExtendedRational(1, 9999)] == 14998
+
+
+def test_escape_time_memory_does_not_grow_with_the_escape_time():
+    # one partial quotient of 10^9: the escape word would take about 3 GB
+    tracemalloc.start()
+    try:
+        assert escape_time(ExtendedRational(1, 10 ** 9)) == 1_499_999_999
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2 ** 20
 
 
 @pytest.mark.parametrize("tie_high", [False, True])

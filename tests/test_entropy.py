@@ -4,27 +4,28 @@ from fractions import Fraction
 
 import pytest
 
-from fareyshift import (
+from fareyshift.exact import QuadraticSurd, phi_surd
+from fareyshift.coding import (
     FULL_LINE,
     CodeStream,
-    QuadraticSurd,
     admissible_words,
-    alpha_transitive,
-    count_admissible_words,
     cylinder,
+    phi_interval_image,
+)
+from fareyshift.conjugacy import f_map
+from fareyshift.entropy import (
+    count_admissible_words,
     dense_periodic_witness,
     entropy_lap,
     entropy_polynomial_root,
     entropy_word_growth,
     lap_count,
     mixing_certificate,
-    phi_interval_image,
-    phi_surd,
     transition_spectral_radius,
     transitivity_check,
     verify_cubic_factorization,
 )
-from fareyshift.conjugacy import f_map
+from fareyshift.scrambled import alpha_transitive
 
 LOG_GOLDEN = math.log((1 + math.sqrt(5)) / 2)
 

@@ -4,28 +4,32 @@ from fractions import Fraction
 
 import pytest
 
-from fareyshift import (
+from fareyshift.exact import (
     GOLDEN_FIXED_POINT,
     INF,
     ONE,
     ZERO,
     AmbiguousFixedPointError,
     ExtendedRational,
-    MobiusMap,
     NoFixedPointError,
     QuadraticSurd,
-    cylinder,
     escape_time,
     mobius_apply,
     mobius_fixed_point,
     phi_rat,
     phi_surd,
 )
-from fareyshift.coding import PSI0, PSI1
+from fareyshift.coding import _advance, _mul, cylinder
 
 
 def xr(n, d=1):
     return ExtendedRational(n, d)
+
+
+IDENT = (1, 0, 0, 1)
+PSI0 = (0, 1, 1, 1)       # y -> 1/(1+y), the branch matrix of symbol 0
+PSI1 = (0, 1, -1, 1)      # y -> 1/(1-y), the branch matrix of symbol 1
+TRANSLATE = (1, 1, 0, 1)  # y -> y + 1
 
 
 class TestExtendedRational:
@@ -151,41 +155,40 @@ class TestPhiSurd:
 
 
 class TestMobiusMap:
-    def test_unimodularity_enforced(self):
-        with pytest.raises(ValueError):
-            MobiusMap(2, 0, 0, 1)
-
     def test_apply_examples(self):
-        ident = MobiusMap(1, 0, 0, 1)
-        assert mobius_apply(ident, xr(2, 3)) == xr(2, 3)
+        assert mobius_apply(IDENT, xr(2, 3)) == xr(2, 3)
         assert mobius_apply(PSI0, INF) == ZERO
         assert mobius_apply(PSI1, xr(1, 2)) == xr(2, 1)
 
     def test_apply_surd(self):
         z = GOLDEN_FIXED_POINT
-        assert PSI1.apply_surd(z) == QuadraticSurd(3, 1, 2, 5)
-        assert PSI0.apply_surd(z) == z  # z is the fixed point of psi0 too
+        assert mobius_apply(PSI1, z) == QuadraticSurd(3, 1, 2, 5)
+        assert mobius_apply(PSI0, z) == z  # z is the fixed point of psi0 too
 
     def test_compose_against_pointwise(self):
         rng = random.Random(3)
-        gens = [MobiusMap(1, 1, 0, 1), MobiusMap(1, 0, 1, 1), PSI0, PSI1]
+        gens = [TRANSLATE, (1, 0, 1, 1), PSI0, PSI1]
         for _ in range(1000):
             m1 = rng.choice(gens)
             m2 = rng.choice(gens)
             for _ in range(rng.randrange(3)):
-                m1 = m1.compose(rng.choice(gens))
+                m1 = _mul(m1, rng.choice(gens))
             x = xr(rng.randrange(0, 30), rng.randrange(1, 30))
             try:
-                lhs = mobius_apply(m1.compose(m2), x)
+                lhs = mobius_apply(_mul(m1, m2), x)
                 rhs = mobius_apply(m1, mobius_apply(m2, x))
             except ValueError:
                 continue  # image left [0, infinity]; not part of the contract
             assert lhs == rhs
 
-    def test_inverse(self):
-        for m in (PSI0, PSI1, MobiusMap(1, 1, 0, 1)):
-            for x in (ZERO, ONE, xr(3, 7)):
-                assert mobius_apply(m.inverse(), mobius_apply(m, x)) == x
+    def test_advance_is_right_multiplication(self):
+        rng = random.Random(5)
+        for _ in range(500):
+            m = IDENT
+            for _ in range(rng.randrange(12)):
+                m = _mul(m, rng.choice((TRANSLATE, PSI0, PSI1)))
+            assert _advance(m, 0) == _mul(m, PSI0)
+            assert _advance(m, 1) == _mul(m, PSI1)
 
 
 class TestMobiusFixedPoint:
@@ -193,14 +196,14 @@ class TestMobiusFixedPoint:
         assert mobius_fixed_point(PSI0) == GOLDEN_FIXED_POINT
 
     def test_translation_fixes_infinity(self):
-        assert mobius_fixed_point(MobiusMap(1, 1, 0, 1)) == INF
+        assert mobius_fixed_point(TRANSLATE) == INF
 
     def test_cylinder_disambiguation(self):
-        m = PSI1.compose(PSI0).compose(PSI0)
+        m = _mul(_mul(PSI1, PSI0), PSI0)
         assert mobius_fixed_point(m, within=cylinder("100")) == INF
 
     def test_two_roots_need_a_filter(self):
-        m = PSI0.compose(PSI1)  # x_(01bar) and x_(10bar) both fixed
+        m = _mul(PSI0, PSI1)  # x_(01bar) and x_(10bar) both fixed
         with pytest.raises(AmbiguousFixedPointError):
             mobius_fixed_point(m)
         assert mobius_fixed_point(m, within=cylinder("01")) == QuadraticSurd(3, -1, 2, 5)
@@ -208,8 +211,8 @@ class TestMobiusFixedPoint:
     def test_no_fixed_point_reported(self):
         with pytest.raises(NoFixedPointError):
             # x -> x + 1 has no fixed point inside [0, 1]
-            mobius_fixed_point(MobiusMap(1, 1, 0, 1), within=cylinder("0"))
+            mobius_fixed_point(TRANSLATE, within=cylinder("0"))
 
     def test_identity_rejected(self):
         with pytest.raises(ValueError):
-            mobius_fixed_point(MobiusMap(1, 0, 0, 1))
+            mobius_fixed_point(IDENT)

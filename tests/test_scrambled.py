@@ -7,31 +7,29 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from fareyshift import (
-    BlockLayout,
-    INF,
-    INFINITE_DISTANCE,
-    ONE,
-    ZERO,
+from fareyshift.exact import INF, INFINITE_DISTANCE, ONE, ZERO, ExtendedRational
+from fareyshift.coding import (
     CodeStream,
-    ExtendedRational,
     FareyInterval,
-    ScheduleEvent,
-    alpha_transitive,
     code_of_rational,
     cylinder,
-    g_map,
     iter_admissible_words,
-    mu_code,
     phi_interval_image,
     point_of_code,
+    shift,
+)
+from fareyshift.scrambled import (
+    BlockLayout,
+    ScheduleEvent,
+    _build_alpha_blocks,
+    alpha_transitive,
+    g_map,
+    mu_code,
     rational_vs_tau,
     schedule_events,
-    shift,
     tau_code,
     verify_scrambling,
 )
-from fareyshift.scrambled import _build_alpha_blocks
 
 
 def xr(n, d=1):
@@ -499,7 +497,6 @@ class TestBlockBookkeeping:
             assert sub % 3 == 0 and sub % 2 == 0 and (sub // 2) % 3 == 0
 
     def test_layout_offsets(self):
-        from fareyshift import BlockLayout
         for k in range(5, 10):
             lay = BlockLayout.for_k(k)
             fk = math.factorial(k)
