@@ -2,7 +2,8 @@
 machine-readable output.
 
 Exit codes: 0 all checks pass, 1 verification failure, 2 usage or parse
-error or input out of range, 3 inconclusive events present.
+error or input out of range, 3 inconclusive events present, 141 the
+reader closed stdout early (128 + SIGPIPE, as a shell reports it).
 """
 
 from __future__ import annotations
@@ -11,6 +12,7 @@ import argparse
 import functools
 import json
 import math
+import os
 import random
 import re
 import sys
@@ -52,6 +54,7 @@ from .scrambled import (
 )
 
 USAGE_ERROR = 2
+PIPE_CLOSED = 141  # 128 + SIGPIPE
 
 
 class CliError(Exception):
@@ -447,20 +450,29 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_periodic)
 
     p = sub.add_parser("scramble", help="scheduled close/far event verification")
-    p.add_argument("which", choices=("theorem1", "theorem2", "rational"))
-    p.add_argument("--beta", default=None, help="0/1 word recycled as the first parameter")
-    p.add_argument("--xi", default=None, help="second parameter for theorem1 pairs")
-    p.add_argument("--eta", default=None, help="second parameter for theorem2 pairs")
-    p.add_argument("--shift", type=int, default=0)
-    p.add_argument("--rational", default="1/1")
-    p.add_argument("--tracked", default="1/1",
-                   help="rational whose code the tau stream tracks")
-    p.add_argument("--k-range", default="5..8")
-    p.add_argument("--eps", default="1/100")
-    p.add_argument("--m-big", default="3/2")
-    p.add_argument("--prefix-budget", type=int, default=10 ** 5)
-    _add_common(p, seed=True)
     p.set_defaults(func=cmd_scramble)
+    families = p.add_subparsers(dest="which", required=True)
+    family_flags = {
+        "--xi": dict(help="second parameter of the pair"),
+        "--eta": dict(help="second parameter of the pair"),
+        "--shift": dict(type=int, default=0),
+        "--rational": dict(default="1/1"),
+        "--tracked": dict(default="1/1", help="rational whose code the tau stream tracks"),
+    }
+    for which, help_, flags in (
+            ("theorem1", "bounded-family pair mu(beta), mu(xi)", ("--xi", "--shift")),
+            ("theorem2", "unbounded-family pair tau(beta), tau(eta)",
+             ("--eta", "--shift", "--tracked")),
+            ("rational", "rational orbit against tau(beta)", ("--rational", "--tracked"))):
+        f = families.add_parser(which, help=help_)
+        f.add_argument("--beta", help="0/1 word recycled as the first parameter")
+        for flag in flags:
+            f.add_argument(flag, **family_flags[flag])
+        f.add_argument("--k-range", default="5..8")
+        f.add_argument("--eps", default="1/100")
+        f.add_argument("--m-big", default="3/2")
+        f.add_argument("--prefix-budget", type=int, default=10 ** 5)
+        _add_common(f, seed=True)
 
     p = sub.add_parser("gdemo", help="counterexample map sanity demonstration")
     p.add_argument("--samples", type=int, default=50)
@@ -477,7 +489,16 @@ def main(argv=None) -> int:
     except SystemExit as exc:
         return exc.code if exc.code is not None else USAGE_ERROR
     try:
-        return args.func(args)
+        code = args.func(args)
+        sys.stdout.flush()  # a closed pipe shows here, not at interpreter exit
+        return code
+    except BrokenPipeError:  # the reader left early, e.g. `| head -1`
+        # what is still buffered goes to devnull, so the flush at
+        # interpreter exit cannot fail again and print to stderr
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
+        return PIPE_CLOSED
     except CliError as exc:
         print("error: %s" % exc, file=sys.stderr)
         return exc.code

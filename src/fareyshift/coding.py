@@ -96,18 +96,6 @@ class FareyInterval:
     def contains_interval(self, other: "FareyInterval") -> bool:
         return self.lo <= other.lo and other.hi <= self.hi
 
-    def intersect(self, other: "FareyInterval"):
-        lo = max(self.lo, other.lo)
-        hi = min(self.hi, other.hi)
-        return FareyInterval(lo, hi) if lo <= hi else None
-
-    def is_unimodular(self) -> bool:
-        """|b*c - a*d| = 1 for endpoints b/a, d/c."""
-        return abs(self.lo.num * self.hi.den - self.lo.den * self.hi.num) == 1
-
-    def mediant(self) -> ExtendedRational:
-        return self.lo.mediant(self.hi)
-
     def __eq__(self, other):
         if not isinstance(other, FareyInterval):
             return NotImplemented

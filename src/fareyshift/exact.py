@@ -23,44 +23,8 @@ class AmbiguousFixedPointError(ValueError):
     """More than one fixed point survives the membership filter."""
 
 
-class InfiniteDistance:
-    """Marker for a distance involving the point at infinity.
-
-    Distances reported by the verification layer are exact rationals,
-    except when one point is at infinity; then the distance is this
-    marker, which compares greater than every rational.
-    """
-
-    _instance = None
-
-    def __new__(cls):
-        if cls._instance is None:
-            cls._instance = super().__new__(cls)
-        return cls._instance
-
-    def __repr__(self):
-        return "inf"
-
-    def __eq__(self, other):
-        return isinstance(other, InfiniteDistance)
-
-    def __hash__(self):
-        return hash("InfiniteDistance")
-
-    def __gt__(self, other):
-        return not isinstance(other, InfiniteDistance)
-
-    def __ge__(self, other):
-        return True
-
-    def __lt__(self, other):
-        return False
-
-    def __le__(self, other):
-        return isinstance(other, InfiniteDistance)
-
-
-INFINITE_DISTANCE = InfiniteDistance()
+# Distance to the point at infinity; exact, as Fraction compares with inf without float().
+INFINITE_DISTANCE = math.inf
 
 
 @total_ordering

@@ -36,13 +36,13 @@ from .exact import (
     ONE,
     ZERO,
     ExtendedRational,
-    InfiniteDistance,
     escape_time,
     phi_rat,
 )
 
 _RUNS = ("100", "001", "010")
 _TAU_MAX_K = 16  # largest block tau_code will index
+_SCHEDULE_MAX_K = 9  # largest block schedule_events will schedule
 
 
 def _as_stream(bits) -> CodeStream:
@@ -148,55 +148,41 @@ def mu_code(beta) -> CodeStream:
     return CodeStream.segmented(runs, label="mu(%s)" % beta.label)
 
 
-def _build_alpha_blocks(m_schedule=None, limit: int = 10 ** 18):
+def _build_alpha_blocks():
     """Resolved (start, word) table for the transitive stream.
 
     Words come in length-lexicographic order from length 5 up; block i
-    sits at (m_i)!.  The default schedule is the minimal increasing one
-    satisfying (m_i)! > (m_{i-1})! + |B_{i-1}| + 1; explicit schedules
-    are validated against the same separation constraint.
+    sits at (m_i)! for the minimal increasing schedule satisfying
+    (m_i)! > (m_{i-1})! + |B_{i-1}| + 1, up to 10^18.
     """
-    words = iter_admissible_words(5)
-    sched = iter(m_schedule) if m_schedule is not None else None
     blocks = []
-    m_prev = start_prev = len_prev = None
-    while True:
-        word = next(words)
-        if sched is not None:
-            m = next(sched, None)
-            if m is None:
-                break
-            m = int(m)
-            if m_prev is not None and m <= m_prev:
-                raise ValueError("schedule must be strictly increasing")
-        else:
-            m = 1 if m_prev is None else m_prev + 1
-            while m_prev is not None and math.factorial(m) <= start_prev + len_prev + 1:
-                m += 1
+    m, end = 0, -1  # end: one past the previous block
+    for word in iter_admissible_words(5):
+        m += 1
+        while math.factorial(m) <= end + 1:
+            m += 1
         start = math.factorial(m)
-        if m_prev is not None and start <= start_prev + len_prev + 1:
-            raise ValueError("schedule violates the separation constraint at m=%d" % m)
-        if start > limit:
+        if start > 10 ** 18:
             break
         blocks.append((start, word))
-        m_prev, start_prev, len_prev = m, start, len(word)
+        end = start + len(word)
     return tuple(blocks)
 
 
-def alpha_transitive(m_schedule=None) -> CodeStream:
+def alpha_transitive() -> CodeStream:
     """Stream with the i-th admissible word written at (m_i)!, zeros elsewhere.
 
     Admissible as a whole because consecutive blocks are separated by at
     least two zeros (the schedule constraint).
 
-    Coverage with the default schedule: every admissible word u of length
-    <= 4 occurs at a multiple of 6 by 15!.  If u contains a 1, the
-    length-5 word u 0^(5-|u|) has rank r >= 1 among the 13 of its length
-    and is written at (r+3)!; the last of them, 10101, sits at 15!.
+    Coverage: every admissible word u of length <= 4 occurs at a multiple
+    of 6 by 15!.  If u contains a 1, the length-5 word u 0^(5-|u|) has
+    rank r >= 1 among the 13 of its length and is written at (r+3)!; the
+    last of them, 10101, sits at 15!.
     Strides 2 and 3 are not covered below 10^6: only the blocks up to 9!
     fit there, and 101 occurs there only at 5042.
     """
-    blocks = _build_alpha_blocks(m_schedule)
+    blocks = _build_alpha_blocks()
     starts = [s for s, _ in blocks]
 
     def runs(n: int):
@@ -303,12 +289,11 @@ def schedule_events(kind: str, k_range, **params) -> list[ScheduleEvent]:
       "theorem2_tracked" params: track_index (int >= 1), x_code (CodeStream)
       "rational_vs_tau"  params: escape (int), eps (Fraction)
 
-    k_range must stay within the configured guard (max_k param, default 9).
+    k_range must lie within 5..9.
     """
     lo, hi = (k_range[0], k_range[-1]) if not isinstance(k_range, int) else (k_range, k_range)
-    max_k = int(params.pop("max_k", 9))
-    if lo < 5 or hi > max_k:
-        raise ValueError("k_range must lie within 5..%d" % max_k)
+    if lo < 5 or hi > _SCHEDULE_MAX_K:
+        raise ValueError("k_range must lie within 5..%d" % _SCHEDULE_MAX_K)
     layouts = [BlockLayout.for_k(k) for k in range(lo, hi + 1)]
     events: list[ScheduleEvent] = []
     if kind == "theorem1":
@@ -386,10 +371,6 @@ def schedule_events(kind: str, k_range, **params) -> list[ScheduleEvent]:
     return events
 
 
-def _contains_inf(iv: FareyInterval) -> bool:
-    return iv.hi.is_infinite
-
-
 def _distance_bounds(e1: FareyInterval, e2: FareyInterval):
     """Certified (lower, upper) bounds of |x - y| over the two enclosures."""
     if e1.hi < e2.lo:
@@ -400,7 +381,7 @@ def _distance_bounds(e1: FareyInterval, e2: FareyInterval):
             e1.lo.as_fraction() - e2.hi.as_fraction()
     else:
         lower = Fraction(0)
-    if _contains_inf(e1) or _contains_inf(e2):
+    if not (e1.is_bounded and e2.is_bounded):
         upper = INFINITE_DISTANCE
     else:
         upper = max(e2.hi.as_fraction() - e1.lo.as_fraction(),
@@ -412,8 +393,8 @@ def _distance_bounds(e1: FareyInterval, e2: FareyInterval):
 class EventOutcome:
     event: ScheduleEvent
     status: str  # "pass" | "fail" | "inconclusive"
-    lower: object
-    upper: object
+    lower: Fraction | float  # a Fraction or INFINITE_DISTANCE
+    upper: Fraction | float
 
     def to_dict(self) -> dict:
         return {
@@ -427,35 +408,24 @@ class EventOutcome:
 
 
 def _dist_str(v) -> str:
-    if isinstance(v, InfiniteDistance):
-        return "inf"
-    return "%d/%d" % (v.numerator, v.denominator)
+    return "inf" if v == INFINITE_DISTANCE else "%d/%d" % (v.numerator, v.denominator)
 
 
 def _classify(ev: ScheduleEvent, e1: FareyInterval, e2: FareyInterval,
               eps: Fraction, m_big: Fraction) -> EventOutcome:
+    """Decide an event from its distance bounds (either may be infinite)."""
     lower, upper = _distance_bounds(e1, e2)
     if ev.kind == "close":
-        thr = ev.threshold if ev.threshold is not None else eps
-        if isinstance(upper, Fraction) and upper < thr:
-            status = "pass"
-        elif isinstance(lower, InfiniteDistance) or lower >= thr:
-            status = "fail"
-        else:
-            status = "inconclusive"
+        thr = eps if ev.threshold is None else ev.threshold
+        status = "pass" if upper < thr else "fail" if lower >= thr else "inconclusive"
     else:
-        thr = ev.threshold if ev.threshold is not None else m_big
-        one_unbounded = _contains_inf(e1) != _contains_inf(e2)
-        if isinstance(lower, InfiniteDistance):
+        thr = m_big if ev.threshold is None else ev.threshold
+        # a positive gap with exactly one enclosure reaching infinity
+        # certifies an excursion on the unbounded side
+        if lower > thr or (lower > 0 and e1.is_bounded != e2.is_bounded):
             status = "pass"
-        elif lower > thr:
-            status = "pass"
-        elif lower > 0 and one_unbounded:
-            status = "pass"  # certified unbounded-side excursion past a positive gap
-        elif isinstance(upper, Fraction) and upper <= thr:
-            status = "fail"
         else:
-            status = "inconclusive"
+            status = "fail" if upper <= thr else "inconclusive"
     return EventOutcome(ev, status, lower, upper)
 
 
@@ -466,17 +436,20 @@ class ScrambleReport:
     pair: str
     outcomes: list
 
+    def _count(self, status: str) -> int:
+        return sum(o.status == status for o in self.outcomes)
+
     @property
     def n_pass(self) -> int:
-        return sum(1 for o in self.outcomes if o.status == "pass")
+        return self._count("pass")
 
     @property
     def n_fail(self) -> int:
-        return sum(1 for o in self.outcomes if o.status == "fail")
+        return self._count("fail")
 
     @property
     def n_inconclusive(self) -> int:
-        return sum(1 for o in self.outcomes if o.status == "inconclusive")
+        return self._count("inconclusive")
 
     @property
     def decided_fraction(self) -> float:
@@ -491,21 +464,12 @@ class ScrambleReport:
     @property
     def max_certified_distance(self):
         """Largest distance proved to occur (limsup proxy)."""
-        best = Fraction(0)
-        for o in self.outcomes:
-            if isinstance(o.lower, InfiniteDistance):
-                return INFINITE_DISTANCE
-            best = max(best, o.lower)
-        return best
+        return max((o.lower for o in self.outcomes), default=Fraction(0))
 
     @property
     def min_certified_distance(self):
         """Smallest distance proved to occur (liminf proxy)."""
-        best = None
-        for o in self.outcomes:
-            if isinstance(o.upper, Fraction) and (best is None or o.upper < best):
-                best = o.upper
-        return best if best is not None else INFINITE_DISTANCE
+        return min((o.upper for o in self.outcomes), default=INFINITE_DISTANCE)
 
     def to_dict(self) -> dict:
         return {
@@ -531,6 +495,18 @@ def _thresholds(eps, m_big) -> tuple[Fraction, Fraction]:
     return eps, m_big
 
 
+def _enclosure_rule(ev: ScheduleEvent, prefix_len: int, eps: Fraction):
+    """(prefix cap, width goal) shared by an event's enclosures.
+
+    The cap is prefix_len, or the event's own cap when smaller; the goal
+    is an eighth of the close threshold (eps unless the event sets one).
+    """
+    cap = min(prefix_len, ev.prefix_cap) if ev.prefix_cap else prefix_len
+    if ev.kind == "close" and ev.threshold:
+        return cap, Fraction(ev.threshold) / 8
+    return cap, eps / 8
+
+
 def verify_scrambling(s: CodeStream, t: CodeStream, events,
                       eps=Fraction(1, 100), m_big=Fraction(3, 2),
                       prefix_len: int = 10 ** 5,
@@ -546,11 +522,9 @@ def verify_scrambling(s: CodeStream, t: CodeStream, events,
     eps, m_big = _thresholds(eps, m_big)
     outcomes = []
     for ev in events:
-        budget = min(prefix_len, ev.prefix_cap) if ev.prefix_cap else prefix_len
-        thr = ev.threshold if (ev.kind == "close" and ev.threshold) else eps
-        goal = Fraction(thr) / 8
-        e1 = point_of_code(shift(s, ev.index), budget, goal).interval
-        e2 = point_of_code(shift(t, ev.index + ev.t_offset), budget, goal).interval
+        cap, goal = _enclosure_rule(ev, prefix_len, eps)
+        e1 = point_of_code(shift(s, ev.index), cap, goal).interval
+        e2 = point_of_code(shift(t, ev.index + ev.t_offset), cap, goal).interval
         outcomes.append(_classify(ev, e1, e2, eps, m_big))
     return ScrambleReport(pair or "%s vs %s" % (s.label, t.label), outcomes)
 
@@ -586,8 +560,7 @@ def rational_vs_tau(r: ExtendedRational, t: CodeStream, k_range,
     for ev in events:
         rp = _orbit_point(r, e, ev.index)
         e1 = FareyInterval(rp, rp)
-        budget = min(prefix_budget, ev.prefix_cap) if ev.prefix_cap else prefix_budget
-        e2 = point_of_code(shift(t, ev.index), budget, eps / 8).interval
+        e2 = point_of_code(shift(t, ev.index), *_enclosure_rule(ev, prefix_budget, eps)).interval
         outcomes.append(_classify(ev, e1, e2, eps, m_big))
     return ScrambleReport("rational %s vs %s" % (r, t.label), outcomes)
 

@@ -35,6 +35,14 @@ class TestParsers:
             parse_krange("7..5")
 
 
+def _env_with_src():
+    """The environment with this package's source tree first on PYTHONPATH."""
+    src = os.path.dirname(os.path.dirname(os.path.abspath(fareyshift.__file__)))
+    env = dict(os.environ)
+    env["PYTHONPATH"] = src + os.pathsep + env.get("PYTHONPATH", "")
+    return env
+
+
 def run(capsys, *argv):
     code = main(list(argv))
     out = capsys.readouterr().out
@@ -164,10 +172,17 @@ class TestCommands:
             "iterate 3/5", "code 1/1", "interval 0100", "point (0)", "conjugacy", "farey",
             "entropy", "mixing 00", "periodic 0100")),
         "point (0) --format csv",
+        # each scramble family takes only the flags it reads
+        "scramble theorem1 --eta 111",
+        "scramble theorem1 --tracked 3/5",
+        "scramble theorem1 --rational 9/2",
+        "scramble rational --shift 2",
+        "scramble theorem2 --xi 1",
     ])
     def test_flags_a_command_does_not_read_are_rejected(self, capsys, argv):
         # --format only where the output has formats, --seed only where
-        # something is sampled; argparse rejects the rest as usage errors
+        # something is sampled, family flags only on their family;
+        # argparse rejects the rest as usage errors
         assert main(argv.split()) == 2
         captured = capsys.readouterr()
         assert captured.out == ""
@@ -182,6 +197,19 @@ class TestCommands:
         payload = json.loads(capsys.readouterr().out)
         assert payload["summary"]["inconclusive"] > 0
         assert payload["summary"]["fail"] == 0
+
+    def test_closed_pipe_exits_141_quietly(self):
+        # level 12 writes far more than a pipe buffer holds, so the reader
+        # closing after one line always meets the writer mid-output
+        proc = subprocess.Popen([sys.executable, "-m", "fareyshift", "conjugacy",
+                                 "--level", "12"], stdout=subprocess.PIPE,
+                                stderr=subprocess.PIPE, env=_env_with_src())
+        assert proc.stdout.readline() == b"fraction,h,x_float,y_float,check\n"
+        proc.stdout.close()
+        err = proc.stderr.read()
+        proc.stderr.close()
+        assert proc.wait(timeout=120) == 141
+        assert err == b""
 
     def test_emitted_fractions_round_trip(self, capsys):
         code, out = run(capsys, "interval", "1000")
@@ -234,9 +262,7 @@ class TestSharedParser:
     def test_in_process_equals_fresh_process(self, capsys, monkeypatch):
         # argparse wraps usage lines at the terminal width; pin it for both runs
         monkeypatch.setenv("COLUMNS", "80")
-        src = os.path.dirname(os.path.dirname(os.path.abspath(fareyshift.__file__)))
-        env = dict(os.environ)
-        env["PYTHONPATH"] = src + os.pathsep + env.get("PYTHONPATH", "")
+        env = _env_with_src()
         for argv in self.SEQUENCE:
             code = main(list(argv))
             got = capsys.readouterr()

@@ -216,16 +216,11 @@ class TestCylinder:
             for w in admissible_words(n):
                 assert cylinder(w) == oracle(w)
 
-    def test_interval_intersection(self):
-        assert cylinder("00").intersect(cylinder("01")) == \
-            FareyInterval(xr(1, 2), xr(1, 2))
-        assert cylinder("000").intersect(cylinder("1000")) is None
-        assert cylinder("0").intersect(FULL_LINE) == cylinder("0")
-
     def test_unimodular_exhaustive_to_18(self):
         for n in range(1, 19):
             for w in admissible_words(n):
-                assert cylinder(w).is_unimodular()
+                iv = cylinder(w)  # endpoints b/a, d/c with |b*c - a*d| = 1
+                assert abs(iv.lo.num * iv.hi.den - iv.lo.den * iv.hi.num) == 1
 
     def test_nesting_exhaustive_to_12(self):
         for n in range(2, 13):
@@ -250,7 +245,7 @@ class TestCylinder:
                     left, right = cylinder(w + "1"), cylinder(w + "0")
                     if left.lo > right.lo:
                         left, right = right, left
-                    med = parent.mediant()
+                    med = parent.lo.mediant(parent.hi)
                     assert left.hi == med and right.lo == med
                     assert left.lo == parent.lo and right.hi == parent.hi
                 else:

@@ -7,6 +7,7 @@ import pytest
 from fareyshift.exact import (
     GOLDEN_FIXED_POINT,
     INF,
+    INFINITE_DISTANCE,
     ONE,
     ZERO,
     AmbiguousFixedPointError,
@@ -52,6 +53,18 @@ class TestExtendedRational:
     def test_mediant(self):
         assert xr(1, 2).mediant(ONE) == xr(2, 3)
         assert ZERO.mediant(INF) == ONE
+
+
+def test_infinite_distance_compares_exactly():
+    # float(huge) would overflow; the comparison must not convert it
+    huge = Fraction(10 ** 400, 3)
+    with pytest.raises(OverflowError):
+        float(huge)
+    assert huge < INFINITE_DISTANCE and INFINITE_DISTANCE > huge
+    assert huge <= INFINITE_DISTANCE and not huge >= INFINITE_DISTANCE
+    assert huge != INFINITE_DISTANCE and INFINITE_DISTANCE == INFINITE_DISTANCE
+    assert max(huge, INFINITE_DISTANCE) == INFINITE_DISTANCE
+    assert min(huge, INFINITE_DISTANCE) == huge
 
 
 class TestPhiRational:

@@ -21,7 +21,10 @@ from fareyshift.coding import (
 from fareyshift.scrambled import (
     BlockLayout,
     ScheduleEvent,
+    ScrambleReport,
     _build_alpha_blocks,
+    _classify,
+    _distance_bounds,
     alpha_transitive,
     g_map,
     mu_code,
@@ -181,14 +184,6 @@ class TestAlpha:
         expect[24:29] = "00001"
         expect[120:125] = "00010"
         assert text == "".join(expect)
-
-    def test_custom_schedule_validation(self):
-        with pytest.raises(ValueError):
-            alpha_transitive(m_schedule=[1, 2])   # 2! = 2 <= 1! + 5 + 1
-        with pytest.raises(ValueError):
-            alpha_transitive(m_schedule=[4, 4])   # not strictly increasing
-        al = alpha_transitive(m_schedule=[1, 4, 5])
-        assert al.prefix(29)[24:29] == "00001"
 
     def test_admissible(self):
         al = alpha_transitive()
@@ -550,7 +545,6 @@ class TestScheduleEvents:
             schedule_events("theorem1", (5, 12))
         with pytest.raises(ValueError):
             schedule_events("theorem1", (4, 6))
-        assert schedule_events("theorem1", (5, 12), max_k=12, shift=1)
 
 
 class TestVerifyScrambling:
@@ -634,6 +628,75 @@ class TestVerifyScrambling:
         rep = verify_scrambling(s, t, ev)
         payload = json.dumps(rep.to_dict(), sort_keys=True)
         assert '"pass"' in payload and '"index"' in payload
+
+
+def iv(lo, hi):
+    """FareyInterval from two (num, den) pairs; (1, 0) is infinity."""
+    return FareyInterval(xr(*lo), xr(*hi))
+
+
+class TestVerdictRules:
+    """_classify and _distance_bounds on hand-built enclosures."""
+
+    EPS, M_BIG = Fraction(1, 100), Fraction(3, 2)
+
+    @pytest.mark.parametrize("kind, e1, e2, threshold, status", [
+        # close: pass if upper < thr, fail if lower >= thr, else inconclusive
+        ("close", iv((1, 2), (1, 2)), iv((1, 2), (101, 200)), None, "pass"),
+        ("close", iv((0, 1), (0, 1)), iv((1, 1), (1, 1)), None, "fail"),
+        ("close", iv((0, 1), (1, 1)), iv((1, 0), (1, 0)), None, "fail"),
+        ("close", iv((0, 1), (0, 1)), iv((1, 100), (1, 100)), None, "fail"),
+        ("close", iv((0, 1), (0, 1)), iv((0, 1), (1, 100)), None, "inconclusive"),
+        ("close", iv((0, 1), (1, 1)), iv((0, 1), (1, 1)), None, "inconclusive"),
+        ("close", iv((2, 1), (1, 0)), iv((2, 1), (1, 0)), None, "inconclusive"),
+        ("close", iv((0, 1), (0, 1)), iv((1, 1), (1, 1)), Fraction(2), "pass"),
+        # far: pass if lower > thr or (lower > 0 and exactly one side
+        # unbounded), fail if upper <= thr, else inconclusive
+        ("far", iv((0, 1), (1, 1)), iv((1, 0), (1, 0)), None, "pass"),
+        ("far", iv((0, 1), (0, 1)), iv((2, 1), (2, 1)), None, "pass"),
+        ("far", iv((0, 1), (1, 2)), iv((1, 1), (1, 0)), None, "pass"),
+        ("far", iv((0, 1), (0, 1)), iv((1, 1), (1, 1)), None, "fail"),
+        ("far", iv((0, 1), (0, 1)), iv((3, 2), (3, 2)), None, "fail"),
+        ("far", iv((0, 1), (0, 1)), iv((1, 1), (2, 1)), None, "inconclusive"),
+        ("far", iv((0, 1), (1, 1)), iv((1, 1), (1, 0)), None, "inconclusive"),
+        ("far", iv((1, 1), (1, 0)), iv((2, 1), (1, 0)), None, "inconclusive"),
+        ("far", iv((0, 1), (0, 1)), iv((2, 1), (2, 1)), Fraction(3), "fail"),
+    ])
+    def test_classify_table(self, kind, e1, e2, threshold, status):
+        ev = ScheduleEvent(kind, 0, "hand-built", threshold=threshold)
+        for a, b in ((e1, e2), (e2, e1)):
+            assert _classify(ev, a, b, self.EPS, self.M_BIG).status == status
+
+    @pytest.mark.parametrize("e1, e2, lower, upper", [
+        (iv((0, 1), (1, 3)), iv((1, 2), (1, 1)), Fraction(1, 6), Fraction(1)),
+        (iv((0, 1), (1, 1)), iv((1, 2), (2, 1)), Fraction(0), Fraction(2)),
+        (iv((0, 1), (1, 1)), iv((1, 1), (3, 1)), Fraction(0), Fraction(3)),
+        (iv((0, 1), (1, 1)), iv((2, 1), (1, 0)), Fraction(1), INFINITE_DISTANCE),
+        (iv((0, 1), (1, 1)), iv((1, 0), (1, 0)), INFINITE_DISTANCE, INFINITE_DISTANCE),
+        (iv((2, 1), (1, 0)), iv((3, 1), (1, 0)), Fraction(0), INFINITE_DISTANCE),
+    ])
+    def test_distance_bounds(self, e1, e2, lower, upper):
+        assert _distance_bounds(e1, e2) == (lower, upper)
+        assert _distance_bounds(e2, e1) == (lower, upper)
+
+    def test_empty_report(self):
+        rep = ScrambleReport("none", [])
+        assert rep.max_certified_distance == Fraction(0)
+        assert rep.min_certified_distance == INFINITE_DISTANCE
+        assert (rep.n_pass, rep.n_fail, rep.n_inconclusive) == (0, 0, 0)
+        assert rep.passed and rep.decided_fraction == 1.0
+        assert rep.to_dict()["summary"]["max_certified_distance"] == "0/1"
+        assert rep.to_dict()["summary"]["min_certified_distance"] == "inf"
+
+    def test_report_extremes(self):
+        ev = ScheduleEvent("far", 0, "hand-built")
+        finite = _classify(ev, iv((0, 1), (0, 1)), iv((2, 1), (2, 1)), self.EPS, self.M_BIG)
+        infinite = _classify(ev, iv((0, 1), (1, 1)), iv((1, 0), (1, 0)), self.EPS, self.M_BIG)
+        rep = ScrambleReport("two", [finite, infinite])
+        assert rep.max_certified_distance == INFINITE_DISTANCE
+        assert rep.min_certified_distance == Fraction(2)
+        assert rep.n_pass == 2
+        assert rep.to_dict()["events"][1]["lower"] == "inf"
 
 
 class TestRationalVsTau:
