@@ -9,6 +9,7 @@ reader closed stdout early (128 + SIGPIPE, as a shell reports it).
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import functools
 import json
 import math
@@ -69,14 +70,20 @@ _SURD_RE = re.compile(
 
 
 def parse_point(text: str):
-    """Fraction "p/q" (with 1/0 for infinity), decimal, or surd "(p+q√d)/r"."""
+    """Fraction "p/q" (with 1/0 for infinity), decimal, or surd "(p+q√d)/r".
+
+    A surd with q = 0 or a square radicand is the fraction it equals.
+    """
     text = text.strip().replace("−", "-")
     m = _SURD_RE.match(text)
     if m:
         p, sign, q, d, r = m.groups()
-        q = int(q) if sign == "+" else -int(q)
+        p, q, r, d = int(p), int(q) if sign == "+" else -int(q), int(r), int(d)
+        s = math.isqrt(d)
         try:
-            return QuadraticSurd(int(p), q, int(r), int(d))
+            if r and (q == 0 or s * s == d):  # rational; r = 0 is a bad surd
+                return ExtendedRational(p + q * s, r)
+            return QuadraticSurd(p, q, r, d)
         except ValueError as exc:
             raise CliError("bad surd %r: %s" % (text, exc))
     try:
@@ -151,8 +158,7 @@ def cmd_iterate(args) -> int:
         val = str(x)
         rows.append((step, val, "%.12g" % float(x),
                      "cycle" if val in cycle else ""))
-        x = phi_surd(x) if isinstance(x, QuadraticSurd) and not x.is_rational else \
-            phi_rat(x if isinstance(x, ExtendedRational) else x.as_extended_rational())
+        x = phi_surd(x) if isinstance(x, QuadraticSurd) else phi_rat(x)
     _emit_rows(rows, ("step", "value", "float", "orbit"), args.format, args.out)
     return 0
 
@@ -248,7 +254,7 @@ def cmd_entropy(args) -> int:
         else:
             raise CliError("unknown entropy method %r" % name)
     payload = {
-        "estimates": [e.to_dict() for e in estimates],
+        "estimates": [dataclasses.asdict(e) for e in estimates],
         "factorization_verified": verify_cubic_factorization(),
     }
     _emit_json(payload, args.out)

@@ -84,13 +84,7 @@ class FareyInterval:
         return self.hi.as_fraction() - self.lo.as_fraction()
 
     def contains(self, x) -> bool:
-        if isinstance(x, QuadraticSurd):
-            if x.is_rational:
-                x = x.as_extended_rational()
-            else:
-                below = x >= self.lo.as_fraction() if not self.lo.is_infinite else False
-                above = True if self.hi.is_infinite else x <= self.hi.as_fraction()
-                return below and above
+        """Exact membership of an ExtendedRational or a QuadraticSurd."""
         return self.lo <= x <= self.hi
 
     def contains_interval(self, other: "FareyInterval") -> bool:
@@ -216,6 +210,7 @@ class CodeStream:
         return self._prefix_cache[:n]
 
     def shifted(self, k: int) -> "CodeStream":
+        """Drop the first k symbols; periodic streams are renormalised."""
         if k < 0:
             raise ValueError("shift must be nonnegative")
         if k == 0:
@@ -241,11 +236,6 @@ class CodeStream:
 
     def __repr__(self):
         return "CodeStream(%s)" % (self.label or self.kind)
-
-
-def shift(s: CodeStream, k: int) -> CodeStream:
-    """Drop the first k symbols; periodic streams are renormalised."""
-    return s.shifted(k)
 
 
 def sigma_metric(s: CodeStream, t: CodeStream, tol) -> Fraction:
@@ -435,8 +425,6 @@ def itinerary(x, n: int, tie_high: bool = False) -> str:
     """
     if n < 1:
         raise ValueError("need at least one symbol")
-    if isinstance(x, QuadraticSurd) and x.is_rational:
-        x = x.as_extended_rational()
     if isinstance(x, QuadraticSurd):
         out = []
         for _ in range(n):

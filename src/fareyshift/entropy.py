@@ -23,7 +23,7 @@ from .coding import (
     periodic_point,
     phi_interval_image,
 )
-from .exact import QuadraticSurd
+from .exact import QuadraticSurd, phi_surd
 
 
 @dataclass(frozen=True)
@@ -33,15 +33,6 @@ class EntropyEstimate:
     rate: float             # the growth constant itself
     depth: int
     error_bound: float | None = None
-
-    def to_dict(self) -> dict:
-        return {
-            "method": self.method,
-            "value": self.value,
-            "rate": self.rate,
-            "depth": self.depth,
-            "error_bound": self.error_bound,
-        }
 
 
 def count_admissible_words(n: int) -> int:
@@ -227,7 +218,6 @@ def dense_periodic_witness(w: str) -> QuadraticSurd:
         raise RuntimeError("witness for %r degenerated to a rational" % w)
     if not cylinder(w).contains(x):
         raise RuntimeError("witness for %r escaped its cylinder" % w)
-    from .exact import phi_surd  # local import to keep module deps one-way
     y = x
     for _ in range(len(w) + 3):
         y = phi_surd(y)
@@ -250,15 +240,6 @@ class TransitivityReport:
     @property
     def missing(self) -> list[str]:
         return sorted(w for w, v in self.found.items() if v is None)
-
-    def to_dict(self) -> dict:
-        return {
-            "word_len": self.word_len,
-            "stride": self.stride,
-            "horizon": self.horizon,
-            "passed": self.passed,
-            "found": dict(sorted(self.found.items())),
-        }
 
 
 def transitivity_check(s: CodeStream, word_len: int, stride: int,

@@ -3,9 +3,9 @@
 The dynamics iterate phi(x) = |1 - 1/x|, extended by phi(0) = infinity
 and phi(infinity) = 1.  Everything here is integer arithmetic: points
 are nonnegative rationals stored projectively (infinity is 1/0), real
-quadratic surds (p + q*sqrt(d))/r for the periodic-itinerary points,
-and 2x2 integer matrices (a, b, c, d) acting as Mobius maps.  All values
-are immutable and all operations are pure.
+irrational quadratic surds (p + q*sqrt(d))/r for the periodic-itinerary
+points, and 2x2 integer matrices (a, b, c, d) acting as Mobius maps.
+All values are immutable and all operations are pure.
 """
 
 from __future__ import annotations
@@ -195,8 +195,6 @@ def _squarefree_split(d: int) -> tuple[int, int]:
 
 def _comb_sign(a: int, b: int, d: int) -> int:
     """Sign of a + b*sqrt(d), d >= 0, decided by integer comparisons."""
-    if b == 0 or d == 0:
-        return (a > 0) - (a < 0)
     if a >= 0 and b > 0:
         return 1
     if a <= 0 and b < 0:
@@ -208,11 +206,12 @@ def _comb_sign(a: int, b: int, d: int) -> int:
 
 
 class QuadraticSurd:
-    """(p + q*sqrt(d))/r in canonical form, a point of [0, infinity).
+    """(p + q*sqrt(d))/r in canonical form, an irrational point of (0, infinity).
 
-    Canonical means: r > 0, gcd(p, q, r) = 1, d squarefree, and q = 0
-    exactly when d = 0 (the rational case).  Values are validated to be
-    nonnegative; equality is structural equality of canonical forms.
+    Canonical means: r > 0, gcd(p, q, r) = 1, q != 0 and d squarefree
+    with d > 1.  A rational value (q = 0, or a square radicand) raises
+    ValueError: rationals are ExtendedRationals.  Values are validated to
+    be nonnegative; equality is structural equality of canonical forms.
     """
 
     __slots__ = ("p", "q", "r", "d")
@@ -224,33 +223,17 @@ class QuadraticSurd:
         if d < 0:
             raise ValueError("negative radicand")
         if q == 0:
-            d = 0
-        else:
-            s, d = _squarefree_split(d)
-            q *= s
-            if d == 1:
-                p, q, d = p + q, 0, 0
-            elif d == 0:
-                q = 0
+            raise ValueError("q = 0 makes a rational, not a surd")
+        s, d = _squarefree_split(d)
+        if d <= 1:
+            raise ValueError("square radicand makes a rational, not a surd")
+        q *= s
         if r < 0:
             p, q, r = -p, -q, -r
-        g = math.gcd(math.gcd(abs(p), abs(q)), r)
+        g = math.gcd(p, q, r)
         self.p, self.q, self.r, self.d = p // g, q // g, r // g, d
         if _comb_sign(self.p, self.q, self.d) < 0:
             raise ValueError("value outside [0, infinity)")
-
-    @classmethod
-    def from_fraction(cls, f: Fraction) -> "QuadraticSurd":
-        return cls(f.numerator, 0, f.denominator, 0)
-
-    @property
-    def is_rational(self) -> bool:
-        return self.q == 0
-
-    def as_extended_rational(self) -> ExtendedRational:
-        if not self.is_rational:
-            raise ValueError("irrational surd")
-        return ExtendedRational(self.p, self.r)
 
     def _cmp(self, other) -> int:
         """Certified sign of self - other."""
@@ -264,10 +247,6 @@ class QuadraticSurd:
             u, v = other.numerator, other.denominator
             return _comb_sign(self.p * v - u * self.r, self.q * v, self.d)
         if isinstance(other, QuadraticSurd):
-            if other.is_rational:
-                return self._cmp(Fraction(other.p, other.r))
-            if self.is_rational:
-                return -other._cmp(Fraction(self.p, self.r))
             if self.d != other.d:
                 raise TypeError("cannot compare surds over different radicands")
             return _comb_sign(
@@ -278,14 +257,9 @@ class QuadraticSurd:
         raise TypeError("unsupported comparison")
 
     def __eq__(self, other):
-        if isinstance(other, QuadraticSurd):
-            return (self.p, self.q, self.r, self.d) == (other.p, other.q, other.r, other.d)
-        if isinstance(other, (int, Fraction, ExtendedRational)):
-            try:
-                return self._cmp(other) == 0
-            except TypeError:
-                return NotImplemented
-        return NotImplemented
+        if not isinstance(other, QuadraticSurd):
+            return NotImplemented  # an irrational never equals a rational
+        return (self.p, self.q, self.r, self.d) == (other.p, other.q, other.r, other.d)
 
     def __lt__(self, other):
         return self._cmp(other) < 0
@@ -306,8 +280,6 @@ class QuadraticSurd:
         return (self.p + self.q * math.sqrt(self.d)) / self.r
 
     def __str__(self):
-        if self.is_rational:
-            return "%d/%d" % (self.p, self.r)
         return "(%d%+d*sqrt(%d))/%d" % (self.p, self.q, self.d, self.r)
 
     def __repr__(self):
@@ -318,17 +290,7 @@ GOLDEN_FIXED_POINT = QuadraticSurd(-1, 1, 2, 5)  # (sqrt(5) - 1)/2, the fixed po
 
 
 def phi_surd(x: QuadraticSurd) -> QuadraticSurd:
-    """Apply phi to an exact surd; the radicand is preserved while the
-    value stays irrational.
-
-    The rational case is delegated to phi_rat; x = 0 is rejected because
-    its image (infinity) is not a surd.
-    """
-    if x.is_rational:
-        img = phi_rat(ExtendedRational(x.p, x.r))
-        if img.is_infinite:
-            raise ValueError("phi(0) = infinity is not representable as a surd")
-        return QuadraticSurd(img.num, 0, img.den, 0)
+    """Apply phi to an exact surd; the image is irrational over the same radicand."""
     p, q, r, d = x.p, x.q, x.r, x.d
     n = p * p - q * q * d  # nonzero: x is irrational
     # 1 - 1/x = (n - r*p + r*q*sqrt(d)) / n, then take the absolute value
@@ -343,14 +305,12 @@ def mobius_apply(m: tuple[int, int, int, int], x):
 
     Exact projective action on an ExtendedRational (infinity maps to a/c)
     or a QuadraticSurd, whichever x is.  Raises ValueError when the image
-    leaves [0, infinity] (the branch maps used by the dynamics never do).
+    leaves [0, infinity], or is rational for a surd x (m singular); the
+    branch maps used by the dynamics do neither.
     """
     a, b, c, d = m
     if not isinstance(x, QuadraticSurd):
         return ExtendedRational.from_projective(a * x.num + b * x.den, c * x.num + d * x.den)
-    if x.is_rational:
-        img = mobius_apply(m, x.as_extended_rational())
-        return QuadraticSurd(img.num, 0, img.den, 0)
     p, q, r, rad = x.p, x.q, x.r, x.d
     na, nb = a * p + b * r, a * q
     dc, dd = c * p + d * r, c * q

@@ -28,7 +28,6 @@ from .coding import (
     FareyInterval,
     iter_admissible_words,
     point_of_code,
-    shift,
 )
 from .exact import (
     INF,
@@ -420,9 +419,9 @@ def _classify(ev: ScheduleEvent, e1: FareyInterval, e2: FareyInterval,
         status = "pass" if upper < thr else "fail" if lower >= thr else "inconclusive"
     else:
         thr = m_big if ev.threshold is None else ev.threshold
-        # a positive gap with exactly one enclosure reaching infinity
-        # certifies an excursion on the unbounded side
-        if lower > thr or (lower > 0 and e1.is_bounded != e2.is_bounded):
+        # a positive gap with an infinite upper bound certifies an excursion
+        # on the unbounded side (two unbounded enclosures never have a gap)
+        if lower > thr or (lower > 0 and upper == INFINITE_DISTANCE):
             status = "pass"
         else:
             status = "fail" if upper <= thr else "inconclusive"
@@ -514,17 +513,17 @@ def verify_scrambling(s: CodeStream, t: CodeStream, events,
     """Check each scheduled event with certified cylinder enclosures.
 
     Close events pass when the enclosures force |x - y| < eps, far
-    events when they force a gap above m_big or a positive gap with
-    exactly one enclosure reaching infinity.  An enclosure too wide to
-    decide yields "inconclusive", never a silent pass.  eps and m_big
-    must be positive (ValueError, raised before any enclosure).
+    events when they force a gap above m_big or a positive gap with an
+    infinite upper bound (an enclosure reaching infinity).  An enclosure
+    too wide to decide yields "inconclusive", never a silent pass.  eps
+    and m_big must be positive (ValueError, raised before any enclosure).
     """
     eps, m_big = _thresholds(eps, m_big)
     outcomes = []
     for ev in events:
         cap, goal = _enclosure_rule(ev, prefix_len, eps)
-        e1 = point_of_code(shift(s, ev.index), cap, goal).interval
-        e2 = point_of_code(shift(t, ev.index + ev.t_offset), cap, goal).interval
+        e1 = point_of_code(s.shifted(ev.index), cap, goal).interval
+        e2 = point_of_code(t.shifted(ev.index + ev.t_offset), cap, goal).interval
         outcomes.append(_classify(ev, e1, e2, eps, m_big))
     return ScrambleReport(pair or "%s vs %s" % (s.label, t.label), outcomes)
 
@@ -560,7 +559,7 @@ def rational_vs_tau(r: ExtendedRational, t: CodeStream, k_range,
     for ev in events:
         rp = _orbit_point(r, e, ev.index)
         e1 = FareyInterval(rp, rp)
-        e2 = point_of_code(shift(t, ev.index), *_enclosure_rule(ev, prefix_budget, eps)).interval
+        e2 = point_of_code(t.shifted(ev.index), *_enclosure_rule(ev, prefix_budget, eps)).interval
         outcomes.append(_classify(ev, e1, e2, eps, m_big))
     return ScrambleReport("rational %s vs %s" % (r, t.label), outcomes)
 

@@ -32,7 +32,6 @@ from fareyshift.coding import (
     periodic_point,
     phi_interval_image,
     point_of_code,
-    shift,
 )
 from fareyshift.conjugacy import conjugacy_check, farey_level, farey_properties_report
 from fareyshift.entropy import (
@@ -165,7 +164,7 @@ def test_criterion_05_periodic_points():
     for n in range(1, 9):
         for w in admissible_words(n):
             x = dense_periodic_witness(w)  # validates membership and periodicity
-            ok &= isinstance(x, QuadraticSurd) and not x.is_rational
+            ok &= isinstance(x, QuadraticSurd) and x.q != 0 and x.d > 1
         if not ok:
             break
     record(5, "exact periodic points and irrational witnesses to length 8", ok,
@@ -198,7 +197,7 @@ def test_criterion_06_bounded_family_events():
     mu = mu_code("".join(rng.choice("01") for _ in range(16)))
     for _ in range(100):
         n = rng.randrange(0, math.factorial(8) + 1)
-        enc = point_of_code(shift(mu, n), 24, Fraction(1, 10 ** 6)).interval
+        enc = point_of_code(mu.shifted(n), 24, Fraction(1, 10 ** 6)).interval
         ok &= any(piece.contains_interval(enc) for piece in union)
     record(6, "bounded-family far/close schedule and boundedness", ok,
            "%.2fs, weakest far margin %s" % (time.time() - t0, far_min))
@@ -225,7 +224,7 @@ def test_criterion_07_unbounded_family_events():
                 rep = verify_scrambling(s, t, events, eps=eps, m_big=m_big)
             else:
                 events = schedule_events("theorem2", (5, 7), shift=i)
-                rep = verify_scrambling(s, shift(t, i), events, eps=eps, m_big=m_big)
+                rep = verify_scrambling(s, t.shifted(i), events, eps=eps, m_big=m_big)
             total += len(rep.outcomes)
             fails += rep.n_fail
             inconclusive += rep.n_inconclusive

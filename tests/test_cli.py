@@ -23,6 +23,10 @@ class TestParsers:
         assert parse_point("(-1+1*sqrt(5))/2") == expect
         assert parse_point("(−1+1√5)/2") == expect  # unicode minus and root
 
+    def test_point_rational_surd_is_a_fraction(self):
+        assert parse_point("(1+3*sqrt(4))/2") == ExtendedRational(7, 2)
+        assert parse_point("(1+0*sqrt(5))/2") == ExtendedRational(1, 2)
+
     def test_code(self):
         s = parse_code("0(010)")
         assert s.prefix(7) == "0010010"

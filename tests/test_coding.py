@@ -34,7 +34,6 @@ from fareyshift.coding import (
     periodic_point,
     phi_interval_image,
     point_of_code,
-    shift,
     sigma_metric,
 )
 from fareyshift.scrambled import (
@@ -98,7 +97,7 @@ admissible_periodic_codes = periodic_codes.filter(lambda c: c.check_admissible()
 rational_and_unbounded_codes = st.sampled_from(
     [CodeStream.periodic("", per) for per in ("100", "010", "001")])
 procedural_codes = st.builds(
-    shift,
+    CodeStream.shifted,
     st.sampled_from(_PROCEDURAL),
     st.one_of(st.integers(0, 6000), st.sampled_from([118, 119, 120, 239, 719, 720, 5039])),
 )
@@ -131,17 +130,17 @@ class TestCodeStream:
 
     def test_shift_renormalises(self):
         zero = CodeStream.zeros()
-        assert shift(zero, 5).prefix(6) == "000000"
+        assert zero.shifted(5).prefix(6) == "000000"
         s = CodeStream.periodic("0", "010")
-        assert shift(s, 1).pre == "" and shift(s, 1).per == "010"
+        assert s.shifted(1).pre == "" and s.shifted(1).per == "010"
         t = CodeStream.periodic("", "100")
-        assert shift(t, 3).per == "100"
-        assert shift(t, 4).prefix(6) == "001001"
+        assert t.shifted(3).per == "100"
+        assert t.shifted(4).prefix(6) == "001001"
 
     def test_procedural_shift_and_cache(self):
         s = CodeStream.procedural(lambda n: 1 if n % 5 == 0 else 0)
         assert s.prefix(11) == "10000100001"
-        assert shift(s, 3).prefix(4) == "0010"
+        assert s.shifted(3).prefix(4) == "0010"
 
     def test_admissibility_checks(self):
         assert CodeStream.periodic("", "1").check_admissible() is False
@@ -461,8 +460,8 @@ class TestSegmentWalk:
             for ev in events:
                 budget = min(10 ** 5, ev.prefix_cap) if ev.prefix_cap else 10 ** 5
                 if s is not None:
-                    _assert_matches_reference(shift(s, ev.index), budget, EPS / 8)
-                _assert_matches_reference(shift(t, ev.index + ev.t_offset), budget, EPS / 8)
+                    _assert_matches_reference(s.shifted(ev.index), budget, EPS / 8)
+                _assert_matches_reference(t.shifted(ev.index + ev.t_offset), budget, EPS / 8)
 
     def test_budgets_ending_mid_period(self):
         tau = tau_code("0110", alpha_transitive(), [CodeStream.periodic("1", "00100")])
@@ -475,7 +474,7 @@ class TestSegmentWalk:
             for n in anchors:
                 for budget in (2, 4, 5, 31, 32, 151, 152, lay.quarter - 1):
                     for goal in goals:
-                        _assert_matches_reference(shift(tau, n), budget, goal)
+                        _assert_matches_reference(tau.shifted(n), budget, goal)
 
     @pytest.mark.parametrize("pieces, index", [
         ([("00", 3), ("0110", 4)], 8),                  # '11' inside a word
@@ -590,7 +589,7 @@ class TestPhiIntervalImage:
                 (lambda b: lambda n: int(b[n % 10]) if n % 2 == 0 else 0)(bits),
                 label="t%d" % trial)
             e0 = point_of_code(s, 12, Fraction(1, 10 ** 40)).interval
-            e1 = point_of_code(shift(s, 1), 11, Fraction(1, 10 ** 40)).interval
+            e1 = point_of_code(s.shifted(1), 11, Fraction(1, 10 ** 40)).interval
             pieces = phi_interval_image(e0)
             lo = min(p.lo for p in pieces)
             hi = max(p.hi for p in pieces)

@@ -123,11 +123,20 @@ class TestQuadraticSurd:
     def test_canonical_form(self):
         # square factor of the radicand moves into q
         assert QuadraticSurd(0, 1, 1, 8) == QuadraticSurd(0, 2, 1, 2)
-        # perfect-square radicand collapses to a rational
-        s = QuadraticSurd(1, 3, 2, 4)
-        assert s.is_rational and s.as_extended_rational() == xr(7, 2)
         # common factor removed, sign of r fixed
         assert QuadraticSurd(-2, 2, 4, 5) == QuadraticSurd(-1, 1, 2, 5)
+
+    @pytest.mark.parametrize("pqrd", [
+        (1, 3, 2, 4),  # square radicand: 7/2
+        (1, 0, 2, 5),  # q = 0: 1/2
+        (3, 2, 1, 0),  # zero radicand: 3
+        (0, 1, 1, 1),  # square radicand: 1
+        (0, 0, 1, 0),  # zero, which phi would send to infinity
+    ])
+    def test_rejects_rational_values(self, pqrd):
+        # a rational is only ever an ExtendedRational
+        with pytest.raises(ValueError):
+            QuadraticSurd(*pqrd)
 
     def test_rejects_negative_values(self):
         with pytest.raises(ValueError):
@@ -139,6 +148,7 @@ class TestQuadraticSurd:
         assert QuadraticSurd(3, 1, 2, 5) > 1
         assert z < QuadraticSurd(3, 1, 2, 5)
         assert z == QuadraticSurd(-1, 1, 2, 5)
+        assert z != xr(1, 2) and z != 1 and z != Fraction(1, 2) and z != INF
 
     def test_float_value(self):
         assert math.isclose(float(GOLDEN_FIXED_POINT), (math.sqrt(5) - 1) / 2)
@@ -155,10 +165,6 @@ class TestPhiSurd:
     def test_sqrt_two(self):
         # 1 - 1/sqrt(2) = (2 - sqrt(2))/2
         assert phi_surd(QuadraticSurd(0, 1, 1, 2)) == QuadraticSurd(2, -1, 2, 2)
-
-    def test_rejects_zero(self):
-        with pytest.raises(ValueError):
-            phi_surd(QuadraticSurd(0, 0, 1, 0))
 
     def test_radicand_preserved(self):
         x = QuadraticSurd(0, 1, 1, 7)

@@ -1,15 +1,19 @@
-"""The README's quick start, run against the package namespace.
+"""The README's quick start and command block, run against the package.
 
 Run as a script (`python tests/test_readme.py`, from outside the
 checkout) it checks an installed fareyshift instead of the sources.
 """
 
 import ast
+import contextlib
+import io
 import re
+import shlex
 import types
 from pathlib import Path
 
 import fareyshift
+from fareyshift import cli
 
 README = Path(__file__).resolve().parents[1] / "README.md"
 
@@ -21,6 +25,14 @@ SHOWN = ["'100'", "FareyInterval(2/1, 3/1)", "(3+1*sqrt(5))/2", "3/2^2", "2", No
 
 def quick_start() -> str:
     return re.search(r"```python\n(.*?)```", README.read_text(encoding="utf-8"), re.S).group(1)
+
+
+def cli_block() -> list[list[str]]:
+    """The argv of each `fareyshift ...` line of the README's command block."""
+    block = re.search(r"## Command line\n.*?```\n(.*?)```",
+                      README.read_text(encoding="utf-8"), re.S).group(1)
+    return [shlex.split(line, comments=True)[1:] for line in block.splitlines()
+            if line.startswith("fareyshift ")]
 
 
 def test_readme_quick_start():
@@ -45,6 +57,17 @@ def test_readme_quick_start():
         assert comment.startswith(want), (comment, want)
 
 
+def test_readme_cli_block():
+    commands = cli_block()
+    assert len(commands) == 13
+    for argv in commands:
+        out = io.StringIO()
+        with contextlib.redirect_stdout(out):
+            code = cli.main(argv)
+        assert code == 0, (argv, code)
+        assert out.getvalue(), argv
+
+
 def test_namespace_is_what_the_readme_and_bench_import():
     block = quick_start()
     readme = {a.asname or a.name for node in ast.walk(ast.parse(block))
@@ -60,5 +83,6 @@ def test_namespace_is_what_the_readme_and_bench_import():
 if __name__ == "__main__":
     print("fareyshift from", fareyshift.__file__)
     test_readme_quick_start()
+    test_readme_cli_block()
     test_namespace_is_what_the_readme_and_bench_import()
-    print("README quick start: ok")
+    print("README quick start and command block: ok")

@@ -16,7 +16,6 @@ from fareyshift.coding import (
     iter_admissible_words,
     phi_interval_image,
     point_of_code,
-    shift,
 )
 from fareyshift.scrambled import (
     BlockLayout,
@@ -151,7 +150,7 @@ class TestMuCode:
         mu = mu_code("011010")
         for _ in range(100):
             n = rng.randrange(0, math.factorial(8))
-            enc = point_of_code(shift(mu, n), 24, Fraction(1, 10 ** 6)).interval
+            enc = point_of_code(mu.shifted(n), 24, Fraction(1, 10 ** 6)).interval
             assert any(piece.contains_interval(enc) for piece in BOUND_UNION)
 
     def test_shift_by_one_commutes_with_phi(self):
@@ -159,8 +158,8 @@ class TestMuCode:
         mu = mu_code("0101")
         for _ in range(100):
             n = rng.randrange(0, math.factorial(7))
-            e0 = point_of_code(shift(mu, n), 14, Fraction(1, 10 ** 40)).interval
-            e1 = point_of_code(shift(mu, n + 1), 13, Fraction(1, 10 ** 40)).interval
+            e0 = point_of_code(mu.shifted(n), 14, Fraction(1, 10 ** 40)).interval
+            e1 = point_of_code(mu.shifted(n + 1), 13, Fraction(1, 10 ** 40)).interval
             pieces = phi_interval_image(e0)
             lo = min(p.lo for p in pieces)
             hi = max(p.hi for p in pieces)
@@ -338,7 +337,7 @@ class TestTauCode:
         rng = random.Random(61)
         for stream in (self.tau, mu_code("0110"), alpha_transitive()):
             start = rng.randrange(0, math.factorial(10))
-            assert "11" not in shift(stream, start).prefix(10 ** 5)
+            assert "11" not in stream.shifted(start).prefix(10 ** 5)
 
     def test_needs_tracked_codes(self):
         with pytest.raises(ValueError):
@@ -470,12 +469,12 @@ class TestSegmentsMatchReference:
             with pytest.raises(ValueError) as by_symbol:
                 tau.symbol_at(n)
             with pytest.raises(ValueError) as by_enclosure:
-                point_of_code(shift(tau, n), 10, Fraction(1, 100))
+                point_of_code(tau.shifted(n), 10, Fraction(1, 100))
             assert str(by_symbol.value) == str(by_enclosure.value) == message
         # an enclosure that walks into 17! raises there, as the symbols do
         assert tau[f17 - 1] in (0, 1)
         with pytest.raises(ValueError, match=message):
-            point_of_code(shift(tau, f17 - 3), 10, Fraction(1, 10 ** 9))
+            point_of_code(tau.shifted(f17 - 3), 10, Fraction(1, 10 ** 9))
 
 
 class TestBlockBookkeeping:
@@ -568,7 +567,7 @@ class TestVerifyScrambling:
         s, t = mu_code("0011"), mu_code("0011")
         for i in (1, 2, 3):
             ev = schedule_events("theorem1", (5, 6), shift=i)
-            rep = verify_scrambling(s, shift(t, i), ev)
+            rep = verify_scrambling(s, t.shifted(i), ev)
             assert rep.passed, i
 
     def test_theorem2_shifted_pair_unbounded(self):
@@ -576,7 +575,7 @@ class TestVerifyScrambling:
         s = tau_code("0110", alpha_transitive(), tracked)
         t = tau_code("1001", alpha_transitive(), tracked)
         ev = schedule_events("theorem2", (5, 7), shift=2)
-        rep = verify_scrambling(s, shift(t, 2), ev, m_big=Fraction(1000))
+        rep = verify_scrambling(s, t.shifted(2), ev, m_big=Fraction(1000))
         assert rep.passed
         for o in rep.outcomes:
             if o.event.kind == "far":
