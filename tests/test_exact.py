@@ -166,6 +166,12 @@ class TestPhiSurd:
         # 1 - 1/sqrt(2) = (2 - sqrt(2))/2
         assert phi_surd(QuadraticSurd(0, 1, 1, 2)) == QuadraticSurd(2, -1, 2, 2)
 
+    def test_rejects_zero(self):
+        # zero, which phi sends to infinity, is refused before phi_surd
+        # sees it: a surd is irrational by construction
+        with pytest.raises(ValueError):
+            phi_surd(QuadraticSurd(0, 0, 1, 0))
+
     def test_radicand_preserved(self):
         x = QuadraticSurd(0, 1, 1, 7)
         for _ in range(12):
