@@ -29,10 +29,10 @@ from .coding import (
     point_of_code,
 )
 from .conjugacy import (
+    DyadicRational,
     conjugacy_check,
     farey_level,
     farey_properties_report,
-    h_rational,
 )
 from .entropy import (
     dense_periodic_witness,
@@ -202,8 +202,8 @@ def cmd_conjugacy(args) -> int:
     rows = []
     ok = True
     level = farey_level(args.level)
-    for x in level.entries:
-        h = h_rational(x)
+    for i, x in enumerate(level.entries):
+        h = DyadicRational(i, args.level)
         good = conjugacy_check(x)
         ok &= good
         rows.append((str(x), str(h), "%.12g" % float(x) if not x.is_infinite else "inf",
@@ -220,7 +220,7 @@ def cmd_conjugacy(args) -> int:
 
 def cmd_farey(args) -> int:
     level = farey_level(args.level)
-    rows = [(i, str(x), str(h_rational(x)))
+    rows = [(i, str(x), str(DyadicRational(i, args.level)))
             for i, x in enumerate(level.entries)]
     _emit_rows(rows, ("index", "fraction", "h"), args.format, args.out)
     if args.report:
@@ -279,13 +279,14 @@ def cmd_mixing(args) -> int:
 
 def cmd_periodic(args) -> int:
     x = dense_periodic_witness(args.word)
+    cyl = cylinder(args.word)
     payload = {
         "word": args.word,
         "witness": str(x),
         "float": float(x),
         "period": len(args.word) + 3,
-        "cylinder": str(cylinder(args.word)),
-        "inside_cylinder": cylinder(args.word).contains(x),
+        "cylinder": str(cyl),
+        "inside_cylinder": cyl.contains(x),
     }
     _emit_json(payload, args.out)
     return 0

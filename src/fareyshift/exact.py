@@ -178,10 +178,13 @@ def escape_time(x: ExtendedRational) -> int:
     return sum(3 * passes + len(tail) for passes, tail in _escape_runs(x))
 
 
-def _squarefree_split(d: int) -> tuple[int, int]:
-    """Write d = s*s*d0 with d0 squarefree; returns (s, d0)."""
+_STRIP_BOUND = 1 << 10  # bounded: a full squarefree split is as hard as factoring
+
+
+def _strip_small_squares(d: int) -> tuple[int, int]:
+    """Write d = s*s*d0, taking out each square factor f*f with f < _STRIP_BOUND."""
     s, d0, f = 1, 1, 2
-    while f * f <= d:
+    while f * f <= d and f < _STRIP_BOUND:
         e = 0
         while d % f == 0:
             d //= f
@@ -208,10 +211,11 @@ def _comb_sign(a: int, b: int, d: int) -> int:
 class QuadraticSurd:
     """(p + q*sqrt(d))/r in canonical form, an irrational point of (0, infinity).
 
-    Canonical means: r > 0, gcd(p, q, r) = 1, q != 0 and d squarefree
-    with d > 1.  A rational value (q = 0, or a square radicand) raises
-    ValueError: rationals are ExtendedRationals.  Values are validated to
-    be nonnegative; equality is structural equality of canonical forms.
+    Canonical means: r > 0, gcd(p, q, r) = 1, q != 0, d not a square and
+    no square factor f*f with f < _STRIP_BOUND in d.  A rational value
+    (q = 0, or a square radicand) raises ValueError: rationals are
+    ExtendedRationals.  Values are validated to be nonnegative; equality
+    and hash read the value, as a larger square factor can stay in d.
     """
 
     __slots__ = ("p", "q", "r", "d")
@@ -224,8 +228,8 @@ class QuadraticSurd:
             raise ValueError("negative radicand")
         if q == 0:
             raise ValueError("q = 0 makes a rational, not a surd")
-        s, d = _squarefree_split(d)
-        if d <= 1:
+        s, d = _strip_small_squares(d)
+        if math.isqrt(d) ** 2 == d:
             raise ValueError("square radicand makes a rational, not a surd")
         q *= s
         if r < 0:
@@ -247,19 +251,23 @@ class QuadraticSurd:
             u, v = other.numerator, other.denominator
             return _comb_sign(self.p * v - u * self.r, self.q * v, self.d)
         if isinstance(other, QuadraticSurd):
-            if self.d != other.d:
-                raise TypeError("cannot compare surds over different radicands")
-            return _comb_sign(
-                self.p * other.r - other.p * self.r,
-                self.q * other.r - other.q * self.r,
-                self.d,
-            )
+            p, q, r = other.p, other.q, other.r
+            if other.d != self.d:
+                s = math.isqrt(self.d * other.d)
+                if s * s != self.d * other.d:
+                    raise TypeError("cannot compare surds over different radicands")
+                p, q, r = p * self.d, q * s, r * self.d  # sqrt(d') = s*sqrt(d)/d
+            return _comb_sign(self.p * r - p * self.r, self.q * r - q * self.r, self.d)
         raise TypeError("unsupported comparison")
+
+    def _key(self) -> tuple[Fraction, Fraction]:
+        """The value as (p/r, sign(q)*q*q*d/(r*r)), free of the radicand's form."""
+        return Fraction(self.p, self.r), Fraction(self.q * abs(self.q) * self.d, self.r * self.r)
 
     def __eq__(self, other):
         if not isinstance(other, QuadraticSurd):
             return NotImplemented  # an irrational never equals a rational
-        return (self.p, self.q, self.r, self.d) == (other.p, other.q, other.r, other.d)
+        return self._key() == other._key()
 
     def __lt__(self, other):
         return self._cmp(other) < 0
@@ -274,7 +282,7 @@ class QuadraticSurd:
         return self._cmp(other) >= 0
 
     def __hash__(self):
-        return hash((self.p, self.q, self.r, self.d))
+        return hash(self._key())
 
     def __float__(self):
         return (self.p + self.q * math.sqrt(self.d)) / self.r

@@ -215,6 +215,13 @@ class TestCommands:
         assert proc.wait(timeout=120) == 141
         assert err == b""
 
+    def test_huge_prime_radicand_exits_promptly(self):
+        # the radicand is a 60-bit prime: building the surd must not factor it
+        proc = subprocess.run([sys.executable, "-m", "fareyshift", "iterate",
+                               "(0+1*sqrt(1000000000000000003))/1", "--steps", "1"],
+                              capture_output=True, env=_env_with_src(), timeout=30)
+        assert proc.returncode == 0
+
     def test_emitted_fractions_round_trip(self, capsys):
         code, out = run(capsys, "interval", "1000")
         lo, hi = out.strip().split("..")

@@ -1,5 +1,6 @@
 import math
 import random
+import time
 from fractions import Fraction
 
 import pytest
@@ -20,11 +21,31 @@ from fareyshift.exact import (
     phi_rat,
     phi_surd,
 )
-from fareyshift.coding import _advance, _mul, cylinder
+from fareyshift.coding import _advance, _mul, cylinder, periodic_point
+from fareyshift.entropy import dense_periodic_witness
 
 
 def xr(n, d=1):
     return ExtendedRational(n, d)
+
+
+def _trial_division_form(p, q, r, d):
+    """Reference canonical form with d made squarefree by trial division up to sqrt(d)."""
+    s, d0, f = 1, 1, 2
+    while f * f <= d:
+        e = 0
+        while d % f == 0:
+            d //= f
+            e += 1
+        s *= f ** (e // 2)
+        if e % 2:
+            d0 *= f
+        f += 1
+    q, d = q * s, d0 * d
+    if r < 0:
+        p, q, r = -p, -q, -r
+    g = math.gcd(p, q, r)
+    return p // g, q // g, r // g, d
 
 
 IDENT = (1, 0, 0, 1)
@@ -132,11 +153,58 @@ class TestQuadraticSurd:
         (3, 2, 1, 0),  # zero radicand: 3
         (0, 1, 1, 1),  # square radicand: 1
         (0, 0, 1, 0),  # zero, which phi would send to infinity
+        (0, 1, 1, 1031 ** 2),  # square of a prime above the strip bound: 1031
     ])
     def test_rejects_rational_values(self, pqrd):
         # a rational is only ever an ExtendedRational
         with pytest.raises(ValueError):
             QuadraticSurd(*pqrd)
+
+    def test_equality_and_hash_match_trial_division(self):
+        rng = random.Random(17)
+        surds = []
+        while len(surds) < 300:
+            k, m, t = rng.randint(1, 12), rng.randint(2, 60), rng.choice([-3, -2, -1, 1, 2, 3])
+            p, q, r = rng.randint(-6, 9), rng.randint(-4, 4), rng.randint(1, 6)
+            # one value in two forms, the second with a square factor in d < 10^4
+            for pqrd in ((p, q * k, r, m), (t * p, t * q, t * r, k * k * m)):
+                try:
+                    x = QuadraticSurd(*pqrd)
+                except ValueError:
+                    continue
+                form = _trial_division_form(*pqrd)
+                assert (x.p, x.q, x.r, x.d) == form  # small radicands keep the old form
+                surds.append((x, form))
+        for x, fx in surds:
+            for y, fy in surds:
+                assert (x == y) == (fx == fy)
+                assert fx != fy or hash(x) == hash(y)
+
+    def test_square_factor_above_strip_bound(self):
+        big, small = QuadraticSurd(0, 1, 1, 2 * 1031 ** 2), QuadraticSurd(0, 1031, 1, 2)
+        assert QuadraticSurd(0, 1, 1, 2 * 1021 ** 2).d == 2  # 1021 is below the bound
+        assert big.d != small.d  # 1031 is not, so 1031**2 stays in the radicand
+        assert big == small and hash(big) == hash(small)
+        assert big <= small and big >= small and not big < small and not big > small
+        assert QuadraticSurd(3000, -1, 1, 2 * 1031 ** 2) == QuadraticSurd(3000, -1031, 1, 2)
+        assert QuadraticSurd(1, 1, 1, 2 * 1031 ** 2) > small > QuadraticSurd(-1, 1, 1, 2 * 1031 ** 2)
+        assert small < QuadraticSurd(1, 1, 1, 2 * 1031 ** 2)
+        with pytest.raises(TypeError):
+            QuadraticSurd(0, 1, 1, 2) < QuadraticSurd(0, 1, 1, 3)  # 6 is not a square
+
+    @pytest.mark.parametrize("build, printed", [
+        (lambda: periodic_point("", "01010010000010100101001010101001010000010000010101000000"),
+         "(-9113203+1*sqrt(257922475801229))/15407266"),
+        (lambda: dense_periodic_witness("01001010101000101010010101000000001001000100"),
+         "(-559185+1*sqrt(547261132445))/828430"),
+    ], ids=["period-56", "witness-44"])
+    def test_deep_periodic_points_in_time(self, build, printed):
+        # period 56 and a witness 44 symbols deep: factoring the discriminant
+        # by trial division took seconds on each
+        start = time.perf_counter()
+        x = build()
+        assert time.perf_counter() - start < 1.0
+        assert str(x) == printed
 
     def test_rejects_negative_values(self):
         with pytest.raises(ValueError):
