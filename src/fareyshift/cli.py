@@ -220,11 +220,12 @@ def cmd_conjugacy(args) -> int:
 
 def cmd_farey(args) -> int:
     level = farey_level(args.level)
+    # the report validates the level, so a rejected level prints nothing
+    rep = farey_properties_report(args.level) if args.report else None
     rows = [(i, str(x), str(DyadicRational(i, args.level)))
             for i, x in enumerate(level.entries)]
     _emit_rows(rows, ("index", "fraction", "h"), args.format, args.out)
-    if args.report:
-        rep = farey_properties_report(args.level)
+    if rep is not None:
         summary = {
             "n": rep.n,
             "reciprocal": rep.reciprocal.holds,

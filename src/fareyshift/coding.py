@@ -108,6 +108,9 @@ class FareyInterval:
 FULL_LINE = FareyInterval(ZERO, INF)
 
 
+_SYMBOL = {"0": 0, "1": 1}
+
+
 class CodeStream:
     """An infinite 0/1 sequence addressed by nonnegative index.
 
@@ -161,9 +164,8 @@ class CodeStream:
         if n < 0:
             raise IndexError("negative index")
         if self.kind == "periodic":
-            if n < len(self.pre):
-                return int(self.pre[n])
-            return int(self.per[(n - len(self.pre)) % len(self.per)])
+            k = n - len(self.pre)
+            return _SYMBOL[self.pre[n] if k < 0 else self.per[k % len(self.per)]]
         return self._fn(n + self._offset)
 
     __getitem__ = symbol_at
@@ -318,12 +320,13 @@ def point_of_code(s: CodeStream, max_prefix: int, width_goal) -> PointEnclosure:
     second case the returned enclosure has width_ok = False ("width goal
     not reached").  The prefix read must be admissible.
 
-    Each symbol costs one matrix step and one integer compare.  The
+    Each symbol costs one matrix step, written out on four integers.  The
     cylinder's endpoints b/d and p/q form a unimodular pair, so a bounded
     cylinder has width exactly 1/|d*q| (an unbounded one has d*q = 0),
     and width < goal iff goal.denominator < goal.numerator * |d*q|.  The
-    compare is made on bit lengths until they show that it can pass, so
-    the product is formed only on the last few symbols.  The
+    width test runs only at the symbols where a bound on the growth of
+    the matrix's bit lengths allows it to pass; it compares bit lengths
+    first, so the product is formed only on the last few symbols.  The
     FareyInterval is built once, for the prefix that is returned.
 
     A stream with a segment function is read segment by segment instead,
@@ -340,19 +343,36 @@ def point_of_code(s: CodeStream, max_prefix: int, width_goal) -> PointEnclosure:
     short_bits = goal_den.bit_length() - goal_num.bit_length() - 1
     if s._runs is not None:
         return _walk_segments(s, max_prefix, goal_num, goal_den, short_bits)
-    m = (1, 0, 0, 1)
+    # Width tests that cannot pass are skipped.  A step maps the bottom
+    # row (c, d) to (d, c + d) after a 0 and to (-d, c + d) after a 1, so
+    # row = max(bits(c), bits(d)) grows by at most 1 per symbol.  q is an
+    # entry of the previous row: its d, which is now +-c, after a 0, or
+    # its c, which is now c + d, after a 1.  So bits(q) <= row + 1 and
+    # bits(d) + bits(q) <= 2*row + 1, while the test needs that sum above
+    # short_bits: after the bit test fails at index i, no index before
+    # i + 1 + (short_bits - 1)//2 - row can pass it.
+    half = (short_bits - 1) // 2
+    symbol_at = s.symbol_at
+    a, b, c, d = 1, 0, 0, 1
     prev = 0
+    test_at = 0
     for i in range(max_prefix):
-        sym = s[i]
-        if prev == 1 and sym == 1:
-            raise InadmissibleWordError("stream prefix contains '11' at index %d" % i)
-        m = _advance(m, sym)
-        d = m[3]  # denominator of the image of 0
-        q = m[2] + d if sym else m[2]  # denominator of the image of 1 or infinity
-        if d.bit_length() + q.bit_length() > short_bits and goal_den < goal_num * abs(d * q):
-            return PointEnclosure(_interval_of(m, sym), i + 1, True)
+        sym = symbol_at(i)
+        if sym:
+            if prev:
+                raise InadmissibleWordError("stream prefix contains '11' at index %d" % i)
+            a, b, c, d = -b, a + b, -d, c + d
+        else:
+            a, b, c, d = b, a + b, d, c + d
+        if i >= test_at:
+            # d and q: denominators of the images of 0 and of 1 or infinity
+            q = c + d if sym else c
+            if d.bit_length() + q.bit_length() <= short_bits:
+                test_at = i + 1 + half - max(c.bit_length(), d.bit_length())
+            elif goal_den < goal_num * abs(d * q):
+                return PointEnclosure(_interval_of((a, b, c, d), sym), i + 1, True)
         prev = sym
-    return PointEnclosure(_interval_of(m, prev), max_prefix, False)
+    return PointEnclosure(_interval_of((a, b, c, d), prev), max_prefix, False)
 
 
 def _walk_segments(s: CodeStream, max_prefix: int, goal_num: int, goal_den: int,

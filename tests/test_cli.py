@@ -168,6 +168,12 @@ class TestCommands:
         assert captured.err.startswith("error: ")
         assert "Traceback" not in captured.err
 
+    def test_rejected_report_level_prints_no_table(self, capsys):
+        assert main(["farey", "--level", "0", "--report"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error: ")
+
     @pytest.mark.parametrize("argv", [
         *("%s --format json" % cmd for cmd in (
             "code 1/1", "interval 0100", "entropy", "mixing 00", "periodic 0100",

@@ -137,6 +137,19 @@ class TestCodeStream:
         assert t.shifted(3).per == "100"
         assert t.shifted(4).prefix(6) == "001001"
 
+    def test_periodic_symbols_are_ints(self):
+        # preperiod, the seam into the period, the seam between periods,
+        # and shifts that land in the preperiod, at a seam or mid-period
+        s = CodeStream.periodic("0100", "00101")
+        for t in (s, s.shifted(2), s.shifted(4), s.shifted(7), CodeStream.periodic("", "1")):
+            want = t.prefix(20)
+            for i in range(20):
+                sym = t[i]
+                assert type(sym) is int and sym in (0, 1)
+                assert sym == (want[i] == "1")
+            with pytest.raises(IndexError):
+                t.symbol_at(-1)
+
     def test_procedural_shift_and_cache(self):
         s = CodeStream.procedural(lambda n: 1 if n % 5 == 0 else 0)
         assert s.prefix(11) == "10000100001"
@@ -387,6 +400,44 @@ class TestPointOfCode:
         assert enc == PointEnclosure(cylinder("0" * n), n, True)
         iv = enc.interval
         assert iv.width() == Fraction(1, iv.lo.den * iv.hi.den) < goal
+
+    def test_bit_growth_bound_exhaustive_to_16(self):
+        # the bound point_of_code skips width tests by: with
+        # row = max(bits(c), bits(d)), bits(d) + bits(q) <= 2*row + 1,
+        # and row grows by at most 1 per symbol
+        def row(m):
+            return max(m[2].bit_length(), m[3].bit_length())
+
+        stack = [((1, 0, 0, 1), 0, 0)]  # matrix, last symbol, length
+        walked = 0
+        while stack:
+            m, prev, n = stack.pop()
+            for sym in (0,) if prev else (0, 1):
+                nxt = _advance(m, sym)
+                c, d = nxt[2], nxt[3]
+                q = c + d if sym else c
+                iv = _interval_of(nxt, sym)
+                assert sorted((abs(d), abs(q))) == sorted((iv.lo.den, iv.hi.den))
+                assert d.bit_length() + q.bit_length() <= 2 * row(nxt) + 1
+                assert row(nxt) <= row(m) + 1
+                walked += 1
+                if n + 1 < 16:
+                    stack.append((nxt, sym, n + 1))
+        assert walked == sum(len(admissible_words(n)) for n in range(1, 17))
+
+    @pytest.mark.parametrize("k", [1, 2, 5, 13, 40, 120, 400, 1000])
+    def test_deep_goals_at_the_reference_stop_index(self, k):
+        goal = Fraction(1, 10 ** k)
+        for pre, per in (("1", "0"), ("", "01000"), ("0100", "0010"), ("10", "001001000")):
+            s = CodeStream.periodic(pre, per)
+            want = _point_of_code_reference(s, 10 ** 5, goal)
+            stop = want.prefix_len
+            assert want.width_ok
+            # the reference stops at `stop` whenever max_prefix >= stop
+            assert point_of_code(s, stop + 1, goal) == want
+            assert point_of_code(s, stop, goal) == want
+            if stop > 1:
+                assert point_of_code(s, stop - 1, goal) == _point_of_code_reference(s, stop - 1, goal)
 
 
 def _assert_matches_reference(s, max_prefix, goal):
