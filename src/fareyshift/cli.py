@@ -138,23 +138,26 @@ def _emit_rows(rows, header, fmt, out_path):
     if fmt == "json":
         _emit_json([dict(zip(header, row)) for row in rows], out_path)
         return
+    cells = [[str(c) for c in row] for row in rows]
     if fmt == "csv":
-        lines = [",".join(header)] + [",".join(str(c) for c in row) for row in rows]
-        _emit("\n".join(lines), out_path)
+        _emit("\n".join(",".join(row) for row in [header, *cells]), out_path)
         return
-    widths = [max(len(str(h)), *(len(str(r[i])) for r in rows)) if rows else len(str(h))
-              for i, h in enumerate(header)]
-    lines = ["  ".join(str(h).ljust(w) for h, w in zip(header, widths))]
-    for row in rows:
-        lines.append("  ".join(str(c).ljust(w) for c, w in zip(row, widths)))
-    _emit("\n".join(lines), out_path)
+    widths = [max(map(len, column)) for column in zip(header, *cells)]
+    _emit("\n".join("  ".join(c.ljust(w) for c, w in zip(row, widths))
+                    for row in [header, *cells]), out_path)
+
+
+def _count(value: int, flag: str) -> int:
+    if value < 0:
+        raise CliError("%s must be nonnegative; got %d" % (flag, value))
+    return value
 
 
 def cmd_iterate(args) -> int:
     x = parse_point(args.point)
     rows = []
     cycle = {"0/1", "1/1", "1/0"}
-    for step in range(args.steps + 1):
+    for step in range(_count(args.steps, "--steps") + 1):
         val = str(x)
         rows.append((step, val, "%.12g" % float(x),
                      "cycle" if val in cycle else ""))
@@ -201,6 +204,7 @@ def cmd_point(args) -> int:
 def cmd_conjugacy(args) -> int:
     rows = []
     ok = True
+    _count(args.phi_grid, "--phi-grid")
     level = farey_level(args.level)
     for i, x in enumerate(level.entries):
         h = DyadicRational(i, args.level)
@@ -358,7 +362,7 @@ def cmd_gdemo(args) -> int:
               "fixed_point": g_map(Fraction(1, 4)) == Fraction(1, 4)}
     rng = random.Random(args.seed)
     period2 = True
-    for _ in range(args.samples):
+    for _ in range(_count(args.samples, "--samples")):
         den = rng.randrange(30, 400)
         num = rng.randrange(den // 6 + 1, den // 3)
         x = Fraction(num, den)

@@ -13,7 +13,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .exact import INF, ZERO, ExtendedRational, QuadraticSurd, _cf_digits, phi_rat
+from .exact import INF, ZERO, ExtendedRational, QuadraticSurd, _canonical, _cf_digits, phi_rat
 
 
 class DyadicRational:
@@ -84,7 +84,9 @@ _MAX_LEVEL = 24  # 2^24 + 1 entries: the memory guard of farey_level
 
 
 def farey_level(n: int) -> FareyLevel:
-    """Exact level-n sequence; level n+1 interleaves level n with mediants."""
+    """Exact level-n sequence; level n+1 interleaves level n with mediants.
+
+    Neighbours are unimodular, so each mediant is in lowest terms: no gcd."""
     if n < 0:
         raise ValueError("negative level")
     if n > _MAX_LEVEL:
@@ -94,7 +96,7 @@ def farey_level(n: int) -> FareyLevel:
         nxt = []
         for left, right in zip(entries, entries[1:]):
             nxt.append(left)
-            nxt.append(left.mediant(right))
+            nxt.append(_canonical(left.num + right.num, left.den + right.den))
         nxt.append(entries[-1])
         entries = nxt
     return FareyLevel(n, tuple(entries))
@@ -208,10 +210,14 @@ def h_enclosure(x: QuadraticSurd, n: int) -> tuple[Fraction, Fraction]:
 
 
 def conjugacy_check(x: ExtendedRational) -> bool:
-    """Exact test of h(phi(x)) = f(h(x)) as dyadic rationals."""
-    lhs = h_rational(phi_rat(x)).as_fraction()
-    rhs = f_map(h_rational(x).as_fraction())
-    return lhs == rhs
+    """Exact test of h(phi(x)) = f(h(x)) as dyadic rationals.
+
+    f is applied to h(x) = m/2^e on integers, giving (2^e - 2m)/2^e when
+    2m <= 2^e and (2m - 2^e)/2^(e+1) otherwise; mantissas compare shifted."""
+    y, h = h_rational(phi_rat(x)), h_rational(x)
+    m, full = h.mantissa, 1 << h.exponent
+    fm, fe = (full - 2 * m, h.exponent) if 2 * m <= full else (2 * m - full, h.exponent + 1)
+    return y.mantissa << fe == fm << y.exponent
 
 
 @dataclass(frozen=True)
@@ -263,10 +269,12 @@ def farey_properties_report(n: int) -> FareyPropertyReport:
         return IdentityResult(True, checked, None)
 
     rec = run(range(half + 1),
-              lambda i: entries[i] == entries[full - i].reciprocal(),
+              lambda i: (entries[i].num, entries[i].den) ==
+              (entries[full - i].den, entries[full - i].num),
               "reciprocal")
-    uni = run(range(half + 1),
-              lambda i: entries[i].as_fraction() + entries[half - i].as_fraction() == 1,
+    uni = run(range(half + 1),  # a/b + c/d = 1 with b, d > 0
+              lambda i: entries[i].num * entries[half - i].den +
+              entries[half - i].num * entries[i].den == entries[i].den * entries[half - i].den,
               "unit_sum")
     fold = run(range(half + 1),
                lambda i: phi_rat(entries[half + i]) == entries[i],

@@ -60,27 +60,21 @@ def entropy_word_growth(n: int) -> EntropyEstimate:
     return EntropyEstimate("word-growth", value, cur / prev, n, bound)
 
 
-def _cubic(x: Fraction) -> Fraction:
-    return x ** 3 - 2 * x - 1
-
-
 def entropy_polynomial_root(tol: float) -> EntropyEstimate:
-    """Bisection for the positive zero of x^3 - 2x - 1 on [1, 2]."""
+    """Bisection for the positive zero of x^3 - 2x - 1 on [1, 2], on integers:
+    after k steps the bracket is [lo, lo + 1]/2^k, and the cubic at mid/2^k
+    has the sign of mid^3 - 2*mid*4^k - 8^k."""
     if tol <= 0:
         raise ValueError("tol must be positive")
+    if not tol < math.inf:  # inf or nan
+        raise ValueError("tol must be finite")
     goal = Fraction(tol)
-    lo, hi = Fraction(1), Fraction(2)
-    steps = 0
-    while hi - lo >= goal:
-        mid = (lo + hi) / 2
-        if _cubic(mid) < 0:
-            lo = mid
-        else:
-            hi = mid
-        steps += 1
-    root = (lo + hi) / 2
-    return EntropyEstimate("polynomial-root", math.log(float(root)), float(root),
-                           steps, float(hi - lo))
+    lo, k = 1, 0
+    while goal.denominator >= goal.numerator << k:  # width 1/2^k >= tol
+        mid, k = 2 * lo + 1, k + 1
+        lo = mid if mid ** 3 < (mid << (2 * k + 1)) + (1 << (3 * k)) else 2 * lo
+    rate = (2 * lo + 1) / (1 << (k + 1))  # int / int rounds correctly, like float(Fraction)
+    return EntropyEstimate("polynomial-root", math.log(rate), rate, k, 1 / (1 << k))
 
 
 def verify_cubic_factorization() -> bool:

@@ -109,6 +109,13 @@ class ExtendedRational:
         return "ExtendedRational(%d, %d)" % (self.num, self.den)
 
 
+def _canonical(num: int, den: int) -> ExtendedRational:
+    """num/den known to be in lowest terms already: no gcd, no checks."""
+    x = object.__new__(ExtendedRational)
+    x.num, x.den = num, den
+    return x
+
+
 ZERO = ExtendedRational(0, 1)
 ONE = ExtendedRational(1, 1)
 INF = ExtendedRational(1, 0)
@@ -117,14 +124,14 @@ INF = ExtendedRational(1, 0)
 def phi_rat(x: ExtendedRational) -> ExtendedRational:
     """Apply phi(x) = |1 - 1/x| exactly; phi(0) = infinity, phi(infinity) = 1.
 
-    For canonical p/q the image is |p - q|/p, which is already in lowest
-    terms, so no extra reduction happens off the special points.
+    For canonical p/q the image is |p - q|/p, already in lowest terms as
+    gcd(|p - q|, p) = gcd(q, p) = 1, so it is built without a gcd.
     """
     if x.is_zero:
         return INF
     if x.is_infinite:
         return ONE
-    return ExtendedRational(abs(x.num - x.den), x.num)
+    return _canonical(abs(x.num - x.den), x.num)
 
 
 def _cf_digits(num: int, den: int) -> list[int]:

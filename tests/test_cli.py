@@ -161,6 +161,10 @@ class TestCommands:
         "code 1/2 --length 0",
         "scramble theorem1 --beta 01 --xi 10 --k-range 5..5 --m-big -1",
         "scramble theorem1 --beta 01 --xi 10 --k-range 5..5 --m-big 0",
+        "entropy --tol inf",
+        "iterate 1/2 --steps -1",
+        "conjugacy --phi-grid -1",
+        "gdemo --samples -1",
     ])
     def test_rejected_input_exit_code(self, capsys, argv):
         assert main(argv.split()) == 2
@@ -255,6 +259,28 @@ class TestCommands:
         code, out = run(capsys, *argv.split())
         assert code == 0
         assert hashlib.sha256(out.encode()).hexdigest() == digest
+
+    @pytest.mark.parametrize("argv, digest", [
+        ("conjugacy --level 12",
+         "ccd03c81aa095fcb7e0772f0bb4228cc4c557a62a1eccc96846698a910a67aeb"),
+        ("farey --level 12 --report",
+         "4a7beb7f28434b028b05817f72545d47b1d195eecc093dde6eb661d829ce6a20"),
+        ("entropy",
+         "ced52f31a9c6f9af07ac0b700ae5d3f0c89d508b2b34f8ae2245a8d056f3b0ac"),
+        ("conjugacy --level 6 --phi-grid 8 --format table",
+         "33c801f59d2f02e7c3d3198a4d754eb8b4f428d94467a50d1cbd31c734ffb7b9"),
+    ])
+    def test_conjugacy_and_entropy_output_is_golden(self, capsys, argv, digest):
+        # SHA-256 of stdout recorded from the Fraction-based kernels
+        code, out = run(capsys, *argv.split())
+        assert code == 0
+        assert hashlib.sha256(out.encode()).hexdigest() == digest
+
+    def test_zero_counts_stay_valid(self, capsys):
+        for argv in ("iterate 1/2 --steps 0", "conjugacy --level 1 --phi-grid 0",
+                     "gdemo --samples 0"):
+            assert main(argv.split()) == 0, argv
+            assert capsys.readouterr().err == ""
 
 
 class TestSharedParser:

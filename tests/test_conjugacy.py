@@ -4,6 +4,7 @@ from fractions import Fraction
 
 import pytest
 
+from fareyshift import conjugacy
 from fareyshift.exact import (
     GOLDEN_FIXED_POINT,
     INF,
@@ -268,6 +269,39 @@ class TestConjugacy:
         rng = random.Random(31)
         for _ in range(400):
             assert conjugacy_check(xr(rng.randrange(0, 300), rng.randrange(1, 300)))
+
+
+def fraction_conjugacy_check(x):
+    """The check on Fractions through f_map, as it read before the dyadic form."""
+    lhs = h_rational(conjugacy.phi_rat(x)).as_fraction()
+    rhs = f_map(h_rational(x).as_fraction())
+    return lhs == rhs
+
+
+def _check_points():
+    rng = random.Random(37)
+    return list(farey_level(12).entries) + \
+        [xr(rng.randrange(0, 10 ** 4), rng.randrange(1, 10 ** 4)) for _ in range(500)]
+
+
+class TestDyadicConjugacyCheck:
+    def test_matches_fraction_oracle(self):
+        for x in _check_points():
+            assert conjugacy_check(x) == fraction_conjugacy_check(x), x
+
+    @pytest.mark.parametrize("wrong_phi", [
+        lambda x: x,
+        lambda x: phi_rat(phi_rat(x)),
+        lambda x: phi_rat(x).reciprocal(),
+        lambda x: x if x.is_infinite else xr(x.num + x.den, x.den),
+    ])
+    def test_wrong_phi_fails_where_the_oracle_fails(self, monkeypatch, wrong_phi):
+        # mutation check: with a wrong map the integer form must say False
+        # exactly where the Fraction form does, and that must happen
+        monkeypatch.setattr(conjugacy, "phi_rat", wrong_phi)
+        verdicts = [(conjugacy_check(x), fraction_conjugacy_check(x)) for x in _check_points()]
+        assert all(new == old for new, old in verdicts)
+        assert any(not old for _, old in verdicts)
 
 
 class TestFareyProperties:

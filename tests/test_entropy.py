@@ -14,6 +14,7 @@ from fareyshift.coding import (
 )
 from fareyshift.conjugacy import f_map
 from fareyshift.entropy import (
+    EntropyEstimate,
     count_admissible_words,
     dense_periodic_witness,
     entropy_lap,
@@ -71,6 +72,27 @@ class TestPolynomialRoot:
 
     def test_factorization_exact(self):
         assert verify_cubic_factorization()
+
+    @pytest.mark.parametrize("tol", [2, 1, 0.5, 1e-3, 3e-7, 1e-12, 1e-30, 1e308])
+    def test_matches_fraction_bisection(self, tol):
+        # the bisection on Fractions that the dyadic integer form replaced
+        lo, hi, steps = Fraction(1), Fraction(2), 0
+        while hi - lo >= Fraction(tol):
+            mid = (lo + hi) / 2
+            if mid ** 3 - 2 * mid - 1 < 0:
+                lo = mid
+            else:
+                hi = mid
+            steps += 1
+        root = (lo + hi) / 2
+        expect = EntropyEstimate("polynomial-root", math.log(float(root)), float(root),
+                                 steps, float(hi - lo))
+        assert entropy_polynomial_root(tol) == expect
+
+    @pytest.mark.parametrize("tol", [0, -1.0, -math.inf, math.inf, math.nan])
+    def test_rejects_tol_that_is_not_positive_and_finite(self, tol):
+        with pytest.raises(ValueError):
+            entropy_polynomial_root(tol)
 
 
 class TestSpectral:

@@ -22,6 +22,7 @@ from fareyshift.exact import (
     phi_surd,
 )
 from fareyshift.coding import _advance, _mul, cylinder, periodic_point
+from fareyshift.conjugacy import farey_level
 from fareyshift.entropy import dense_periodic_witness
 
 
@@ -116,6 +117,35 @@ class TestPhiRational:
             x = xr(rng.randrange(0, 50), rng.randrange(1, 50))
             y = phi_rat(x)
             assert math.gcd(y.num, y.den) == 1
+
+    def test_matches_gcd_reducing_reference(self):
+        # phi_rat builds |p - q|/p without a gcd; the reference reduces
+        def reference(x):
+            if x.den == 0:
+                return (1, 1)
+            if x.num == 0:
+                return (1, 0)
+            f = Fraction(abs(x.num - x.den), x.num)
+            return (f.numerator, f.denominator)
+
+        rng = random.Random(13)
+        points = [ZERO, ONE, INF] + [xr(rng.randrange(0, 10 ** 6), rng.randrange(1, 10 ** 6))
+                                     for _ in range(2000)]
+        for x in points:
+            y = phi_rat(x)
+            assert (y.num, y.den) == reference(x), x
+
+
+class TestCanonicalMediants:
+    def test_farey_levels_are_reduced_and_unimodular(self):
+        # farey_level builds its mediants without a gcd
+        for n in range(15):
+            entries = farey_level(n).entries
+            for x in entries:
+                assert math.gcd(x.num, x.den) == 1
+                assert x == ExtendedRational(x.num, x.den)
+            for left, right in zip(entries, entries[1:]):
+                assert right.num * left.den - left.num * right.den == 1
 
 
 class TestEscapeTime:
