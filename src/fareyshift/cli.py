@@ -182,7 +182,7 @@ def cmd_interval(args) -> int:
 
 def cmd_point(args) -> int:
     stream = parse_code(args.code)
-    enc = point_of_code(stream, args.max_prefix, args.precision)
+    enc = point_of_code(stream, args.max_prefix, parse_fraction(args.precision))
     width = enc.interval.width()
     payload = {
         "code": args.code,
@@ -225,7 +225,7 @@ def cmd_conjugacy(args) -> int:
 def cmd_farey(args) -> int:
     level = farey_level(args.level)
     # the report validates the level, so a rejected level prints nothing
-    rep = farey_properties_report(args.level) if args.report else None
+    rep = farey_properties_report(level) if args.report else None
     rows = [(i, str(x), str(DyadicRational(i, args.level)))
             for i, x in enumerate(level.entries)]
     _emit_rows(rows, ("index", "fraction", "h"), args.format, args.out)
@@ -424,7 +424,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("point", help="certified enclosure of a coded point")
     p.add_argument("code", help='eventually periodic code "PRE(PER)", e.g. 0(010)')
     p.add_argument("--max-prefix", type=int, default=64)
-    p.add_argument("--precision", type=parse_fraction, default=Fraction(1, 1000),
+    p.add_argument("--precision", default="1/1000",
                    help="enclosure width goal, a fraction like 1/1000")
     _add_common(p, "table", formats=("json", "table"))
     p.set_defaults(func=cmd_point)
@@ -514,7 +514,7 @@ def main(argv=None) -> int:
     except CliError as exc:
         print("error: %s" % exc, file=sys.stderr)
         return exc.code
-    except ValueError as exc:  # a library guard rejected the input
+    except (ValueError, OverflowError, OSError) as exc:  # input, float or --out rejected
         print("error: %s" % exc, file=sys.stderr)
         return USAGE_ERROR
 

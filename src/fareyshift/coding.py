@@ -23,12 +23,10 @@ from .exact import (
     ONE,
     ZERO,
     ExtendedRational,
-    QuadraticSurd,
     _escape_word,
     mobius_apply,
     mobius_fixed_point,
     phi_rat,
-    phi_surd,
 )
 
 class InadmissibleWordError(ValueError):
@@ -441,17 +439,11 @@ def itinerary(x, n: int, tie_high: bool = False) -> str:
     At the boundary point 1 the symbol 0 is emitted; with tie_high the
     first visit to 1 emits 1 instead, which selects the other of the two
     codes a positive rational has (0 and infinity have one code each).
-    A rational's symbols are read off its continued fraction.
+    Symbols are read off the continued fraction, a surd's never ending.
     """
     if n < 1:
         raise ValueError("need at least one symbol")
-    if isinstance(x, QuadraticSurd):
-        out = []
-        for _ in range(n):
-            out.append("1" if x > 1 else "0")
-            x = phi_surd(x)
-        return "".join(out)
-    if x.is_infinite:
+    if x == INF:
         return code_of_rational(x).prefix(n)
     # only n symbols are read, so no run of the escape word need be longer
     return (_escape_word(x, tie_high, n) + "010" * n)[:n]

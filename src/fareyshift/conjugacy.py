@@ -1,11 +1,10 @@
 """Mediant-refined Farey levels on [0, infinity], the piecewise-linear
 model f, and the order homeomorphism h that conjugates the two maps.
 
-h sends the level-n node with index i to the dyadic i/2^n; at rationals
-it is computed exactly from the continued fraction (a batched form of
-the mediant walk down the Stern-Brocot tree of [0, infinity]).  The
-level-n approximation and enclosure take n steps of that walk, O(n),
-and build no level.
+h sends the level-n node with index i to the dyadic i/2^n; its binary
+digits are the continued-fraction digits of x read as runs of 1s and 0s
+(a batched form of the mediant walk down the Stern-Brocot tree of
+[0, infinity]).  The level-n approximation and enclosure build no level.
 """
 
 from __future__ import annotations
@@ -13,7 +12,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .exact import INF, ZERO, ExtendedRational, QuadraticSurd, _canonical, _cf_digits, phi_rat
+from .exact import (INF, ZERO, ExtendedRational, QuadraticSurd, _canonical, _cf_digits,
+                    _surd_digits, phi_rat)
 
 
 class DyadicRational:
@@ -112,6 +112,17 @@ def f_map(x: Fraction) -> Fraction:
     return x - Fraction(1, 2)
 
 
+def _run_bits(digits, n: int) -> int:
+    """The first n bits of h: continued-fraction digits read as runs of 1s, 0s, 1s, ..."""
+    m = 0
+    for k, a in enumerate(digits):
+        if a >= n:
+            return m << n if k % 2 else ((m + 1) << n) - 1
+        m = m << a if k % 2 else ((m + 1) << a) - 1
+        n -= a
+    return m << n  # zeros past the last digit
+
+
 def h_rational(x: ExtendedRational) -> DyadicRational:
     """Exact dyadic value of the conjugating homeomorphism at a rational.
 
@@ -120,16 +131,11 @@ def h_rational(x: ExtendedRational) -> DyadicRational:
     closing 1) - exactly the left/right record of the mediant walk from
     [0/1, 1/0] down to x.  h(0) = 0 and h(infinity) = 1.
     """
-    if x.is_zero:
-        return DyadicRational(0, 0)
     if x.is_infinite:
         return DyadicRational(1, 0)
-    digits = _cf_digits(x.num, x.den)
-    digits[-1] -= 1
-    m = 0
-    for idx, a in enumerate(digits):
-        m = m << a if idx % 2 else ((m + 1) << a) - 1
-    return DyadicRational(2 * m + 1, sum(digits) + 1)
+    digits = list(_cf_digits(x.num, x.den))
+    e = sum(digits)  # the closing 1 replaces the last bit, unless x = 0 has none
+    return DyadicRational(_run_bits(digits, e) | (x.num > 0), e)
 
 
 def h_inverse(d) -> ExtendedRational:
@@ -162,35 +168,21 @@ def h_inverse(d) -> ExtendedRational:
     return ExtendedRational(num, den)
 
 
-def _descend(x, n: int) -> tuple[int, ExtendedRational, ExtendedRational]:
-    """Level-n cell of x, found by n mediant steps down from [0/1, 1/0].
-
-    Each step goes right (index bit 1) when x is at or above the mediant
-    and left (bit 0) otherwise.  Returns (i, lo, hi): the level-n nodes i
-    and i + 1, with lo <= x < hi unless x is infinity (then hi = 1/0 too).
-    x is an ExtendedRational or a QuadraticSurd.
-    """
-    i, lo, hi = 0, ZERO, INF
-    for _ in range(n):
-        mid = lo.mediant(hi)
-        if x < mid:
-            i, hi = 2 * i, mid
-        else:
-            i, lo = 2 * i + 1, mid
-    return i, lo, hi
-
-
 def h_level(n: int, x: ExtendedRational) -> Fraction:
-    """Piecewise-linear level-n approximation of h, in O(n) steps.
+    """Piecewise-linear level-n approximation of h, with no level built.
 
     Interpolates the level-n nodes (node i maps to i/2^n); everything at
     or beyond the last finite node takes the flat value (2^n - 1)/2^n,
-    which is also the level value assigned to infinity.  The two nodes
-    around x come from the mediant walk; no level is built.
+    which is also the level value assigned to infinity.  The cell index
+    is h(x) cut to n bits, and its nodes are h_inverse of the cell's ends,
+    so a long continued-fraction digit costs no more than n bits.
     """
     if n < 1:
         raise ValueError("level must be positive")
-    i, lo, hi = _descend(x, n)
+    digits = list(_cf_digits(x.num, x.den))  # h(x) to n bits, as in h_rational
+    e = sum(digits)
+    i = min(_run_bits(digits, n) | (1 << n - e if x.num and e <= n else 0), 2 ** n - 1)
+    lo, hi = h_inverse(Fraction(i, 1 << n)), h_inverse(Fraction(i + 1, 1 << n))
     if lo == x or hi.is_infinite:
         return Fraction(i, 2 ** n)
     t = (x.as_fraction() - lo.as_fraction()) / (hi.as_fraction() - lo.as_fraction())
@@ -200,12 +192,12 @@ def h_level(n: int, x: ExtendedRational) -> Fraction:
 def h_enclosure(x: QuadraticSurd, n: int) -> tuple[Fraction, Fraction]:
     """Dyadic bracket [i/2^n, (i+1)/2^n] of h at an irrational point.
 
-    i is the index of the level-n cell holding x, found in O(n) mediant
-    steps without building the level.
+    i, the index of the level-n cell holding x, is the first n bits of
+    h(x), read off the first digits of x's continued fraction.
     """
     if n < 0:
         raise ValueError("negative level")
-    i = _descend(x, n)[0]
+    i = _run_bits(_surd_digits(x), n)
     return Fraction(i, 2 ** n), Fraction(i + 1, 2 ** n)
 
 
@@ -244,8 +236,8 @@ class FareyPropertyReport:
                    (self.reciprocal, self.unit_sum, self.phi_fold, self.phi_refine))
 
 
-def farey_properties_report(n: int) -> FareyPropertyReport:
-    """Verify the four symmetry identities of level n, exactly.
+def farey_properties_report(level: FareyLevel) -> FareyPropertyReport:
+    """Verify the four symmetry identities of a built level n, exactly.
 
     The fold identity is checked on the index window 2^(n-1) + i,
     0 <= i <= 2^(n-1): the largest window in which every referenced
@@ -253,12 +245,15 @@ def farey_properties_report(n: int) -> FareyPropertyReport:
     unit-sum identities (a window starting at 2^n would leave the
     sequence for every i > 0).
     """
+    n, entries = level.n, level.entries
     if n < 1:
         raise ValueError("n must be positive")
-    nxt = farey_level(n + 1).entries
-    entries = nxt[::2]  # level n+1 interleaves level n with mediants
     half = 2 ** (n - 1)
     full = 2 ** n
+    nxt = [ZERO] * (full + 1)  # level n+1 up to index 2^n, all that phi_refine reads
+    nxt[::2] = entries[:half + 1]
+    nxt[1::2] = [_canonical(left.num + right.num, left.den + right.den)
+                 for left, right in zip(entries[:half], entries[1:half + 1])]
 
     def run(indices, check, name):
         checked = 0

@@ -13,6 +13,7 @@ from __future__ import annotations
 import math
 from fractions import Fraction
 from functools import total_ordering
+from itertools import islice
 
 
 class NoFixedPointError(ValueError):
@@ -134,42 +135,53 @@ def phi_rat(x: ExtendedRational) -> ExtendedRational:
     return _canonical(abs(x.num - x.den), x.num)
 
 
-def _cf_digits(num: int, den: int) -> list[int]:
-    out = []
+def _cf_digits(num: int, den: int):
     while den:
         q, r = divmod(num, den)
-        out.append(q)
+        yield q
         num, den = den, r
-    return out
 
 
-def _escape_runs(x: ExtendedRational) -> list[tuple[int, str]]:
-    """The orbit of a finite x up to its first visit to 0, as (passes, tail) runs.
+def _surd_digits(x: "QuadraticSurd"):
+    """Endless continued-fraction digits of a surd, as (P + sqrt(D))/Q with Q | D - P*P."""
+    P, Q = (x.p * x.r, x.r * x.r) if x.q > 0 else (-x.p * x.r, -x.r * x.r)
+    D = x.q * x.q * x.d * x.r * x.r
+    root = math.isqrt(D)
+    while True:
+        a = (P + root + (Q < 0)) // Q
+        yield a
+        P = a * Q - P
+        Q = (D - P * P) // Q
 
-    Read off the continued fraction x = [b; a1, ..., an]: each 2 taken
+
+def _escape_runs(x):
+    """The orbit of x up to its first visit to 0 (never, for a surd) as (passes, tail) runs.
+
+    Read off the continued fraction x = [b; a1, a2, ...]: each 2 taken
     off b is one pass x -> (x - 1)/x -> 1/(x - 1) -> x - 2, read 100.
     A 1 left over with digits to come is x in (1, 2), read 10, going to
     [a1; a2, ...]; a 0 left over is x < 1, read 0, going to
     [a1 - 1; a2, ...]; a 1 left over after the last digit is x = 1,
     read 0.  Each digit gives one run: its passes, then that tail.
     """
-    digits = _cf_digits(x.num, x.den)
-    b, runs = digits[0], []
-    for a in digits[1:]:
-        runs.append((b >> 1, "10" if b & 1 else "0"))
+    digits = _surd_digits(x) if isinstance(x, QuadraticSurd) else _cf_digits(x.num, x.den)
+    b = next(digits)
+    for a in digits:
+        yield b >> 1, "10" if b & 1 else "0"
         b = a if b & 1 else a - 1
-    runs.append((b >> 1, "0" * (b & 1)))
-    return runs
+    yield b >> 1, "0" * (b & 1)
 
 
-def _escape_word(x: ExtendedRational, tie_high: bool = False, limit: float = math.inf) -> str:
-    """Symbols of the orbit of a finite x up to its first visit to 0.
+def _escape_word(x, tie_high: bool = False, limit: float = math.inf) -> str:
+    """Symbols of the orbit of x up to its first visit to 0.
 
     The last symbol is always the visit to 1, which tie_high reads as 1.
-    Each run of passes is cut at `limit` passes, so the word is exact on
-    its first `limit` symbols.
+    Each run of passes is cut at `limit` passes and at most limit + 1 runs
+    are read (each but the last gives a symbol), so the word is exact on
+    its first `limit` symbols, tie_high included.
     """
-    word = "".join(["100" * min(passes, limit) + tail for passes, tail in _escape_runs(x)])
+    runs = _escape_runs(x) if limit == math.inf else islice(_escape_runs(x), limit + 1)
+    word = "".join(["100" * min(passes, limit) + tail for passes, tail in runs])
     return word[:-1] + "1" if tie_high and word else word
 
 

@@ -105,7 +105,7 @@ def test_criterion_02_conjugacy_and_farey_identities():
     conj_ok = all(
         conjugacy_check(x) for n in range(0, 13) for x in farey_level(n).entries
     )
-    prop_ok = all(farey_properties_report(n).all_pass for n in range(1, 13))
+    prop_ok = all(farey_properties_report(farey_level(n)).all_pass for n in range(1, 13))
     record(2, "exact conjugacy and level identities through level 12",
            conj_ok and prop_ok, "%.2fs" % (time.time() - t0))
 

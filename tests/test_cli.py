@@ -8,6 +8,7 @@ import sys
 import pytest
 
 import fareyshift
+from fareyshift import cli, conjugacy
 from fareyshift.cli import build_parser, main, parse_code, parse_krange, parse_point
 from fareyshift.exact import ExtendedRational, QuadraticSurd
 
@@ -165,12 +166,36 @@ class TestCommands:
         "iterate 1/2 --steps -1",
         "conjugacy --phi-grid -1",
         "gdemo --samples -1",
+        # a fraction option is parsed inside the command, not by argparse
+        "point (0) --precision 1/0",
+        "point (0) --precision abc",
+        "iterate 1e400",  # exact, but too large for the float column
+        "periodic 0100 --out /nonexistent/dir/x",
     ])
     def test_rejected_input_exit_code(self, capsys, argv):
         assert main(argv.split()) == 2
         captured = capsys.readouterr()
         assert captured.err.startswith("error: ")
         assert "Traceback" not in captured.err
+
+    def test_report_at_the_memory_guard_level(self, capsys, monkeypatch):
+        # the report forms only the part of level n + 1 it reads, so the
+        # largest level the guard allows has a report too
+        monkeypatch.setattr(conjugacy, "_MAX_LEVEL", 6)
+        assert main(["farey", "--level", "6", "--report"]) == 0
+        assert '"phi_refine": true' in capsys.readouterr().out
+
+    def test_farey_report_builds_one_level(self, capsys, monkeypatch):
+        calls, build = [], conjugacy.farey_level
+
+        def logged(n):
+            calls.append(n)
+            return build(n)
+
+        monkeypatch.setattr(conjugacy, "farey_level", logged)
+        monkeypatch.setattr(cli, "farey_level", logged)
+        assert main(["farey", "--level", "8", "--report"]) == 0
+        assert calls == [8]
 
     def test_rejected_report_level_prints_no_table(self, capsys):
         assert main(["farey", "--level", "0", "--report"]) == 2

@@ -210,7 +210,7 @@ class TestHLevel:
 
 
 class TestDescentMatchesLevelSearch:
-    """The O(n) mediant descent against a search over the built level."""
+    """h_level and h_enclosure, which build no level, against a search over the built level."""
 
     def test_h_level_on_next_level_nodes(self):
         for n in range(1, 11):
@@ -313,15 +313,15 @@ class TestFareyProperties:
 
     def test_full_reports(self):
         for n in range(1, 9):
-            rep = farey_properties_report(n)
+            rep = farey_properties_report(farey_level(n))
             assert rep.all_pass, "identity failure at level %d" % n
             assert rep.reciprocal.checked == 2 ** (n - 1) + 1
             assert rep.phi_refine.checked == 2 ** n + 1
 
     def test_report_note_mentions_window(self):
-        assert "2^(n-1)" in farey_properties_report(3).index_note
+        assert "2^(n-1)" in farey_properties_report(farey_level(3)).index_note
 
     def test_next_level_even_entries_are_the_level(self):
-        # the report reads level n off level n+1 this way
+        # the report forms the part of level n+1 it reads this way
         for n in range(13):
             assert farey_level(n + 1).entries[::2] == farey_level(n).entries
