@@ -24,7 +24,6 @@ from .coding import (
     CodeStream,
     code_of_rational,
     cylinder,
-    is_admissible,
     itinerary,
     point_of_code,
 )
@@ -174,8 +173,6 @@ def cmd_code(args) -> int:
 
 
 def cmd_interval(args) -> int:
-    if not is_admissible(args.word) or not args.word:
-        raise CliError("inadmissible word %r" % args.word)
     _emit(str(cylinder(args.word)), args.out)
     return 0
 
@@ -243,21 +240,21 @@ def cmd_farey(args) -> int:
     return 0
 
 
+_ENTROPY_ROUTES = {
+    "polynomial-root": lambda args: entropy_polynomial_root(args.tol),
+    "word-growth": lambda args: entropy_word_growth(args.depth),
+    "spectral": lambda args: transition_spectral_radius(args.depth),
+    "lap-count": lambda args: entropy_lap(args.lap_depth),
+}
+
+
 def cmd_entropy(args) -> int:
-    wanted = args.methods.split(",") if args.methods != "all" else \
-        ["polynomial-root", "word-growth", "spectral", "lap-count"]
+    wanted = list(_ENTROPY_ROUTES) if args.methods == "all" else args.methods.split(",")
     estimates = []
     for name in wanted:
-        if name == "polynomial-root":
-            estimates.append(entropy_polynomial_root(args.tol))
-        elif name == "word-growth":
-            estimates.append(entropy_word_growth(args.depth))
-        elif name == "spectral":
-            estimates.append(transition_spectral_radius(args.depth))
-        elif name == "lap-count":
-            estimates.append(entropy_lap(args.lap_depth))
-        else:
+        if name not in _ENTROPY_ROUTES:
             raise CliError("unknown entropy method %r" % name)
+        estimates.append(_ENTROPY_ROUTES[name](args))
     payload = {
         "estimates": [dataclasses.asdict(e) for e in estimates],
         "factorization_verified": verify_cubic_factorization(),
@@ -275,8 +272,6 @@ def cmd_entropy(args) -> int:
 
 
 def cmd_mixing(args) -> int:
-    if not is_admissible(args.word) or not args.word:
-        raise CliError("inadmissible word %r" % args.word)
     cert = mixing_certificate(args.word)
     _emit_json(cert.to_dict(), args.out)
     return 0

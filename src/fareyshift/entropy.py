@@ -16,7 +16,6 @@ from fractions import Fraction
 from .coding import (
     FULL_LINE,
     CodeStream,
-    FareyInterval,
     admissible_words,
     cylinder,
     is_admissible,
@@ -147,19 +146,6 @@ def entropy_lap(n: int) -> EntropyEstimate:
     return EntropyEstimate("lap-count", value, math.exp(value), n, None)
 
 
-def _merge_intervals(pieces: list[FareyInterval]) -> list[FareyInterval]:
-    pieces = sorted(pieces, key=lambda iv: (iv.lo, iv.hi))
-    out = [pieces[0]]
-    for iv in pieces[1:]:
-        cur = out[-1]
-        if iv.lo <= cur.hi:  # overlap or shared endpoint
-            if iv.hi > cur.hi:
-                out[-1] = FareyInterval(cur.lo, iv.hi)
-        else:
-            out.append(iv)
-    return out
-
-
 @dataclass(frozen=True)
 class MixingCertificate:
     """Exact forward-image trajectory of a cylinder until it covers [0, infinity]."""
@@ -177,23 +163,20 @@ class MixingCertificate:
 
 
 def mixing_certificate(word: str) -> MixingCertificate:
-    """Iterate exact images of cylinder(word) until the union is [0, infinity].
+    """Iterate exact images of cylinder(word) until they cover [0, infinity].
 
-    The cover is always reached within |word| + 2 steps: appending "00"
-    to the word gives a subcylinder that lands on [0, 1] after |word| + 1
-    steps, and [0, 1] covers everything one step later.
+    phi maps the cylinder of a word onto the cylinder of the word with its
+    first symbol dropped, [1, infinity] onto [0, 1] and [0, 1] onto
+    [0, infinity], so every step is one interval and the only one that
+    straddles 1 is [0, infinity] itself.  The cover takes |word| steps
+    when the word ends in 0 and |word| + 1 when it ends in 1.
     """
-    union = [cylinder(word)]
-    steps = [list(union)]
-    for step in range(1, len(word) + 3):
-        pieces = []
-        for iv in union:
-            pieces.extend(phi_interval_image(iv))
-        union = _merge_intervals(pieces)
-        steps.append(list(union))
-        if union == [FULL_LINE]:
-            return MixingCertificate(word, steps, step)
-    raise RuntimeError("cover bound exceeded for %r" % word)
+    iv = cylinder(word)
+    steps = [[iv]]
+    while iv != FULL_LINE:
+        (iv,) = phi_interval_image(iv)
+        steps.append([iv])
+    return MixingCertificate(word, steps, len(steps) - 1)
 
 
 def dense_periodic_witness(w: str) -> QuadraticSurd:

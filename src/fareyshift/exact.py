@@ -317,14 +317,9 @@ GOLDEN_FIXED_POINT = QuadraticSurd(-1, 1, 2, 5)  # (sqrt(5) - 1)/2, the fixed po
 
 
 def phi_surd(x: QuadraticSurd) -> QuadraticSurd:
-    """Apply phi to an exact surd; the image is irrational over the same radicand."""
-    p, q, r, d = x.p, x.q, x.r, x.d
-    n = p * p - q * q * d  # nonzero: x is irrational
-    # 1 - 1/x = (n - r*p + r*q*sqrt(d)) / n, then take the absolute value
-    pp, qq, rr = n - r * p, r * q, n
-    if _comb_sign(pp, qq, d) * ((rr > 0) - (rr < 0)) < 0:
-        pp, qq = -pp, -qq
-    return QuadraticSurd(pp, qq, rr, d)
+    """Apply phi to an exact surd: the branch map (s*x - s)/x, s the sign of x - 1."""
+    s = _comb_sign(x.p - x.r, x.q, x.d)  # nonzero: x is irrational
+    return mobius_apply((s, -s, 1, 0), x)
 
 
 def mobius_apply(m: tuple[int, int, int, int], x):

@@ -36,7 +36,6 @@ from .exact import (
     ZERO,
     ExtendedRational,
     escape_time,
-    phi_rat,
 )
 
 _RUNS = ("100", "001", "010")
@@ -195,7 +194,7 @@ def alpha_transitive() -> CodeStream:
     return CodeStream.segmented(runs, label="alpha")
 
 
-def tau_code(beta, alpha: CodeStream | None = None, x_codes=None) -> CodeStream:
+def tau_code(beta, alpha: CodeStream, x_codes) -> CodeStream:
     """Unbounded-family stream: transitive, beta-separated, target-tracking.
 
     Block k spans [k!, (k+1)!) and is k strings of length k!:
@@ -213,8 +212,6 @@ def tau_code(beta, alpha: CodeStream | None = None, x_codes=None) -> CodeStream:
     runs, the cells, and the tracked codes' runs clipped to each window.
     """
     beta = _as_stream(beta)
-    if alpha is None:
-        alpha = alpha_transitive()
     if not x_codes:
         raise ValueError("need at least one tracked code")
     x_codes = list(x_codes)
@@ -288,11 +285,11 @@ def schedule_events(kind: str, k_range, **params) -> list[ScheduleEvent]:
       "theorem2_tracked" params: track_index (int >= 1), x_code (CodeStream)
       "rational_vs_tau"  params: escape (int), eps (Fraction)
 
-    k_range must lie within 5..9.
+    k_range is a (lo, hi) pair with 5 <= lo <= hi <= 9.
     """
-    lo, hi = (k_range[0], k_range[-1]) if not isinstance(k_range, int) else (k_range, k_range)
-    if lo < 5 or hi > _SCHEDULE_MAX_K:
-        raise ValueError("k_range must lie within 5..%d" % _SCHEDULE_MAX_K)
+    lo, hi = k_range[0], k_range[-1]
+    if not 5 <= lo <= hi <= _SCHEDULE_MAX_K:
+        raise ValueError("k_range must be increasing within 5..%d" % _SCHEDULE_MAX_K)
     layouts = [BlockLayout.for_k(k) for k in range(lo, hi + 1)]
     events: list[ScheduleEvent] = []
     if kind == "theorem1":
@@ -528,15 +525,6 @@ def verify_scrambling(s: CodeStream, t: CodeStream, events,
     return ScrambleReport(pair or "%s vs %s" % (s.label, t.label), outcomes)
 
 
-def _orbit_point(r: ExtendedRational, e: int, n: int) -> ExtendedRational:
-    if n >= e:
-        return (ZERO, INF, ONE)[(n - e) % 3]
-    y = r
-    for _ in range(n):
-        y = phi_rat(y)
-    return y
-
-
 def rational_vs_tau(r: ExtendedRational, t: CodeStream, k_range,
                     eps=Fraction(1, 100), m_big=Fraction(1000),
                     prefix_budget: int = 10 ** 6) -> ScrambleReport:
@@ -557,7 +545,7 @@ def rational_vs_tau(r: ExtendedRational, t: CodeStream, k_range,
     events = schedule_events("rational_vs_tau", k_range, escape=e, eps=eps)
     outcomes = []
     for ev in events:
-        rp = _orbit_point(r, e, ev.index)
+        rp = (ZERO, INF, ONE)[(ev.index - e) % 3]  # the schedule skips n < e
         e1 = FareyInterval(rp, rp)
         e2 = point_of_code(t.shifted(ev.index), *_enclosure_rule(ev, prefix_budget, eps)).interval
         outcomes.append(_classify(ev, e1, e2, eps, m_big))

@@ -65,6 +65,14 @@ class TestCommands:
         assert code == 0
         assert out.count("(-1+1*sqrt(5))/2") == 4
 
+    def test_iterate_json_rows(self, capsys):
+        code, out = run(capsys, "iterate", "3/5", "--steps", "2", "--format", "json")
+        assert code == 0
+        rows = json.loads(out)
+        assert len(rows) == 3
+        assert all(set(row) == {"step", "value", "float", "orbit"} for row in rows)
+        assert [row["value"] for row in rows] == ["3/5", "2/3", "1/2"]
+
     def test_code_word(self, capsys):
         code, out = run(capsys, "code", "1/1", "--length", "7")
         assert code == 0 and out.strip() == "0010010"
@@ -171,6 +179,13 @@ class TestCommands:
         "point (0) --precision abc",
         "iterate 1e400",  # exact, but too large for the float column
         "periodic 0100 --out /nonexistent/dir/x",
+        "entropy --methods bogus",
+        "scramble theorem1 --k-range 5-7",
+        "iterate abc",
+        "code (1+1*sqrt(2))/0",
+        "interval 011",
+        "mixing 011",
+        "scramble theorem1 --beta 01 --xi 01",
     ])
     def test_rejected_input_exit_code(self, capsys, argv):
         assert main(argv.split()) == 2
@@ -297,6 +312,25 @@ class TestCommands:
     ])
     def test_conjugacy_and_entropy_output_is_golden(self, capsys, argv, digest):
         # SHA-256 of stdout recorded from the Fraction-based kernels
+        code, out = run(capsys, *argv.split())
+        assert code == 0
+        assert hashlib.sha256(out.encode()).hexdigest() == digest
+
+    @pytest.mark.parametrize("argv, digest", [
+        ("mixing 10100100",
+         "6a5800409e28b78a14b96f38bfe5d23aad8befe3e45120dc1aea93c6e02cbe92"),
+        ("periodic 0100100",
+         "8c227259e2b04f007c0909468183cf8b993423a2f284831df19c538ff7797485"),
+        ("iterate (3+1*sqrt(1000003))/7 --steps 20",
+         "810c09dc95e85864842208c5fcca78332a8115a52f245acd7b5c53ec97e2c134"),
+        ("scramble theorem1 --shift 2 --k-range 5..9 --seed 3",
+         "7204e47926bd514ed399fb1f25209235629041d25475f96eba8fa6dc23ef3df3"),
+        ("scramble rational --rational 1/200 --k-range 5..7 --seed 3",
+         "ad3323bcbebf41a97985418228f44811305dd0a9e23a1f9ab66d876fc2bba069"),
+    ])
+    def test_certificate_orbit_and_schedule_output_is_golden(self, capsys, argv, digest):
+        # SHA-256 of stdout recorded from the merged-interval mixing walk,
+        # the hand-written surd phi and the stepped rational orbit
         code, out = run(capsys, *argv.split())
         assert code == 0
         assert hashlib.sha256(out.encode()).hexdigest() == digest

@@ -238,6 +238,19 @@ class TestMixing:
                         merged.append(iv)
                 assert merged == nxt
 
+    def test_every_step_is_the_cylinder_of_a_suffix(self):
+        # phi maps cylinder(w) onto cylinder(w[1:]); a word ending in 1
+        # reaches [1, infinity], then [0, 1], then the full line
+        for n in range(1, 11):
+            for w in admissible_words(n):
+                want = [[cylinder(w[i:])] for i in range(len(w))]
+                if w.endswith("1"):
+                    want.append([cylinder("0")])
+                want.append([FULL_LINE])
+                cert = mixing_certificate(w)
+                assert cert.steps == want, w
+                assert cert.n_cover == len(want) - 1
+
 
 class TestDensePeriodicWitness:
     def test_examples(self):

@@ -15,13 +15,14 @@ from fareyshift.exact import (
     ExtendedRational,
     NoFixedPointError,
     QuadraticSurd,
+    _comb_sign,
     escape_time,
     mobius_apply,
     mobius_fixed_point,
     phi_rat,
     phi_surd,
 )
-from fareyshift.coding import _advance, _mul, cylinder, periodic_point
+from fareyshift.coding import _advance, _mul, admissible_words, cylinder, periodic_point
 from fareyshift.conjugacy import farey_level
 from fareyshift.entropy import dense_periodic_witness
 
@@ -275,6 +276,33 @@ class TestPhiSurd:
         for _ in range(12):
             x = phi_surd(x)
             assert x.d == 7
+
+    def test_matches_the_hand_written_formula(self):
+        # the formula phi_surd had before it became the branch Mobius map
+        def reference(x):
+            p, q, r, d = x.p, x.q, x.r, x.d
+            n = p * p - q * q * d  # nonzero: x is irrational
+            # 1 - 1/x = (n - r*p + r*q*sqrt(d)) / n, then take the absolute value
+            pp, qq, rr = n - r * p, r * q, n
+            if _comb_sign(pp, qq, d) * ((rr > 0) - (rr < 0)) < 0:
+                pp, qq = -pp, -qq
+            return QuadraticSurd(pp, qq, rr, d)
+
+        surds = []
+        for n in range(1, 13):
+            for w in admissible_words(n):
+                if "11" not in w[-1] + w[0]:
+                    x = periodic_point("", w)
+                    if isinstance(x, QuadraticSurd):
+                        surds.append(x)
+        rng = random.Random(41)
+        while len(surds) < 2200:
+            d = rng.choice((2, 5, 10 ** 18 + 3, rng.randrange(2, 10 ** 18 + 4)))
+            p, q = rng.randrange(-10 ** 6, 10 ** 6), rng.randrange(-10 ** 6, 10 ** 6)
+            if q and math.isqrt(d) ** 2 != d and _comb_sign(p, q, d) > 0:
+                surds.append(QuadraticSurd(p, q, rng.randrange(1, 10 ** 6), d))
+        for x in surds:
+            assert repr(phi_surd(x)) == repr(reference(x)), x
 
 
 class TestMobiusMap:

@@ -7,7 +7,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from fareyshift.exact import INF, INFINITE_DISTANCE, ONE, ZERO, ExtendedRational
+from fareyshift.exact import (INF, INFINITE_DISTANCE, ONE, ZERO, ExtendedRational,
+                              escape_time, phi_rat)
 from fareyshift.coding import (
     CodeStream,
     FareyInterval,
@@ -24,6 +25,7 @@ from fareyshift.scrambled import (
     _build_alpha_blocks,
     _classify,
     _distance_bounds,
+    _enclosure_rule,
     alpha_transitive,
     g_map,
     mu_code,
@@ -545,6 +547,17 @@ class TestScheduleEvents:
         with pytest.raises(ValueError):
             schedule_events("theorem1", (4, 6))
 
+    def test_reversed_k_range_is_rejected(self):
+        # a reversed range scheduled no events, and a report of no
+        # events passes
+        with pytest.raises(ValueError, match="k_range"):
+            schedule_events("theorem1", (7, 5), diff_indices=[0])
+        with pytest.raises(ValueError, match="k_range"):
+            schedule_events("rational_vs_tau", (9, 5), escape=3)
+        tau = tau_code("0110", alpha_transitive(), [code_of_rational(ONE)])
+        with pytest.raises(ValueError, match="k_range"):
+            rational_vs_tau(xr(7, 3), tau, (9, 5))
+
 
 class TestVerifyScrambling:
     def test_identical_streams_trivially_close(self):
@@ -716,6 +729,27 @@ class TestRationalVsTau:
     def test_rejects_infinite_input(self):
         with pytest.raises(ValueError):
             rational_vs_tau(INF, self.tau, (5, 6))
+
+    @pytest.mark.parametrize("r", ["1/200", "7/3", "0/1"])
+    def test_events_follow_the_exact_orbit(self, r):
+        # every event comes after the escape (1/200 escapes at 299, past
+        # the first runs of block 5), and the verdicts match those
+        # decided on the orbit point phi_rat gives at the event index
+        r = ExtendedRational.parse(r)
+        e = escape_time(r)
+        eps, m_big = Fraction(1, 100), Fraction(1000)
+        rep = rational_vs_tau(r, self.tau, (5, 7), eps=eps, m_big=m_big)
+        events = schedule_events("rational_vs_tau", (5, 7), escape=e, eps=eps)
+        assert [o.event for o in rep.outcomes] == events
+        assert events and min(ev.index for ev in events) >= e
+        y, n = r, 0
+        for o in rep.outcomes:
+            ev = o.event
+            while n < ev.index:
+                y, n = phi_rat(y), n + 1
+            assert y == (ZERO, INF, ONE)[(ev.index - e) % 3]
+            e2 = point_of_code(self.tau.shifted(ev.index), *_enclosure_rule(ev, 10 ** 6, eps))
+            assert o == _classify(ev, FareyInterval(y, y), e2.interval, eps, m_big)
 
 
 class TestGMap:
