@@ -44,6 +44,7 @@ from .entropy import (
 )
 from .exact import ExtendedRational, QuadraticSurd, phi_rat, phi_surd
 from .scrambled import (
+    _G_NODES,
     alpha_transitive,
     g_map,
     mu_code,
@@ -55,12 +56,6 @@ from .scrambled import (
 
 USAGE_ERROR = 2
 PIPE_CLOSED = 141  # 128 + SIGPIPE
-
-
-class CliError(Exception):
-    def __init__(self, message, code=USAGE_ERROR):
-        super().__init__(message)
-        self.code = code
 
 
 _SURD_RE = re.compile(
@@ -84,11 +79,11 @@ def parse_point(text: str):
                 return ExtendedRational(p + q * s, r)
             return QuadraticSurd(p, q, r, d)
         except ValueError as exc:
-            raise CliError("bad surd %r: %s" % (text, exc))
+            raise ValueError("bad surd %r: %s" % (text, exc))
     try:
         return ExtendedRational.parse(text)
     except (ValueError, ZeroDivisionError) as exc:
-        raise CliError("cannot parse point %r: %s" % (text, exc))
+        raise ValueError("cannot parse point %r: %s" % (text, exc))
 
 
 _CODE_RE = re.compile(r"^([01]*)\(([01]+)\)$")
@@ -98,7 +93,7 @@ def parse_code(text: str) -> CodeStream:
     """Eventually periodic code "PRE(PER)", e.g. "(0)" or "0(010)"."""
     m = _CODE_RE.match(text.strip())
     if not m:
-        raise CliError("code must look like PRE(PER), e.g. 0(010); got %r" % text)
+        raise ValueError("code must look like PRE(PER), e.g. 0(010); got %r" % text)
     return CodeStream.periodic(m.group(1), m.group(2))
 
 
@@ -106,16 +101,16 @@ def parse_fraction(text: str) -> Fraction:
     try:
         return Fraction(text.strip())
     except (ValueError, ZeroDivisionError) as exc:
-        raise CliError("cannot parse fraction %r: %s" % (text, exc))
+        raise ValueError("cannot parse fraction %r: %s" % (text, exc))
 
 
 def parse_krange(text: str) -> tuple[int, int]:
     m = re.match(r"^(\d+)\.\.(\d+)$", text.strip())
     if not m:
-        raise CliError("k-range must look like 5..7; got %r" % text)
+        raise ValueError("k-range must look like 5..7; got %r" % text)
     lo, hi = int(m.group(1)), int(m.group(2))
     if lo > hi or lo < 5:
-        raise CliError("k-range must be increasing and start at 5 or above")
+        raise ValueError("k-range must be increasing and start at 5 or above")
     return lo, hi
 
 
@@ -148,7 +143,7 @@ def _emit_rows(rows, header, fmt, out_path):
 
 def _count(value: int, flag: str) -> int:
     if value < 0:
-        raise CliError("%s must be nonnegative; got %d" % (flag, value))
+        raise ValueError("%s must be nonnegative; got %d" % (flag, value))
     return value
 
 
@@ -253,7 +248,7 @@ def cmd_entropy(args) -> int:
     estimates = []
     for name in wanted:
         if name not in _ENTROPY_ROUTES:
-            raise CliError("unknown entropy method %r" % name)
+            raise ValueError("unknown entropy method %r" % name)
         estimates.append(_ENTROPY_ROUTES[name](args))
     payload = {
         "estimates": [dataclasses.asdict(e) for e in estimates],
@@ -311,7 +306,7 @@ def cmd_scramble(args) -> int:
         else:
             diffs = [m for m in range(min(len(beta), len(xi))) if beta[m] != xi[m]]
             if not diffs:
-                raise CliError("theorem1 with shift 0 needs beta and xi to differ")
+                raise ValueError("theorem1 with shift 0 needs beta and xi to differ")
             events = schedule_events("theorem1", k_range, diff_indices=diffs)
         report = verify_scrambling(s, t, events, eps=eps, m_big=m_big,
                                    prefix_len=args.prefix_budget,
@@ -329,7 +324,7 @@ def cmd_scramble(args) -> int:
         else:
             diffs = [m for m in range(min(len(beta), len(eta))) if beta[m] != eta[m]]
             if not diffs:
-                raise CliError("theorem2 with shift 0 needs beta and eta to differ")
+                raise ValueError("theorem2 with shift 0 needs beta and eta to differ")
             events = schedule_events("theorem2", k_range, diff_index=diffs[0])
         report = verify_scrambling(s, t, events, eps=eps, m_big=m_big,
                                    prefix_len=args.prefix_budget,
@@ -350,10 +345,7 @@ def cmd_scramble(args) -> int:
 
 
 def cmd_gdemo(args) -> int:
-    nodes = [(Fraction(0), 1), (Fraction(1, 6), Fraction(1, 3)),
-             (Fraction(1, 3), Fraction(1, 6)), (Fraction(1, 2), 0),
-             (Fraction(1), Fraction(1, 2))]
-    checks = {"nodes": all(g_map(x) == y for x, y in nodes),
+    checks = {"nodes": all(g_map(x) == y for x, y in _G_NODES),
               "fixed_point": g_map(Fraction(1, 4)) == Fraction(1, 4)}
     rng = random.Random(args.seed)
     period2 = True
@@ -506,9 +498,6 @@ def main(argv=None) -> int:
         os.dup2(devnull, sys.stdout.fileno())
         os.close(devnull)
         return PIPE_CLOSED
-    except CliError as exc:
-        print("error: %s" % exc, file=sys.stderr)
-        return exc.code
     except (ValueError, OverflowError, OSError) as exc:  # input, float or --out rejected
         print("error: %s" % exc, file=sys.stderr)
         return USAGE_ERROR

@@ -117,12 +117,12 @@ class CodeStream:
     may instead be defined by a segment function runs(n) -> (word, end):
     symbols n..end-1 read word repeated (end None: forever); its symbols
     and prefixes are then read off the segments.  Evaluation is pure
-    given the index; the prefix cache is an idempotent memo only.
+    given the index.
     Streams are general points of the full 2-shift; admissibility (no
     "11") is a property checked where an operation requires it.
     """
 
-    __slots__ = ("kind", "pre", "per", "_fn", "_runs", "_offset", "label", "_prefix_cache")
+    __slots__ = ("kind", "pre", "per", "_fn", "_runs", "_offset", "label")
 
     def __init__(self, kind, pre=None, per=None, fn=None, runs=None, offset=0, label=""):
         self.kind = kind
@@ -132,7 +132,6 @@ class CodeStream:
         self._runs = runs
         self._offset = offset
         self.label = label
-        self._prefix_cache = ""
 
     @classmethod
     def periodic(cls, pre: str, per: str, label: str = "") -> "CodeStream":
@@ -193,21 +192,15 @@ class CodeStream:
         return word, end - off
 
     def prefix(self, n: int) -> str:
-        if self.kind == "periodic":
-            if n <= len(self.pre):
-                return self.pre[:n]
-            reps = (n - len(self.pre)) // len(self.per) + 1
-            return (self.pre + self.per * reps)[:n]
-        i = len(self._prefix_cache)
-        if i < n:
-            parts = []
-            while i < n:
-                word, end = self.run_at(i)
-                stop = n if end is None else min(end, n)
-                parts.append((word * -(-(stop - i) // len(word)))[:stop - i])
-                i = stop
-            self._prefix_cache += "".join(parts)
-        return self._prefix_cache[:n]
+        """The first n symbols, read run by run through run_at."""
+        parts = []
+        i = 0
+        while i < n:
+            word, end = self.run_at(i)
+            stop = n if end is None else min(end, n)
+            parts.append((word * -(-(stop - i) // len(word)))[:stop - i])
+            i = stop
+        return "".join(parts)
 
     def shifted(self, k: int) -> "CodeStream":
         """Drop the first k symbols; periodic streams are renormalised."""
@@ -225,35 +218,8 @@ class CodeStream:
         return CodeStream("procedural", fn=self._fn, runs=self._runs, offset=self._offset + k,
                           label="shift(%s,%d)" % (self.label, k))
 
-    def admissible_prefix(self, n: int) -> bool:
-        return "11" not in self.prefix(n)
-
-    def check_admissible(self) -> bool:
-        """Exhaustive admissibility for periodic streams (seams included)."""
-        if self.kind != "periodic":
-            raise ValueError("exhaustive check needs a periodic stream")
-        return "11" not in self.pre + self.per + self.per
-
     def __repr__(self):
         return "CodeStream(%s)" % (self.label or self.kind)
-
-
-def sigma_metric(s: CodeStream, t: CodeStream, tol) -> Fraction:
-    """Sum of |s_i - t_i| / 2^(i+1), truncated so the tail is below tol.
-
-    Exact: the first n = k + 1 terms are summed, where k >= 0 is the
-    least integer with 2^k >= 1/tol (n = 1 when tol >= 1).
-    """
-    tol = Fraction(tol)
-    if tol <= 0:
-        raise ValueError("tol must be positive")
-    ceil_inv = -(-tol.denominator // tol.numerator)  # ceil(1/tol)
-    n = (ceil_inv - 1).bit_length() + 1
-    total = Fraction(0)
-    for i in range(n):
-        if s[i] != t[i]:
-            total += Fraction(1, 2 ** (i + 1))
-    return total
 
 
 # Right-multiplication by the inverse-branch matrices, (0, 1, 1, 1) for

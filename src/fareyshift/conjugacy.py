@@ -34,13 +34,6 @@ class DyadicRational:
             raise ValueError("dyadic value above 1")
         self.mantissa, self.exponent = m, e
 
-    @classmethod
-    def from_fraction(cls, f: Fraction) -> "DyadicRational":
-        den = f.denominator
-        if den & (den - 1):
-            raise ValueError("denominator is not a power of two")
-        return cls(f.numerator, den.bit_length() - 1)
-
     def as_fraction(self) -> Fraction:
         return Fraction(self.mantissa, 2 ** self.exponent)
 

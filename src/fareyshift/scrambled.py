@@ -66,7 +66,6 @@ class BlockLayout:
 
     k: int
     start: int       # k!
-    length: int      # k * k!, the whole block
     string_len: int  # k!, one constituent string
     quarter: int     # k!/4, zero-run prefix of the separation string
     encode_sub: int  # (k-1)!, one parameter cell of the encoding string
@@ -77,7 +76,7 @@ class BlockLayout:
         if k < 5:
             raise ValueError("blocks start at k = 5")
         fk = math.factorial(k)
-        return cls(k, fk, k * fk, fk, fk // 4, fk // k, fk // k // 2)
+        return cls(k, fk, fk, fk // 4, fk // k, fk // k // 2)
 
     def part_start(self, part: int) -> int:
         """Absolute index of string `part` (0-based) within this block."""
@@ -285,7 +284,8 @@ def schedule_events(kind: str, k_range, **params) -> list[ScheduleEvent]:
       "theorem2_tracked" params: track_index (int >= 1), x_code (CodeStream)
       "rational_vs_tau"  params: escape (int), eps (Fraction)
 
-    k_range is a (lo, hi) pair with 5 <= lo <= hi <= 9.
+    k_range is a (lo, hi) pair with 5 <= lo <= hi <= 9.  A schedule with
+    no events is refused (ValueError), as no verdict can rest on it.
     """
     lo, hi = k_range[0], k_range[-1]
     if not 5 <= lo <= hi <= _SCHEDULE_MAX_K:
@@ -364,6 +364,8 @@ def schedule_events(kind: str, k_range, **params) -> list[ScheduleEvent]:
                             "far", n, tag, prefix_cap=lay.quarter - t - 3))
     else:
         raise ValueError("unknown schedule kind %r" % kind)
+    if not events:
+        raise ValueError("no %s events in k_range %d..%d" % (kind, lo, hi))
     return events
 
 

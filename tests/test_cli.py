@@ -186,12 +186,30 @@ class TestCommands:
         "interval 011",
         "mixing 011",
         "scramble theorem1 --beta 01 --xi 01",
+        "scramble rational --rational 1/10000 --k-range 5..5 --seed 1",  # no events
     ])
     def test_rejected_input_exit_code(self, capsys, argv):
         assert main(argv.split()) == 2
         captured = capsys.readouterr()
         assert captured.err.startswith("error: ")
         assert "Traceback" not in captured.err
+
+    @pytest.mark.parametrize("argv, err", [
+        ("scramble theorem1 --k-range 5-7", "error: k-range must look like 5..7; got '5-7'"),
+        ("entropy --methods bogus", "error: unknown entropy method 'bogus'"),
+        ("code (1+1*sqrt(2))/0", "error: bad surd '(1+1*sqrt(2))/0': zero denominator"),
+    ])
+    def test_rejected_input_message_is_verbatim(self, capsys, argv, err):
+        # recorded while the CLI raised its own error type for these inputs
+        assert main(argv.split()) == 2
+        assert capsys.readouterr() == ("", err + "\n")
+
+    def test_gdemo_output_is_golden(self, capsys):
+        # SHA-256 of stdout recorded while the CLI kept its own g-map node list
+        code, out = run(capsys, "gdemo")
+        assert code == 0
+        assert hashlib.sha256(out.encode()).hexdigest() == \
+            "830a86bab57e17a043c0f82053030e2a06f80ca17889f7b4037b7040e44d0148"
 
     def test_report_at_the_memory_guard_level(self, capsys, monkeypatch):
         # the report forms only the part of level n + 1 it reads, so the

@@ -1,4 +1,3 @@
-import math
 import random
 from fractions import Fraction
 
@@ -34,7 +33,6 @@ from fareyshift.coding import (
     periodic_point,
     phi_interval_image,
     point_of_code,
-    sigma_metric,
 )
 from fareyshift.scrambled import (
     BlockLayout,
@@ -93,7 +91,7 @@ periodic_codes = st.builds(
     st.text(alphabet="01", max_size=6),
     st.text(alphabet="01", min_size=1, max_size=8),
 )
-admissible_periodic_codes = periodic_codes.filter(lambda c: c.check_admissible())
+admissible_periodic_codes = periodic_codes.filter(lambda c: is_admissible(c.pre + c.per + c.per))
 rational_and_unbounded_codes = st.sampled_from(
     [CodeStream.periodic("", per) for per in ("100", "010", "001")])
 procedural_codes = st.builds(
@@ -150,44 +148,30 @@ class TestCodeStream:
             with pytest.raises(IndexError):
                 t.symbol_at(-1)
 
+    @settings(max_examples=200, deadline=None)
+    @given(st.one_of(periodic_codes, st.sampled_from(
+               _PROCEDURAL + [alpha_transitive(),
+                              CodeStream.procedural(lambda n: 1 if n % 5 == 0 else 0)])),
+           st.integers(0, 6000), st.integers(0, 2000))
+    def test_prefix_reads_the_symbols(self, s, k, n):
+        # one run_at walk reads periodic, plain procedural and segmented streams
+        assert s.prefix(n) == "".join(str(s[i]) for i in range(n))
+        assert s.shifted(k).prefix(n) == s.prefix(k + n)[k:]
+
     def test_procedural_shift_and_cache(self):
         s = CodeStream.procedural(lambda n: 1 if n % 5 == 0 else 0)
         assert s.prefix(11) == "10000100001"
         assert s.shifted(3).prefix(4) == "0010"
 
     def test_admissibility_checks(self):
-        assert CodeStream.periodic("", "1").check_admissible() is False
-        assert CodeStream.periodic("010", "011").check_admissible() is False
-        assert CodeStream.periodic("", "10").check_admissible() is True  # wraps to 1010...
-        assert CodeStream.periodic("0", "010").check_admissible() is True
-        assert CodeStream.periodic("01", "0").admissible_prefix(40)
+        def seams_admissible(s):
+            return is_admissible(s.pre + s.per + s.per)
 
-
-class TestSigmaMetric:
-    def test_identical(self):
-        z = CodeStream.zeros()
-        assert sigma_metric(z, z, 1e-9) == 0.0
-
-    def test_single_difference(self):
-        # 1 0bar vs 0bar differ at index 0 only: distance exactly 1/2
-        a = CodeStream.periodic("1", "0")
-        assert abs(sigma_metric(a, CodeStream.zeros(), 1e-9) - 0.5) <= 1e-9
-
-    def test_full_difference_geometric(self):
-        ones = CodeStream.periodic("", "1")
-        assert abs(sigma_metric(CodeStream.zeros(), ones, 1e-6) - 1.0) <= 1e-6
-
-    def test_exact_truncation_matches_log2_rule(self):
-        # zeros vs ones sums 1 - 2^-n over the n terms kept, so the exact
-        # result exposes n; it must be the rule max(1, ceil(log2(1/tol)) + 1)
-        ones = CodeStream.periodic("", "1")
-        tols = [Fraction(1, 10 ** k) for k in range(13)] + \
-            [Fraction(1, 2 ** k) for k in range(40)] + [Fraction(3, 7), Fraction(5), 1e-9]
-        for tol in tols:
-            n = max(1, math.ceil(math.log2(1 / float(tol))) + 1)
-            got = sigma_metric(CodeStream.zeros(), ones, tol)
-            assert isinstance(got, Fraction)
-            assert got == 1 - Fraction(1, 2 ** n)
+        assert seams_admissible(CodeStream.periodic("", "1")) is False
+        assert seams_admissible(CodeStream.periodic("010", "011")) is False
+        assert seams_admissible(CodeStream.periodic("", "10")) is True  # wraps to 1010...
+        assert seams_admissible(CodeStream.periodic("0", "010")) is True
+        assert is_admissible(CodeStream.periodic("01", "0").prefix(40))
 
 
 class TestCylinder:
@@ -659,4 +643,4 @@ class TestCodeOfRational:
             x = xr(num, den)
             s = code_of_rational(x)
             assert s.prefix(20) == itinerary(x, 20)
-            assert s.check_admissible()
+            assert is_admissible(s.pre + s.per + s.per)

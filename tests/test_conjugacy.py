@@ -74,8 +74,6 @@ class TestDyadicRational:
     def test_bounds(self):
         with pytest.raises(ValueError):
             DyadicRational(5, 2)  # 5/4 > 1
-        with pytest.raises(ValueError):
-            DyadicRational.from_fraction(Fraction(1, 3))
 
 
 class TestFareyLevel:

@@ -397,7 +397,7 @@ def _boundaries(family):
     for k in range(5, 11):
         lay = BlockLayout.for_k(k)
         out.update(lay.part_start(p) for p in range(k))
-        out.add(lay.start + lay.length)
+        out.add(lay.start + lay.k * lay.string_len)
         if family == "tau":
             out.update(lay.run_start(w) for w in range(3))
             out.update(lay.encode_cell(j) for j in range(k))
@@ -496,7 +496,7 @@ class TestBlockBookkeeping:
         for k in range(5, 10):
             lay = BlockLayout.for_k(k)
             fk = math.factorial(k)
-            assert (lay.start, lay.length) == (fk, k * fk)
+            assert (lay.start, lay.k * lay.string_len) == (fk, k * fk)
             assert lay.part_start(0) == fk
             assert lay.part_start(k - 1) + lay.string_len == math.factorial(k + 1)
             assert lay.run_start(0) == 2 * fk + fk // 4
@@ -557,6 +557,15 @@ class TestScheduleEvents:
         tau = tau_code("0110", alpha_transitive(), [code_of_rational(ONE)])
         with pytest.raises(ValueError, match="k_range"):
             rational_vs_tau(xr(7, 3), tau, (9, 5))
+
+    def test_empty_schedule_is_rejected(self):
+        # the escape time of 1/10000, 14999, lies past every run of block 5,
+        # and blocks 5 and 6 track fewer than four targets
+        with pytest.raises(ValueError, match="no rational_vs_tau events"):
+            schedule_events("rational_vs_tau", (5, 5), escape=escape_time(xr(1, 10000)))
+        with pytest.raises(ValueError, match="no theorem2_tracked events"):
+            schedule_events("theorem2_tracked", (5, 6), track_index=4,
+                            x_code=code_of_rational(ONE))
 
 
 class TestVerifyScrambling:
