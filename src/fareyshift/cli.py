@@ -9,7 +9,6 @@ reader closed stdout early (128 + SIGPIPE, as a shell reports it).
 from __future__ import annotations
 
 import argparse
-import dataclasses
 import functools
 import json
 import math
@@ -251,7 +250,7 @@ def cmd_entropy(args) -> int:
             raise ValueError("unknown entropy method %r" % name)
         estimates.append(_ENTROPY_ROUTES[name](args))
     payload = {
-        "estimates": [dataclasses.asdict(e) for e in estimates],
+        "estimates": [e._asdict() for e in estimates],
         "factorization_verified": verify_cubic_factorization(),
     }
     _emit_json(payload, args.out)

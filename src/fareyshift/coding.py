@@ -14,9 +14,8 @@ eventually periodic data or a pure index -> symbol procedure.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
-from typing import Callable
+from typing import Callable, NamedTuple
 
 from .exact import (
     INF,
@@ -267,8 +266,7 @@ def cylinder(word: str) -> FareyInterval:
     return _interval_of(_word_matrix(word), int(word[-1]))
 
 
-@dataclass(frozen=True)
-class PointEnclosure:
+class PointEnclosure(NamedTuple):
     """Certified enclosure of the point coded by a stream prefix."""
 
     interval: FareyInterval

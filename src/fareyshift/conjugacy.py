@@ -9,8 +9,8 @@ digits are the continued-fraction digits of x read as runs of 1s and 0s
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
+from typing import NamedTuple
 
 from .exact import (INF, ZERO, ExtendedRational, QuadraticSurd, _canonical, _cf_digits,
                     _surd_digits, phi_rat)
@@ -65,8 +65,7 @@ class DyadicRational:
         return "DyadicRational(%d, %d)" % (self.mantissa, self.exponent)
 
 
-@dataclass(frozen=True)
-class FareyLevel:
+class FareyLevel(NamedTuple):
     """Level n of the mediant refinement of {0/1, 1/0}: 2^n + 1 entries."""
 
     n: int
@@ -166,20 +165,25 @@ def h_level(n: int, x: ExtendedRational) -> Fraction:
 
     Interpolates the level-n nodes (node i maps to i/2^n); everything at
     or beyond the last finite node takes the flat value (2^n - 1)/2^n,
-    which is also the level value assigned to infinity.  The cell index
-    is h(x) cut to n bits, and its nodes are h_inverse of the cell's ends,
-    so a long continued-fraction digit costs no more than n bits.
+    which is also the level value assigned to infinity.  The mediant walk
+    takes each continued-fraction digit of x as one run of n bits at most,
+    moving one node of the cell by a whole run at once.
     """
     if n < 1:
         raise ValueError("level must be positive")
-    digits = list(_cf_digits(x.num, x.den))  # h(x) to n bits, as in h_rational
-    e = sum(digits)
-    i = min(_run_bits(digits, n) | (1 << n - e if x.num and e <= n else 0), 2 ** n - 1)
-    lo, hi = h_inverse(Fraction(i, 1 << n)), h_inverse(Fraction(i + 1, 1 << n))
-    if lo == x or hi.is_infinite:
-        return Fraction(i, 2 ** n)
-    t = (x.as_fraction() - lo.as_fraction()) / (hi.as_fraction() - lo.as_fraction())
-    return (i + t) / 2 ** n
+    digits = list(_cf_digits(x.num, x.den)) or [n]  # infinity: n steps right
+    if len(digits) % 2 == 0:  # x closes a run of 0s: [.., a] = [.., a - 1, 1]
+        digits[-1:] = [digits[-1] - 1, 1]
+    i, p, q, r, s, left = 0, 0, 1, 1, 0, n  # cell index i, nodes p/q < r/s
+    for k, a in enumerate(digits + [n]):  # runs of 1s and 0s, then 0s past x
+        a = min(a, left)
+        left -= a
+        i, p, q, r, s = ((i << a, p, q, r + a * p, s + a * q) if k % 2 else
+                         (((i + 1) << a) - 1, p + a * r, q + a * s, r, s))
+    if not s:  # r/s = 1/0: the flat region past the last finite node
+        return Fraction(i, 1 << n)
+    # (i + (x - p/q)/(r/s - p/q)) / 2^n, where r/s - p/q = 1/(q*s)
+    return Fraction(i * x.den + (x.num * q - x.den * p) * s, x.den << n)
 
 
 def h_enclosure(x: QuadraticSurd, n: int) -> tuple[Fraction, Fraction]:
@@ -205,15 +209,13 @@ def conjugacy_check(x: ExtendedRational) -> bool:
     return y.mantissa << fe == fm << y.exponent
 
 
-@dataclass(frozen=True)
-class IdentityResult:
+class IdentityResult(NamedTuple):
     holds: bool
     checked: int
     counterexample: str | None
 
 
-@dataclass(frozen=True)
-class FareyPropertyReport:
+class FareyPropertyReport(NamedTuple):
     """Pass/fail record of the four level-n symmetry identities."""
 
     n: int

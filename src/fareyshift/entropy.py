@@ -10,8 +10,8 @@ counts of the conjugate piecewise-linear model.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
 from fractions import Fraction
+from typing import NamedTuple
 
 from .coding import (
     FULL_LINE,
@@ -25,8 +25,7 @@ from .coding import (
 from .exact import QuadraticSurd, phi_surd
 
 
-@dataclass(frozen=True)
-class EntropyEstimate:
+class EntropyEstimate(NamedTuple):
     method: str
     value: float            # estimated log growth rate
     rate: float             # the growth constant itself
@@ -146,13 +145,12 @@ def entropy_lap(n: int) -> EntropyEstimate:
     return EntropyEstimate("lap-count", value, math.exp(value), n, None)
 
 
-@dataclass(frozen=True)
-class MixingCertificate:
+class MixingCertificate(NamedTuple):
     """Exact forward-image trajectory of a cylinder until it covers [0, infinity]."""
 
     word: str
-    steps: list = field(default_factory=list)  # steps[0] is the cylinder itself
-    n_cover: int = 0
+    steps: list  # steps[0] is the cylinder itself
+    n_cover: int
 
     def to_dict(self) -> dict:
         return {
@@ -203,8 +201,7 @@ def dense_periodic_witness(w: str) -> QuadraticSurd:
     return x
 
 
-@dataclass(frozen=True)
-class TransitivityReport:
+class TransitivityReport(NamedTuple):
     word_len: int
     stride: int
     horizon: int

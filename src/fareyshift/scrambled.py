@@ -20,8 +20,8 @@ from __future__ import annotations
 import bisect
 import functools
 import math
-from dataclasses import dataclass
 from fractions import Fraction
+from typing import NamedTuple
 
 from .coding import (
     CodeStream,
@@ -55,8 +55,7 @@ def _rotate(word: str, j: int) -> str:
     return word[j:] + word[:j]
 
 
-@dataclass(frozen=True)
-class BlockLayout:
+class BlockLayout(NamedTuple):
     """Exact index arithmetic of the factorial block spanning [k!, (k+1)!).
 
     Both stream families tile this block with k strings of length k!;
@@ -256,8 +255,7 @@ def tau_code(beta, alpha: CodeStream, x_codes) -> CodeStream:
     return CodeStream.segmented(runs, label="tau(%s)" % beta.label)
 
 
-@dataclass(frozen=True)
-class ScheduleEvent:
+class ScheduleEvent(NamedTuple):
     """One scheduled closeness or separation check.
 
     index is the shift applied to the first stream; t_offset is the
@@ -387,8 +385,7 @@ def _distance_bounds(e1: FareyInterval, e2: FareyInterval):
     return lower, upper
 
 
-@dataclass(frozen=True)
-class EventOutcome:
+class EventOutcome(NamedTuple):
     event: ScheduleEvent
     status: str  # "pass" | "fail" | "inconclusive"
     lower: Fraction | float  # a Fraction or INFINITE_DISTANCE
@@ -427,8 +424,7 @@ def _classify(ev: ScheduleEvent, e1: FareyInterval, e2: FareyInterval,
     return EventOutcome(ev, status, lower, upper)
 
 
-@dataclass
-class ScrambleReport:
+class ScrambleReport(NamedTuple):
     """Per-event certificates plus finite limsup/liminf proxies."""
 
     pair: str

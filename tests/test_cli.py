@@ -8,7 +8,7 @@ import sys
 import pytest
 
 import fareyshift
-from fareyshift import cli, conjugacy
+from fareyshift import cli, coding, conjugacy, entropy, scrambled
 from fareyshift.cli import build_parser, main, parse_code, parse_krange, parse_point
 from fareyshift.exact import ExtendedRational, QuadraticSurd
 
@@ -402,3 +402,44 @@ class TestSharedParser:
         for ap in parsers(build_parser()):
             defaults = [a.default for a in ap._actions] + list(ap._defaults.values())
             assert not any(isinstance(d, (list, dict, set)) for d in defaults), ap.prog
+
+
+def test_cold_import_skips_dataclasses_and_inspect():
+    # the records are named tuples, so importing the CLI loads neither module
+    proc = subprocess.run([sys.executable, "-S", "-c",
+                           "import sys, fareyshift.cli; "
+                           "print(sorted({'dataclasses', 'inspect'} & set(sys.modules)))"],
+                          capture_output=True, text=True, env=_env_with_src(), timeout=60)
+    assert (proc.returncode, proc.stdout, proc.stderr) == (0, "[]\n", "")
+
+
+@pytest.mark.parametrize("record, fields", [
+    (coding.PointEnclosure, ("interval", "prefix_len", "width_ok")),
+    (conjugacy.FareyLevel, ("n", "entries")),
+    (conjugacy.IdentityResult, ("holds", "checked", "counterexample")),
+    (conjugacy.FareyPropertyReport,
+     ("n", "reciprocal", "unit_sum", "phi_fold", "phi_refine", "index_note")),
+    (entropy.EntropyEstimate, ("method", "value", "rate", "depth", "error_bound")),
+    (entropy.MixingCertificate, ("word", "steps", "n_cover")),
+    (entropy.TransitivityReport, ("word_len", "stride", "horizon", "found")),
+    (scrambled.BlockLayout, ("k", "start", "string_len", "quarter", "encode_sub", "window")),
+    (scrambled.ScheduleEvent, ("kind", "index", "source", "threshold", "prefix_cap", "t_offset")),
+    (scrambled.EventOutcome, ("event", "status", "lower", "upper")),
+    (scrambled.ScrambleReport, ("pair", "outcomes")),
+])
+def test_result_records_keep_their_fields_and_refuse_assignment(record, fields):
+    assert record._fields == fields
+    rec = record(*range(len(fields)))
+    for name in fields:
+        with pytest.raises(AttributeError):
+            setattr(rec, name, None)
+
+
+def test_entropy_json_from_named_tuples_is_golden(capsys):
+    # SHA-256 of stdout recorded while the estimates were dataclasses
+    code, out = run(capsys, "entropy", "--depth", "45", "--lap-depth", "16")
+    assert code == 0
+    assert all(list(e) == ["depth", "error_bound", "method", "rate", "value"]
+               for e in json.loads(out)["estimates"])
+    assert hashlib.sha256(out.encode()).hexdigest() == \
+        "697247b44b003c8a57dc401f4c8f2ab29c87710d7536c5aaf216a2da3bbbe954"

@@ -9,11 +9,11 @@ from fractions import Fraction
 
 import pytest
 
-from fareyshift.exact import (INF, ONE, ZERO, ExtendedRational, QuadraticSurd, _escape_word,
-                              _surd_digits, escape_time, phi_rat, phi_surd)
+from fareyshift.exact import (INF, ONE, ZERO, ExtendedRational, QuadraticSurd, _cf_digits,
+                              _escape_word, _surd_digits, escape_time, phi_rat, phi_surd)
 from fareyshift.coding import code_of_rational, itinerary
-from fareyshift.conjugacy import (DyadicRational, farey_level, h_enclosure, h_inverse, h_level,
-                                  h_rational)
+from fareyshift.conjugacy import (DyadicRational, _run_bits, farey_level, h_enclosure, h_inverse,
+                                  h_level, h_rational)
 
 # The replaced functions, kept verbatim as references.
 
@@ -89,6 +89,20 @@ def h_level_reference(n: int, x: ExtendedRational) -> Fraction:
     if n < 1:
         raise ValueError("level must be positive")
     i, lo, hi = _descend(x, n)
+    if lo == x or hi.is_infinite:
+        return Fraction(i, 2 ** n)
+    t = (x.as_fraction() - lo.as_fraction()) / (hi.as_fraction() - lo.as_fraction())
+    return (i + t) / 2 ** n
+
+
+def h_level_by_inverse(n: int, x: ExtendedRational) -> Fraction:
+    """h_level as it took its two nodes from h_inverse of the cell's ends."""
+    if n < 1:
+        raise ValueError("level must be positive")
+    digits = list(_cf_digits(x.num, x.den))  # h(x) to n bits, as in h_rational
+    e = sum(digits)
+    i = min(_run_bits(digits, n) | (1 << n - e if x.num and e <= n else 0), 2 ** n - 1)
+    lo, hi = h_inverse(Fraction(i, 1 << n)), h_inverse(Fraction(i + 1, 1 << n))
     if lo == x or hi.is_infinite:
         return Fraction(i, 2 ** n)
     t = (x.as_fraction() - lo.as_fraction()) / (hi.as_fraction() - lo.as_fraction())
@@ -262,3 +276,19 @@ def test_h_level_reads_only_n_bits_of_a_long_digit():
     for x in (ExtendedRational(1, 10 ** 12), ExtendedRational(10 ** 12),
               ExtendedRational(10 ** 12 + 1, 10 ** 12)):
         assert h_level(40, x) == h_level_reference(40, x), x
+
+
+def test_h_level_walks_to_the_nodes_h_inverse_gives():
+    points = {ExtendedRational(p, q) for p in range(61) for q in range(1, 61)} | {INF}
+    node, flat = 0, 0
+    for n in range(1, 15):
+        for x in points:
+            want = h_level_by_inverse(n, x)
+            assert h_level(n, x) == want, (n, x)
+            if x.is_infinite or x.as_fraction() >= n:  # at or past the last finite node
+                flat += 1
+                assert want == 1 - Fraction(1, 2 ** n), (n, x)
+            elif h_rational(x).exponent <= n:  # a level-n node: lo == x
+                node += 1
+                assert want == h_rational(x).as_fraction(), (n, x)
+    assert node > 7000 and flat > 3000, (node, flat)  # both cases are reached often
