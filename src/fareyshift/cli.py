@@ -286,8 +286,8 @@ def cmd_periodic(args) -> int:
     return 0
 
 
-def _random_bits(rng, n=16) -> str:
-    return "".join(rng.choice("01") for _ in range(n))
+def _random_bits(rng) -> str:
+    return "".join(rng.choice("01") for _ in range(16))
 
 
 def cmd_scramble(args) -> int:
@@ -295,46 +295,34 @@ def cmd_scramble(args) -> int:
     k_range = parse_krange(args.k_range)
     eps = parse_fraction(args.eps)
     m_big = parse_fraction(args.m_big)
-    if args.which == "theorem1":
-        beta = args.beta or _random_bits(rng)
-        xi = args.xi or _random_bits(rng)
-        s, t = mu_code(beta), mu_code(xi)
-        if args.shift:
-            events = schedule_events("theorem1", k_range, shift=args.shift)
-            t = t.shifted(args.shift)
-        else:
-            diffs = [m for m in range(min(len(beta), len(xi))) if beta[m] != xi[m]]
-            if not diffs:
-                raise ValueError("theorem1 with shift 0 needs beta and xi to differ")
-            events = schedule_events("theorem1", k_range, diff_indices=diffs)
-        report = verify_scrambling(s, t, events, eps=eps, m_big=m_big,
-                                   prefix_len=args.prefix_budget,
-                                   pair="mu(%s) vs mu(%s) shift=%d" % (beta, xi, args.shift))
-    elif args.which == "theorem2":
-        beta = args.beta or _random_bits(rng)
-        eta = args.eta or _random_bits(rng)
-        alpha = alpha_transitive()
-        tracked = [code_of_rational(ExtendedRational.parse(args.tracked))]
-        s = tau_code(beta, alpha, tracked)
-        t = tau_code(eta, alpha, tracked)
-        if args.shift:
-            events = schedule_events("theorem2", k_range, shift=args.shift)
-            t = t.shifted(args.shift)
-        else:
-            diffs = [m for m in range(min(len(beta), len(eta))) if beta[m] != eta[m]]
-            if not diffs:
-                raise ValueError("theorem2 with shift 0 needs beta and eta to differ")
-            events = schedule_events("theorem2", k_range, diff_index=diffs[0])
-        report = verify_scrambling(s, t, events, eps=eps, m_big=m_big,
-                                   prefix_len=args.prefix_budget,
-                                   pair="tau(%s) vs tau(%s) shift=%d" % (beta, eta, args.shift))
-    else:  # rational
-        beta = args.beta or _random_bits(rng)
+    beta = args.beta or _random_bits(rng)
+    if args.which == "rational":
         r = ExtendedRational.parse(args.rational)
         tracked = [code_of_rational(ExtendedRational.parse(args.tracked))]
         t = tau_code(beta, alpha_transitive(), tracked)
         report = rational_vs_tau(r, t, k_range, eps=eps, m_big=m_big,
                                  prefix_budget=args.prefix_budget)
+    else:
+        other = (args.xi if args.which == "theorem1" else args.eta) or _random_bits(rng)
+        diffs = [m for m, (a, b) in enumerate(zip(beta, other)) if a != b]
+        if args.which == "theorem1":
+            name, s, t = "mu", mu_code(beta), mu_code(other)
+            events = schedule_events("theorem1", k_range, shift=args.shift, diff_indices=diffs)
+        else:
+            alpha = alpha_transitive()
+            tracked = [code_of_rational(ExtendedRational.parse(args.tracked))]
+            name, s, t = "tau", tau_code(beta, alpha, tracked), tau_code(other, alpha, tracked)
+            events = schedule_events("theorem2", k_range, shift=args.shift,
+                                     diff_index=diffs[0] if diffs else None)
+        report = verify_scrambling(s, t.shifted(args.shift), events, eps=eps, m_big=m_big,
+                                   prefix_len=args.prefix_budget,
+                                   pair="%s(%s) vs %s(%s) shift=%d"
+                                   % (name, beta, name, other, args.shift))
+    # a scrambled pair has liminf = 0 and limsup > 0: a verdict needs both kinds
+    for kind, claim in (("close", "liminf = 0"), ("far", "limsup > 0")):
+        if all(o.event.kind != kind for o in report.outcomes):
+            raise ValueError("no %s event in k-range %d..%d, so the run cannot certify %s"
+                             % (kind, *k_range, claim))
     _emit_json(report.to_dict(), args.out)
     if report.n_fail:
         return 1

@@ -84,9 +84,6 @@ class FareyInterval:
         """Exact membership of an ExtendedRational or a QuadraticSurd."""
         return self.lo <= x <= self.hi
 
-    def contains_interval(self, other: "FareyInterval") -> bool:
-        return self.lo <= other.lo and other.hi <= self.hi
-
     def __eq__(self, other):
         if not isinstance(other, FareyInterval):
             return NotImplemented
@@ -151,10 +148,6 @@ class CodeStream:
                   label: str = "segmented") -> "CodeStream":
         """Procedural stream given by its segment function (see the class)."""
         return cls("procedural", fn=lambda n: int(runs(n)[0][0]), runs=runs, label=label)
-
-    @classmethod
-    def zeros(cls) -> "CodeStream":
-        return cls.periodic("", "0")
 
     def symbol_at(self, n: int) -> int:
         if n < 0:

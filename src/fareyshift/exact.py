@@ -76,12 +76,6 @@ class ExtendedRational:
             raise ValueError("infinity has no Fraction value")
         return Fraction(self.num, self.den)
 
-    def reciprocal(self) -> "ExtendedRational":
-        return ExtendedRational(self.den, self.num)
-
-    def mediant(self, other: "ExtendedRational") -> "ExtendedRational":
-        return ExtendedRational(self.num + other.num, self.den + other.den)
-
     def __float__(self):
         return math.inf if self.den == 0 else self.num / self.den
 

@@ -511,7 +511,8 @@ def verify_scrambling(s: CodeStream, t: CodeStream, events,
     events when they force a gap above m_big or a positive gap with an
     infinite upper bound (an enclosure reaching infinity).  An enclosure
     too wide to decide yields "inconclusive", never a silent pass.  eps
-    and m_big must be positive (ValueError, raised before any enclosure).
+    and m_big must be positive (ValueError, raised before any enclosure);
+    no events at all is refused (ValueError), as no verdict can rest on it.
     """
     eps, m_big = _thresholds(eps, m_big)
     outcomes = []
@@ -520,6 +521,8 @@ def verify_scrambling(s: CodeStream, t: CodeStream, events,
         e1 = point_of_code(s.shifted(ev.index), cap, goal).interval
         e2 = point_of_code(t.shifted(ev.index + ev.t_offset), cap, goal).interval
         outcomes.append(_classify(ev, e1, e2, eps, m_big))
+    if not outcomes:
+        raise ValueError("no events to verify")
     return ScrambleReport(pair or "%s vs %s" % (s.label, t.label), outcomes)
 
 

@@ -198,7 +198,7 @@ def test_criterion_06_bounded_family_events():
     for _ in range(100):
         n = rng.randrange(0, math.factorial(8) + 1)
         enc = point_of_code(mu.shifted(n), 24, Fraction(1, 10 ** 6)).interval
-        ok &= any(piece.contains_interval(enc) for piece in union)
+        ok &= any(piece.lo <= enc.lo and enc.hi <= piece.hi for piece in union)
     record(6, "bounded-family far/close schedule and boundedness", ok,
            "%.2fs, weakest far margin %s" % (time.time() - t0, far_min))
 

@@ -261,6 +261,19 @@ class TestCommands:
         assert "unrecognized arguments" in captured.err or "invalid choice" in captured.err
         assert "Traceback" not in captured.err
 
+    @pytest.mark.parametrize("argv, kind", [
+        ("scramble theorem1 --beta 00000001 --xi 00000000 --k-range 5..8", "far"),
+        ("scramble rational --rational 7/3 --k-range 5..5 --seed 1", "close"),
+        ("scramble theorem2 --shift 40 --k-range 5..5 --seed 1", "far"),
+    ])
+    def test_scramble_without_both_event_kinds_is_rejected(self, capsys, argv, kind):
+        # a scramble verdict needs a close event (liminf = 0) and a far
+        # event (limsup > 0); a run that lacks either prints no report
+        assert main(argv.split()) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error: no %s event in k-range " % kind)
+
     def test_inconclusive_exit_code(self, capsys):
         # a tiny prefix budget leaves the far enclosures undecided
         code = main(["scramble", "theorem2", "--beta", "0110", "--eta", "1001",

@@ -77,7 +77,7 @@ def _descend(x, n: int) -> tuple[int, ExtendedRational, ExtendedRational]:
     """
     i, lo, hi = 0, ZERO, INF
     for _ in range(n):
-        mid = lo.mediant(hi)
+        mid = ExtendedRational(lo.num + hi.num, lo.den + hi.den)
         if x < mid:
             i, hi = 2 * i, mid
         else:

@@ -286,7 +286,7 @@ class TestDensePeriodicWitness:
 
 class TestTransitivity:
     def test_constant_stream_fails(self):
-        rep = transitivity_check(CodeStream.zeros(), 1, 1, 1000)
+        rep = transitivity_check(CodeStream.periodic("", "0"), 1, 1, 1000)
         assert not rep.passed
         assert rep.missing == ["1"]
         assert rep.found["0"] == 0
@@ -305,6 +305,6 @@ class TestTransitivity:
 
     def test_guards(self):
         with pytest.raises(ValueError):
-            transitivity_check(CodeStream.zeros(), 9, 1, 100)
+            transitivity_check(CodeStream.periodic("", "0"), 9, 1, 100)
         with pytest.raises(ValueError):
-            transitivity_check(CodeStream.zeros(), 2, 4, 100)
+            transitivity_check(CodeStream.periodic("", "0"), 2, 4, 100)

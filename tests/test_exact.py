@@ -73,10 +73,6 @@ class TestExtendedRational:
         assert sorted(pts) == [ZERO, xr(1, 2), ONE, xr(7, 3), INF]
         assert INF <= INF and not (INF < INF)
 
-    def test_mediant(self):
-        assert xr(1, 2).mediant(ONE) == xr(2, 3)
-        assert ZERO.mediant(INF) == ONE
-
 
 def test_infinite_distance_compares_exactly():
     # float(huge) would overflow; the comparison must not convert it

@@ -153,7 +153,7 @@ class TestMuCode:
         for _ in range(100):
             n = rng.randrange(0, math.factorial(8))
             enc = point_of_code(mu.shifted(n), 24, Fraction(1, 10 ** 6)).interval
-            assert any(piece.contains_interval(enc) for piece in BOUND_UNION)
+            assert any(piece.lo <= enc.lo and enc.hi <= piece.hi for piece in BOUND_UNION)
 
     def test_shift_by_one_commutes_with_phi(self):
         rng = random.Random(47)
@@ -238,7 +238,7 @@ class TestEnumerateAdmissible:
 
 class TestBlocks:
     def test_c_block_copies_and_terminates(self):
-        zeros = CodeStream.zeros()
+        zeros = CodeStream.periodic("", "0")
         assert c_block(zeros, 6, 11) == "000000"
         code = CodeStream.periodic("", "010")
         window = c_block(code, 6, 11)
@@ -246,7 +246,7 @@ class TestBlocks:
         assert len(window) == 6 and window.endswith("0")
 
     def test_c_star_block_two_shapes(self):
-        zeros = CodeStream.zeros()
+        zeros = CodeStream.periodic("", "0")
         assert c_star_block(zeros, 6, 14) == "100100100"
         ones_at_6 = CodeStream.procedural(lambda n: 1 if n == 6 else 0)
         assert c_star_block(ones_at_6, 6, 14) == "010010010"
@@ -254,7 +254,7 @@ class TestBlocks:
             assert c_star_block(code, 6, 14).endswith("0")
 
     def test_preconditions(self):
-        zeros = CodeStream.zeros()
+        zeros = CodeStream.periodic("", "0")
         with pytest.raises(ValueError):
             c_block(zeros, 4, 9)      # i < 5
         with pytest.raises(ValueError):
@@ -569,6 +569,12 @@ class TestScheduleEvents:
 
 
 class TestVerifyScrambling:
+    def test_no_events_is_rejected(self):
+        mu = mu_code("01")
+        for events in ([], iter(())):
+            with pytest.raises(ValueError, match="no events"):
+                verify_scrambling(mu, mu, events)
+
     def test_identical_streams_trivially_close(self):
         mu = mu_code("0")
         ev = [e for e in schedule_events("theorem1", (5, 6)) if e.kind == "close"]
