@@ -80,7 +80,11 @@ def parse_point(text: str):
         except ValueError as exc:
             raise ValueError("bad surd %r: %s" % (text, exc))
     try:
-        return ExtendedRational.parse(text)
+        if "/" in text:
+            num, den = text.split("/", 1)
+            return ExtendedRational(int(num), int(den))
+        f = Fraction(text)
+        return ExtendedRational(f.numerator, f.denominator)
     except (ValueError, ZeroDivisionError) as exc:
         raise ValueError("cannot parse point %r: %s" % (text, exc))
 
@@ -201,8 +205,8 @@ def cmd_conjugacy(args) -> int:
         h = DyadicRational(i, args.level)
         good = conjugacy_check(x)
         ok &= good
-        rows.append((str(x), str(h), "%.12g" % float(x) if not x.is_infinite else "inf",
-                     "%.12g" % float(h), "true" if good else "false"))
+        rows.append((str(x), str(h), "%.12g" % float(x), "%.12g" % float(h),
+                     "true" if good else "false"))
     if args.phi_grid:
         for j in range(args.phi_grid + 1):  # grid over [0, 4]
             x = ExtendedRational(4 * j, args.phi_grid)
@@ -290,6 +294,14 @@ def _random_bits(rng) -> str:
     return "".join(rng.choice("01") for _ in range(16))
 
 
+def _rational_point(text: str, flag: str) -> ExtendedRational:
+    """A point option that must be rational: the point syntax, a surd refused."""
+    x = parse_point(text)
+    if isinstance(x, QuadraticSurd):
+        raise ValueError("%s must be rational; got the surd %s" % (flag, x))
+    return x
+
+
 def cmd_scramble(args) -> int:
     rng = random.Random(args.seed)
     k_range = parse_krange(args.k_range)
@@ -297,21 +309,25 @@ def cmd_scramble(args) -> int:
     m_big = parse_fraction(args.m_big)
     beta = args.beta or _random_bits(rng)
     if args.which == "rational":
-        r = ExtendedRational.parse(args.rational)
-        tracked = [code_of_rational(ExtendedRational.parse(args.tracked))]
+        r = _rational_point(args.rational, "--rational")
+        tracked = [code_of_rational(_rational_point(args.tracked, "--tracked"))]
         t = tau_code(beta, alpha_transitive(), tracked)
         report = rational_vs_tau(r, t, k_range, eps=eps, m_big=m_big,
                                  prefix_budget=args.prefix_budget)
     else:
         other = (args.xi if args.which == "theorem1" else args.eta) or _random_bits(rng)
-        diffs = [m for m, (a, b) in enumerate(zip(beta, other)) if a != b]
+        # the streams read both words recycled, so the pair's cells repeat with
+        # period lcm(|beta|, |other|); cells from k_range[1] on are never scheduled
+        b, o = CodeStream.periodic("", beta), CodeStream.periodic("", other)
+        reach = min(k_range[1], math.lcm(len(beta), len(other)))
+        diffs = [m for m in range(reach) if b[m] != o[m]]
         if args.which == "theorem1":
-            name, s, t = "mu", mu_code(beta), mu_code(other)
+            name, s, t = "mu", mu_code(b), mu_code(o)
             events = schedule_events("theorem1", k_range, shift=args.shift, diff_indices=diffs)
         else:
             alpha = alpha_transitive()
-            tracked = [code_of_rational(ExtendedRational.parse(args.tracked))]
-            name, s, t = "tau", tau_code(beta, alpha, tracked), tau_code(other, alpha, tracked)
+            tracked = [code_of_rational(_rational_point(args.tracked, "--tracked"))]
+            name, s, t = "tau", tau_code(b, alpha, tracked), tau_code(o, alpha, tracked)
             events = schedule_events("theorem2", k_range, shift=args.shift,
                                      diff_index=diffs[0] if diffs else None)
         report = verify_scrambling(s, t.shifted(args.shift), events, eps=eps, m_big=m_big,

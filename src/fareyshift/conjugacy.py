@@ -38,22 +38,14 @@ class DyadicRational:
         return Fraction(self.mantissa, 2 ** self.exponent)
 
     def __eq__(self, other):
-        if isinstance(other, DyadicRational):
-            return (self.mantissa, self.exponent) == (other.mantissa, other.exponent)
-        if isinstance(other, (int, Fraction)):
-            return self.as_fraction() == other
-        return NotImplemented
+        if not isinstance(other, DyadicRational):
+            return NotImplemented
+        return (self.mantissa, self.exponent) == (other.mantissa, other.exponent)
 
     def __lt__(self, other):
-        other = other.as_fraction() if isinstance(other, DyadicRational) else other
-        return self.as_fraction() < other
-
-    def __le__(self, other):
-        other = other.as_fraction() if isinstance(other, DyadicRational) else other
-        return self.as_fraction() <= other
-
-    def __hash__(self):
-        return hash(self.as_fraction())
+        if not isinstance(other, DyadicRational):
+            return NotImplemented
+        return self.mantissa << other.exponent < other.mantissa << self.exponent
 
     def __float__(self):
         return self.mantissa / 2 ** self.exponent

@@ -44,25 +44,6 @@ class ExtendedRational:
         self.num = num // g
         self.den = den // g
 
-    @classmethod
-    def from_projective(cls, num: int, den: int) -> "ExtendedRational":
-        """Build from a projective integer pair, normalising the common sign."""
-        if den < 0 or (den == 0 and num < 0):
-            num, den = -num, -den
-        return cls(num, den)
-
-    @classmethod
-    def from_fraction(cls, f: Fraction) -> "ExtendedRational":
-        return cls(f.numerator, f.denominator)
-
-    @classmethod
-    def parse(cls, text: str) -> "ExtendedRational":
-        text = text.strip()
-        if "/" in text:
-            n, d = text.split("/", 1)
-            return cls(int(n), int(d))
-        return cls.from_fraction(Fraction(text))
-
     @property
     def is_infinite(self) -> bool:
         return self.den == 0
@@ -80,15 +61,11 @@ class ExtendedRational:
         return math.inf if self.den == 0 else self.num / self.den
 
     def __eq__(self, other):
-        if isinstance(other, int):
-            other = ExtendedRational(other)
         if not isinstance(other, ExtendedRational):
             return NotImplemented
         return self.num == other.num and self.den == other.den
 
     def __lt__(self, other):
-        if isinstance(other, int):
-            other = ExtendedRational(other)
         if not isinstance(other, ExtendedRational):
             return NotImplemented
         # a/b < c/d iff a*d < c*b; valid with infinity = 1/0 as maximum
@@ -253,16 +230,7 @@ class QuadraticSurd:
             raise ValueError("value outside [0, infinity)")
 
     def _cmp(self, other) -> int:
-        """Certified sign of self - other."""
-        if isinstance(other, int):
-            other = Fraction(other)
-        if isinstance(other, ExtendedRational):
-            if other.is_infinite:
-                return -1
-            other = other.as_fraction()
-        if isinstance(other, Fraction):
-            u, v = other.numerator, other.denominator
-            return _comb_sign(self.p * v - u * self.r, self.q * v, self.d)
+        """Certified sign of self - other, with other read as (p + q*sqrt(d))/r, r > 0."""
         if isinstance(other, QuadraticSurd):
             p, q, r = other.p, other.q, other.r
             if other.d != self.d:
@@ -270,8 +238,15 @@ class QuadraticSurd:
                 if s * s != self.d * other.d:
                     raise TypeError("cannot compare surds over different radicands")
                 p, q, r = p * self.d, q * s, r * self.d  # sqrt(d') = s*sqrt(d)/d
-            return _comb_sign(self.p * r - p * self.r, self.q * r - q * self.r, self.d)
-        raise TypeError("unsupported comparison")
+        elif isinstance(other, ExtendedRational):
+            if other.is_infinite:
+                return -1
+            p, q, r = other.num, 0, other.den
+        elif isinstance(other, (int, Fraction)):
+            p, q, r = other.numerator, 0, other.denominator
+        else:
+            raise TypeError("unsupported comparison")
+        return _comb_sign(self.p * r - p * self.r, self.q * r - q * self.r, self.d)
 
     def _key(self) -> tuple[Fraction, Fraction]:
         """The value as (p/r, sign(q)*q*q*d/(r*r)), free of the radicand's form."""
@@ -326,7 +301,10 @@ def mobius_apply(m: tuple[int, int, int, int], x):
     """
     a, b, c, d = m
     if not isinstance(x, QuadraticSurd):
-        return ExtendedRational.from_projective(a * x.num + b * x.den, c * x.num + d * x.den)
+        num, den = a * x.num + b * x.den, c * x.num + d * x.den
+        if den < 0 or (den == 0 and num < 0):  # the projective pair's common sign
+            num, den = -num, -den
+        return ExtendedRational(num, den)
     p, q, r, rad = x.p, x.q, x.r, x.d
     na, nb = a * p + b * r, a * q
     dc, dd = c * p + d * r, c * q
@@ -355,7 +333,7 @@ def _fixed_point_candidates(m: tuple[int, int, int, int]) -> list:
     if s * s == disc:
         for root in {Fraction((a - d) + s, 2 * c), Fraction((a - d) - s, 2 * c)}:
             if root >= 0:
-                out.append(ExtendedRational.from_fraction(root))
+                out.append(ExtendedRational(root.numerator, root.denominator))
     else:
         for qsign in (1, -1):
             try:

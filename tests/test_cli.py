@@ -187,6 +187,11 @@ class TestCommands:
         "mixing 011",
         "scramble theorem1 --beta 01 --xi 01",
         "scramble rational --rational 1/10000 --k-range 5..5 --seed 1",  # no events
+        "scramble theorem1 --shift -1",
+        # the rational options take the point syntax and refuse a surd
+        "scramble rational --rational (1+1*sqrt(2))/3",
+        "scramble rational --tracked (1+1*sqrt(2))/3",
+        "scramble theorem2 --tracked (1+1*sqrt(2))/3",
     ])
     def test_rejected_input_exit_code(self, capsys, argv):
         assert main(argv.split()) == 2
@@ -203,6 +208,31 @@ class TestCommands:
         # recorded while the CLI raised its own error type for these inputs
         assert main(argv.split()) == 2
         assert capsys.readouterr() == ("", err + "\n")
+
+    @pytest.mark.parametrize("argv", [
+        "entropy --depth 2",  # the routes disagree
+        "entropy --methods lap-count --lap-depth 3",  # too far from log(golden ratio)
+        "entropy --methods polynomial-root --tol 0.5",
+    ])
+    def test_entropy_off_target_exits_1(self, capsys, argv):
+        assert main(argv.split()) == 1
+        assert json.loads(capsys.readouterr().out)["factorization_verified"] is True
+
+    @pytest.mark.parametrize("which", ["theorem1 --xi", "theorem2 --eta"])
+    def test_scramble_words_of_unequal_length(self, capsys, which):
+        # (01)^inf and (0110)^inf differ at cells 2 and 3 below k = 7, which
+        # a symbol-by-symbol zip of the words stops short of
+        code, out = run(capsys, "scramble", *which.split(), "0110", "--beta", "01",
+                        "--k-range", "5..7")
+        assert code == 0
+        summary = json.loads(out)["summary"]
+        assert (summary["pass"], summary["fail"], summary["inconclusive"]) == \
+            ((9, 0, 0) if which.startswith("theorem1") else (6, 0, 0))
+
+    def test_scramble_rational_reads_the_point_syntax(self, capsys):
+        # a surd with a square radicand is the fraction it equals, here 3/3
+        argv = ("scramble", "rational", "--k-range", "5..7", "--rational")
+        assert run(capsys, *argv, "(1+1*sqrt(4))/3") == run(capsys, *argv, "1/1")
 
     def test_gdemo_output_is_golden(self, capsys):
         # SHA-256 of stdout recorded while the CLI kept its own g-map node list
@@ -340,6 +370,8 @@ class TestCommands:
          "ced52f31a9c6f9af07ac0b700ae5d3f0c89d508b2b34f8ae2245a8d056f3b0ac"),
         ("conjugacy --level 6 --phi-grid 8 --format table",
          "33c801f59d2f02e7c3d3198a4d754eb8b4f428d94467a50d1cbd31c734ffb7b9"),
+        ("farey --level 3",
+         "c851cfadbae8a4f131e9ef4f3b9c1cb0ba90ce416483a86eee72ccaa06d571ff"),
     ])
     def test_conjugacy_and_entropy_output_is_golden(self, capsys, argv, digest):
         # SHA-256 of stdout recorded from the Fraction-based kernels

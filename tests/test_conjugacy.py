@@ -316,6 +316,13 @@ class TestFareyProperties:
             assert rep.reciprocal.checked == 2 ** (n - 1) + 1
             assert rep.phi_refine.checked == 2 ** n + 1
 
+    def test_swapped_entries_fail_with_a_counterexample(self):
+        entries = list(farey_level(3).entries)
+        entries[1], entries[2] = entries[2], entries[1]  # 1/2 before 1/3
+        rep = farey_properties_report(conjugacy.FareyLevel(3, tuple(entries)))
+        assert rep.reciprocal == (False, 2, "reciprocal fails at i=1")
+        assert not rep.all_pass
+
     def test_report_note_mentions_window(self):
         assert "2^(n-1)" in farey_properties_report(farey_level(3)).index_note
 

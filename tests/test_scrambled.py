@@ -733,7 +733,7 @@ class TestRationalVsTau:
 
     @pytest.mark.parametrize("r", ["1/1", "0/1", "3/5", "7/3"])
     def test_alignment_certified(self, r):
-        rep = rational_vs_tau(ExtendedRational.parse(r), self.tau, (5, 7))
+        rep = rational_vs_tau(xr(*map(int, r.split("/"))), self.tau, (5, 7))
         assert rep.n_fail == 0
         assert rep.decided_fraction >= 0.9
         kinds = {o.event.kind for o in rep.outcomes}
@@ -750,7 +750,7 @@ class TestRationalVsTau:
         # every event comes after the escape (1/200 escapes at 299, past
         # the first runs of block 5), and the verdicts match those
         # decided on the orbit point phi_rat gives at the event index
-        r = ExtendedRational.parse(r)
+        r = xr(*map(int, r.split("/")))
         e = escape_time(r)
         eps, m_big = Fraction(1, 100), Fraction(1000)
         rep = rational_vs_tau(r, self.tau, (5, 7), eps=eps, m_big=m_big)
