@@ -307,7 +307,9 @@ def cmd_scramble(args) -> int:
     k_range = parse_krange(args.k_range)
     eps = parse_fraction(args.eps)
     m_big = parse_fraction(args.m_big)
-    beta = args.beta or _random_bits(rng)
+    beta = args.beta
+    if beta is None:  # only an absent word is drawn: an empty one is refused below
+        beta = _random_bits(rng)
     if args.which == "rational":
         r = _rational_point(args.rational, "--rational")
         tracked = [code_of_rational(_rational_point(args.tracked, "--tracked"))]
@@ -315,7 +317,9 @@ def cmd_scramble(args) -> int:
         report = rational_vs_tau(r, t, k_range, eps=eps, m_big=m_big,
                                  prefix_budget=args.prefix_budget)
     else:
-        other = (args.xi if args.which == "theorem1" else args.eta) or _random_bits(rng)
+        other = args.xi if args.which == "theorem1" else args.eta
+        if other is None:
+            other = _random_bits(rng)
         # the streams read both words recycled, so the pair's cells repeat with
         # period lcm(|beta|, |other|); cells from k_range[1] on are never scheduled
         b, o = CodeStream.periodic("", beta), CodeStream.periodic("", other)

@@ -22,6 +22,7 @@ from .exact import (
     ONE,
     ZERO,
     ExtendedRational,
+    _canonical,
     _escape_word,
     mobius_apply,
     mobius_fixed_point,
@@ -201,15 +202,14 @@ class CodeStream:
             raise ValueError("shift must be nonnegative")
         if k == 0:
             return self
-        if self.kind == "periodic":
+        label = "shift(%s,%d)" % (self.label, k)
+        if self.kind == "periodic":  # its symbols are checked already
             if k <= len(self.pre):
-                return CodeStream.periodic(self.pre[k:], self.per,
-                                           label="shift(%s,%d)" % (self.label, k))
+                return CodeStream("periodic", pre=self.pre[k:], per=self.per, label=label)
             j = (k - len(self.pre)) % len(self.per)
-            return CodeStream.periodic("", self.per[j:] + self.per[:j],
-                                       label="shift(%s,%d)" % (self.label, k))
+            return CodeStream("periodic", pre="", per=self.per[j:] + self.per[:j], label=label)
         return CodeStream("procedural", fn=self._fn, runs=self._runs, offset=self._offset + k,
-                          label="shift(%s,%d)" % (self.label, k))
+                          label=label)
 
     def __repr__(self):
         return "CodeStream(%s)" % (self.label or self.kind)
@@ -230,9 +230,22 @@ def _advance(m: tuple[int, int, int, int], sym: int) -> tuple[int, int, int, int
 
 
 def _interval_of(m: tuple[int, int, int, int], last_sym: int) -> FareyInterval:
-    p1 = mobius_apply(m, ZERO)
-    p2 = mobius_apply(m, ONE if last_sym else INF)
-    return FareyInterval(p1, p2) if p1 <= p2 else FareyInterval(p2, p1)
+    """The enclosure M(base), read off the columns of M = (a, b, c, d).
+
+    Its endpoints are M(0) = b/d and M(infinity) = a/c after a trailing
+    0, M(1) = (a + b)/(c + d) after a 1, and they are built as they
+    stand.  det M = +-1 makes each pair coprime, so no gcd is needed.
+    No sign needs fixing: on vectors (x, y), psi0 maps the cone
+    x, y >= 0 into the cone 0 <= x <= y and psi1 maps the latter into
+    the former, so along an admissible word M maps the base's cone to
+    nonnegative vectors.  One cross-multiplication orders the two.
+    """
+    a, b, c, d = m
+    if last_sym:
+        a, c = a + b, c + d
+    if b * c < a * d:
+        return FareyInterval(_canonical(b, d), _canonical(a, c))
+    return FareyInterval(_canonical(a, c), _canonical(b, d))
 
 
 def _mul(x: tuple[int, int, int, int], y: tuple[int, int, int, int]) -> tuple[int, int, int, int]:

@@ -288,7 +288,7 @@ def schedule_events(kind: str, k_range, **params) -> list[ScheduleEvent]:
     lo, hi = k_range[0], k_range[-1]
     if not 5 <= lo <= hi <= _SCHEDULE_MAX_K:
         raise ValueError("k_range must be increasing within 5..%d" % _SCHEDULE_MAX_K)
-    layouts = [BlockLayout.for_k(k) for k in range(lo, hi + 1)]
+    layouts = [_layout(k) for k in range(lo, hi + 1)]
     events: list[ScheduleEvent] = []
     if kind == "theorem1":
         sh = int(params.get("shift", 0))
@@ -368,20 +368,26 @@ def schedule_events(kind: str, k_range, **params) -> list[ScheduleEvent]:
 
 
 def _distance_bounds(e1: FareyInterval, e2: FareyInterval):
-    """Certified (lower, upper) bounds of |x - y| over the two enclosures."""
-    if e1.hi < e2.lo:
-        lower = INFINITE_DISTANCE if e2.lo.is_infinite else \
-            e2.lo.as_fraction() - e1.hi.as_fraction()
-    elif e2.hi < e1.lo:
-        lower = INFINITE_DISTANCE if e1.lo.is_infinite else \
-            e1.lo.as_fraction() - e2.hi.as_fraction()
+    """Certified (lower, upper) bounds of |x - y| over the two enclosures.
+
+    Endpoints are compared by cross-multiplying num/den, with infinity
+    1/0 the maximum (as ExtendedRational compares them), and each finite
+    bound is one Fraction of integer cross-products.
+    """
+    l1, h1, l2, h2 = e1.lo, e1.hi, e2.lo, e2.hi
+    if h2.num * l1.den < l1.num * h2.den:  # e2 lies below e1: |x - y| is symmetric
+        l1, h1, l2, h2 = l2, h2, l1, h1
+    if h1.num * l2.den < l2.num * h1.den:  # a gap from h1 up to l2; h1 is finite
+        lower = INFINITE_DISTANCE if not l2.den else \
+            Fraction(l2.num * h1.den - h1.num * l2.den, l2.den * h1.den)
     else:
         lower = Fraction(0)
-    if not (e1.is_bounded and e2.is_bounded):
+    if not (h1.den and h2.den):
         upper = INFINITE_DISTANCE
-    else:
-        upper = max(e2.hi.as_fraction() - e1.lo.as_fraction(),
-                    e1.hi.as_fraction() - e2.lo.as_fraction())
+    else:  # the larger of h2 - l1 and h1 - l2
+        n1, d1 = h2.num * l1.den - l1.num * h2.den, h2.den * l1.den
+        n2, d2 = h1.num * l2.den - l2.num * h1.den, h1.den * l2.den
+        upper = Fraction(n1, d1) if n1 * d2 >= n2 * d1 else Fraction(n2, d2)
     return lower, upper
 
 

@@ -192,10 +192,16 @@ class TestCommands:
         "scramble rational --rational (1+1*sqrt(2))/3",
         "scramble rational --tracked (1+1*sqrt(2))/3",
         "scramble theorem2 --tracked (1+1*sqrt(2))/3",
+        # an empty parameter word is refused, not swapped for random bits
+        "scramble rational --beta= --k-range 5..6",
+        "scramble theorem1 --xi= --k-range 5..6",
+        "scramble theorem2 --eta= --k-range 5..6",
+        "scramble theorem2 --beta= --eta= --k-range 5..6",
     ])
     def test_rejected_input_exit_code(self, capsys, argv):
         assert main(argv.split()) == 2
         captured = capsys.readouterr()
+        assert captured.out == ""
         assert captured.err.startswith("error: ")
         assert "Traceback" not in captured.err
 

@@ -1,3 +1,4 @@
+import math
 import random
 from fractions import Fraction
 
@@ -25,6 +26,7 @@ from fareyshift.coding import (
     PointEnclosure,
     _advance,
     _interval_of,
+    _word_matrix,
     admissible_words,
     code_of_rational,
     cylinder,
@@ -57,6 +59,13 @@ def fib(n):
 
 
 admissible_word = st.text(alphabet="01", min_size=1, max_size=14).filter(is_admissible)
+
+
+def _interval_of_reference(m, last_sym):
+    """The mobius_apply version of _interval_of: two gcds and an ordered compare."""
+    p1 = mobius_apply(m, ZERO)
+    p2 = mobius_apply(m, ONE if last_sym else INF)
+    return FareyInterval(p1, p2) if p1 <= p2 else FareyInterval(p2, p1)
 
 
 def _point_of_code_reference(s, max_prefix, width_goal):
@@ -172,6 +181,37 @@ class TestCodeStream:
         assert seams_admissible(CodeStream.periodic("", "10")) is True  # wraps to 1010...
         assert seams_admissible(CodeStream.periodic("0", "010")) is True
         assert is_admissible(CodeStream.periodic("01", "0").prefix(40))
+
+
+# every admissible word is a run of "0" and "10" pieces, then maybe a final "1"
+long_admissible_word = st.builds(
+    lambda pieces, tail: "".join(pieces) + tail,
+    st.lists(st.sampled_from(["0", "10"]), max_size=100),
+    st.sampled_from(["", "1"]),
+).filter(bool)
+
+
+class TestIntervalOf:
+    """Endpoints read off the matrix against the mobius_apply reference."""
+
+    @staticmethod
+    def _assert_matches_reference(word):
+        m, last = _word_matrix(word), int(word[-1])
+        got = _interval_of(m, last)
+        assert got == _interval_of_reference(m, last), word
+        assert got.lo < got.hi, word
+        for p in (got.lo, got.hi):
+            assert math.gcd(p.num, p.den) == 1 and p.num >= 0 and p.den >= 0, (word, p)
+
+    def test_exhaustive_to_12(self):
+        for n in range(1, 13):
+            for w in admissible_words(n):
+                self._assert_matches_reference(w)
+
+    @settings(max_examples=300, deadline=None)
+    @given(long_admissible_word)
+    def test_long_words(self, w):
+        self._assert_matches_reference(w)
 
 
 class TestCylinder:

@@ -12,6 +12,7 @@ from fareyshift.exact import (INF, INFINITE_DISTANCE, ONE, ZERO, ExtendedRationa
 from fareyshift.coding import (
     CodeStream,
     FareyInterval,
+    admissible_words,
     code_of_rational,
     cylinder,
     iter_admissible_words,
@@ -660,6 +661,64 @@ class TestVerifyScrambling:
 def iv(lo, hi):
     """FareyInterval from two (num, den) pairs; (1, 0) is infinity."""
     return FareyInterval(xr(*lo), xr(*hi))
+
+
+def _distance_bounds_reference(e1, e2):
+    """The Fraction-subtracting version of _distance_bounds."""
+    if e1.hi < e2.lo:
+        lower = INFINITE_DISTANCE if e2.lo.is_infinite else \
+            e2.lo.as_fraction() - e1.hi.as_fraction()
+    elif e2.hi < e1.lo:
+        lower = INFINITE_DISTANCE if e1.lo.is_infinite else \
+            e1.lo.as_fraction() - e2.hi.as_fraction()
+    else:
+        lower = Fraction(0)
+    if not (e1.is_bounded and e2.is_bounded):
+        upper = INFINITE_DISTANCE
+    else:
+        upper = max(e2.hi.as_fraction() - e1.lo.as_fraction(),
+                    e1.hi.as_fraction() - e2.lo.as_fraction())
+    return lower, upper
+
+
+# the point intervals rational_vs_tau builds for its cycle phases
+_POINT_INTERVALS = [FareyInterval(p, p) for p in (ZERO, ONE, INF)]
+# admissible words as runs of "0" and "10" pieces, then maybe a final "1";
+# those starting with 1 have unbounded cylinders
+_words = st.builds(
+    lambda pieces, tail: "".join(pieces) + tail,
+    st.lists(st.sampled_from(["0", "10"]), max_size=20),
+    st.sampled_from(["", "1"]),
+).filter(bool)
+_enclosures = st.one_of(_words.map(cylinder), st.sampled_from(_POINT_INTERVALS))
+# a cylinder and one of its ancestors overlap; siblings share an endpoint
+_nested = _words.flatmap(lambda w: st.tuples(
+    st.just(cylinder(w)), st.integers(1, len(w)).map(lambda j: cylinder(w[:j]))))
+_siblings = _words.filter(lambda w: w[-1] == "0").map(
+    lambda w: (cylinder(w + "0"), cylinder(w + "1")))
+
+
+def _assert_bounds_match_reference(e1, e2):
+    for a, b in ((e1, e2), (e2, e1)):
+        got, want = _distance_bounds(a, b), _distance_bounds_reference(a, b)
+        assert got == want, (a, b)
+        assert [type(v) for v in got] == [type(v) for v in want], (a, b)
+
+
+class TestDistanceBoundsReference:
+    """Integer cross-products against the Fraction reference, both orders."""
+
+    def test_short_cylinders_and_points_exhaustive(self):
+        ivs = [cylinder(w) for n in range(1, 6) for w in admissible_words(n)]
+        ivs += _POINT_INTERVALS
+        for e1 in ivs:
+            for e2 in ivs:
+                _assert_bounds_match_reference(e1, e2)
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.one_of(st.tuples(_enclosures, _enclosures), _nested, _siblings))
+    def test_random_pairs(self, pair):
+        _assert_bounds_match_reference(*pair)
 
 
 class TestVerdictRules:
