@@ -27,7 +27,6 @@ from .coding import (
     point_of_code,
 )
 from .conjugacy import (
-    DyadicRational,
     conjugacy_check,
     farey_level,
     farey_properties_report,
@@ -134,14 +133,13 @@ def _emit_json(obj, out_path):
 def _emit_rows(rows, header, fmt, out_path):
     if fmt == "json":
         _emit_json([dict(zip(header, row)) for row in rows], out_path)
-        return
-    cells = [[str(c) for c in row] for row in rows]
-    if fmt == "csv":
-        _emit("\n".join(",".join(row) for row in [header, *cells]), out_path)
-        return
-    widths = [max(map(len, column)) for column in zip(header, *cells)]
-    _emit("\n".join("  ".join(c.ljust(w) for c, w in zip(row, widths))
-                    for row in [header, *cells]), out_path)
+    elif fmt == "csv":
+        _emit("\n".join([",".join(header), *[",".join(map(str, row)) for row in rows]]), out_path)
+    else:
+        cells = [[str(c) for c in row] for row in rows]
+        widths = [max(map(len, column)) for column in zip(header, *cells)]
+        _emit("\n".join("  ".join(c.ljust(w) for c, w in zip(row, widths))
+                        for row in [header, *cells]), out_path)
 
 
 def _count(value: int, flag: str) -> int:
@@ -196,17 +194,25 @@ def cmd_point(args) -> int:
     return 0
 
 
+def _level_h(n: int) -> list[str]:
+    """h of each level-n node, i/2^n in lowest terms: i over its lowest set bit."""
+    full = 1 << n  # stands in for the lowest set bit of i = 0, printed as 0/2^0
+    return ["%d/2^%d" % (i // (low := i & -i or full), n + 1 - low.bit_length())
+            for i in range(full + 1)]
+
+
 def cmd_conjugacy(args) -> int:
     rows = []
     ok = True
     _count(args.phi_grid, "--phi-grid")
     level = farey_level(args.level)
-    for i, x in enumerate(level.entries):
-        h = DyadicRational(i, args.level)
+    full = 1 << args.level
+    for i, (x, h) in enumerate(zip(level.entries, _level_h(args.level))):
         good = conjugacy_check(x)
         ok &= good
-        rows.append((str(x), str(h), "%.12g" % float(x), "%.12g" % float(h),
-                     "true" if good else "false"))
+        rows.append(("%d/%d" % (x.num, x.den), h,
+                     "%.12g" % (x.num / x.den if x.den else math.inf),
+                     "%.12g" % (i / full), "true" if good else "false"))
     if args.phi_grid:
         for j in range(args.phi_grid + 1):  # grid over [0, 4]
             x = ExtendedRational(4 * j, args.phi_grid)
@@ -221,8 +227,8 @@ def cmd_farey(args) -> int:
     level = farey_level(args.level)
     # the report validates the level, so a rejected level prints nothing
     rep = farey_properties_report(level) if args.report else None
-    rows = [(i, str(x), str(DyadicRational(i, args.level)))
-            for i, x in enumerate(level.entries)]
+    rows = [(i, "%d/%d" % (x.num, x.den), h)
+            for i, (x, h) in enumerate(zip(level.entries, _level_h(args.level)))]
     _emit_rows(rows, ("index", "fraction", "h"), args.format, args.out)
     if rep is not None:
         summary = {

@@ -15,7 +15,7 @@ eventually periodic data or a pure index -> symbol procedure.
 from __future__ import annotations
 
 from fractions import Fraction
-from typing import Callable, NamedTuple
+from collections import namedtuple
 
 from .exact import (
     INF,
@@ -142,12 +142,11 @@ class CodeStream:
                    label=label or "%s(%s)" % (pre, per))
 
     @classmethod
-    def procedural(cls, fn: Callable[[int], int], label: str = "procedural") -> "CodeStream":
+    def procedural(cls, fn, label: str = "procedural") -> "CodeStream":
         return cls("procedural", fn=fn, label=label)
 
     @classmethod
-    def segmented(cls, runs: Callable[[int], tuple[str, int | None]],
-                  label: str = "segmented") -> "CodeStream":
+    def segmented(cls, runs, label: str = "segmented") -> "CodeStream":
         """Procedural stream given by its segment function (see the class)."""
         return cls("procedural", fn=lambda n: int(runs(n)[0][0]), runs=runs, label=label)
 
@@ -273,12 +272,10 @@ def cylinder(word: str) -> FareyInterval:
     return _interval_of(_word_matrix(word), int(word[-1]))
 
 
-class PointEnclosure(NamedTuple):
+class PointEnclosure(namedtuple("PointEnclosure", "interval prefix_len width_ok")):
     """Certified enclosure of the point coded by a stream prefix."""
 
-    interval: FareyInterval
-    prefix_len: int
-    width_ok: bool
+    __slots__ = ()
 
 
 def point_of_code(s: CodeStream, max_prefix: int, width_goal) -> PointEnclosure:

@@ -5,12 +5,14 @@ h sends the level-n node with index i to the dyadic i/2^n; its binary
 digits are the continued-fraction digits of x read as runs of 1s and 0s
 (a batched form of the mediant walk down the Stern-Brocot tree of
 [0, infinity]).  The level-n approximation and enclosure build no level.
+The exact checks run on integers: h(p/q) is a mantissa and exponent walked
+off Euclid's quotients, and the level identities read num/den lists.
 """
 
 from __future__ import annotations
 
+from collections import namedtuple
 from fractions import Fraction
-from typing import NamedTuple
 
 from .exact import (INF, ZERO, ExtendedRational, QuadraticSurd, _canonical, _cf_digits,
                     _surd_digits, phi_rat)
@@ -47,9 +49,6 @@ class DyadicRational:
             return NotImplemented
         return self.mantissa << other.exponent < other.mantissa << self.exponent
 
-    def __float__(self):
-        return self.mantissa / 2 ** self.exponent
-
     def __str__(self):
         return "%d/2^%d" % (self.mantissa, self.exponent)
 
@@ -57,11 +56,10 @@ class DyadicRational:
         return "DyadicRational(%d, %d)" % (self.mantissa, self.exponent)
 
 
-class FareyLevel(NamedTuple):
+class FareyLevel(namedtuple("FareyLevel", "n entries")):
     """Level n of the mediant refinement of {0/1, 1/0}: 2^n + 1 entries."""
 
-    n: int
-    entries: tuple
+    __slots__ = ()
 
 
 _MAX_LEVEL = 24  # 2^24 + 1 entries: the memory guard of farey_level
@@ -107,6 +105,21 @@ def _run_bits(digits, n: int) -> int:
     return m << n  # zeros past the last digit
 
 
+def _h_bits(num: int, den: int) -> tuple[int, int]:
+    """h(num/den) as (mantissa, exponent) in lowest terms, by h_rational's walk."""
+    if not den:
+        return 1, 0
+    m = e = 0
+    while den:
+        a, num = divmod(num, den)  # a run of a 1s
+        m, e = ((m + 1) << a) - 1, e + a
+        if not num:
+            break
+        a, den = divmod(den, num)  # a run of a 0s
+        m, e = m << a, e + a
+    return (m | 1 if e else 0), e  # the closing 1; e = 0 only at x = 0
+
+
 def h_rational(x: ExtendedRational) -> DyadicRational:
     """Exact dyadic value of the conjugating homeomorphism at a rational.
 
@@ -115,11 +128,7 @@ def h_rational(x: ExtendedRational) -> DyadicRational:
     closing 1) - exactly the left/right record of the mediant walk from
     [0/1, 1/0] down to x.  h(0) = 0 and h(infinity) = 1.
     """
-    if x.is_infinite:
-        return DyadicRational(1, 0)
-    digits = list(_cf_digits(x.num, x.den))
-    e = sum(digits)  # the closing 1 replaces the last bit, unless x = 0 has none
-    return DyadicRational(_run_bits(digits, e) | (x.num > 0), e)
+    return DyadicRational(*_h_bits(x.num, x.den))
 
 
 def h_inverse(d) -> ExtendedRational:
@@ -195,32 +204,40 @@ def conjugacy_check(x: ExtendedRational) -> bool:
 
     f is applied to h(x) = m/2^e on integers, giving (2^e - 2m)/2^e when
     2m <= 2^e and (2m - 2^e)/2^(e+1) otherwise; mantissas compare shifted."""
-    y, h = h_rational(phi_rat(x)), h_rational(x)
-    m, full = h.mantissa, 1 << h.exponent
-    fm, fe = (full - 2 * m, h.exponent) if 2 * m <= full else (2 * m - full, h.exponent + 1)
-    return y.mantissa << fe == fm << y.exponent
+    y = phi_rat(x)
+    ym, ye = _h_bits(y.num, y.den)
+    m, e = _h_bits(x.num, x.den)
+    full = 1 << e
+    fm, fe = (full - 2 * m, e) if 2 * m <= full else (2 * m - full, e + 1)
+    return ym << fe == fm << ye
 
 
-class IdentityResult(NamedTuple):
-    holds: bool
-    checked: int
-    counterexample: str | None
+class IdentityResult(namedtuple("IdentityResult", "holds checked counterexample")):
+    __slots__ = ()
 
 
-class FareyPropertyReport(NamedTuple):
+class FareyPropertyReport(namedtuple("FareyPropertyReport", [
+        "n", "reciprocal",  # reciprocal: entry i is the reciprocal of entry 2^n - i
+        "unit_sum",         # entries i and 2^(n-1) - i sum to 1
+        "phi_fold",         # phi maps entry 2^(n-1) + i to entry i
+        "phi_refine",       # phi maps level-(n+1) entry i to entry 2^n - i
+        "index_note"])):
     """Pass/fail record of the four level-n symmetry identities."""
 
-    n: int
-    reciprocal: IdentityResult      # entry i is the reciprocal of entry 2^n - i
-    unit_sum: IdentityResult        # entries i and 2^(n-1) - i sum to 1
-    phi_fold: IdentityResult        # phi maps entry 2^(n-1) + i to entry i
-    phi_refine: IdentityResult      # phi maps level-(n+1) entry i to entry 2^n - i
-    index_note: str
+    __slots__ = ()
 
     @property
     def all_pass(self) -> bool:
         return all(r.holds for r in
                    (self.reciprocal, self.unit_sum, self.phi_fold, self.phi_refine))
+
+
+def _identity(name: str, holds: list) -> IdentityResult:
+    """The verdict on holds[i] for i = 0, 1, ...: checked up to the first failure."""
+    if all(holds):
+        return IdentityResult(True, len(holds), None)
+    i = holds.index(False)
+    return IdentityResult(False, i + 1, "%s fails at i=%d" % (name, i))
 
 
 def farey_properties_report(level: FareyLevel) -> FareyPropertyReport:
@@ -236,34 +253,22 @@ def farey_properties_report(level: FareyLevel) -> FareyPropertyReport:
     if n < 1:
         raise ValueError("n must be positive")
     half = 2 ** (n - 1)
-    full = 2 ** n
-    nxt = [ZERO] * (full + 1)  # level n+1 up to index 2^n, all that phi_refine reads
-    nxt[::2] = entries[:half + 1]
-    nxt[1::2] = [_canonical(left.num + right.num, left.den + right.den)
-                 for left, right in zip(entries[:half], entries[1:half + 1])]
-
-    def run(indices, check, name):
-        checked = 0
-        for i in indices:
-            checked += 1
-            if not check(i):
-                return IdentityResult(False, checked, "%s fails at i=%d" % (name, i))
-        return IdentityResult(True, checked, None)
-
-    rec = run(range(half + 1),
-              lambda i: (entries[i].num, entries[i].den) ==
-              (entries[full - i].den, entries[full - i].num),
-              "reciprocal")
-    uni = run(range(half + 1),  # a/b + c/d = 1 with b, d > 0
-              lambda i: entries[i].num * entries[half - i].den +
-              entries[half - i].num * entries[i].den == entries[i].den * entries[half - i].den,
-              "unit_sum")
-    fold = run(range(half + 1),
-               lambda i: phi_rat(entries[half + i]) == entries[i],
-               "phi_fold")
-    ref = run(range(full + 1),
-              lambda i: phi_rat(nxt[i]) == entries[full - i],
-              "phi_refine")
+    nums, dens = [x.num for x in entries], [x.den for x in entries]
+    lo_nums, lo_dens = nums[:half + 1], dens[:half + 1]
+    nxt_nums, nxt_dens = [0] * len(nums), [0] * len(dens)  # level n+1 up to index 2^n
+    nxt_nums[::2], nxt_dens[::2] = lo_nums, lo_dens
+    nxt_nums[1::2] = [a + b for a, b in zip(lo_nums, nums[1:half + 1])]
+    nxt_dens[1::2] = [a + b for a, b in zip(lo_dens, dens[1:half + 1])]
+    rev_nums, rev_dens = nums[::-1], dens[::-1]  # entry 2^n - i at index i
+    rec = _identity("reciprocal", [a == d and b == c for a, b, c, d in
+                                   zip(lo_nums, lo_dens, rev_nums, rev_dens)])
+    uni = _identity("unit_sum", [a * d + c * b == b * d for a, b, c, d in  # a/b + c/d = 1
+                                 zip(lo_nums, lo_dens, nums[half::-1], dens[half::-1])])
+    # phi(p/q) = |p - q|/p, as phi_rat builds it, holds at 0/1 and 1/0 too
+    fold = _identity("phi_fold", [abs(p - q) == a and p == b for p, q, a, b in
+                                  zip(nums[half:], dens[half:], nums, dens)])
+    ref = _identity("phi_refine", [abs(p - q) == a and p == b for p, q, a, b in
+                                   zip(nxt_nums, nxt_dens, rev_nums, rev_dens)])
     note = ("fold identity checked on indices 2^(n-1)+i, 0 <= i <= 2^(n-1); "
             "the nominal window 2^n+i exceeds the level's index range")
     return FareyPropertyReport(n, rec, uni, fold, ref, note)

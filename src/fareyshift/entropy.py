@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import math
 from fractions import Fraction
-from typing import NamedTuple
+from collections import namedtuple
 
 from .coding import (
     FULL_LINE,
@@ -25,12 +25,11 @@ from .coding import (
 from .exact import QuadraticSurd, phi_surd
 
 
-class EntropyEstimate(NamedTuple):
-    method: str
-    value: float            # estimated log growth rate
-    rate: float             # the growth constant itself
-    depth: int
-    error_bound: float | None = None
+class EntropyEstimate(namedtuple("EntropyEstimate", [
+        "method", "value",  # value: the estimated log growth rate
+        "rate",             # the growth constant itself
+        "depth", "error_bound"], defaults=(None,))):
+    __slots__ = ()
 
 
 def count_admissible_words(n: int) -> int:
@@ -145,12 +144,10 @@ def entropy_lap(n: int) -> EntropyEstimate:
     return EntropyEstimate("lap-count", value, math.exp(value), n, None)
 
 
-class MixingCertificate(NamedTuple):
+class MixingCertificate(namedtuple("MixingCertificate", "word steps n_cover")):
     """Exact forward-image trajectory of a cylinder until it covers [0, infinity]."""
 
-    word: str
-    steps: list  # steps[0] is the cylinder itself
-    n_cover: int
+    __slots__ = ()  # steps[0] is the cylinder itself
 
     def to_dict(self) -> dict:
         return {
@@ -201,11 +198,8 @@ def dense_periodic_witness(w: str) -> QuadraticSurd:
     return x
 
 
-class TransitivityReport(NamedTuple):
-    word_len: int
-    stride: int
-    horizon: int
-    found: dict  # word -> first index == 0 (mod stride), or None
+class TransitivityReport(namedtuple("TransitivityReport", "word_len stride horizon found")):
+    __slots__ = ()  # found: word -> first index == 0 (mod stride), or None
 
     @property
     def passed(self) -> bool:

@@ -20,8 +20,8 @@ from __future__ import annotations
 import bisect
 import functools
 import math
+from collections import namedtuple
 from fractions import Fraction
-from typing import NamedTuple
 
 from .coding import (
     CodeStream,
@@ -55,7 +55,12 @@ def _rotate(word: str, j: int) -> str:
     return word[j:] + word[:j]
 
 
-class BlockLayout(NamedTuple):
+class BlockLayout(namedtuple("BlockLayout", [
+        "k", "start",  # start: k!
+        "string_len",  # k!, one constituent string
+        "quarter",     # k!/4, zero-run prefix of the separation string
+        "encode_sub",  # (k-1)!, one parameter cell of the encoding string
+        "window"])):   # (k-1)!/2, one tracking window
     """Exact index arithmetic of the factorial block spanning [k!, (k+1)!).
 
     Both stream families tile this block with k strings of length k!;
@@ -63,12 +68,7 @@ class BlockLayout(NamedTuple):
     All sub-lengths divide evenly for k >= 5.
     """
 
-    k: int
-    start: int       # k!
-    string_len: int  # k!, one constituent string
-    quarter: int     # k!/4, zero-run prefix of the separation string
-    encode_sub: int  # (k-1)!, one parameter cell of the encoding string
-    window: int      # (k-1)!/2, one tracking window
+    __slots__ = ()
 
     @classmethod
     def for_k(cls, k: int) -> "BlockLayout":
@@ -255,7 +255,11 @@ def tau_code(beta, alpha: CodeStream, x_codes) -> CodeStream:
     return CodeStream.segmented(runs, label="tau(%s)" % beta.label)
 
 
-class ScheduleEvent(NamedTuple):
+class ScheduleEvent(namedtuple("ScheduleEvent", [
+        "kind", "index", "source",  # kind: "close" | "far"
+        "threshold",   # a Fraction, or None for the verification's eps or m_big
+        "prefix_cap",  # an int, or None
+        "t_offset"], defaults=(None, None, 0))):
     """One scheduled closeness or separation check.
 
     index is the shift applied to the first stream; t_offset is the
@@ -265,12 +269,7 @@ class ScheduleEvent(NamedTuple):
     infinity on purpose.
     """
 
-    kind: str                 # "close" | "far"
-    index: int
-    source: str
-    threshold: Fraction | None = None
-    prefix_cap: int | None = None
-    t_offset: int = 0
+    __slots__ = ()
 
 
 def schedule_events(kind: str, k_range, **params) -> list[ScheduleEvent]:
@@ -391,11 +390,10 @@ def _distance_bounds(e1: FareyInterval, e2: FareyInterval):
     return lower, upper
 
 
-class EventOutcome(NamedTuple):
-    event: ScheduleEvent
-    status: str  # "pass" | "fail" | "inconclusive"
-    lower: Fraction | float  # a Fraction or INFINITE_DISTANCE
-    upper: Fraction | float
+class EventOutcome(namedtuple("EventOutcome", [
+        "event", "status",   # status: "pass" | "fail" | "inconclusive"
+        "lower", "upper"])):  # each a Fraction or INFINITE_DISTANCE
+    __slots__ = ()
 
     def to_dict(self) -> dict:
         return {
@@ -430,11 +428,10 @@ def _classify(ev: ScheduleEvent, e1: FareyInterval, e2: FareyInterval,
     return EventOutcome(ev, status, lower, upper)
 
 
-class ScrambleReport(NamedTuple):
+class ScrambleReport(namedtuple("ScrambleReport", "pair outcomes")):
     """Per-event certificates plus finite limsup/liminf proxies."""
 
-    pair: str
-    outcomes: list
+    __slots__ = ()
 
     def _count(self, status: str) -> int:
         return sum(o.status == status for o in self.outcomes)

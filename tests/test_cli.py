@@ -378,6 +378,12 @@ class TestCommands:
          "33c801f59d2f02e7c3d3198a4d754eb8b4f428d94467a50d1cbd31c734ffb7b9"),
         ("farey --level 3",
          "c851cfadbae8a4f131e9ef4f3b9c1cb0ba90ce416483a86eee72ccaa06d571ff"),
+        # recorded while the rows were formatted from ExtendedRational and
+        # DyadicRational objects
+        ("conjugacy --level 9 --format json",
+         "54c8f996ecaef369e75bb4e86a5acc99aa4d1a8426413f9d42c8d51c4d4e69c0"),
+        ("farey --level 10 --report --format table",
+         "5dcae97567454b4184db1fce93bb211b24b92709f40b40ada2ceead2c44b2e91"),
     ])
     def test_conjugacy_and_entropy_output_is_golden(self, capsys, argv, digest):
         # SHA-256 of stdout recorded from the Fraction-based kernels
@@ -456,10 +462,11 @@ class TestSharedParser:
 
 
 def test_cold_import_skips_dataclasses_and_inspect():
-    # the records are named tuples, so importing the CLI loads neither module
+    # the records are collections.namedtuple subclasses, so importing the CLI
+    # loads none of these modules (the stdlib modules the CLI imports load none)
     proc = subprocess.run([sys.executable, "-S", "-c",
                            "import sys, fareyshift.cli; "
-                           "print(sorted({'dataclasses', 'inspect'} & set(sys.modules)))"],
+                           "print(sorted({'dataclasses', 'inspect', 'typing'} & set(sys.modules)))"],
                           capture_output=True, text=True, env=_env_with_src(), timeout=60)
     assert (proc.returncode, proc.stdout, proc.stderr) == (0, "[]\n", "")
 

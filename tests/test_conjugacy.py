@@ -3,6 +3,8 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from fareyshift import conjugacy
 from fareyshift.exact import (
@@ -12,10 +14,16 @@ from fareyshift.exact import (
     ZERO,
     ExtendedRational,
     QuadraticSurd,
+    _canonical,
+    _cf_digits,
     phi_rat,
 )
 from fareyshift.conjugacy import (
     DyadicRational,
+    FareyPropertyReport,
+    IdentityResult,
+    _h_bits,
+    _run_bits,
     conjugacy_check,
     f_map,
     farey_level,
@@ -330,3 +338,116 @@ class TestFareyProperties:
         # the report forms the part of level n+1 it reads this way
         for n in range(13):
             assert farey_level(n + 1).entries[::2] == farey_level(n).entries
+
+
+def h_rational_by_digit_list(x: ExtendedRational) -> DyadicRational:
+    """h_rational as it read before the integer walk: a digit list, then _run_bits."""
+    if x.is_infinite:
+        return DyadicRational(1, 0)
+    digits = list(_cf_digits(x.num, x.den))
+    e = sum(digits)  # the closing 1 replaces the last bit, unless x = 0 has none
+    return DyadicRational(_run_bits(digits, e) | (x.num > 0), e)
+
+
+def farey_properties_report_by_objects(level) -> FareyPropertyReport:
+    """farey_properties_report as it read before the num/den lists: one
+    lambda per identity over the level's ExtendedRational entries."""
+    n, entries = level.n, level.entries
+    if n < 1:
+        raise ValueError("n must be positive")
+    half = 2 ** (n - 1)
+    full = 2 ** n
+    nxt = [ZERO] * (full + 1)  # level n+1 up to index 2^n, all that phi_refine reads
+    nxt[::2] = entries[:half + 1]
+    nxt[1::2] = [_canonical(left.num + right.num, left.den + right.den)
+                 for left, right in zip(entries[:half], entries[1:half + 1])]
+
+    def run(indices, check, name):
+        checked = 0
+        for i in indices:
+            checked += 1
+            if not check(i):
+                return IdentityResult(False, checked, "%s fails at i=%d" % (name, i))
+        return IdentityResult(True, checked, None)
+
+    rec = run(range(half + 1),
+              lambda i: (entries[i].num, entries[i].den) ==
+              (entries[full - i].den, entries[full - i].num),
+              "reciprocal")
+    uni = run(range(half + 1),  # a/b + c/d = 1 with b, d > 0
+              lambda i: entries[i].num * entries[half - i].den +
+              entries[half - i].num * entries[i].den == entries[i].den * entries[half - i].den,
+              "unit_sum")
+    fold = run(range(half + 1),
+               lambda i: phi_rat(entries[half + i]) == entries[i],
+               "phi_fold")
+    ref = run(range(full + 1),
+              lambda i: phi_rat(nxt[i]) == entries[full - i],
+              "phi_refine")
+    note = ("fold identity checked on indices 2^(n-1)+i, 0 <= i <= 2^(n-1); "
+            "the nominal window 2^n+i exceeds the level's index range")
+    return FareyPropertyReport(n, rec, uni, fold, ref, note)
+
+
+def _corrupted_levels(n: int, rng: random.Random):
+    """Level n with one entry swapped with another, or one entry replaced.
+
+    Each corruption touches one place, so the level keeps a single 0/1 and a
+    single 1/0 entry; the replacements include phi's image of the entry, its
+    reciprocal, its neighbours and random rationals, so phi identities break.
+    """
+    entries = farey_level(n).entries
+    size = len(entries)
+    pairs = ([(i, j) for i in range(size) for j in range(i + 1, size)] if size <= 33 else
+             [tuple(sorted(rng.sample(range(size), 2))) for _ in range(300)])
+    for i, j in pairs:
+        swapped = list(entries)
+        swapped[i], swapped[j] = swapped[j], swapped[i]
+        yield conjugacy.FareyLevel(n, tuple(swapped))
+    for k in (range(size) if size <= 33 else rng.sample(range(size), 40)):
+        x = entries[k]
+        for wrong in (phi_rat(x), ExtendedRational(x.den, x.num), entries[k - 1],
+                      entries[(k + 1) % size], ExtendedRational(x.num + 1, x.den or 1),
+                      xr(rng.randrange(0, 50), rng.randrange(1, 50))):
+            if wrong != x:
+                replaced = list(entries)
+                replaced[k] = wrong
+                yield conjugacy.FareyLevel(n, tuple(replaced))
+
+
+class TestIntegerLevelTables:
+    """The integer h walk and num/den identity report against the object code they replace."""
+
+    def test_h_bits_matches_the_digit_list_walk(self):
+        rng = random.Random(43)
+        points = list(farey_level(12).entries) + \
+            [xr(rng.randrange(0, 10 ** 6), rng.randrange(1, 10 ** 6)) for _ in range(500)]
+        for x in points:
+            ref = h_rational_by_digit_list(x)
+            assert h_rational(x) == ref, x
+            assert _h_bits(x.num, x.den) == (ref.mantissa, ref.exponent), x
+
+    @given(st.integers(0, 40), st.lists(st.integers(1, 40), max_size=40))
+    def test_run_bits_with_the_closing_one_is_h_bits(self, head, tail):
+        num, den = 1, 0
+        for a in reversed([head] + tail):  # [head; tail...] as a fraction
+            num, den = a * num + den, num
+        digits = list(_cf_digits(num, den))
+        e = sum(digits)
+        assert _h_bits(num, den) == (_run_bits(digits, e) | (num > 0), e)
+
+    def test_report_matches_the_object_report(self):
+        for n in range(1, 13):
+            level = farey_level(n)
+            assert farey_properties_report(level) == farey_properties_report_by_objects(level), n
+
+    def test_report_matches_the_object_report_on_corrupted_levels(self):
+        rng = random.Random(47)
+        failed = dict.fromkeys(("reciprocal", "unit_sum", "phi_fold", "phi_refine"), 0)
+        for n in range(1, 9):
+            for level in _corrupted_levels(n, rng):
+                new = farey_properties_report(level)
+                assert new == farey_properties_report_by_objects(level), (n, level.entries)
+                for name in failed:
+                    failed[name] += not getattr(new, name).holds
+        assert all(failed.values()), failed  # every identity is caught failing
