@@ -242,9 +242,10 @@ def _interval_of(m: tuple[int, int, int, int], last_sym: int) -> FareyInterval:
     a, b, c, d = m
     if last_sym:
         a, c = a + b, c + d
-    if b * c < a * d:
-        return FareyInterval(_canonical(b, d), _canonical(a, c))
-    return FareyInterval(_canonical(a, c), _canonical(b, d))
+    p, q = _canonical(b, d), _canonical(a, c)
+    iv = object.__new__(FareyInterval)  # ordered here, so __init__'s check is skipped
+    iv.lo, iv.hi = (p, q) if b * c < a * d else (q, p)
+    return iv
 
 
 def _mul(x: tuple[int, int, int, int], y: tuple[int, int, int, int]) -> tuple[int, int, int, int]:
@@ -300,10 +301,10 @@ def point_of_code(s: CodeStream, max_prefix: int, width_goal) -> PointEnclosure:
     """
     if max_prefix < 1:
         raise ValueError("max_prefix must be positive")
-    goal = Fraction(width_goal)
-    if goal <= 0:
-        raise ValueError("width_goal must be positive")
+    goal = width_goal if isinstance(width_goal, Fraction) else Fraction(width_goal)
     goal_num, goal_den = goal.numerator, goal.denominator
+    if goal_num <= 0:
+        raise ValueError("width_goal must be positive")
     # goal_num * |d*q| has at most goal_num's bits + d's bits + q's bits;
     # while d's + q's are at most this, it is below goal_den
     short_bits = goal_den.bit_length() - goal_num.bit_length() - 1
@@ -352,14 +353,10 @@ def _walk_segments(s: CodeStream, max_prefix: int, goal_num: int, goal_den: int,
     goal is still unmet, which is exact because cylinders are nested, so
     "goal met" is monotone in the prefix length.  At most one more period
     is then read symbol by symbol, as is every other segment.  Galloping
-    only forms powers up to about the size the goal needs.
+    only forms powers up to about the size the goal needs; from the empty
+    prefix its first step takes W itself.  The width test is point_of_code's,
+    without abs: d, q >= 0 along an admissible word (see _interval_of).
     """
-
-    def met(m, sym):
-        d = m[3]
-        q = m[2] + d if sym else m[2]
-        return d.bit_length() + q.bit_length() > short_bits and goal_den < goal_num * abs(d * q)
-
     m = (1, 0, 0, 1)
     prev = 0
     i = 0
@@ -376,15 +373,18 @@ def _walk_segments(s: CodeStream, max_prefix: int, goal_num: int, goal_den: int,
             while t + (1 << j) <= reps:
                 if j == len(powers):
                     powers.append(_mul(powers[-1], powers[-1]))
-                nxt = _mul(m, powers[j])
-                if met(nxt, last):
+                nxt = _mul(m, powers[j]) if i or t else powers[j]
+                d, q = nxt[3], (nxt[2] + nxt[3] if last else nxt[2])
+                if d.bit_length() + q.bit_length() > short_bits and goal_den < goal_num * d * q:
                     break
                 m, t, j = nxt, t + (1 << j), j + 1
             while j:
                 j -= 1
                 if t + (1 << j) <= reps:
                     nxt = _mul(m, powers[j])
-                    if not met(nxt, last):
+                    d, q = nxt[3], (nxt[2] + nxt[3] if last else nxt[2])
+                    if (d.bit_length() + q.bit_length() <= short_bits
+                            or goal_den >= goal_num * d * q):
                         m, t = nxt, t + (1 << j)
             if t:
                 prev, done = last, t * size
@@ -394,7 +394,8 @@ def _walk_segments(s: CodeStream, max_prefix: int, goal_num: int, goal_den: int,
                 raise InadmissibleWordError(
                     "stream prefix contains '11' at index %d" % (i + p))
             m = _advance(m, sym)
-            if met(m, sym):
+            d, q = m[3], (m[2] + m[3] if sym else m[2])
+            if d.bit_length() + q.bit_length() > short_bits and goal_den < goal_num * d * q:
                 return PointEnclosure(_interval_of(m, sym), i + p + 1, True)
             prev = sym
         i += count

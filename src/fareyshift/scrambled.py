@@ -492,16 +492,21 @@ def _thresholds(eps, m_big) -> tuple[Fraction, Fraction]:
     return eps, m_big
 
 
-def _enclosure_rule(ev: ScheduleEvent, prefix_len: int, eps: Fraction):
+def _enclosure_rule(ev: ScheduleEvent, prefix_len: int, goal: Fraction):
     """(prefix cap, width goal) shared by an event's enclosures.
 
     The cap is prefix_len, or the event's own cap when smaller; the goal
-    is an eighth of the close threshold (eps unless the event sets one).
+    is an eighth of a close event's own threshold, else goal (eps / 8,
+    formed once per verification).  An event's cap or threshold that is
+    not positive is refused (ValueError) before any enclosure.
     """
-    cap = min(prefix_len, ev.prefix_cap) if ev.prefix_cap else prefix_len
-    if ev.kind == "close" and ev.threshold:
-        return cap, Fraction(ev.threshold) / 8
-    return cap, eps / 8
+    cap, thr = ev.prefix_cap, ev.threshold
+    if cap is not None and cap < 1 or thr is not None and thr <= 0:
+        raise ValueError("prefix_cap and threshold must be positive: %s" % (ev,))
+    cap = prefix_len if cap is None else min(prefix_len, cap)
+    if ev.kind == "close" and thr is not None:
+        return cap, Fraction(thr) / 8
+    return cap, goal
 
 
 def verify_scrambling(s: CodeStream, t: CodeStream, events,
@@ -518,9 +523,10 @@ def verify_scrambling(s: CodeStream, t: CodeStream, events,
     no events at all is refused (ValueError), as no verdict can rest on it.
     """
     eps, m_big = _thresholds(eps, m_big)
+    eps_goal = eps / 8
     outcomes = []
     for ev in events:
-        cap, goal = _enclosure_rule(ev, prefix_len, eps)
+        cap, goal = _enclosure_rule(ev, prefix_len, eps_goal)
         e1 = point_of_code(s.shifted(ev.index), cap, goal).interval
         e2 = point_of_code(t.shifted(ev.index + ev.t_offset), cap, goal).interval
         outcomes.append(_classify(ev, e1, e2, eps, m_big))
@@ -547,11 +553,13 @@ def rational_vs_tau(r: ExtendedRational, t: CodeStream, k_range,
     eps, m_big = _thresholds(eps, m_big)
     e = escape_time(r)
     events = schedule_events("rational_vs_tau", k_range, escape=e, eps=eps)
+    cycle = [FareyInterval(p, p) for p in (ZERO, INF, ONE)]
+    eps_goal = eps / 8
     outcomes = []
     for ev in events:
-        rp = (ZERO, INF, ONE)[(ev.index - e) % 3]  # the schedule skips n < e
-        e1 = FareyInterval(rp, rp)
-        e2 = point_of_code(t.shifted(ev.index), *_enclosure_rule(ev, prefix_budget, eps)).interval
+        e1 = cycle[(ev.index - e) % 3]  # the schedule skips n < e
+        cap, goal = _enclosure_rule(ev, prefix_budget, eps_goal)
+        e2 = point_of_code(t.shifted(ev.index), cap, goal).interval
         outcomes.append(_classify(ev, e1, e2, eps, m_big))
     return ScrambleReport("rational %s vs %s" % (r, t.label), outcomes)
 

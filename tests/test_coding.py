@@ -382,6 +382,28 @@ class TestPointOfCode:
         with pytest.raises(InadmissibleWordError):
             point_of_code(CodeStream.periodic("", "110"), 10, Fraction(1, 10))
 
+    # the periodic kernel and the segment walk read the goal apart
+    GOAL_STREAMS = [CodeStream.periodic("1", "00100"), mu_code("0110").shifted(121)]
+
+    @pytest.mark.parametrize("goals", [
+        [3, 3.0, "3", "6/2", Fraction(3)],
+        [Fraction(1, 2 ** 40), 2.0 ** -40, "1/%d" % 2 ** 40, "%.27e" % 2.0 ** -40],
+    ])
+    def test_goal_types_read_alike(self, goals):
+        # a Fraction goal is read as it is, any other through Fraction()
+        assert len({Fraction(g) for g in goals}) == 1
+        for s in self.GOAL_STREAMS:
+            want = _point_of_code_reference(s, 400, Fraction(goals[-1]))
+            assert want.width_ok
+            for goal in goals:
+                assert point_of_code(s, 400, goal) == want, goal
+
+    @pytest.mark.parametrize("goal", [0, Fraction(0), "-1/3", Fraction(-1, 3), "0", -0.5])
+    def test_nonpositive_goals_rejected(self, goal):
+        for s in self.GOAL_STREAMS:
+            with pytest.raises(ValueError, match="^width_goal must be positive$"):
+                point_of_code(s, 400, goal)
+
     @settings(max_examples=300, deadline=None)
     @given(
         st.one_of(admissible_periodic_codes, periodic_codes,
@@ -539,6 +561,18 @@ class TestSegmentWalk:
                 if s is not None:
                     _assert_matches_reference(s.shifted(ev.index), budget, EPS / 8)
                 _assert_matches_reference(t.shifted(ev.index + ev.t_offset), budget, EPS / 8)
+
+    @pytest.mark.parametrize("word", ["0", "100", "00101"])
+    @pytest.mark.parametrize("lead", [[], [("0", 1)]])
+    def test_long_first_run(self, word, lead):
+        # a first run of over 2^10 periods: the gallop from the empty prefix
+        # (no leading symbol) starts at W itself and climbs and descends
+        # many levels; behind a leading symbol it multiplies from the start
+        reps = 2 ** 10 + 37
+        s = _pieces_stream(lead + [(word, reps), ("0", None)])
+        for k in (1, 3, 12, 40, 100, 200, 300):
+            for budget in (len(word) * 2 ** 10, len(word) * reps + 5):
+                _assert_matches_reference(s, budget, Fraction(1, 10 ** k))
 
     def test_budgets_ending_mid_period(self):
         tau = tau_code("0110", alpha_transitive(), [CodeStream.periodic("1", "00100")])

@@ -649,6 +649,39 @@ class TestVerifyScrambling:
         with pytest.raises(ValueError, match=name):
             rational_vs_tau(ONE, tau, (5, 5), **thresholds)
 
+    @pytest.mark.parametrize("event", [
+        ScheduleEvent("far", 200, "cap 0", prefix_cap=0),
+        ScheduleEvent("close", 200, "cap -3", prefix_cap=-3),
+        ScheduleEvent("close", 200, "threshold 0", threshold=Fraction(0)),
+        ScheduleEvent("close", 200, "threshold -1/2", threshold=Fraction(-1, 2)),
+        ScheduleEvent("far", 200, "threshold 0", threshold=Fraction(0)),
+    ])
+    def test_nonpositive_event_cap_or_threshold_rejected(self, event, monkeypatch):
+        # a cap of 0 read as "no cap" let the enclosure run the whole budget,
+        # and a close threshold of 0 was enclosed at eps/8 but judged against 0
+        def no_enclosure(*args):
+            raise AssertionError("enclosure computed before the check")
+
+        monkeypatch.setattr("fareyshift.scrambled.point_of_code", no_enclosure)
+        monkeypatch.setattr("fareyshift.scrambled.schedule_events", lambda *a, **kw: [event])
+        s = mu_code("01")
+        match = "prefix_cap and threshold must be positive"
+        with pytest.raises(ValueError, match=match):
+            verify_scrambling(s, s, [event])
+        tau = tau_code("0110", alpha_transitive(), [code_of_rational(ONE)])
+        with pytest.raises(ValueError, match=match):
+            rational_vs_tau(ONE, tau, (5, 5))
+
+    def test_enclosure_rule(self):
+        # the verification's goal is passed through as it is; an event's own
+        # cap binds when smaller, and a close event's own threshold sets the goal
+        goal = Fraction(1, 800)
+        for kind in ("close", "far"):
+            assert _enclosure_rule(ScheduleEvent(kind, 0, "x"), 99, goal)[1] is goal
+            ev = ScheduleEvent(kind, 0, "x", threshold=Fraction(1, 10), prefix_cap=1)
+            assert _enclosure_rule(ev, 99, goal) == (1, Fraction(1, 80) if kind == "close" else goal)
+        assert _enclosure_rule(ScheduleEvent("far", 0, "x", prefix_cap=500), 99, goal) == (99, goal)
+
     def test_report_json_round_trip(self):
         import json
         s, t = mu_code("01"), mu_code("10")
@@ -822,7 +855,7 @@ class TestRationalVsTau:
             while n < ev.index:
                 y, n = phi_rat(y), n + 1
             assert y == (ZERO, INF, ONE)[(ev.index - e) % 3]
-            e2 = point_of_code(self.tau.shifted(ev.index), *_enclosure_rule(ev, 10 ** 6, eps))
+            e2 = point_of_code(self.tau.shifted(ev.index), *_enclosure_rule(ev, 10 ** 6, eps / 8))
             assert o == _classify(ev, FareyInterval(y, y), e2.interval, eps, m_big)
 
 
