@@ -9,7 +9,7 @@ inverse branches
     psi1: y -> 1/(1 - y)   (into I1 = [1, infinity], defined on [0, 1]),
 
 right to left over the word.  Infinite codes are CodeStream objects:
-eventually periodic data or a pure index -> symbol procedure.
+eventually periodic data or a chain of periodic runs.
 """
 
 from __future__ import annotations
@@ -110,23 +110,21 @@ _SYMBOL = {"0": 0, "1": 1}
 class CodeStream:
     """An infinite 0/1 sequence addressed by nonnegative index.
 
-    Two kinds: eventually periodic (preperiod + repeating period) and
-    procedural (a pure index -> symbol function).  A procedural stream
-    may instead be defined by a segment function runs(n) -> (word, end):
-    symbols n..end-1 read word repeated (end None: forever); its symbols
-    and prefixes are then read off the segments.  Evaluation is pure
-    given the index.
+    Two shapes: eventually periodic (preperiod + repeating period) and
+    segmented, given by a segment function runs(n) -> (word, end):
+    symbols n..end-1 read word repeated (end None: forever), so each
+    symbol is read off its segment.  A segmented stream's kind is
+    "procedural".  Evaluation is pure given the index.
     Streams are general points of the full 2-shift; admissibility (no
     "11") is a property checked where an operation requires it.
     """
 
-    __slots__ = ("kind", "pre", "per", "_fn", "_runs", "_offset", "label")
+    __slots__ = ("kind", "pre", "per", "_runs", "_offset", "label")
 
-    def __init__(self, kind, pre=None, per=None, fn=None, runs=None, offset=0, label=""):
+    def __init__(self, kind, pre=None, per=None, runs=None, offset=0, label=""):
         self.kind = kind
         self.pre = pre
         self.per = per
-        self._fn = fn
         self._runs = runs
         self._offset = offset
         self.label = label
@@ -142,13 +140,9 @@ class CodeStream:
                    label=label or "%s(%s)" % (pre, per))
 
     @classmethod
-    def procedural(cls, fn, label: str = "procedural") -> "CodeStream":
-        return cls("procedural", fn=fn, label=label)
-
-    @classmethod
     def segmented(cls, runs, label: str = "segmented") -> "CodeStream":
-        """Procedural stream given by its segment function (see the class)."""
-        return cls("procedural", fn=lambda n: int(runs(n)[0][0]), runs=runs, label=label)
+        """Stream given by its segment function (see the class)."""
+        return cls("procedural", runs=runs, label=label)
 
     def symbol_at(self, n: int) -> int:
         if n < 0:
@@ -156,7 +150,7 @@ class CodeStream:
         if self.kind == "periodic":
             k = n - len(self.pre)
             return _SYMBOL[self.pre[n] if k < 0 else self.per[k % len(self.per)]]
-        return self._fn(n + self._offset)
+        return _SYMBOL[self._runs(n + self._offset)[0][0]]
 
     __getitem__ = symbol_at
 
@@ -164,7 +158,7 @@ class CodeStream:
         """(word, end): symbols n..end-1 read word repeated; end None is forever.
 
         Periodic streams give the rest of the preperiod, then the rotated
-        period forever; plain procedural streams give one symbol.
+        period forever; segmented streams give their segment from n on.
         """
         if n < 0:
             raise IndexError("negative index")
@@ -175,8 +169,6 @@ class CodeStream:
             j = (n - p) % len(self.per)
             return self.per[j:] + self.per[:j], None
         off = self._offset
-        if self._runs is None:
-            return ("1" if self._fn(n + off) else "0"), n + 1
         word, end = self._runs(n + off)
         if end is None:
             return word, None
@@ -207,8 +199,7 @@ class CodeStream:
                 return CodeStream("periodic", pre=self.pre[k:], per=self.per, label=label)
             j = (k - len(self.pre)) % len(self.per)
             return CodeStream("periodic", pre="", per=self.per[j:] + self.per[:j], label=label)
-        return CodeStream("procedural", fn=self._fn, runs=self._runs, offset=self._offset + k,
-                          label=label)
+        return CodeStream("procedural", runs=self._runs, offset=self._offset + k, label=label)
 
     def __repr__(self):
         return "CodeStream(%s)" % (self.label or self.kind)
@@ -287,17 +278,18 @@ def point_of_code(s: CodeStream, max_prefix: int, width_goal) -> PointEnclosure:
     second case the returned enclosure has width_ok = False ("width goal
     not reached").  The prefix read must be admissible.
 
-    Each symbol costs one matrix step, written out on four integers.  The
-    cylinder's endpoints b/d and p/q form a unimodular pair, so a bounded
-    cylinder has width exactly 1/|d*q| (an unbounded one has d*q = 0),
-    and width < goal iff goal.denominator < goal.numerator * |d*q|.  The
-    width test runs only at the symbols where a bound on the growth of
-    the matrix's bit lengths allows it to pass; it compares bit lengths
-    first, so the product is formed only on the last few symbols.  The
-    FareyInterval is built once, for the prefix that is returned.
+    On a periodic stream each symbol costs one matrix step, written out
+    on four integers.  The cylinder's endpoints b/d and p/q form a
+    unimodular pair, so a bounded cylinder has width exactly 1/|d*q| (an
+    unbounded one has d*q = 0), and width < goal iff goal.denominator <
+    goal.numerator * |d*q|.  The width test runs only at the symbols
+    where a bound on the growth of the matrix's bit lengths allows it to
+    pass; it compares bit lengths first, so the product is formed only
+    on the last few symbols.  The FareyInterval is built once, for the
+    prefix that is returned.
 
-    A stream with a segment function is read segment by segment instead,
-    with the same result (see _walk_segments).
+    A segmented stream is read segment by segment instead, with the same
+    result (see _walk_segments).
     """
     if max_prefix < 1:
         raise ValueError("max_prefix must be positive")

@@ -2,8 +2,15 @@ import os
 
 from hypothesis import settings
 
+from fareyshift.coding import CodeStream
+
 # HYPOTHESIS_PROFILE=ci runs every property test on a fixed example
 # sequence with no deadline, so a CI run cannot flake; locally the
 # default profile applies.
 settings.register_profile("ci", derandomize=True, deadline=None)
 settings.load_profile(os.environ.get("HYPOTHESIS_PROFILE", "default"))
+
+
+def per_symbol_stream(fn, label="procedural"):
+    """A stream given symbol by symbol: fn(n) is symbol n, each a one-symbol segment."""
+    return CodeStream.segmented(lambda n: ("1" if fn(n) else "0", n + 1), label=label)

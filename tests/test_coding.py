@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from conftest import per_symbol_stream
 from fareyshift.exact import (
     GOLDEN_FIXED_POINT,
     INF,
@@ -36,6 +37,7 @@ from fareyshift.coding import (
     phi_interval_image,
     point_of_code,
 )
+from fareyshift.cli import parse_code
 from fareyshift.scrambled import (
     BlockLayout,
     alpha_transitive,
@@ -101,6 +103,15 @@ periodic_codes = st.builds(
     st.text(alphabet="01", min_size=1, max_size=8),
 )
 admissible_periodic_codes = periodic_codes.filter(lambda c: is_admissible(c.pre + c.per + c.per))
+
+
+def _rewrap(s):
+    """The same symbols as one-symbol segments: the segment walk's per-symbol tail."""
+    return per_symbol_stream(s.symbol_at, label=s.label)
+
+
+# one-symbol segments of periodic codes, admissible or not
+rewrapped_periodic_codes = st.one_of(admissible_periodic_codes, periodic_codes).map(_rewrap)
 rational_and_unbounded_codes = st.sampled_from(
     [CodeStream.periodic("", per) for per in ("100", "010", "001")])
 procedural_codes = st.builds(
@@ -160,15 +171,41 @@ class TestCodeStream:
     @settings(max_examples=200, deadline=None)
     @given(st.one_of(periodic_codes, st.sampled_from(
                _PROCEDURAL + [alpha_transitive(),
-                              CodeStream.procedural(lambda n: 1 if n % 5 == 0 else 0)])),
+                              per_symbol_stream(lambda n: 1 if n % 5 == 0 else 0)])),
            st.integers(0, 6000), st.integers(0, 2000))
     def test_prefix_reads_the_symbols(self, s, k, n):
-        # one run_at walk reads periodic, plain procedural and segmented streams
+        # one run_at walk reads periodic, one-symbol-segment and segmented streams
         assert s.prefix(n) == "".join(str(s[i]) for i in range(n))
         assert s.shifted(k).prefix(n) == s.prefix(k + n)[k:]
 
+    def test_every_built_stream_has_one_of_two_shapes(self):
+        builders = [CodeStream.periodic("0100", "00101"), parse_code("1(00100)"),
+                    code_of_rational(xr(22, 7)), code_of_rational(INF, tie_high=True),
+                    mu_code("0110"), alpha_transitive(),
+                    tau_code("0110", alpha_transitive(), _TRACKED)]
+        for base in builders:
+            for s in [base.shifted(k) for k in (0, 1, 119, 120, 721)]:
+                if s.kind == "periodic":
+                    assert s._runs is None
+                    assert type(s.pre) is str and type(s.per) is str
+                else:
+                    # bench/tracing.py splits scrambled.lookup from coding.symbol_at on this kind
+                    assert s.kind == "procedural" and callable(s._runs)
+                # each segment's first, second and last symbol, up to index 6000
+                indices, i = set(), 0
+                while i < 6000:
+                    word, end = s.run_at(i)
+                    last = i + 2 * len(word) if end is None else end - 1
+                    indices.update((i, min(i + 1, last), last))
+                    if end is None:
+                        break
+                    i = end
+                for i in sorted(indices):
+                    sym = s[i]
+                    assert type(sym) is int and sym == int(s.run_at(i)[0][0]), (s, i)
+
     def test_procedural_shift_and_cache(self):
-        s = CodeStream.procedural(lambda n: 1 if n % 5 == 0 else 0)
+        s = per_symbol_stream(lambda n: 1 if n % 5 == 0 else 0)
         assert s.prefix(11) == "10000100001"
         assert s.shifted(3).prefix(4) == "0010"
 
@@ -406,8 +443,8 @@ class TestPointOfCode:
 
     @settings(max_examples=300, deadline=None)
     @given(
-        st.one_of(admissible_periodic_codes, periodic_codes,
-                  rational_and_unbounded_codes, procedural_codes),
+        st.one_of(admissible_periodic_codes, periodic_codes, rational_and_unbounded_codes,
+                  procedural_codes, rewrapped_periodic_codes),
         st.integers(1, 400),
         width_goals,
     )
@@ -544,11 +581,6 @@ def _schedule_cases(k):
     ]
 
 
-def _rewrap(s):
-    """The same symbols as a plain procedural stream: the per-symbol loop."""
-    return CodeStream.procedural(s.symbol_at, label=s.label)
-
-
 class TestSegmentWalk:
     """The segment walk against the per-symbol reference, on segmented streams."""
 
@@ -622,6 +654,7 @@ class TestSegmentWalk:
 
     @pytest.mark.parametrize("k", [5, 6, 7, 8])
     def test_reports_unchanged_on_the_per_symbol_loop(self, k):
+        """Every report is the same when the gallop reads the streams as one-symbol segments."""
         for s, t, events, m_big in _schedule_cases(k):
             if s is None:
                 r = xr(22, 7)
@@ -696,7 +729,7 @@ class TestPhiIntervalImage:
         rng = random.Random(5)
         for trial in range(100):
             bits = "".join(rng.choice("01") for _ in range(10))
-            s = CodeStream.procedural(
+            s = per_symbol_stream(
                 (lambda b: lambda n: int(b[n % 10]) if n % 2 == 0 else 0)(bits),
                 label="t%d" % trial)
             e0 = point_of_code(s, 12, Fraction(1, 10 ** 40)).interval

@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from conftest import per_symbol_stream
 from fareyshift.exact import (INF, INFINITE_DISTANCE, ONE, ZERO, ExtendedRational,
                               escape_time, phi_rat)
 from fareyshift.coding import (
@@ -249,7 +250,7 @@ class TestBlocks:
     def test_c_star_block_two_shapes(self):
         zeros = CodeStream.periodic("", "0")
         assert c_star_block(zeros, 6, 14) == "100100100"
-        ones_at_6 = CodeStream.procedural(lambda n: 1 if n == 6 else 0)
+        ones_at_6 = per_symbol_stream(lambda n: 1 if n == 6 else 0)
         assert c_star_block(ones_at_6, 6, 14) == "010010010"
         for code in (zeros, ones_at_6):
             assert c_star_block(code, 6, 14).endswith("0")
@@ -349,28 +350,28 @@ class TestTauCode:
 
 def _reference_alpha():
     blocks = _build_alpha_blocks()
-    return CodeStream.procedural(lambda n: _alpha_symbol_reference(blocks, n), label="alpha-ref")
+    return per_symbol_stream(lambda n: _alpha_symbol_reference(blocks, n), label="alpha-ref")
 
 
 def _reference_tau(beta, alpha, x_codes):
     beta = CodeStream.periodic("", beta) if isinstance(beta, str) else beta
-    return CodeStream.procedural(
+    return per_symbol_stream(
         lambda n: _tau_symbol_reference(beta, alpha, x_codes, n), label="tau-ref")
 
 
 def _random_bits(seed):
-    return CodeStream.procedural(
+    return per_symbol_stream(
         lambda n: random.Random(seed * 1_000_003 + n).getrandbits(1), label="random")
 
 
-# parameter streams: a recycled word or a random procedural stream
+# parameter streams: a recycled word or a random per-symbol stream
 betas = st.one_of(st.text(alphabet="01", min_size=1, max_size=8),
                   st.integers(0, 2 ** 32).map(_random_bits))
 
 
 @st.composite
 def tracked_pairs(draw):
-    """(code, its oracle): periodic, rational, plain procedural or segmented."""
+    """(code, its oracle): periodic, rational, per-symbol or segmented."""
     kind = draw(st.sampled_from(["periodic", "rational", "procedural", "segmented"]))
     if kind == "periodic":
         code = CodeStream.periodic(draw(st.text(alphabet="01", max_size=5)),
@@ -380,7 +381,7 @@ def tracked_pairs(draw):
     elif kind == "procedural":
         mod = draw(st.integers(2, 9))
         res = draw(st.integers(0, mod - 1))
-        code = CodeStream.procedural(lambda n: 1 if n % mod == res else 0)
+        code = per_symbol_stream(lambda n: 1 if n % mod == res else 0)
     else:  # a tau stream tracking a tau stream
         beta = draw(betas)
         inner = CodeStream.periodic("", draw(st.text(alphabet="01", min_size=1, max_size=7)))
