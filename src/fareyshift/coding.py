@@ -24,6 +24,7 @@ from .exact import (
     ExtendedRational,
     _canonical,
     _escape_word,
+    escape_time,
     mobius_apply,
     mobius_fixed_point,
     phi_rat,
@@ -438,14 +439,20 @@ def phi_interval_image(iv: FareyInterval) -> list[FareyInterval]:
     ]
 
 
+_MAX_ESCAPE = 10 ** 7  # symbols: the memory guard of code_of_rational's preperiod
+
+
 def code_of_rational(x: ExtendedRational, tie_high: bool = False) -> CodeStream:
     """Eventually periodic code of a rational point of [0, infinity].
 
     The preperiod is x's escape word, read off its continued fraction;
     after the escape to 0 the code is the period-3 cycle code
     010 010 ...  tie_high reads the visit to 1 as 1, which picks the
-    other of the two codes a positive rational has.
+    other of the two codes a positive rational has.  An escape time
+    above _MAX_ESCAPE is refused before the word is built.
     """
     if x.is_infinite:
         return CodeStream.periodic("", "100", label="code(1/0)")
+    if escape_time(x) > _MAX_ESCAPE:
+        raise ValueError("escape time of %s above the memory guard %d" % (x, _MAX_ESCAPE))
     return CodeStream.periodic(_escape_word(x, tie_high), "010", label="code(%s)" % x)

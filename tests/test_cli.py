@@ -4,6 +4,7 @@ import json
 import os
 import subprocess
 import sys
+from fractions import Fraction
 
 import pytest
 
@@ -35,9 +36,10 @@ class TestParsers:
             parse_code("0102")
 
     def test_krange(self):
+        # only the syntax: schedule_events decides which ranges it schedules
         assert parse_krange("5..7") == (5, 7)
-        with pytest.raises(Exception):
-            parse_krange("7..5")
+        with pytest.raises(ValueError):
+            parse_krange("5-7")
 
 
 def _env_with_src():
@@ -162,6 +164,8 @@ class TestCommands:
         "point (0) --max-prefix 0",
         "point (0) --precision 0",
         "scramble theorem1 --k-range 5..12",
+        "scramble theorem1 --k-range 4..6",
+        "scramble theorem1 --k-range 7..5",
         "farey --level 30",
         "conjugacy --level 30",
         "conjugacy --level -1",
@@ -173,7 +177,6 @@ class TestCommands:
         "entropy --tol inf",
         "iterate 1/2 --steps -1",
         "conjugacy --phi-grid -1",
-        "gdemo --samples -1",
         # a fraction option is parsed inside the command, not by argparse
         "point (0) --precision 1/0",
         "point (0) --precision abc",
@@ -197,6 +200,9 @@ class TestCommands:
         "scramble theorem1 --xi= --k-range 5..6",
         "scramble theorem2 --eta= --k-range 5..6",
         "scramble theorem2 --beta= --eta= --k-range 5..6",
+        # an escape word of 1.5 * 10^15 symbols is refused before it is built
+        "scramble theorem2 --tracked 1000000000000000/1 --k-range 5..5",
+        "scramble rational --tracked 1000000000000000/1 --k-range 5..5",
     ])
     def test_rejected_input_exit_code(self, capsys, argv):
         assert main(argv.split()) == 2
@@ -247,6 +253,22 @@ class TestCommands:
         assert hashlib.sha256(out.encode()).hexdigest() == \
             "830a86bab57e17a043c0f82053030e2a06f80ca17889f7b4037b7040e44d0148"
 
+    @pytest.mark.parametrize("nodes", [
+        # a node inside (1/6, 1/3): g is no longer affine on the band
+        ((0, 1), (Fraction(1, 6), Fraction(1, 3)), (Fraction(1, 5), Fraction(1, 5)),
+         (Fraction(1, 3), Fraction(1, 6)), (Fraction(1, 2), 0), (1, Fraction(1, 2))),
+        # g(1/3) moved off 1/6: the ends are no longer swapped
+        ((0, 1), (Fraction(1, 6), Fraction(1, 3)), (Fraction(1, 3), Fraction(1, 5)),
+         (Fraction(1, 2), 0), (1, Fraction(1, 2))),
+    ], ids=["node-inside-band", "ends-not-swapped"])
+    def test_gdemo_band_proof_fails_on_a_mutated_map(self, capsys, monkeypatch, nodes):
+        nodes = tuple((Fraction(x), Fraction(y)) for x, y in nodes)
+        monkeypatch.setattr(scrambled, "_G_NODES", nodes)  # the table g_map reads
+        monkeypatch.setattr(cli, "_G_NODES", nodes)  # the table gdemo's proof reads
+        code, out = run(capsys, "gdemo")
+        assert code == 1
+        assert json.loads(out)["period2_band"] is False
+
     def test_report_at_the_memory_guard_level(self, capsys, monkeypatch):
         # the report forms only the part of level n + 1 it reads, so the
         # largest level the guard allows has a report too
@@ -278,7 +300,8 @@ class TestCommands:
             "scramble theorem1", "gdemo")),
         *("%s --seed 3" % cmd for cmd in (
             "iterate 3/5", "code 1/1", "interval 0100", "point (0)", "conjugacy", "farey",
-            "entropy", "mixing 00", "periodic 0100")),
+            "entropy", "mixing 00", "periodic 0100", "gdemo")),
+        "gdemo --samples 5",
         "point (0) --format csv",
         # each scramble family takes only the flags it reads
         "scramble theorem1 --eta 111",
@@ -288,8 +311,9 @@ class TestCommands:
         "scramble theorem2 --xi 1",
     ])
     def test_flags_a_command_does_not_read_are_rejected(self, capsys, argv):
-        # --format only where the output has formats, --seed only where
-        # something is sampled, family flags only on their family;
+        # --format only where the output has formats, --seed only on
+        # scramble, which draws missing parameter words, family flags
+        # only on their family;
         # argparse rejects the rest as usage errors
         assert main(argv.split()) == 2
         captured = capsys.readouterr()
@@ -411,8 +435,7 @@ class TestCommands:
         assert hashlib.sha256(out.encode()).hexdigest() == digest
 
     def test_zero_counts_stay_valid(self, capsys):
-        for argv in ("iterate 1/2 --steps 0", "conjugacy --level 1 --phi-grid 0",
-                     "gdemo --samples 0"):
+        for argv in ("iterate 1/2 --steps 0", "conjugacy --level 1 --phi-grid 0"):
             assert main(argv.split()) == 0, argv
             assert capsys.readouterr().err == ""
 

@@ -7,6 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import per_symbol_stream
+from fareyshift import coding
 from fareyshift.exact import (
     GOLDEN_FIXED_POINT,
     INF,
@@ -753,3 +754,11 @@ class TestCodeOfRational:
             s = code_of_rational(x)
             assert s.prefix(20) == itinerary(x, 20)
             assert is_admissible(s.pre + s.per + s.per)
+
+    def test_code_at_the_memory_guard(self, monkeypatch):
+        # the largest escape time the guard allows still has a code; one
+        # symbol more is refused, read off the continued fraction
+        monkeypatch.setattr(coding, "_MAX_ESCAPE", 14998)
+        assert len(code_of_rational(xr(1, 9999)).pre) == 14998
+        with pytest.raises(ValueError, match="memory guard"):
+            code_of_rational(xr(1, 10000))  # escape time 14999
