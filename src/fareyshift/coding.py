@@ -106,6 +106,7 @@ FULL_LINE = FareyInterval(ZERO, INF)
 
 
 _SYMBOL = {"0": 0, "1": 1}
+_TO_BITS = bytes.maketrans(b"01", b"\x00\x01")
 
 
 class CodeStream:
@@ -116,16 +117,21 @@ class CodeStream:
     symbols n..end-1 read word repeated (end None: forever), so each
     symbol is read off its segment.  A segmented stream's kind is
     "procedural".  Evaluation is pure given the index.
+    A periodic stream also holds its symbols pre + per as a table of
+    0/1 bytes, so a symbol is one index into it.
     Streams are general points of the full 2-shift; admissibility (no
     "11") is a property checked where an operation requires it.
     """
 
-    __slots__ = ("kind", "pre", "per", "_runs", "_offset", "label")
+    __slots__ = ("kind", "pre", "per", "_syms", "_p", "_q", "_runs", "_offset", "label")
 
-    def __init__(self, kind, pre=None, per=None, runs=None, offset=0, label=""):
+    def __init__(self, kind, pre=None, per=None, syms=None, runs=None, offset=0, label=""):
         self.kind = kind
         self.pre = pre
         self.per = per
+        self._syms = syms
+        if syms is not None:
+            self._p, self._q = len(pre), len(per)
         self._runs = runs
         self._offset = offset
         self.label = label
@@ -134,10 +140,10 @@ class CodeStream:
     def periodic(cls, pre: str, per: str, label: str = "") -> "CodeStream":
         if not per:
             raise ValueError("period must be nonempty")
-        for ch in pre + per:
-            if ch not in "01":
-                raise ValueError("symbols must be 0/1")
-        return cls("periodic", pre=pre, per=per,
+        raw = (pre + per).encode()
+        if raw.translate(None, b"01"):
+            raise ValueError("symbols must be 0/1")
+        return cls("periodic", pre=pre, per=per, syms=raw.translate(_TO_BITS),
                    label=label or "%s(%s)" % (pre, per))
 
     @classmethod
@@ -146,11 +152,16 @@ class CodeStream:
         return cls("procedural", runs=runs, label=label)
 
     def symbol_at(self, n: int) -> int:
+        syms = self._syms
+        if syms is not None:
+            p = self._p
+            if n >= p:
+                return syms[p + (n - p) % self._q]
+            if n < 0:
+                raise IndexError("negative index")
+            return syms[n]
         if n < 0:
             raise IndexError("negative index")
-        if self.kind == "periodic":
-            k = n - len(self.pre)
-            return _SYMBOL[self.pre[n] if k < 0 else self.per[k % len(self.per)]]
         return _SYMBOL[self._runs(n + self._offset)[0][0]]
 
     __getitem__ = symbol_at
@@ -196,10 +207,13 @@ class CodeStream:
             return self
         label = "shift(%s,%d)" % (self.label, k)
         if self.kind == "periodic":  # its symbols are checked already
-            if k <= len(self.pre):
-                return CodeStream("periodic", pre=self.pre[k:], per=self.per, label=label)
-            j = (k - len(self.pre)) % len(self.per)
-            return CodeStream("periodic", pre="", per=self.per[j:] + self.per[:j], label=label)
+            p, syms = self._p, self._syms
+            if k <= p:
+                return CodeStream("periodic", pre=self.pre[k:], per=self.per,
+                                  syms=syms[k:], label=label)
+            j = (k - p) % self._q
+            return CodeStream("periodic", pre="", per=self.per[j:] + self.per[:j],
+                              syms=syms[p + j:] + syms[p:p + j], label=label)
         return CodeStream("procedural", runs=self._runs, offset=self._offset + k, label=label)
 
     def __repr__(self):
@@ -279,8 +293,9 @@ def point_of_code(s: CodeStream, max_prefix: int, width_goal) -> PointEnclosure:
     second case the returned enclosure has width_ok = False ("width goal
     not reached").  The prefix read must be admissible.
 
-    On a periodic stream each symbol costs one matrix step, written out
-    on four integers.  The cylinder's endpoints b/d and p/q form a
+    On a periodic stream each symbol costs one read of the stream's
+    symbol table and one matrix step, written out on four integers, and
+    the first "11" is found before the walk, in one string search.  The cylinder's endpoints b/d and p/q form a
     unimodular pair, so a bounded cylinder has width exactly 1/|d*q| (an
     unbounded one has d*q = 0), and width < goal iff goal.denominator <
     goal.numerator * |d*q|.  The width test runs only at the symbols
@@ -312,15 +327,16 @@ def point_of_code(s: CodeStream, max_prefix: int, width_goal) -> PointEnclosure:
     # short_bits: after the bit test fails at index i, no index before
     # i + 1 + (short_bits - 1)//2 - row can pass it.
     half = (short_bits - 1) // 2
+    # pre + per + per is a prefix of the stream holding each of its adjacent
+    # pairs, so its first "11" inside the first max_prefix symbols is the
+    # stream's: bad is the index of that "11"'s second symbol, 0 for none
+    bad = (s.pre[:max_prefix] + s.per + s.per).find("11", 0, max_prefix) + 1
     symbol_at = s.symbol_at
     a, b, c, d = 1, 0, 0, 1
-    prev = 0
     test_at = 0
-    for i in range(max_prefix):
+    for i in range(bad or max_prefix):
         sym = symbol_at(i)
         if sym:
-            if prev:
-                raise InadmissibleWordError("stream prefix contains '11' at index %d" % i)
             a, b, c, d = -b, a + b, -d, c + d
         else:
             a, b, c, d = b, a + b, d, c + d
@@ -331,8 +347,9 @@ def point_of_code(s: CodeStream, max_prefix: int, width_goal) -> PointEnclosure:
                 test_at = i + 1 + half - max(c.bit_length(), d.bit_length())
             elif goal_den < goal_num * abs(d * q):
                 return PointEnclosure(_interval_of((a, b, c, d), sym), i + 1, True)
-        prev = sym
-    return PointEnclosure(_interval_of((a, b, c, d), prev), max_prefix, False)
+    if bad:
+        raise InadmissibleWordError("stream prefix contains '11' at index %d" % bad)
+    return PointEnclosure(_interval_of((a, b, c, d), sym), max_prefix, False)
 
 
 def _walk_segments(s: CodeStream, max_prefix: int, goal_num: int, goal_den: int,

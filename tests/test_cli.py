@@ -188,6 +188,7 @@ class TestCommands:
         "code (1+1*sqrt(2))/0",
         "interval 011",
         "mixing 011",
+        "point (1001)",  # "11" across the seam between two periods
         "scramble theorem1 --beta 01 --xi 01",
         "scramble rational --rational 1/10000 --k-range 5..5 --seed 1",  # no events
         "scramble theorem1 --shift -1",
@@ -426,6 +427,9 @@ class TestCommands:
          "7204e47926bd514ed399fb1f25209235629041d25475f96eba8fa6dc23ef3df3"),
         ("scramble rational --rational 1/200 --k-range 5..7 --seed 3",
          "ad3323bcbebf41a97985418228f44811305dd0a9e23a1f9ab66d876fc2bba069"),
+        # a deep periodic enclosure, recorded from per-symbol string reads
+        ("point 10(0100) --max-prefix 5000 --format json --precision 1/1" + "0" * 200,
+         "4df505cfe9a5eee28e38a4994f953a33de1c73ea693a9966c9ed32e67903f261"),
     ])
     def test_certificate_orbit_and_schedule_output_is_golden(self, capsys, argv, digest):
         # SHA-256 of stdout recorded from the merged-interval mixing walk,

@@ -3,7 +3,7 @@ import random
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from conftest import per_symbol_stream
@@ -168,6 +168,31 @@ class TestCodeStream:
                 assert sym == (want[i] == "1")
             with pytest.raises(IndexError):
                 t.symbol_at(-1)
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.text(alphabet="01", max_size=6), st.text(alphabet="01", min_size=1, max_size=8))
+    @example("", "1")
+    @example("0100", "0")
+    def test_symbol_table_reads_the_plain_string(self, pre, per):
+        # against pre + per * k itself, not against another read of the stream
+        n = len(pre) + 3 * len(per)
+        plain = pre + per * (2 * n + 2)
+        s = CodeStream.periodic(pre, per)
+        # shifts inside the preperiod, at its end and past it into the period
+        for k in range(len(pre) + len(per) + 2):
+            t = s.shifted(k)
+            for i in range(n):
+                sym = t.symbol_at(i)
+                assert type(sym) is int and sym in (0, 1)
+                assert sym == int(plain[k + i]), (pre, per, k, i)
+            with pytest.raises(IndexError):
+                t[-1]
+
+    @pytest.mark.parametrize("bad", ["2", " ", "O", "\u0661"])
+    def test_symbols_other_than_0_1_rejected(self, bad):
+        for pre, per in (("0" + bad, "01"), ("", "0" + bad), (bad, "0"), ("", bad)):
+            with pytest.raises(ValueError, match="^symbols must be 0/1$"):
+                CodeStream.periodic(pre, per)
 
     @settings(max_examples=200, deadline=None)
     @given(st.one_of(periodic_codes, st.sampled_from(
@@ -419,6 +444,27 @@ class TestPointOfCode:
     def test_rejects_inadmissible_stream(self):
         with pytest.raises(InadmissibleWordError):
             point_of_code(CodeStream.periodic("", "110"), 10, Fraction(1, 10))
+
+    # the first "11" inside the preperiod, at its join with the period,
+    # inside the period and across the seam between two periods
+    @pytest.mark.parametrize("pre, per, bad", [
+        ("0110", "0", 2), ("01", "10", 2), ("", "0110", 2), ("", "1001", 4)])
+    def test_first_11_found_up_front(self, pre, per, bad):
+        s = CodeStream.periodic(pre, per)
+        goal = Fraction(1, 10 ** 30)
+        for max_prefix in (bad - 1, bad, bad + 1, bad + 10):
+            _assert_matches_reference(s, max_prefix, goal)
+            if max_prefix > bad:
+                with pytest.raises(InadmissibleWordError, match="at index %d$" % bad):
+                    point_of_code(s, max_prefix, goal)
+            else:
+                assert point_of_code(s, max_prefix, goal).prefix_len == max_prefix
+
+    def test_width_goal_met_before_the_first_11(self):
+        s = CodeStream.periodic("0" * 30, "110")  # "11" ends at index 31
+        enc = point_of_code(s, 100, Fraction(1, 100))
+        assert enc.width_ok and enc.prefix_len < 31
+        assert enc == _point_of_code_reference(s, 100, Fraction(1, 100))
 
     # the periodic kernel and the segment walk read the goal apart
     GOAL_STREAMS = [CodeStream.periodic("1", "00100"), mu_code("0110").shifted(121)]
