@@ -35,7 +35,7 @@ class InadmissibleWordError(ValueError):
 
 
 def is_admissible(word: str) -> bool:
-    return all(ch in "01" for ch in word) and "11" not in word
+    return not word.encode().translate(None, b"01") and "11" not in word
 
 
 def _require_admissible(word: str) -> None:
@@ -118,12 +118,13 @@ class CodeStream:
     symbol is read off its segment.  A segmented stream's kind is
     "procedural".  Evaluation is pure given the index.
     A periodic stream also holds its symbols pre + per as a table of
-    0/1 bytes, so a symbol is one index into it.
+    0/1 bytes, so a symbol is one index into it.  A shifted stream's
+    label, shift(label,k), is formatted only when it is read.
     Streams are general points of the full 2-shift; admissibility (no
     "11") is a property checked where an operation requires it.
     """
 
-    __slots__ = ("kind", "pre", "per", "_syms", "_p", "_q", "_runs", "_offset", "label")
+    __slots__ = ("kind", "pre", "per", "_syms", "_p", "_q", "_runs", "_offset", "_label")
 
     def __init__(self, kind, pre=None, per=None, syms=None, runs=None, offset=0, label=""):
         self.kind = kind
@@ -134,7 +135,11 @@ class CodeStream:
             self._p, self._q = len(pre), len(per)
         self._runs = runs
         self._offset = offset
-        self.label = label
+        self._label = label  # a str, or (parent's _label, k) for a shifted stream
+
+    @property
+    def label(self) -> str:
+        return _label_text(self._label)
 
     @classmethod
     def periodic(cls, pre: str, per: str, label: str = "") -> "CodeStream":
@@ -205,7 +210,7 @@ class CodeStream:
             raise ValueError("shift must be nonnegative")
         if k == 0:
             return self
-        label = "shift(%s,%d)" % (self.label, k)
+        label = (self._label, k)
         if self.kind == "periodic":  # its symbols are checked already
             p, syms = self._p, self._syms
             if k <= p:
@@ -218,6 +223,14 @@ class CodeStream:
 
     def __repr__(self):
         return "CodeStream(%s)" % (self.label or self.kind)
+
+
+def _label_text(label) -> str:
+    """A CodeStream's _label as its text (see CodeStream.label)."""
+    if isinstance(label, str):
+        return label
+    parent, k = label
+    return "shift(%s,%d)" % (_label_text(parent), k)
 
 
 # Right-multiplication by the inverse-branch matrices, (0, 1, 1, 1) for
@@ -267,6 +280,40 @@ def _word_matrix(word: str) -> tuple[int, int, int, int]:
     return m
 
 
+def _steps(m: tuple[int, int, int, int], syms: bytes) -> tuple[int, int, int, int]:
+    """M times the matrices of the 0/1 bytes syms, stepped as in _advance."""
+    a, b, c, d = m
+    for sym in syms:
+        if sym:
+            a, b, c, d = -b, a + b, -d, c + d
+        else:
+            a, b, c, d = b, a + b, d, c + d
+    return a, b, c, d
+
+
+def _prefix_matrix(s: CodeStream, n: int) -> tuple[int, int, int, int]:
+    """The matrix of a periodic stream's first n symbols, off its byte table.
+
+    With p = |pre|, q = |per| and k, r = divmod(n - p, q) it is
+    Pre * W^k * R (W the period's matrix, R its first r symbols').  W^k
+    is formed by squaring only when k >= 2, the rule _walk_segments
+    gallops by, reading k's bits from the top so that every other
+    multiply is by W itself; shorter prefixes are stepped symbol by
+    symbol.  Nothing is multiplied by the identity.
+    """
+    syms, p, q = s._syms, s._p, s._q
+    k, r = divmod(n - p, q)
+    if k < 2:
+        return _steps((1, 0, 0, 1), syms[:n] if k < 1 else syms + syms[p:p + r])
+    w = power = _steps((1, 0, 0, 1), syms[p:])
+    for bit in bin(k)[3:]:
+        power = _mul(power, power)
+        if bit == "1":
+            power = _mul(power, w)
+    m = _mul(_steps((1, 0, 0, 1), syms[:p]), power) if p else power
+    return _steps(m, syms[p:p + r])
+
+
 def cylinder(word: str) -> FareyInterval:
     """Exact cylinder interval of an admissible word.
 
@@ -294,15 +341,17 @@ def point_of_code(s: CodeStream, max_prefix: int, width_goal) -> PointEnclosure:
     not reached").  The prefix read must be admissible.
 
     On a periodic stream each symbol costs one read of the stream's
-    symbol table and one matrix step, written out on four integers, and
-    the first "11" is found before the walk, in one string search.  The cylinder's endpoints b/d and p/q form a
-    unimodular pair, so a bounded cylinder has width exactly 1/|d*q| (an
-    unbounded one has d*q = 0), and width < goal iff goal.denominator <
-    goal.numerator * |d*q|.  The width test runs only at the symbols
-    where a bound on the growth of the matrix's bit lengths allows it to
-    pass; it compares bit lengths first, so the product is formed only
-    on the last few symbols.  The FareyInterval is built once, for the
-    prefix that is returned.
+    symbol table and one step of the matrix's bottom row (c, d), and the
+    first "11" is found before the walk, in one string search.  The
+    cylinder's endpoints b/d and p/q form a unimodular pair, so a
+    bounded cylinder has width exactly 1/|d*q| (an unbounded one has
+    d*q = 0), and width < goal iff goal.denominator <
+    goal.numerator * |d*q|: the test reads the bottom row alone.  It
+    runs only at the symbols where a bound on the growth of the row's
+    bit lengths allows it to pass; it compares bit lengths first, so the
+    product is formed only on the last few symbols.  The full matrix of
+    the prefix that is returned is built once, by squaring the period
+    matrix (_prefix_matrix), and so is its FareyInterval.
 
     A segmented stream is read segment by segment instead, with the same
     result (see _walk_segments).
@@ -332,24 +381,24 @@ def point_of_code(s: CodeStream, max_prefix: int, width_goal) -> PointEnclosure:
     # stream's: bad is the index of that "11"'s second symbol, 0 for none
     bad = (s.pre[:max_prefix] + s.per + s.per).find("11", 0, max_prefix) + 1
     symbol_at = s.symbol_at
-    a, b, c, d = 1, 0, 0, 1
+    c, d = 0, 1  # the bottom row of the prefix's matrix
     test_at = 0
     for i in range(bad or max_prefix):
         sym = symbol_at(i)
         if sym:
-            a, b, c, d = -b, a + b, -d, c + d
+            c, d = -d, c + d
         else:
-            a, b, c, d = b, a + b, d, c + d
+            c, d = d, c + d
         if i >= test_at:
             # d and q: denominators of the images of 0 and of 1 or infinity
             q = c + d if sym else c
             if d.bit_length() + q.bit_length() <= short_bits:
                 test_at = i + 1 + half - max(c.bit_length(), d.bit_length())
             elif goal_den < goal_num * abs(d * q):
-                return PointEnclosure(_interval_of((a, b, c, d), sym), i + 1, True)
+                return PointEnclosure(_interval_of(_prefix_matrix(s, i + 1), sym), i + 1, True)
     if bad:
         raise InadmissibleWordError("stream prefix contains '11' at index %d" % bad)
-    return PointEnclosure(_interval_of((a, b, c, d), sym), max_prefix, False)
+    return PointEnclosure(_interval_of(_prefix_matrix(s, max_prefix), sym), max_prefix, False)
 
 
 def _walk_segments(s: CodeStream, max_prefix: int, goal_num: int, goal_den: int,

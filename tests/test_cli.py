@@ -430,6 +430,10 @@ class TestCommands:
         # a deep periodic enclosure, recorded from per-symbol string reads
         ("point 10(0100) --max-prefix 5000 --format json --precision 1/1" + "0" * 200,
          "4df505cfe9a5eee28e38a4994f953a33de1c73ea693a9966c9ed32e67903f261"),
+        # an enclosure stopped by its prefix cap after 1666 whole periods,
+        # recorded from the kernel that stepped the whole matrix per symbol
+        ("point 0(001) --precision 1/1000000000000 --max-prefix 5000 --format json",
+         "4cb64ee5717e867046793f1612742dea96d6ba0e860e033d4a9496b98e2a3ec9"),
     ])
     def test_certificate_orbit_and_schedule_output_is_golden(self, capsys, argv, digest):
         # SHA-256 of stdout recorded from the merged-interval mixing walk,

@@ -28,6 +28,7 @@ from fareyshift.coding import (
     PointEnclosure,
     _advance,
     _interval_of,
+    _prefix_matrix,
     _word_matrix,
     admissible_words,
     code_of_rational,
@@ -133,6 +134,19 @@ class TestWords:
         assert not is_admissible("0110")
         assert not is_admissible("01a0")
 
+    @pytest.mark.parametrize("bad", ["2", " ", "O", "\u0661"])
+    def test_symbols_other_than_0_1_are_not_admissible(self, bad):
+        for word in (bad, "0" + bad, bad + "0", "010" + bad + "01"):
+            assert not is_admissible(word), word
+
+    def test_empty_word_is_admissible(self):
+        assert is_admissible("")
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.text(alphabet="01 2Oa\u0661\u00b9", max_size=12))
+    def test_admissibility_by_definition(self, word):
+        assert is_admissible(word) == (all(ch in "01" for ch in word) and "11" not in word)
+
     def test_enumeration_counts(self):
         # brute-force oracle: filter all bit strings
         for n in range(1, 12):
@@ -229,6 +243,18 @@ class TestCodeStream:
                 for i in sorted(indices):
                     sym = s[i]
                     assert type(sym) is int and sym == int(s.run_at(i)[0][0]), (s, i)
+
+    def test_shifted_labels(self):
+        # formatted when read, as shift(label,k), shift upon shift
+        s = CodeStream.periodic("01", "001")
+        t = s.shifted(3).shifted(2)
+        assert t.label == "shift(shift(01(001),3),2)"
+        assert repr(t) == "CodeStream(shift(shift(01(001),3),2))"
+        assert s.shifted(0) is s and s.label == "01(001)"
+        assert code_of_rational(xr(7, 3)).shifted(9).label == "shift(code(7/3),9)"
+        assert mu_code("0110").shifted(120).label == "shift(mu((0110)),120)"
+        assert repr(CodeStream.segmented(lambda n: ("0", None), label="").shifted(1)) == \
+            "CodeStream(shift(,1))"
 
     def test_procedural_shift_and_cache(self):
         s = per_symbol_stream(lambda n: 1 if n % 5 == 0 else 0)
@@ -396,6 +422,50 @@ class TestItinerary:
             assert itinerary(x, len(w)) == w
 
 
+class TestPrefixMatrix:
+    """_prefix_matrix against its definition, the matrix of the prefix's word."""
+
+    # k, r = divmod(n - p, q) on the shifted stream; both None for n < p
+    @pytest.mark.parametrize("pre, per, shift, n, k, r", [
+        ("01001", "001", 0, 3, None, None),  # inside the preperiod
+        ("01001", "001", 0, 5, 0, 0),  # the whole preperiod
+        ("01001", "001", 0, 7, 0, 2),  # inside the first period
+        ("01001", "001", 0, 8, 1, 0),  # k = 1
+        ("01001", "001", 0, 10, 1, 2),
+        ("01001", "001", 0, 11, 2, 0),  # k = 2: the first squaring
+        ("01001", "001", 0, 12, 2, 1),
+        ("01001", "001", 0, 3005, 1000, 0),  # k >= 2, r = 0
+        ("01001", "001", 0, 3007, 1000, 2),  # k >= 2, r > 0
+        ("", "0", 0, 1, 1, 0),  # empty preperiod, one-symbol period
+        ("", "0", 0, 2, 2, 0),
+        ("", "0", 0, 777, 777, 0),
+        ("", "01000", 0, 1234, 246, 4),
+        ("010", "00101", 2, 40, 7, 4),  # shifted inside the preperiod
+        ("010", "00101", 3, 40, 8, 0),  # shifted to the preperiod's end
+        ("010", "00101", 5, 40, 8, 0),  # shifted into the period
+        ("010", "00101", 3 + 5 * 9 + 1, 41, 8, 1),
+    ])
+    def test_cases(self, pre, per, shift, n, k, r):
+        s = CodeStream.periodic(pre, per).shifted(shift)
+        p, q = len(s.pre), len(s.per)
+        assert (k, r) == ((None, None) if n < p else divmod(n - p, q))
+        assert _prefix_matrix(s, n) == _word_matrix(s.prefix(n))
+
+    @settings(max_examples=300, deadline=None)
+    @given(periodic_codes, st.integers(0, 14), st.integers(0, 300))
+    @example(CodeStream.periodic("", "1"), 0, 2)  # inadmissible words step alike
+    def test_equals_the_word_matrix(self, s, shift, n):
+        t = s.shifted(shift)
+        assert _prefix_matrix(t, n) == _word_matrix(t.prefix(n))
+
+    def test_rational_code_with_a_long_preperiod(self):
+        s = code_of_rational(xr(1, 200))
+        p = len(s.pre)
+        assert p == 299
+        for n in (0, 1, 150, p - 1, p, p + 1, p + 3, p + 7, p + 3000):
+            assert _prefix_matrix(s, n) == _word_matrix(s.prefix(n)), n
+
+
 class TestPointOfCode:
     def test_golden_enclosures_are_fibonacci(self):
         enc = point_of_code(CodeStream.periodic("", "0"), 16, Fraction(1, 200))
@@ -508,6 +578,26 @@ class TestPointOfCode:
         iv = enc.interval
         if iv.is_bounded:
             assert iv.width() == Fraction(1, iv.lo.den * iv.hi.den)
+
+    # each exit of the periodic kernel: the goal met at some index, and
+    # max_prefix reached with width_ok False, many whole periods in
+    @pytest.mark.parametrize("pre, per, max_prefix, goal, width_ok", [
+        ("1", "00100", 10 ** 4, Fraction(1, 10 ** 60), True),
+        ("", "0", 10 ** 4, Fraction(1, 10 ** 300), True),
+        ("0100", "0010", 10 ** 4, Fraction(3, 10 ** 100), True),
+        ("1", "00100", 200, Fraction(1, 10 ** 300), False),
+        ("", "01000", 97, Fraction(1, 10 ** 300), False),
+        # a rational code: 1/2 is an endpoint of each of its cylinders, whose
+        # width shrinks only like 1/n
+        ("0", "001", 10 ** 4, Fraction(1, 10 ** 4), True),
+        ("0", "001", 10 ** 4, Fraction(1, 10 ** 12), False),
+    ])
+    def test_periodic_exits_match_reference(self, pre, per, max_prefix, goal, width_ok):
+        s = CodeStream.periodic(pre, per)
+        want = _point_of_code_reference(s, max_prefix, goal)
+        assert want.width_ok == width_ok
+        assert (want.prefix_len - len(pre)) // len(per) >= 2
+        assert point_of_code(s, max_prefix, goal) == want
 
     def test_goals_at_each_cylinder_width(self):
         # goals at and just above the width 1/(d*q) of a cylinder: the
