@@ -205,21 +205,30 @@ class CodeStream:
         return "".join(parts)
 
     def shifted(self, k: int) -> "CodeStream":
-        """Drop the first k symbols; periodic streams are renormalised."""
+        """Drop the first k symbols; periodic streams are renormalised.
+
+        The new stream's slots are assigned straight from this one's, to
+        the values __init__ would give them (the symbols are checked
+        already, and the period keeps its length).
+        """
         if k < 0:
             raise ValueError("shift must be nonnegative")
         if k == 0:
             return self
-        label = (self._label, k)
-        if self.kind == "periodic":  # its symbols are checked already
-            p, syms = self._p, self._syms
-            if k <= p:
-                return CodeStream("periodic", pre=self.pre[k:], per=self.per,
-                                  syms=syms[k:], label=label)
-            j = (k - p) % self._q
-            return CodeStream("periodic", pre="", per=self.per[j:] + self.per[:j],
-                              syms=syms[p + j:] + syms[p:p + j], label=label)
-        return CodeStream("procedural", runs=self._runs, offset=self._offset + k, label=label)
+        s = object.__new__(CodeStream)
+        s.kind, s._runs, s._label = self.kind, self._runs, (self._label, k)
+        if s._runs is not None:
+            s.pre = s.per = s._syms = None
+            s._offset = self._offset + k
+            return s
+        s._offset, s._q = 0, self._q
+        p, syms = self._p, self._syms
+        if k <= p:
+            s.pre, s.per, s._syms, s._p = self.pre[k:], self.per, syms[k:], p - k
+        else:
+            j, per = (k - p) % s._q, self.per
+            s.pre, s.per, s._syms, s._p = "", per[j:] + per[:j], syms[p + j:] + syms[p:p + j], 0
+        return s
 
     def __repr__(self):
         return "CodeStream(%s)" % (self.label or self.kind)

@@ -351,8 +351,9 @@ def schedule_events(kind: str, k_range, **params) -> list[ScheduleEvent]:
                     lim = limits[t]
                     tag = "phase k=%d run@%d t=%d (%s vs %s)" % (lay.k, run, t, r_ph, lim)
                     if r_ph == lim and r_ph in ("zero", "one"):
-                        # parabolic approach: the true gap scales like 1/(2*reps)
-                        if Fraction(1, 2 * reps) < eps * Fraction(7, 8):
+                        # parabolic approach: the true gap scales like 1/(2*reps);
+                        # close only when 1/(2*reps) < eps * 7/8
+                        if 8 * eps.denominator < 14 * reps * eps.numerator:
                             events.append(ScheduleEvent("close", n, tag))
                     elif r_ph == "inf":
                         events.append(ScheduleEvent("far", n, tag))
@@ -369,25 +370,26 @@ def schedule_events(kind: str, k_range, **params) -> list[ScheduleEvent]:
 def _distance_bounds(e1: FareyInterval, e2: FareyInterval):
     """Certified (lower, upper) bounds of |x - y| over the two enclosures.
 
-    Endpoints are compared by cross-multiplying num/den, with infinity
-    1/0 the maximum (as ExtendedRational compares them), and each finite
-    bound is one Fraction of integer cross-products.
+    Each bound is an integer pair (num, den) with den >= 0, not
+    necessarily in lowest terms; infinity is (1, 0).  Endpoints are
+    compared by cross-multiplying num/den, with infinity 1/0 the maximum
+    (as ExtendedRational compares them), and each finite bound is one
+    difference of integer cross-products.
     """
     l1, h1, l2, h2 = e1.lo, e1.hi, e2.lo, e2.hi
     if h2.num * l1.den < l1.num * h2.den:  # e2 lies below e1: |x - y| is symmetric
         l1, h1, l2, h2 = l2, h2, l1, h1
     if h1.num * l2.den < l2.num * h1.den:  # a gap from h1 up to l2; h1 is finite
-        lower = INFINITE_DISTANCE if not l2.den else \
-            Fraction(l2.num * h1.den - h1.num * l2.den, l2.den * h1.den)
+        lower = (1, 0) if not l2.den else \
+            (l2.num * h1.den - h1.num * l2.den, l2.den * h1.den)
     else:
-        lower = Fraction(0)
+        lower = (0, 1)
     if not (h1.den and h2.den):
-        upper = INFINITE_DISTANCE
-    else:  # the larger of h2 - l1 and h1 - l2
-        n1, d1 = h2.num * l1.den - l1.num * h2.den, h2.den * l1.den
-        n2, d2 = h1.num * l2.den - l2.num * h1.den, h1.den * l2.den
-        upper = Fraction(n1, d1) if n1 * d2 >= n2 * d1 else Fraction(n2, d2)
-    return lower, upper
+        return lower, (1, 0)
+    # the larger of h2 - l1 and h1 - l2
+    n1, d1 = h2.num * l1.den - l1.num * h2.den, h2.den * l1.den
+    n2, d2 = h1.num * l2.den - l2.num * h1.den, h1.den * l2.den
+    return lower, ((n1, d1) if n1 * d2 >= n2 * d1 else (n2, d2))
 
 
 class EventOutcome(namedtuple("EventOutcome", [
@@ -412,20 +414,30 @@ def _dist_str(v) -> str:
 
 def _classify(ev: ScheduleEvent, e1: FareyInterval, e2: FareyInterval,
               eps: Fraction, m_big: Fraction) -> EventOutcome:
-    """Decide an event from its distance bounds (either may be infinite)."""
-    lower, upper = _distance_bounds(e1, e2)
+    """Decide an event from its distance bounds (either may be infinite).
+
+    Each rule cross-multiplies a bound (num, den) with the threshold's
+    numerator and denominator; since den >= 0 and the threshold's
+    denominator is positive, infinity (1, 0) compares above every
+    threshold.  The record's Fractions are built once the status is known.
+    """
+    (ln, ld), (un, ud) = _distance_bounds(e1, e2)
     if ev.kind == "close":
         thr = eps if ev.threshold is None else ev.threshold
-        status = "pass" if upper < thr else "fail" if lower >= thr else "inconclusive"
+        tn, td = thr.numerator, thr.denominator
+        status = "pass" if un * td < tn * ud else "fail" if ln * td >= tn * ld else "inconclusive"
     else:
         thr = m_big if ev.threshold is None else ev.threshold
+        tn, td = thr.numerator, thr.denominator
         # a positive gap with an infinite upper bound certifies an excursion
         # on the unbounded side (two unbounded enclosures never have a gap)
-        if lower > thr or (lower > 0 and upper == INFINITE_DISTANCE):
+        if ln * td > tn * ld or (ln > 0 and not ud):
             status = "pass"
         else:
-            status = "fail" if upper <= thr else "inconclusive"
-    return EventOutcome(ev, status, lower, upper)
+            status = "fail" if un * td <= tn * ud else "inconclusive"
+    return EventOutcome(ev, status,
+                        Fraction(ln, ld) if ld else INFINITE_DISTANCE,
+                        Fraction(un, ud) if ud else INFINITE_DISTANCE)
 
 
 class ScrambleReport(namedtuple("ScrambleReport", "pair outcomes")):
@@ -485,9 +497,10 @@ class ScrambleReport(namedtuple("ScrambleReport", "pair outcomes")):
 
 def _thresholds(eps, m_big) -> tuple[Fraction, Fraction]:
     """eps and m_big as Fractions, rejected unless both are positive."""
-    eps, m_big = Fraction(eps), Fraction(m_big)
+    eps = eps if isinstance(eps, Fraction) else Fraction(eps)
+    m_big = m_big if isinstance(m_big, Fraction) else Fraction(m_big)
     for name, value in (("eps", eps), ("m_big", m_big)):
-        if value <= 0:
+        if value.numerator <= 0:
             raise ValueError("%s must be positive, got %s" % (name, value))
     return eps, m_big
 

@@ -385,6 +385,12 @@ class TestCommands:
          "1e678a21445ff31cbcc704f43c833164256c8a5a2989243d2e070fba432bedba"),
         ("scramble rational --rational 7/3 --k-range 5..9 --seed 3",
          "8fe9e53210826332850f6711debe5da289692c6300d0ee9d44c91115d78cf0e6"),
+        # the far rule as it stands: the far events at k = 5, 6 and 7 pass on
+        # lower bounds 305/18, 13805/118 and 670436/801, below m_big, because
+        # their upper bound is infinite; recorded from the Fraction-comparing
+        # _classify, so a change of that rule must re-record it
+        ("scramble theorem2 --shift 1 --k-range 5..9 --seed 1 --m-big 1000",
+         "8539bcf97d77e6f7db7e02761f6865c2b3d1d46c5c10e74a1655aeccbb381edb"),
     ])
     def test_seeded_scramble_output_is_golden(self, capsys, argv, digest):
         # SHA-256 of stdout recorded from the per-symbol stream implementation

@@ -256,6 +256,59 @@ class TestCodeStream:
         assert repr(CodeStream.segmented(lambda n: ("0", None), label="").shifted(1)) == \
             "CodeStream(shift(,1))"
 
+    @staticmethod
+    def _assert_shift_has_the_built_shape(s, k, t, want):
+        """t = s.shifted(k) against want, the stream CodeStream(...) builds
+        from the same data: every slot (set or unset alike), the label
+        text, and the symbols, runs and prefix of s read from k on."""
+        missing = object()
+        for name in CodeStream.__slots__:
+            got, exp = getattr(t, name, missing), getattr(want, name, missing)
+            assert type(got) is type(exp) and got == exp, (s, k, name, got, exp)
+        assert t.label == "shift(%s,%d)" % (s.label, k)
+        for i in range(3 * k + 40):
+            assert t.symbol_at(i) == s.symbol_at(k + i), (s, k, i)
+            word, end = s.run_at(k + i)
+            assert t.run_at(i) == (word, None if end is None else end - k), (s, k, i)
+        assert t.prefix(3 * k + 40) == s.prefix(4 * k + 40)[k:]
+
+    @pytest.mark.parametrize("pre, per", [
+        ("0100", "00101"), ("", "00101"), ("1", "0"), ("", "1"), ("00", "010")])
+    def test_periodic_shift_has_the_built_shape(self, pre, per):
+        # shifts inside the preperiod, at its end and 0..2q past it, then
+        # each shifted once more
+        def built(n, label):
+            """CodeStream(...) of pre + per repeated, read from n on."""
+            if n <= len(pre):
+                want_pre, want_per = pre[n:], per
+            else:
+                j = (n - len(pre)) % len(per)
+                want_pre, want_per = "", per[j:] + per[:j]
+            return CodeStream("periodic", pre=want_pre, per=want_per,
+                              syms=bytes(int(ch) for ch in want_pre + want_per), label=label)
+
+        s = CodeStream.periodic(pre, per)
+        for k in range(1, len(pre) + 2 * len(per) + 1):
+            once = s.shifted(k)
+            self._assert_shift_has_the_built_shape(s, k, once, built(k, (s._label, k)))
+            for m in (1, 2):
+                want = built(k + m, ((s._label, k), m))
+                self._assert_shift_has_the_built_shape(once, m, once.shifted(m), want)
+
+    @pytest.mark.parametrize("base", [
+        mu_code("0110"), tau_code("0110", alpha_transitive(), _TRACKED)],
+        ids=["mu", "tau"])
+    def test_segmented_shift_has_the_built_shape(self, base):
+        # shifted once, then shifted again
+        for k in (1, 119, 120, 721):
+            once = base.shifted(k)
+            want = CodeStream("procedural", runs=base._runs, offset=k, label=(base._label, k))
+            self._assert_shift_has_the_built_shape(base, k, once, want)
+            for m in (1, 5):
+                want = CodeStream("procedural", runs=base._runs, offset=k + m,
+                                  label=((base._label, k), m))
+                self._assert_shift_has_the_built_shape(once, m, once.shifted(m), want)
+
     def test_procedural_shift_and_cache(self):
         s = per_symbol_stream(lambda n: 1 if n % 5 == 0 else 0)
         assert s.prefix(11) == "10000100001"

@@ -22,6 +22,7 @@ from fareyshift.coding import (
 )
 from fareyshift.scrambled import (
     BlockLayout,
+    EventOutcome,
     ScheduleEvent,
     ScrambleReport,
     _build_alpha_blocks,
@@ -715,8 +716,37 @@ def _distance_bounds_reference(e1, e2):
     return lower, upper
 
 
+def _classify_reference(ev, e1, e2, eps, m_big):
+    """The Fraction-comparing version of _classify, on the reference bounds."""
+    lower, upper = _distance_bounds_reference(e1, e2)
+    if ev.kind == "close":
+        thr = eps if ev.threshold is None else ev.threshold
+        status = "pass" if upper < thr else "fail" if lower >= thr else "inconclusive"
+    else:
+        thr = m_big if ev.threshold is None else ev.threshold
+        if lower > thr or (lower > 0 and upper == INFINITE_DISTANCE):
+            status = "pass"
+        else:
+            status = "fail" if upper <= thr else "inconclusive"
+    return EventOutcome(ev, status, lower, upper)
+
+
+def _assert_pair_is(pair, value):
+    """pair (num, den) is the bound value: infinity exactly (1, 0), else
+    den > 0 and num/den == value (the pair need not be in lowest terms)."""
+    num, den = pair
+    assert type(num) is int and type(den) is int, pair
+    if value == INFINITE_DISTANCE:
+        assert pair == (1, 0)
+    else:
+        assert den > 0 and num * value.denominator == value.numerator * den, (pair, value)
+
+
 # the point intervals rational_vs_tau builds for its cycle phases
 _POINT_INTERVALS = [FareyInterval(p, p) for p in (ZERO, ONE, INF)]
+# every cylinder of length <= 5, then the three point intervals
+_SHORT_ENCLOSURES = [cylinder(w) for n in range(1, 6) for w in admissible_words(n)] \
+    + _POINT_INTERVALS
 # admissible words as runs of "0" and "10" pieces, then maybe a final "1";
 # those starting with 1 have unbounded cylinders
 _words = st.builds(
@@ -730,29 +760,63 @@ _nested = _words.flatmap(lambda w: st.tuples(
     st.just(cylinder(w)), st.integers(1, len(w)).map(lambda j: cylinder(w[:j]))))
 _siblings = _words.filter(lambda w: w[-1] == "0").map(
     lambda w: (cylinder(w + "0"), cylinder(w + "1")))
+_pairs = st.one_of(st.tuples(_enclosures, _enclosures), _nested, _siblings)
 
 
 def _assert_bounds_match_reference(e1, e2):
     for a, b in ((e1, e2), (e2, e1)):
         got, want = _distance_bounds(a, b), _distance_bounds_reference(a, b)
-        assert got == want, (a, b)
-        assert [type(v) for v in got] == [type(v) for v in want], (a, b)
+        assert len(got) == 2, (a, b)
+        for pair, value in zip(got, want):
+            _assert_pair_is(pair, value)
 
 
 class TestDistanceBoundsReference:
-    """Integer cross-products against the Fraction reference, both orders."""
+    """Integer pairs against the Fraction reference, both orders."""
 
     def test_short_cylinders_and_points_exhaustive(self):
-        ivs = [cylinder(w) for n in range(1, 6) for w in admissible_words(n)]
-        ivs += _POINT_INTERVALS
-        for e1 in ivs:
-            for e2 in ivs:
+        for e1 in _SHORT_ENCLOSURES:
+            for e2 in _SHORT_ENCLOSURES:
                 _assert_bounds_match_reference(e1, e2)
 
     @settings(max_examples=300, deadline=None)
-    @given(st.one_of(st.tuples(_enclosures, _enclosures), _nested, _siblings))
+    @given(_pairs)
     def test_random_pairs(self, pair):
         _assert_bounds_match_reference(*pair)
+
+
+class TestClassifyReference:
+    """Statuses decided on integers against the Fraction-comparing reference.
+
+    Among the short cylinders, upper == thr and lower == thr each occur
+    at thr = 1/3 and 3/2 (about 50 ordered pairs apiece), so swapping a
+    strict for a non-strict comparison in either rule changes some
+    status here; 7/2 lies above every finite bound of those pairs.
+    """
+
+    EPS, M_BIG = Fraction(1, 100), Fraction(3, 2)
+    # None: the verification's eps (close) or m_big (far)
+    THRESHOLDS = (None, EPS, M_BIG, Fraction(1, 3), Fraction(7, 2))
+
+    def _assert_matches_reference(self, e1, e2):
+        for kind in ("close", "far"):
+            for thr in self.THRESHOLDS:
+                ev = ScheduleEvent(kind, 0, "hand-built", threshold=thr)
+                for a, b in ((e1, e2), (e2, e1)):
+                    got = _classify(ev, a, b, self.EPS, self.M_BIG)
+                    want = _classify_reference(ev, a, b, self.EPS, self.M_BIG)
+                    assert got == want, (kind, thr, a, b)
+                    assert [type(v) for v in got] == [type(v) for v in want], (kind, thr, a, b)
+
+    def test_short_cylinders_and_points_exhaustive(self):
+        for e1 in _SHORT_ENCLOSURES:
+            for e2 in _SHORT_ENCLOSURES:
+                self._assert_matches_reference(e1, e2)
+
+    @settings(max_examples=300, deadline=None)
+    @given(_pairs)
+    def test_random_pairs(self, pair):
+        self._assert_matches_reference(*pair)
 
 
 class TestVerdictRules:
@@ -796,8 +860,11 @@ class TestVerdictRules:
         (iv((2, 1), (1, 0)), iv((3, 1), (1, 0)), Fraction(0), INFINITE_DISTANCE),
     ])
     def test_distance_bounds(self, e1, e2, lower, upper):
-        assert _distance_bounds(e1, e2) == (lower, upper)
-        assert _distance_bounds(e2, e1) == (lower, upper)
+        for a, b in ((e1, e2), (e2, e1)):
+            got = _distance_bounds(a, b)
+            assert len(got) == 2
+            _assert_pair_is(got[0], lower)
+            _assert_pair_is(got[1], upper)
 
     def test_empty_report(self):
         rep = ScrambleReport("none", [])
