@@ -225,8 +225,8 @@ def cmd_farey(args) -> int:
     level = farey_level(args.level)
     # the report validates the level, so a rejected level prints nothing
     rep = farey_properties_report(level) if args.report else None
-    rows = [(i, "%d/%d" % (x.num, x.den), h)
-            for i, (x, h) in enumerate(zip(level.entries, _level_h(args.level)))]
+    rows = [(i, "%d/%d" % (p, q), h)
+            for i, (p, q, h) in enumerate(zip(level.nums, level.dens, _level_h(args.level)))]
     _emit_rows(rows, ("index", "fraction", "h"), args.format, args.out)
     if rep is not None:
         summary = {

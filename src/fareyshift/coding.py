@@ -179,7 +179,7 @@ class CodeStream:
         """
         if n < 0:
             raise IndexError("negative index")
-        if self.kind == "periodic":
+        if self._runs is None:
             p = len(self.pre)
             if n < p:
                 return self.pre[n:], p

@@ -5,8 +5,8 @@ h sends the level-n node with index i to the dyadic i/2^n; its binary
 digits are the continued-fraction digits of x read as runs of 1s and 0s
 (a batched form of the mediant walk down the Stern-Brocot tree of
 [0, infinity]).  The level-n approximation and enclosure build no level.
-The exact checks run on integers: h(p/q) is a mantissa and exponent walked
-off Euclid's quotients, and the level identities read num/den lists.
+The exact checks run on integers: a built level is two lists, nums and dens,
+made by mediant steps, and h(p/q) is walked off Euclid's quotients.
 """
 
 from __future__ import annotations
@@ -56,32 +56,36 @@ class DyadicRational:
         return "DyadicRational(%d, %d)" % (self.mantissa, self.exponent)
 
 
-class FareyLevel(namedtuple("FareyLevel", "n entries")):
-    """Level n of the mediant refinement of {0/1, 1/0}: 2^n + 1 entries."""
+class FareyLevel(namedtuple("FareyLevel", "n nums dens")):
+    """Level n of the mediant refinement of {0/1, 1/0}: 2^n + 1 entries as num/den lists."""
 
     __slots__ = ()
+
+    @property
+    def entries(self) -> tuple:
+        return tuple(map(_canonical, self.nums, self.dens))  # unimodular neighbours: no gcd
 
 
 _MAX_LEVEL = 24  # 2^24 + 1 entries: the memory guard of farey_level
 
 
-def farey_level(n: int) -> FareyLevel:
-    """Exact level-n sequence; level n+1 interleaves level n with mediants.
+def _mediants(xs: list) -> list:
+    """xs with the sum of each adjacent pair put between the two."""
+    out = [0] * (2 * len(xs) - 1)
+    out[::2], out[1::2] = xs, [a + b for a, b in zip(xs, xs[1:])]
+    return out
 
-    Neighbours are unimodular, so each mediant is in lowest terms: no gcd."""
+
+def farey_level(n: int) -> FareyLevel:
+    """Exact level-n sequence; level n+1 interleaves level n with mediants."""
     if n < 0:
         raise ValueError("negative level")
     if n > _MAX_LEVEL:
         raise ValueError("level %d above the memory guard %d" % (n, _MAX_LEVEL))
-    entries = [ZERO, INF]
+    nums, dens = [0, 1], [1, 0]
     for _ in range(n):
-        nxt = []
-        for left, right in zip(entries, entries[1:]):
-            nxt.append(left)
-            nxt.append(_canonical(left.num + right.num, left.den + right.den))
-        nxt.append(entries[-1])
-        entries = nxt
-    return FareyLevel(n, tuple(entries))
+        nums, dens = _mediants(nums), _mediants(dens)
+    return FareyLevel(n, nums, dens)
 
 
 def f_map(x: Fraction) -> Fraction:
@@ -249,16 +253,12 @@ def farey_properties_report(level: FareyLevel) -> FareyPropertyReport:
     unit-sum identities (a window starting at 2^n would leave the
     sequence for every i > 0).
     """
-    n, entries = level.n, level.entries
+    n, nums, dens = level
     if n < 1:
         raise ValueError("n must be positive")
     half = 2 ** (n - 1)
-    nums, dens = [x.num for x in entries], [x.den for x in entries]
     lo_nums, lo_dens = nums[:half + 1], dens[:half + 1]
-    nxt_nums, nxt_dens = [0] * len(nums), [0] * len(dens)  # level n+1 up to index 2^n
-    nxt_nums[::2], nxt_dens[::2] = lo_nums, lo_dens
-    nxt_nums[1::2] = [a + b for a, b in zip(lo_nums, nums[1:half + 1])]
-    nxt_dens[1::2] = [a + b for a, b in zip(lo_dens, dens[1:half + 1])]
+    nxt_nums, nxt_dens = _mediants(lo_nums), _mediants(lo_dens)  # level n+1 up to index 2^n
     rev_nums, rev_dens = nums[::-1], dens[::-1]  # entry 2^n - i at index i
     rec = _identity("reciprocal", [a == d and b == c for a, b, c, d in
                                    zip(lo_nums, lo_dens, rev_nums, rev_dens)])

@@ -415,6 +415,11 @@ class TestCommands:
          "54c8f996ecaef369e75bb4e86a5acc99aa4d1a8426413f9d42c8d51c4d4e69c0"),
         ("farey --level 10 --report --format table",
          "5dcae97567454b4184db1fce93bb211b24b92709f40b40ada2ceead2c44b2e91"),
+        # recorded while farey_level built a level as ExtendedRational objects
+        ("farey --level 16 --report",
+         "e717c6190a9cb896e75e3bd2b97f130cc67502ab0e238e0c80854e3e33956c1b"),
+        ("conjugacy --level 14",
+         "a28994dfa5993271d51ac7632bfb6b5dbfa39d48ecb2634ab6991297fbab1888"),
     ])
     def test_conjugacy_and_entropy_output_is_golden(self, capsys, argv, digest):
         # SHA-256 of stdout recorded from the Fraction-based kernels
@@ -510,7 +515,7 @@ def test_cold_import_skips_dataclasses_and_inspect():
 
 @pytest.mark.parametrize("record, fields", [
     (coding.PointEnclosure, ("interval", "prefix_len", "width_ok")),
-    (conjugacy.FareyLevel, ("n", "entries")),
+    (conjugacy.FareyLevel, ("n", "nums", "dens")),
     (conjugacy.IdentityResult, ("holds", "checked", "counterexample")),
     (conjugacy.FareyPropertyReport,
      ("n", "reciprocal", "unit_sum", "phi_fold", "phi_refine", "index_note")),

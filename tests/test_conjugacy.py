@@ -58,15 +58,14 @@ def h_oracle(x: ExtendedRational) -> Fraction:
             lo, h_lo = mid, h_mid
 
 
-def level_cell_reference(level, x) -> int:
-    """Index of the level cell holding x: a bisect over the built level."""
-    return bisect.bisect_right(level.entries, x) - 1
+def level_cell_reference(entries, x) -> int:
+    """Index of the level cell holding x: a bisect over a built level's entries."""
+    return bisect.bisect_right(entries, x) - 1
 
 
-def h_level_reference(level, x: ExtendedRational) -> Fraction:
-    """h_level recomputed from the built level node list."""
-    n, entries = level.n, level.entries
-    i = level_cell_reference(level, x)
+def h_level_reference(n: int, entries, x: ExtendedRational) -> Fraction:
+    """h_level recomputed from the built level-n node list."""
+    i = level_cell_reference(entries, x)
     if i >= 2 ** n - 1:
         return Fraction(2 ** n - 1, 2 ** n)
     lo, hi = entries[i].as_fraction(), entries[i + 1].as_fraction()
@@ -84,7 +83,29 @@ class TestDyadicRational:
             DyadicRational(5, 2)  # 5/4 > 1
 
 
+def farey_level_by_objects(n: int) -> tuple:
+    """farey_level's entries as it built them before the integer lists: one
+    object per node, each mediant appended between its two neighbours (and
+    reduced by ExtendedRational, so a node out of lowest terms would show)."""
+    entries = [ZERO, INF]
+    for _ in range(n):
+        nxt = []
+        for left, right in zip(entries, entries[1:]):
+            nxt.append(left)
+            nxt.append(ExtendedRational(left.num + right.num, left.den + right.den))
+        nxt.append(entries[-1])
+        entries = nxt
+    return tuple(entries)
+
+
 class TestFareyLevel:
+    def test_integer_lists_match_the_object_loop(self):
+        for n in range(15):
+            level, ref = farey_level(n), farey_level_by_objects(n)
+            assert level.nums == [x.num for x in ref], n
+            assert level.dens == [x.den for x in ref], n
+            assert level.entries == ref, n
+
     def test_first_levels(self):
         assert [str(e) for e in farey_level(0).entries] == ["0/1", "1/0"]
         assert [str(e) for e in farey_level(1).entries] == ["0/1", "1/1", "1/0"]
@@ -220,23 +241,23 @@ class TestDescentMatchesLevelSearch:
 
     def test_h_level_on_next_level_nodes(self):
         for n in range(1, 11):
-            level = farey_level(n)
+            entries = farey_level(n).entries
             for x in farey_level(n + 1).entries:
-                assert h_level(n, x) == h_level_reference(level, x), (n, x)
+                assert h_level(n, x) == h_level_reference(n, entries, x), (n, x)
 
     def test_h_level_random_rationals(self):
-        levels = [farey_level(n) for n in range(13)]
+        levels = [farey_level(n).entries for n in range(13)]
         rng = random.Random(37)
         for _ in range(400):
             n = rng.randrange(1, 13)
             x = xr(rng.randrange(0, 400), rng.randrange(1, 400))
-            assert h_level(n, x) == h_level_reference(levels[n], x), (n, x)
+            assert h_level(n, x) == h_level_reference(n, levels[n], x), (n, x)
         for n in range(1, 13):
-            assert h_level(n, INF) == h_level_reference(levels[n], INF)
-            assert h_level(n, ZERO) == h_level_reference(levels[n], ZERO) == 0
+            assert h_level(n, INF) == h_level_reference(n, levels[n], INF)
+            assert h_level(n, ZERO) == h_level_reference(n, levels[n], ZERO) == 0
 
     def test_h_enclosure_random_surds(self):
-        levels = [farey_level(n) for n in range(13)]
+        levels = [farey_level(n).entries for n in range(13)]
         rng = random.Random(41)
         checked = 0
         while checked < 300:
@@ -325,9 +346,10 @@ class TestFareyProperties:
             assert rep.phi_refine.checked == 2 ** n + 1
 
     def test_swapped_entries_fail_with_a_counterexample(self):
-        entries = list(farey_level(3).entries)
-        entries[1], entries[2] = entries[2], entries[1]  # 1/2 before 1/3
-        rep = farey_properties_report(conjugacy.FareyLevel(3, tuple(entries)))
+        _, nums, dens = farey_level(3)
+        nums[1], nums[2] = nums[2], nums[1]  # 1/2 before 1/3
+        dens[1], dens[2] = dens[2], dens[1]
+        rep = farey_properties_report(conjugacy.FareyLevel(3, nums, dens))
         assert rep.reciprocal == (False, 2, "reciprocal fails at i=1")
         assert not rep.all_pass
 
@@ -389,6 +411,11 @@ def farey_properties_report_by_objects(level) -> FareyPropertyReport:
     return FareyPropertyReport(n, rec, uni, fold, ref, note)
 
 
+def _level_of(n: int, entries) -> conjugacy.FareyLevel:
+    """The level record holding these entries' numerators and denominators."""
+    return conjugacy.FareyLevel(n, [x.num for x in entries], [x.den for x in entries])
+
+
 def _corrupted_levels(n: int, rng: random.Random):
     """Level n with one entry swapped with another, or one entry replaced.
 
@@ -403,7 +430,7 @@ def _corrupted_levels(n: int, rng: random.Random):
     for i, j in pairs:
         swapped = list(entries)
         swapped[i], swapped[j] = swapped[j], swapped[i]
-        yield conjugacy.FareyLevel(n, tuple(swapped))
+        yield _level_of(n, swapped)
     for k in (range(size) if size <= 33 else rng.sample(range(size), 40)):
         x = entries[k]
         for wrong in (phi_rat(x), ExtendedRational(x.den, x.num), entries[k - 1],
@@ -412,7 +439,7 @@ def _corrupted_levels(n: int, rng: random.Random):
             if wrong != x:
                 replaced = list(entries)
                 replaced[k] = wrong
-                yield conjugacy.FareyLevel(n, tuple(replaced))
+                yield _level_of(n, replaced)
 
 
 class TestIntegerLevelTables:
