@@ -489,15 +489,16 @@ def itinerary(x, n: int, tie_high: bool = False) -> str:
 def periodic_point(preperiod: str, period: str):
     """Exact point whose code is preperiod followed by the repeating period.
 
-    Solves the fixed point of the period's inverse-branch composition,
-    picks the root inside cylinder(period), then pushes it through the
-    preperiod's inverse branches.  Returns an ExtendedRational for the
-    orbit of {0, 1, infinity} and a QuadraticSurd otherwise.
+    Solves the attracting fixed point of the period's inverse-branch
+    composition, which is the one inside cylinder(period) (see
+    mobius_fixed_point), then pushes it through the preperiod's inverse
+    branches.  Returns an ExtendedRational for the orbit of
+    {0, 1, infinity} and a QuadraticSurd otherwise.
     """
     if not period:
         raise InadmissibleWordError("period must be nonempty")
     _require_admissible(preperiod + period + period)
-    x = mobius_fixed_point(_word_matrix(period), within=cylinder(period))
+    x = mobius_fixed_point(_word_matrix(period))
     return mobius_apply(_word_matrix(preperiod), x)
 
 

@@ -17,11 +17,7 @@ from itertools import islice
 
 
 class NoFixedPointError(ValueError):
-    """A Mobius map has no fixed point on [0, infinity]."""
-
-
-class AmbiguousFixedPointError(ValueError):
-    """More than one fixed point survives the membership filter."""
+    """A Mobius map has no attracting fixed point on [0, infinity]."""
 
 
 # Distance to the point at infinity; exact, as Fraction compares with inf without float().
@@ -273,7 +269,16 @@ class QuadraticSurd:
         return hash(self._key())
 
     def __float__(self):
-        return (self.p + self.q * math.sqrt(self.d)) / self.r
+        try:
+            x = (self.p + self.q * math.sqrt(self.d)) / self.r
+        except OverflowError:  # an integer past the float range
+            x = math.inf
+        if math.isfinite(x):
+            return x
+        # past the float range: the numerator in units of 2^-64 by one integer
+        # square root, then int / int, which rounds once
+        root = math.isqrt(self.q * self.q * self.d << 128)
+        return ((self.p << 64) + (root if self.q > 0 else -root)) / (self.r << 64)
 
     def __str__(self):
         return "(%d%+d*sqrt(%d))/%d" % (self.p, self.q, self.d, self.r)
@@ -314,51 +319,35 @@ def mobius_apply(m: tuple[int, int, int, int], x):
     return QuadraticSurd(na * dc - nb * dd * rad, nb * dc - na * dd, denom, rad)
 
 
-def _fixed_point_candidates(m: tuple[int, int, int, int]) -> list:
-    a, b, c, d = m
-    out = []
-    if c == 0:
-        out.append(INF)
-        if d != a:
-            num, den = b, d - a
-            if den < 0:
-                num, den = -num, -den
-            if num >= 0:
-                out.append(ExtendedRational(num, den))
-        return out
-    disc = (d - a) ** 2 + 4 * b * c
-    if disc < 0:
-        return out
-    s = math.isqrt(disc)
-    if s * s == disc:
-        for root in {Fraction((a - d) + s, 2 * c), Fraction((a - d) - s, 2 * c)}:
-            if root >= 0:
-                out.append(ExtendedRational(root.numerator, root.denominator))
-    else:
-        for qsign in (1, -1):
-            try:
-                out.append(QuadraticSurd(a - d, qsign, 2 * c, disc))
-            except ValueError:
-                pass  # negative root, outside [0, infinity)
-    return out
+def mobius_fixed_point(m: tuple[int, int, int, int]):
+    """The attracting fixed point of m on [0, infinity].
 
-
-def mobius_fixed_point(m: tuple[int, int, int, int], within=None):
-    """The fixed point of m on [0, infinity], solving c*x^2 + (d-a)*x - b = 0.
-
-    Rational when the discriminant is a perfect square, a QuadraticSurd
-    otherwise.  When both roots land in [0, infinity] the caller must
-    disambiguate by passing `within` (anything with a contains() method,
-    e.g. a cylinder interval).
+    The fixed points solve c*x^2 + (d-a)*x - b = 0, that is
+    x = ((a - d) +- sqrt(disc))/(2c) with disc = (a + d)^2 - 4*det(m).
+    At either root c*x + d = ((a + d) +- sqrt(disc))/2, and m's
+    derivative there is det(m)/(c*x + d)^2, so the root taken with the
+    sign of the trace a + d attracts and the other repels.  That is the
+    root a periodic code's point is: the period's matrix W maps its base,
+    [0, infinity] or [0, 1], into cylinder(period), which lies inside that
+    base, so W's fixed point there attracts.  The root is rational when
+    disc is a square (disc = 0 gives the one parabolic root), a
+    QuadraticSurd otherwise; with c = 0 and a = d the fixed point is
+    infinity, the point of the 3-cycle code (100).  No real root, trace 0
+    or a negative attracting root raise NoFixedPointError, as does c = 0
+    with a != d, which for det(m) = +-1, as every word's matrix has,
+    means trace 0.
     """
     a, b, c, d = m
     if b == c == 0 and a == d:
         raise ValueError("identity map fixes everything")
-    candidates = _fixed_point_candidates(m)
-    if within is not None:
-        candidates = [x for x in candidates if within.contains(x)]
-    if not candidates:
-        raise NoFixedPointError("no fixed point in the requested region")
-    if len(candidates) > 1:
-        raise AmbiguousFixedPointError("fixed point not unique; filter with `within`")
-    return candidates[0]
+    if c == 0 and a == d:
+        return INF
+    trace = a + d
+    disc = trace * trace - 4 * (a * d - b * c)
+    sigma = 1 if trace > 0 else -1
+    if c == 0 or trace == 0 or disc < 0 or _comb_sign(a - d, sigma, disc) * c < 0:
+        raise NoFixedPointError("no attracting fixed point on [0, infinity]")
+    s = math.isqrt(disc)
+    if s * s == disc:  # num and den share c's sign, or num = 0
+        return ExtendedRational(abs(a - d + sigma * s), abs(2 * c))
+    return QuadraticSurd(a - d, sigma, 2 * c, disc)

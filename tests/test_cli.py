@@ -1,6 +1,7 @@
 import argparse
 import hashlib
 import json
+import math
 import os
 import subprocess
 import sys
@@ -127,6 +128,18 @@ class TestCommands:
         payload = json.loads(out)
         assert payload["period"] == 7
         assert payload["inside_cylinder"] is True
+
+    def test_periodic_witness_past_the_float_range(self, capsys):
+        # the witness of 0^800 has integers near 10^170 and a radicand past 10^308
+        code, out = run(capsys, "periodic", "0" * 800)
+        assert code == 0
+        assert math.isclose(json.loads(out)["float"], (math.sqrt(5) - 1) / 2)
+
+    def test_iterate_surd_past_the_float_range(self, capsys):
+        code, out = run(capsys, "iterate", "(0+1*sqrt(%d))/1" % (10 ** 400 + 1), "--steps", "1",
+                        "--format", "json")
+        assert code == 0
+        assert [row["float"] for row in json.loads(out)] == ["1e+200", "1"]
 
     def test_scramble_theorem1(self, capsys):
         code, out = run(capsys, "scramble", "theorem1", "--beta", "01", "--xi", "10",

@@ -11,7 +11,6 @@ from fareyshift.exact import (
     INFINITE_DISTANCE,
     ONE,
     ZERO,
-    AmbiguousFixedPointError,
     ExtendedRational,
     NoFixedPointError,
     QuadraticSurd,
@@ -22,7 +21,15 @@ from fareyshift.exact import (
     phi_rat,
     phi_surd,
 )
-from fareyshift.coding import _advance, _mul, admissible_words, cylinder, periodic_point
+from fareyshift.coding import (
+    _advance,
+    _mul,
+    _word_matrix,
+    admissible_words,
+    cylinder,
+    is_admissible,
+    periodic_point,
+)
 from fareyshift.conjugacy import farey_level
 from fareyshift.entropy import dense_periodic_witness
 
@@ -248,6 +255,21 @@ class TestQuadraticSurd:
     def test_float_value(self):
         assert math.isclose(float(GOLDEN_FIXED_POINT), (math.sqrt(5) - 1) / 2)
 
+    def test_float_in_range_is_the_plain_formula(self):
+        # printed floats read (p + q*sqrt(d))/r in float arithmetic, byte for byte
+        for w in admissible_words(10):
+            x = dense_periodic_witness(w)
+            assert float(x).hex() == ((x.p + x.q * math.sqrt(x.d)) / x.r).hex(), w
+
+    @pytest.mark.parametrize("build, want", [
+        (lambda: QuadraticSurd(0, 1, 1, 10 ** 400 + 1), 1e200),  # d past the float range
+        (lambda: QuadraticSurd(0, 10 ** 200, 10 ** 300, 3 * 10 ** 300),
+         1e50 * math.sqrt(3)),  # float q*sqrt(d) is inf
+        (lambda: dense_periodic_witness("0" * 800), (math.sqrt(5) - 1) / 2),  # p, q, r, d past it
+    ], ids=["radicand", "radical-part", "witness-803"])
+    def test_float_past_the_float_range(self, build, want):
+        assert math.isclose(float(build()), want, rel_tol=1e-15)
+
 
 class TestPhiSurd:
     def test_golden_fixed_point(self):
@@ -338,6 +360,36 @@ class TestMobiusMap:
             assert _advance(m, 1) == _mul(m, PSI1)
 
 
+def _fixed_point_by_filter(m, within):
+    """Reference solver: every root of c*x^2 + (d-a)*x - b = 0 on [0, infinity], kept if within."""
+    a, b, c, d = m
+    out = []
+    if c == 0:
+        out.append(INF)
+        if d != a:
+            num, den = b, d - a
+            if den < 0:
+                num, den = -num, -den
+            if num >= 0:
+                out.append(ExtendedRational(num, den))
+    else:
+        disc = (d - a) ** 2 + 4 * b * c
+        if disc >= 0:
+            s = math.isqrt(disc)
+            if s * s == disc:
+                for root in {Fraction((a - d) + s, 2 * c), Fraction((a - d) - s, 2 * c)}:
+                    if root >= 0:
+                        out.append(ExtendedRational(root.numerator, root.denominator))
+            else:
+                for qsign in (1, -1):
+                    try:
+                        out.append(QuadraticSurd(a - d, qsign, 2 * c, disc))
+                    except ValueError:
+                        pass  # negative root, outside [0, infinity)
+    (x,) = [x for x in out if within.contains(x)]  # exactly one root inside
+    return x
+
+
 class TestMobiusFixedPoint:
     def test_psi0_gives_golden_point(self):
         assert mobius_fixed_point(PSI0) == GOLDEN_FIXED_POINT
@@ -346,19 +398,54 @@ class TestMobiusFixedPoint:
         assert mobius_fixed_point(TRANSLATE) == INF
 
     def test_cylinder_disambiguation(self):
-        m = _mul(_mul(PSI1, PSI0), PSI0)
-        assert mobius_fixed_point(m, within=cylinder("100")) == INF
+        # the 3-cycle code 100: c = 0 and a = d, so the fixed point is infinity
+        m = _word_matrix("100")
+        assert m[2] == 0 and m[0] == m[3]
+        assert mobius_fixed_point(m) == INF
 
     def test_two_roots_need_a_filter(self):
         m = _mul(PSI0, PSI1)  # x_(01bar) and x_(10bar) both fixed
-        with pytest.raises(AmbiguousFixedPointError):
-            mobius_fixed_point(m)
-        assert mobius_fixed_point(m, within=cylinder("01")) == QuadraticSurd(3, -1, 2, 5)
+        repelling = QuadraticSurd(3, 1, 2, 5)  # x_(10bar), in cylinder("10")
+        assert m == _word_matrix("01") and cylinder("10").contains(repelling)
+        assert mobius_apply(m, repelling) == repelling
+        assert mobius_fixed_point(m) == QuadraticSurd(3, -1, 2, 5)
 
     def test_no_fixed_point_reported(self):
         with pytest.raises(NoFixedPointError):
-            # x -> x + 1 has no fixed point inside [0, 1]
-            mobius_fixed_point(TRANSLATE, within=cylinder("0"))
+            mobius_fixed_point((1, -1, 1, 0))  # x -> 1 - 1/x: disc = -3, no real root
+        # x -> 1/x - 3 and x -> (1 - 3x)/(2x - 2): attracting roots (-3 - sqrt(13))/2
+        # and -1 are negative, repelling roots (-3 + sqrt(13))/2 and 1/2 are not
+        for m in ((-3, 1, 1, 0), (-3, 1, 2, -2)):
+            with pytest.raises(NoFixedPointError):
+                mobius_fixed_point(m)
+        with pytest.raises(NoFixedPointError):
+            mobius_fixed_point((0, 1, 1, 0))  # x -> 1/x: trace 0, roots 1 and -1 both neutral
+
+    def test_matches_filtered_solver_on_every_period(self):
+        checked = 0
+        for n in range(1, 15):
+            for w in admissible_words(n):
+                if not is_admissible(w + w):
+                    continue
+                got = mobius_fixed_point(_word_matrix(w))
+                want = _fixed_point_by_filter(_word_matrix(w), cylinder(w))
+                assert (type(got), str(got)) == (type(want), str(want)), w
+                checked += 1
+        assert checked == 2204
+
+    def test_matches_filtered_solver_after_a_preperiod(self):
+        rng = random.Random(30)
+        checked = 0
+        while checked < 300:
+            pre = rng.choice(admissible_words(rng.randrange(0, 13)))
+            per = rng.choice(admissible_words(rng.randrange(1, 11)))
+            if not is_admissible(pre + per + per):
+                continue
+            fixed = _fixed_point_by_filter(_word_matrix(per), cylinder(per))
+            want = mobius_apply(_word_matrix(pre), fixed)
+            got = periodic_point(pre, per)
+            assert (type(got), str(got)) == (type(want), str(want)), (pre, per)
+            checked += 1
 
     def test_identity_rejected(self):
         with pytest.raises(ValueError):
