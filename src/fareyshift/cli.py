@@ -205,11 +205,10 @@ def cmd_conjugacy(args) -> int:
     _count(args.phi_grid, "--phi-grid")
     level = farey_level(args.level)
     full = 1 << args.level
-    for i, (x, h) in enumerate(zip(level.entries, _level_h(args.level))):
-        good = conjugacy_check(x)
+    for i, (p, q, h) in enumerate(zip(level.nums, level.dens, _level_h(args.level))):
+        good = conjugacy_check(p, q)
         ok &= good
-        rows.append(("%d/%d" % (x.num, x.den), h,
-                     "%.12g" % (x.num / x.den if x.den else math.inf),
+        rows.append(("%d/%d" % (p, q), h, "%.12g" % (p / q if q else math.inf),
                      "%.12g" % (i / full), "true" if good else "false"))
     if args.phi_grid:
         for j in range(args.phi_grid + 1):  # grid over [0, 4]

@@ -6,7 +6,7 @@ digits are the continued-fraction digits of x read as runs of 1s and 0s
 (a batched form of the mediant walk down the Stern-Brocot tree of
 [0, infinity]).  The level-n approximation and enclosure build no level.
 The exact checks run on integers: a built level is two lists, nums and dens,
-made by mediant steps, and h(p/q) is walked off Euclid's quotients.
+made by mediant steps; h(p/q) and the conjugacy check read a node's (p, q).
 """
 
 from __future__ import annotations
@@ -15,7 +15,7 @@ from collections import namedtuple
 from fractions import Fraction
 
 from .exact import (INF, ZERO, ExtendedRational, QuadraticSurd, _canonical, _cf_digits,
-                    _surd_digits, phi_rat)
+                    _phi_pair, _surd_digits)
 
 
 class DyadicRational:
@@ -63,6 +63,7 @@ class FareyLevel(namedtuple("FareyLevel", "n nums dens")):
 
     @property
     def entries(self) -> tuple:
+        """The nodes as points, built on each read; the library reads nums and dens."""
         return tuple(map(_canonical, self.nums, self.dens))  # unimodular neighbours: no gcd
 
 
@@ -203,14 +204,13 @@ def h_enclosure(x: QuadraticSurd, n: int) -> tuple[Fraction, Fraction]:
     return Fraction(i, 2 ** n), Fraction(i + 1, 2 ** n)
 
 
-def conjugacy_check(x: ExtendedRational) -> bool:
-    """Exact test of h(phi(x)) = f(h(x)) as dyadic rationals.
+def conjugacy_check(num: int, den: int) -> bool:
+    """Exact test of h(phi(x)) = f(h(x)) at the point x = num/den, on integers.
 
-    f is applied to h(x) = m/2^e on integers, giving (2^e - 2m)/2^e when
-    2m <= 2^e and (2m - 2^e)/2^(e+1) otherwise; mantissas compare shifted."""
-    y = phi_rat(x)
-    ym, ye = _h_bits(y.num, y.den)
-    m, e = _h_bits(x.num, x.den)
+    h(phi(x)) is walked off _phi_pair(num, den); f is applied to h(x) = m/2^e
+    as (2^e - 2m)/2^e when 2m <= 2^e and (2m - 2^e)/2^(e+1) otherwise."""
+    ym, ye = _h_bits(*_phi_pair(num, den))
+    m, e = _h_bits(num, den)
     full = 1 << e
     fm, fe = (full - 2 * m, e) if 2 * m <= full else (2 * m - full, e + 1)
     return ym << fe == fm << ye
@@ -264,7 +264,7 @@ def farey_properties_report(level: FareyLevel) -> FareyPropertyReport:
                                    zip(lo_nums, lo_dens, rev_nums, rev_dens)])
     uni = _identity("unit_sum", [a * d + c * b == b * d for a, b, c, d in  # a/b + c/d = 1
                                  zip(lo_nums, lo_dens, nums[half::-1], dens[half::-1])])
-    # phi(p/q) = |p - q|/p, as phi_rat builds it, holds at 0/1 and 1/0 too
+    # phi(p/q) = |p - q|/p, the pair rule _phi_pair, holds at 0/1 and 1/0 too
     fold = _identity("phi_fold", [abs(p - q) == a and p == b for p, q, a, b in
                                   zip(nums[half:], dens[half:], nums, dens)])
     ref = _identity("phi_refine", [abs(p - q) == a and p == b for p, q, a, b in

@@ -44,17 +44,16 @@ class ExtendedRational:
     def is_infinite(self) -> bool:
         return self.den == 0
 
-    @property
-    def is_zero(self) -> bool:
-        return self.num == 0
-
     def as_fraction(self) -> Fraction:
         if self.is_infinite:
             raise ValueError("infinity has no Fraction value")
         return Fraction(self.num, self.den)
 
     def __float__(self):
-        return math.inf if self.den == 0 else self.num / self.den
+        try:
+            return self.num / self.den
+        except (ZeroDivisionError, OverflowError):  # 1/0, or a quotient past the float range
+            return math.inf
 
     def __eq__(self, other):
         if not isinstance(other, ExtendedRational):
@@ -89,17 +88,14 @@ ONE = ExtendedRational(1, 1)
 INF = ExtendedRational(1, 0)
 
 
-def phi_rat(x: ExtendedRational) -> ExtendedRational:
-    """Apply phi(x) = |1 - 1/x| exactly; phi(0) = infinity, phi(infinity) = 1.
+def _phi_pair(num: int, den: int) -> tuple[int, int]:
+    """phi on a projective pair, |num - den|/num: 1/0 at 0/1 and 1/1 at 1/0, with no branch."""
+    return abs(num - den), num  # in lowest terms, as gcd(|num - den|, num) = gcd(den, num)
 
-    For canonical p/q the image is |p - q|/p, already in lowest terms as
-    gcd(|p - q|, p) = gcd(q, p) = 1, so it is built without a gcd.
-    """
-    if x.is_zero:
-        return INF
-    if x.is_infinite:
-        return ONE
-    return _canonical(abs(x.num - x.den), x.num)
+
+def phi_rat(x: ExtendedRational) -> ExtendedRational:
+    """Apply phi(x) = |1 - 1/x| exactly: the pair rule _phi_pair, with no gcd."""
+    return _canonical(*_phi_pair(x.num, x.den))
 
 
 def _cf_digits(num: int, den: int):

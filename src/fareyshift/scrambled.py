@@ -39,8 +39,15 @@ from .exact import (
 )
 
 _RUNS = ("100", "001", "010")
+_PHASE = {"010": "zero", "100": "inf", "001": "one"}  # the 3-cycle point each word codes
 _TAU_MAX_K = 16  # largest block tau_code will index
 _SCHEDULE_MAX_K = 9  # largest block schedule_events will schedule
+_SCHEDULE_PARAMS = {  # the params of each schedule_events kind: (required, optional)
+    "theorem1": ((), ("shift", "diff_indices")),          # int >= 0, iterable
+    "theorem2": ((), ("shift", "diff_index")),            # int >= 0, int | None
+    "theorem2_tracked": (("track_index", "x_code"), ()),  # int >= 1, CodeStream
+    "rational_vs_tau": (("escape",), ("eps",)),           # int, Fraction
+}
 
 
 def _as_stream(bits) -> CodeStream:
@@ -275,15 +282,19 @@ class ScheduleEvent(namedtuple("ScheduleEvent", [
 def schedule_events(kind: str, k_range, **params) -> list[ScheduleEvent]:
     """Exact event indices predicted by the block constructions.
 
-    kinds:
-      "theorem1"         params: shift (int >= 0), diff_indices (iterable)
-      "theorem2"         params: shift (int >= 0), diff_index (int | None)
-      "theorem2_tracked" params: track_index (int >= 1), x_code (CodeStream)
-      "rational_vs_tau"  params: escape (int), eps (Fraction)
-
-    k_range is a (lo, hi) pair with 5 <= lo <= hi <= 9.  A schedule with
-    no events is refused (ValueError), as no verdict can rest on it.
+    kind is a key of _SCHEDULE_PARAMS, params are its names and k_range is a
+    (lo, hi) pair with 5 <= lo <= hi <= 9; a foreign name, a missing required
+    one or no events at all (no verdict can rest on none) raise ValueError.
     """
+    if kind not in _SCHEDULE_PARAMS:
+        raise ValueError("unknown schedule kind %r" % kind)
+    required, optional = _SCHEDULE_PARAMS[kind]
+    for name in params:
+        if name not in required + optional:
+            raise ValueError("schedule kind %r takes no param %r" % (kind, name))
+    for name in required:
+        if name not in params:
+            raise ValueError("schedule kind %r needs the param %r" % (kind, name))
     lo, hi = k_range[0], k_range[-1]
     if not 5 <= lo <= hi <= _SCHEDULE_MAX_K:
         raise ValueError("k_range must be increasing within 5..%d" % _SCHEDULE_MAX_K)
@@ -334,21 +345,19 @@ def schedule_events(kind: str, k_range, **params) -> list[ScheduleEvent]:
                     "far", a_star + delta,
                     "sep-window i=%d j=%d k=%d" % (i, j, lay.k),
                     prefix_cap=lay.window - delta - 2, t_offset=j - 1))
-    elif kind == "rational_vs_tau":
+    else:  # rational_vs_tau
         e = int(params["escape"])
         eps = Fraction(params.get("eps", Fraction(1, 100)))
-        cycle = ("zero", "inf", "one")
-        rotations = (("inf", "one", "zero"), ("one", "zero", "inf"), ("zero", "inf", "one"))
         for lay in layouts:
             reps = lay.quarter // 3
-            for which, limits in enumerate(rotations):
+            for which, word in enumerate(_RUNS):
                 run = lay.run_start(which)
                 for t in range(3):
                     n = run + t
                     if n < e:
                         continue  # orbit still escaping; phase undefined
-                    r_ph = cycle[(n - e) % 3]
-                    lim = limits[t]
+                    r_ph = _PHASE[_rotate("010", n - e)]  # the orbit from 0 on reads (010)
+                    lim = _PHASE[_rotate(word, t)]
                     tag = "phase k=%d run@%d t=%d (%s vs %s)" % (lay.k, run, t, r_ph, lim)
                     if r_ph == lim and r_ph in ("zero", "one"):
                         # parabolic approach: the true gap scales like 1/(2*reps);
@@ -360,8 +369,6 @@ def schedule_events(kind: str, k_range, **params) -> list[ScheduleEvent]:
                     elif lim == "inf":
                         events.append(ScheduleEvent(
                             "far", n, tag, prefix_cap=lay.quarter - t - 3))
-    else:
-        raise ValueError("unknown schedule kind %r" % kind)
     if not events:
         raise ValueError("no %s events in k_range %d..%d" % (kind, lo, hi))
     return events

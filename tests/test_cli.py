@@ -141,6 +141,18 @@ class TestCommands:
         assert code == 0
         assert [row["float"] for row in json.loads(out)] == ["1e+200", "1"]
 
+    @pytest.mark.parametrize("point, values, floats", [
+        ("1e-400", ["1/1" + "0" * 400, "9" * 400 + "/1"], ["0", "inf"]),
+        ("1e400", ["1" + "0" * 400 + "/1", "9" * 400 + "/1" + "0" * 400], ["inf", "1"]),
+    ], ids=["1e-400", "1e400"])
+    def test_iterate_rational_past_the_float_range(self, capsys, point, values, floats):
+        # the orbit is exact; a float column past the range prints inf
+        code, out = run(capsys, "iterate", point, "--steps", "1", "--format", "json")
+        assert code == 0
+        rows = json.loads(out)
+        assert [row["value"] for row in rows] == values
+        assert [row["float"] for row in rows] == floats
+
     def test_scramble_theorem1(self, capsys):
         code, out = run(capsys, "scramble", "theorem1", "--beta", "01", "--xi", "10",
                         "--k-range", "5..6")
@@ -193,7 +205,6 @@ class TestCommands:
         # a fraction option is parsed inside the command, not by argparse
         "point (0) --precision 1/0",
         "point (0) --precision abc",
-        "iterate 1e400",  # exact, but too large for the float column
         "periodic 0100 --out /nonexistent/dir/x",
         "entropy --methods bogus",
         "scramble theorem1 --k-range 5-7",

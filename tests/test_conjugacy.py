@@ -16,6 +16,7 @@ from fareyshift.exact import (
     QuadraticSurd,
     _canonical,
     _cf_digits,
+    _phi_pair,
     phi_rat,
 )
 from fareyshift.conjugacy import (
@@ -41,7 +42,7 @@ def xr(n, d=1):
 
 def h_oracle(x: ExtendedRational) -> Fraction:
     """Independent mediant walk from [0/1, 1/0] down to x, halving as it goes."""
-    if x.is_zero:
+    if x == ZERO:
         return Fraction(0)
     if x.is_infinite:
         return Fraction(1)
@@ -284,51 +285,80 @@ class TestDescentMatchesLevelSearch:
 
 class TestConjugacy:
     def test_examples(self):
-        assert conjugacy_check(xr(2))      # h(phi(2)) = 1/4 = f(3/4)
-        assert conjugacy_check(ONE)
-        assert conjugacy_check(INF)
+        assert conjugacy_check(2, 1)  # h(phi(2)) = 1/4 = f(3/4)
+        assert conjugacy_check(1, 1)
+        assert conjugacy_check(1, 0)
+        assert conjugacy_check(0, 1)
 
     def test_exhaustive_level_8(self):
-        for x in farey_level(8).entries:
-            assert conjugacy_check(x)
+        _, nums, dens = farey_level(8)
+        for p, q in zip(nums, dens):
+            assert conjugacy_check(p, q), (p, q)
 
     def test_random_rationals(self):
         rng = random.Random(31)
         for _ in range(400):
-            assert conjugacy_check(xr(rng.randrange(0, 300), rng.randrange(1, 300)))
+            x = xr(rng.randrange(0, 300), rng.randrange(1, 300))
+            assert conjugacy_check(x.num, x.den), x
 
 
-def fraction_conjugacy_check(x):
-    """The check on Fractions through f_map, as it read before the dyadic form."""
-    lhs = h_rational(conjugacy.phi_rat(x)).as_fraction()
-    rhs = f_map(h_rational(x).as_fraction())
+def fraction_conjugacy_check(num, den):
+    """The check on Fractions through f_map and points, as it read before the
+    dyadic form; phi is the map conjugacy_check reads, so a test can swap it."""
+    lhs = h_rational(xr(*conjugacy._phi_pair(num, den))).as_fraction()
+    rhs = f_map(h_rational(xr(num, den)).as_fraction())
     return lhs == rhs
 
 
-def _check_points():
+def phi_rat_with_branches(x: ExtendedRational) -> ExtendedRational:
+    """phi_rat as it read before the pair rule: 0 and infinity taken apart."""
+    if x == ZERO:
+        return INF
+    if x.is_infinite:
+        return ONE
+    return _canonical(abs(x.num - x.den), x.num)
+
+
+def _seeded_pairs():
+    """500 seeded points in lowest terms as (num, den), 0/1 and 1/0 among them."""
     rng = random.Random(37)
-    return list(farey_level(12).entries) + \
-        [xr(rng.randrange(0, 10 ** 4), rng.randrange(1, 10 ** 4)) for _ in range(500)]
+    points = [xr(rng.randrange(0, 10 ** 4), rng.randrange(1, 10 ** 4)) for _ in range(498)]
+    return [(0, 1), (1, 0)] + [(x.num, x.den) for x in points]
+
+
+def _check_points():
+    _, nums, dens = farey_level(12)
+    return list(zip(nums, dens)) + _seeded_pairs()
 
 
 class TestDyadicConjugacyCheck:
     def test_matches_fraction_oracle(self):
-        for x in _check_points():
-            assert conjugacy_check(x) == fraction_conjugacy_check(x), x
+        levels = [farey_level(n) for n in range(15)]
+        points = [pair for level in levels for pair in zip(level.nums, level.dens)]
+        for p, q in points + _seeded_pairs():
+            assert conjugacy_check(p, q) == fraction_conjugacy_check(p, q), (p, q)
 
     @pytest.mark.parametrize("wrong_phi", [
-        lambda x: x,
-        lambda x: phi_rat(phi_rat(x)),
-        lambda x: ExtendedRational(phi_rat(x).den, phi_rat(x).num),
-        lambda x: x if x.is_infinite else xr(x.num + x.den, x.den),
+        lambda p, q: (p, q),
+        lambda p, q: _phi_pair(*_phi_pair(p, q)),
+        lambda p, q: _phi_pair(p, q)[::-1],
+        lambda p, q: (p + q, q) if q else (p, q),
     ])
     def test_wrong_phi_fails_where_the_oracle_fails(self, monkeypatch, wrong_phi):
         # mutation check: with a wrong map the integer form must say False
         # exactly where the Fraction form does, and that must happen
-        monkeypatch.setattr(conjugacy, "phi_rat", wrong_phi)
-        verdicts = [(conjugacy_check(x), fraction_conjugacy_check(x)) for x in _check_points()]
+        monkeypatch.setattr(conjugacy, "_phi_pair", wrong_phi)
+        verdicts = [(conjugacy_check(p, q), fraction_conjugacy_check(p, q))
+                    for p, q in _check_points()]
         assert all(new == old for new, old in verdicts)
         assert any(not old for _, old in verdicts)
+
+
+class TestPhiPair:
+    def test_phi_rat_matches_the_branchy_form(self):
+        _, nums, dens = farey_level(12)
+        for x in [ZERO, INF] + [xr(p, q) for p, q in zip(nums, dens)]:
+            assert str(phi_rat(x)) == str(phi_rat_with_branches(x)), x
 
 
 class TestFareyProperties:

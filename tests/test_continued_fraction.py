@@ -22,7 +22,7 @@ def escape_time_reference(x: ExtendedRational) -> int:
     if x.is_infinite:
         raise ValueError("escape_time is defined for finite rationals only")
     n = 0
-    while not x.is_zero:
+    while x != ZERO:
         x = phi_rat(x)
         n += 1
     return n
@@ -52,7 +52,7 @@ def _cf_digits(num: int, den: int) -> list[int]:
 
 
 def h_rational_reference(x: ExtendedRational) -> DyadicRational:
-    if x.is_zero:
+    if x == ZERO:
         return DyadicRational(0, 0)
     if x.is_infinite:
         return DyadicRational(1, 0)

@@ -93,6 +93,24 @@ def test_infinite_distance_compares_exactly():
     assert min(huge, INFINITE_DISTANCE) == huge
 
 
+class TestRationalFloat:
+    TOP = (2 ** 53 - 1) << 971  # the largest finite double
+
+    def test_quotient_past_the_float_range_is_inf(self):
+        assert float(xr(10 ** 400 - 1)) == math.inf
+        assert float(xr(10 ** 400, 3)) == math.inf
+        assert float(xr(self.TOP + (1 << 970))) == math.inf  # rounds up past the range
+        assert float(INF) == math.inf
+
+    def test_floats_in_range_are_the_int_quotient(self):
+        # the quotient num / den rounds once; only an overflow becomes inf
+        top = self.TOP
+        cases = [xr(1, 10 ** 400), xr(top), xr(2 * top + 1, 2), xr(top + (1 << 970) - 1),
+                 xr(7, 3), ZERO, ONE]
+        for x in cases:
+            assert float(x).hex() == (x.num / x.den).hex(), x
+
+
 class TestPhiRational:
     def test_special_points(self):
         assert phi_rat(ZERO) == INF
@@ -165,9 +183,9 @@ class TestEscapeTime:
             e = escape_time(x)
             y = x
             for step in range(e):
-                assert not y.is_zero
+                assert y != ZERO
                 y = phi_rat(y)
-            assert y.is_zero
+            assert y == ZERO
 
     def test_rejects_infinity(self):
         with pytest.raises(ValueError):

@@ -29,6 +29,7 @@ from fareyshift.scrambled import (
     _classify,
     _distance_bounds,
     _enclosure_rule,
+    _layout,
     alpha_transitive,
     g_map,
     mu_code,
@@ -569,6 +570,66 @@ class TestScheduleEvents:
         with pytest.raises(ValueError, match="no theorem2_tracked events"):
             schedule_events("theorem2_tracked", (5, 6), track_index=4,
                             x_code=code_of_rational(ONE))
+
+    @pytest.mark.parametrize("kind, params, name", [
+        ("theorem1", dict(diff_index=0), "diff_index"),  # would lose the beta-cell events
+        ("theorem2", dict(shfit=1), "shfit"),  # would lose the inf-run far event
+        ("theorem2_tracked", dict(track_index=1, x_code=code_of_rational(ONE), shift=1),
+         "shift"),
+        ("rational_vs_tau", dict(escape=1, diff_indices=[0]), "diff_indices"),
+    ])
+    def test_foreign_param_is_rejected(self, kind, params, name):
+        with pytest.raises(ValueError, match="schedule kind '%s' takes no param '%s'"
+                           % (kind, name)):
+            schedule_events(kind, (5, 5), **params)
+
+    @pytest.mark.parametrize("kind, params, name", [
+        ("theorem2_tracked", dict(x_code=code_of_rational(ONE)), "track_index"),
+        ("theorem2_tracked", dict(track_index=1), "x_code"),
+        ("rational_vs_tau", dict(eps=Fraction(1, 10)), "escape"),
+    ])
+    def test_missing_required_param_is_rejected(self, kind, params, name):
+        with pytest.raises(ValueError, match="schedule kind '%s' needs the param '%s'"
+                           % (kind, name)):
+            schedule_events(kind, (5, 5), **params)
+
+    def test_unknown_kind_is_rejected(self):
+        with pytest.raises(ValueError, match="unknown schedule kind 'theorem3'"):
+            schedule_events("theorem3", (5, 5))
+
+    def test_rational_phases_match_the_name_tables(self):
+        # escapes of every residue mod 3, before, inside and after block 5's runs
+        for eps in (Fraction(1, 100), Fraction(1, 10)):
+            for e in [0, 1, 2, 3, 4, 5, 299, 300, 301] + list(range(500, 10 ** 5, 997)):
+                ref = rational_events_by_name_tables(e, eps, 5, 9)
+                assert schedule_events("rational_vs_tau", (5, 9), escape=e, eps=eps) == ref, e
+
+
+def rational_events_by_name_tables(e: int, eps: Fraction, lo: int, hi: int) -> list:
+    """The rational_vs_tau schedule as it read before the word-to-phase map:
+    one name table for the rational's cycle and one of rotations for the runs."""
+    cycle = ("zero", "inf", "one")
+    rotations = (("inf", "one", "zero"), ("one", "zero", "inf"), ("zero", "inf", "one"))
+    events = []
+    for k in range(lo, hi + 1):
+        lay = _layout(k)
+        reps = lay.quarter // 3
+        for which, limits in enumerate(rotations):
+            run = lay.run_start(which)
+            for t in range(3):
+                n = run + t
+                if n < e:
+                    continue
+                r_ph, lim = cycle[(n - e) % 3], limits[t]
+                tag = "phase k=%d run@%d t=%d (%s vs %s)" % (lay.k, run, t, r_ph, lim)
+                if r_ph == lim and r_ph in ("zero", "one"):
+                    if 8 * eps.denominator < 14 * reps * eps.numerator:
+                        events.append(ScheduleEvent("close", n, tag))
+                elif r_ph == "inf":
+                    events.append(ScheduleEvent("far", n, tag))
+                elif lim == "inf":
+                    events.append(ScheduleEvent("far", n, tag, prefix_cap=lay.quarter - t - 3))
+    return events
 
 
 class TestVerifyScrambling:
