@@ -249,11 +249,15 @@ def _label_text(label) -> str:
 # trailing 0 and [0, 1] after a trailing 1 (the next symbol after a 1 is
 # forced to 0, so psi1 is only ever applied inside [0, 1]).
 
-def _advance(m: tuple[int, int, int, int], sym: int) -> tuple[int, int, int, int]:
+def _steps(m: tuple[int, int, int, int], syms: bytes) -> tuple[int, int, int, int]:
+    """M times the matrices of the 0/1 bytes syms, one symbol at a time."""
     a, b, c, d = m
-    if sym == 0:
-        return (b, a + b, d, c + d)
-    return (-b, a + b, -d, c + d)
+    for sym in syms:
+        if sym:
+            a, b, c, d = -b, a + b, -d, c + d
+        else:
+            a, b, c, d = b, a + b, d, c + d
+    return a, b, c, d
 
 
 def _interval_of(m: tuple[int, int, int, int], last_sym: int) -> FareyInterval:
@@ -283,21 +287,7 @@ def _mul(x: tuple[int, int, int, int], y: tuple[int, int, int, int]) -> tuple[in
 
 
 def _word_matrix(word: str) -> tuple[int, int, int, int]:
-    m = (1, 0, 0, 1)
-    for ch in word:
-        m = _advance(m, int(ch))
-    return m
-
-
-def _steps(m: tuple[int, int, int, int], syms: bytes) -> tuple[int, int, int, int]:
-    """M times the matrices of the 0/1 bytes syms, stepped as in _advance."""
-    a, b, c, d = m
-    for sym in syms:
-        if sym:
-            a, b, c, d = -b, a + b, -d, c + d
-        else:
-            a, b, c, d = b, a + b, d, c + d
-    return a, b, c, d
+    return _steps((1, 0, 0, 1), word.encode().translate(_TO_BITS))
 
 
 def _prefix_matrix(s: CodeStream, n: int) -> tuple[int, int, int, int]:
@@ -461,7 +451,8 @@ def _walk_segments(s: CodeStream, max_prefix: int, goal_num: int, goal_den: int,
             if prev == 1 and sym == 1:
                 raise InadmissibleWordError(
                     "stream prefix contains '11' at index %d" % (i + p))
-            m = _advance(m, sym)
+            a, b, c, d = m
+            m = (-b, a + b, -d, c + d) if sym else (b, a + b, d, c + d)
             d, q = m[3], (m[2] + m[3] if sym else m[2])
             if d.bit_length() + q.bit_length() > short_bits and goal_den < goal_num * d * q:
                 return PointEnclosure(_interval_of(m, sym), i + p + 1, True)

@@ -38,28 +38,31 @@ from .exact import (
     escape_time,
 )
 
-_RUNS = ("100", "001", "010")
-_PHASE = {"010": "zero", "100": "inf", "001": "one"}  # the 3-cycle point each word codes
+# Phase j of phi's 3-cycle 0 -> infinity -> 1 is phi^j(0), coded _CYCLE_CODE[j]:
+# a run from phase j reads _CYCLE_CODE[(j + m) % 3] after m symbols.
+_CYCLE_CODE = ("010", "100", "001")
+_CYCLE_NAMES = ("zero", "inf", "one")
+_CYCLE_POINTS = tuple(FareyInterval(p, p) for p in (ZERO, INF, ONE))
 _TAU_MAX_K = 16  # largest block tau_code will index
 _SCHEDULE_MAX_K = 9  # largest block schedule_events will schedule
 _SCHEDULE_PARAMS = {  # the params of each schedule_events kind: (required, optional)
-    "theorem1": ((), ("shift", "diff_indices")),          # int >= 0, iterable
-    "theorem2": ((), ("shift", "diff_index")),            # int >= 0, int | None
+    "theorem1": ((), ("shift", "diff_indices")),          # int >= 0, ints >= 0
+    "theorem2": ((), ("shift", "diff_index")),            # int >= 0, int >= 0 | None
     "theorem2_tracked": (("track_index", "x_code"), ()),  # int >= 1, CodeStream
-    "rational_vs_tau": (("escape",), ("eps",)),           # int, Fraction
+    "rational_vs_tau": (("escape",), ("eps",)),           # int >= 0, Fraction
 }
+
+
+def _at_least(name: str, value: int, least: int) -> int:
+    if value < least:
+        raise ValueError("schedule param %r must be >= %d, got %d" % (name, least, value))
+    return value
 
 
 def _as_stream(bits) -> CodeStream:
     if isinstance(bits, CodeStream):
         return bits
     return CodeStream.periodic("", str(bits))  # the finite word repeated forever
-
-
-def _rotate(word: str, j: int) -> str:
-    """word read from position j on, cyclically."""
-    j %= len(word)
-    return word[j:] + word[:j]
 
 
 class BlockLayout(namedtuple("BlockLayout", [
@@ -212,14 +215,17 @@ def tau_code(beta, alpha: CodeStream, x_codes) -> CodeStream:
          at the same stream indices, then k separation windows.
 
     Before the first block: alpha's first 5!-1 symbols and a forced 0.
-    Tracked codes are recycled cyclically when fewer than k-3 are given.
+    Tracked codes are recycled cyclically when fewer than k-3 are given
+    (none at all, an empty iterable too, raises ValueError).
     The stream is its segments: alpha's runs, the zero and separation
     runs, the cells, and the tracked codes' runs clipped to each window.
+    The separation runs, the cells and the separation windows read the
+    3-cycle's codes, so each is an entry of _CYCLE_CODE, or "000".
     """
     beta = _as_stream(beta)
+    x_codes = list(x_codes)
     if not x_codes:
         raise ValueError("need at least one tracked code")
-    x_codes = list(x_codes)
 
     def clipped(code: CodeStream, a: int, n: int, stop: int):
         """code's run at a, placed at stream index n and cut at stop."""
@@ -241,10 +247,10 @@ def tau_code(beta, alpha: CodeStream, x_codes) -> CodeStream:
             if off < lay.quarter:
                 return "0", lay.run_start(0)
             which, po = divmod(off - lay.quarter, lay.quarter)
-            return _rotate(_RUNS[which], po), lay.run_start(which) + lay.quarter
+            return _CYCLE_CODE[(which + 1 + po) % 3], lay.run_start(which) + lay.quarter
         if part == 2:
             j, po = divmod(off, lay.encode_sub)
-            return _rotate(str(beta[j]) + "00", po), lay.encode_cell(j) + lay.encode_sub
+            return (_CYCLE_CODE[(1 + po) % 3] if beta[j] else "000"), n - po + lay.encode_sub
         i = part - 2  # tracked code index, 1-based
         code = x_codes[(i - 1) % len(x_codes)]
         j, so = divmod(off, lay.window)
@@ -253,11 +259,9 @@ def tau_code(beta, alpha: CodeStream, x_codes) -> CodeStream:
             if so == lay.window - 1:
                 return "0", window_end
             return clipped(code, lay.copy_source(i, j + 1) + so, n, window_end - 1)
-        if code[lay.separation_source(i, j - lay.k + 1)] == 1:  # 0 (100)^m 10
-            if so == 0:
-                return "0", n + 1
-            so -= 1
-        return _rotate("100", so), window_end
+        # (100)^m, or 0 (100)^m 10 (the cycle from phase 0) where the code reads 1
+        bit = code[lay.separation_source(i, j - lay.k + 1)]
+        return _CYCLE_CODE[(1 - bit + so) % 3], window_end
 
     return CodeStream.segmented(runs, label="tau(%s)" % beta.label)
 
@@ -284,7 +288,9 @@ def schedule_events(kind: str, k_range, **params) -> list[ScheduleEvent]:
 
     kind is a key of _SCHEDULE_PARAMS, params are its names and k_range is a
     (lo, hi) pair with 5 <= lo <= hi <= 9; a foreign name, a missing required
-    one or no events at all (no verdict can rest on none) raise ValueError.
+    one, a value below its range (see _SCHEDULE_PARAMS) or no events at all
+    (no verdict can rest on none) raise ValueError.  rational_vs_tau matches
+    the rational's 3-cycle phase at index n, (n - escape) % 3, with tau's.
     """
     if kind not in _SCHEDULE_PARAMS:
         raise ValueError("unknown schedule kind %r" % kind)
@@ -300,9 +306,10 @@ def schedule_events(kind: str, k_range, **params) -> list[ScheduleEvent]:
         raise ValueError("k_range must be increasing within 5..%d" % _SCHEDULE_MAX_K)
     layouts = [_layout(k) for k in range(lo, hi + 1)]
     events: list[ScheduleEvent] = []
+    sh = _at_least("shift", int(params.get("shift", 0)), 0)
     if kind == "theorem1":
-        sh = int(params.get("shift", 0))
         diffs = tuple(params.get("diff_indices", ()))
+        _at_least("diff_indices", min(diffs, default=0), 0)
         for lay in layouts:
             events.append(ScheduleEvent("close", lay.start + 2, "zero-run k=%d" % lay.k))
             if sh >= 1:
@@ -314,8 +321,8 @@ def schedule_events(kind: str, k_range, **params) -> list[ScheduleEvent]:
                             "far", lay.part_start(m + 1) + 1,
                             "beta-cell m=%d k=%d" % (m, lay.k)))
     elif kind == "theorem2":
-        sh = int(params.get("shift", 0))
         diff = params.get("diff_index")
+        _at_least("diff_index", 0 if diff is None else diff, 0)
         for lay in layouts:
             events.append(ScheduleEvent("close", lay.part_start(1), "zero-run k=%d" % lay.k))
             if sh >= 1:
@@ -329,7 +336,7 @@ def schedule_events(kind: str, k_range, **params) -> list[ScheduleEvent]:
                     "far", lay.encode_cell(diff), "beta-sub j=%d k=%d" % (diff, lay.k),
                     prefix_cap=3 * (lay.encode_sub // 3) - 3))
     elif kind == "theorem2_tracked":
-        i = int(params["track_index"])
+        i = _at_least("track_index", int(params["track_index"]), 1)
         code = params["x_code"]
         for lay in layouts:
             if i > lay.k - 3:
@@ -346,27 +353,28 @@ def schedule_events(kind: str, k_range, **params) -> list[ScheduleEvent]:
                     "sep-window i=%d j=%d k=%d" % (i, j, lay.k),
                     prefix_cap=lay.window - delta - 2, t_offset=j - 1))
     else:  # rational_vs_tau
-        e = int(params["escape"])
+        e = _at_least("escape", int(params["escape"]), 0)
         eps = Fraction(params.get("eps", Fraction(1, 100)))
         for lay in layouts:
             reps = lay.quarter // 3
-            for which, word in enumerate(_RUNS):
+            for which in range(3):
                 run = lay.run_start(which)
                 for t in range(3):
                     n = run + t
                     if n < e:
                         continue  # orbit still escaping; phase undefined
-                    r_ph = _PHASE[_rotate("010", n - e)]  # the orbit from 0 on reads (010)
-                    lim = _PHASE[_rotate(word, t)]
-                    tag = "phase k=%d run@%d t=%d (%s vs %s)" % (lay.k, run, t, r_ph, lim)
-                    if r_ph == lim and r_ph in ("zero", "one"):
+                    # run `which` starts at phase which + 1; phase 1 is infinity
+                    r_ph, lim = (n - e) % 3, (which + 1 + t) % 3
+                    tag = "phase k=%d run@%d t=%d (%s vs %s)" % (
+                        lay.k, run, t, _CYCLE_NAMES[r_ph], _CYCLE_NAMES[lim])
+                    if r_ph == lim != 1:
                         # parabolic approach: the true gap scales like 1/(2*reps);
                         # close only when 1/(2*reps) < eps * 7/8
                         if 8 * eps.denominator < 14 * reps * eps.numerator:
                             events.append(ScheduleEvent("close", n, tag))
-                    elif r_ph == "inf":
+                    elif r_ph == 1:
                         events.append(ScheduleEvent("far", n, tag))
-                    elif lim == "inf":
+                    elif lim == 1:
                         events.append(ScheduleEvent(
                             "far", n, tag, prefix_cap=lay.quarter - t - 3))
     if not events:
@@ -573,11 +581,10 @@ def rational_vs_tau(r: ExtendedRational, t: CodeStream, k_range,
     eps, m_big = _thresholds(eps, m_big)
     e = escape_time(r)
     events = schedule_events("rational_vs_tau", k_range, escape=e, eps=eps)
-    cycle = [FareyInterval(p, p) for p in (ZERO, INF, ONE)]
     eps_goal = eps / 8
     outcomes = []
     for ev in events:
-        e1 = cycle[(ev.index - e) % 3]  # the schedule skips n < e
+        e1 = _CYCLE_POINTS[(ev.index - e) % 3]  # the schedule skips n < e
         cap, goal = _enclosure_rule(ev, prefix_budget, eps_goal)
         e2 = point_of_code(t.shifted(ev.index), cap, goal).interval
         outcomes.append(_classify(ev, e1, e2, eps, m_big))

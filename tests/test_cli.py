@@ -409,6 +409,13 @@ class TestCommands:
          "1e678a21445ff31cbcc704f43c833164256c8a5a2989243d2e070fba432bedba"),
         ("scramble rational --rational 7/3 --k-range 5..9 --seed 3",
          "8fe9e53210826332850f6711debe5da289692c6300d0ee9d44c91115d78cf0e6"),
+        # escape times 3 and 2, so with 7/3's (7) every residue mod 3 meets
+        # the separation runs; recorded while the phases were looked up
+        # through rotated strings
+        ("scramble rational --rational 2/1 --k-range 5..9 --seed 3",
+         "6da5826dd8c21919f9c427eb5e2003e5fe605fa1f3ef494d4984ca81590e6429"),
+        ("scramble rational --rational 1/2 --k-range 5..9 --seed 3",
+         "22bf0cd3241330a0d541dc47eed2a8e0a2568aa2ee59515f4213b545f55a2346"),
         # the far rule as it stands: the far events at k = 5, 6 and 7 pass on
         # lower bounds 305/18, 13805/118 and 670436/801, below m_big, because
         # their upper bound is infinite; recorded from the Fraction-comparing

@@ -26,7 +26,6 @@ from fareyshift.coding import (
     FareyInterval,
     InadmissibleWordError,
     PointEnclosure,
-    _advance,
     _interval_of,
     _prefix_matrix,
     _word_matrix,
@@ -63,6 +62,14 @@ def fib(n):
 
 
 admissible_word = st.text(alphabet="01", min_size=1, max_size=14).filter(is_admissible)
+
+
+def _advance(m, sym):
+    """The matrix m times psi0's (sym 0) or psi1's (sym 1): the reference stepper."""
+    a, b, c, d = m
+    if sym == 0:
+        return (b, a + b, d, c + d)
+    return (-b, a + b, -d, c + d)
 
 
 def _interval_of_reference(m, last_sym):

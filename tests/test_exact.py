@@ -22,8 +22,8 @@ from fareyshift.exact import (
     phi_surd,
 )
 from fareyshift.coding import (
-    _advance,
     _mul,
+    _steps,
     _word_matrix,
     admissible_words,
     cylinder,
@@ -368,14 +368,28 @@ class TestMobiusMap:
                 continue  # image left [0, infinity]; not part of the contract
             assert lhs == rhs
 
-    def test_advance_is_right_multiplication(self):
+    def test_steps_is_right_multiplication(self):
         rng = random.Random(5)
         for _ in range(500):
             m = IDENT
             for _ in range(rng.randrange(12)):
                 m = _mul(m, rng.choice((TRANSLATE, PSI0, PSI1)))
-            assert _advance(m, 0) == _mul(m, PSI0)
-            assert _advance(m, 1) == _mul(m, PSI1)
+            assert _steps(m, b"\x00") == _mul(m, PSI0)
+            assert _steps(m, b"\x01") == _mul(m, PSI1)
+            syms = bytes(rng.randrange(2) for _ in range(rng.randrange(12)))
+            want = m
+            for sym in syms:
+                want = _mul(want, PSI1 if sym else PSI0)
+            assert _steps(m, syms) == want
+
+    def test_word_matrix_is_the_branch_product(self):
+        rng = random.Random(6)
+        for _ in range(500):
+            word = "".join(rng.choice("01") for _ in range(rng.randrange(30)))
+            want = IDENT
+            for ch in word:
+                want = _mul(want, PSI1 if ch == "1" else PSI0)
+            assert _word_matrix(word) == want, word
 
 
 def _fixed_point_by_filter(m, within):

@@ -16,6 +16,7 @@ from fareyshift.coding import (
     admissible_words,
     code_of_rational,
     cylinder,
+    itinerary,
     iter_admissible_words,
     phi_interval_image,
     point_of_code,
@@ -25,6 +26,9 @@ from fareyshift.scrambled import (
     EventOutcome,
     ScheduleEvent,
     ScrambleReport,
+    _CYCLE_CODE,
+    _CYCLE_NAMES,
+    _CYCLE_POINTS,
     _build_alpha_blocks,
     _classify,
     _distance_bounds,
@@ -291,12 +295,50 @@ def tau_block_literal(k, beta, alpha, x_codes):
     return "".join(parts)
 
 
+class TestCycleTable:
+    # phase j is phi^j(0); entry j of each table belongs to that point
+
+    @pytest.mark.parametrize("j", [0, 1, 2])
+    def test_phi_steps_the_phase(self, j):
+        assert _CYCLE_POINTS[0].lo == ZERO
+        point = _CYCLE_POINTS[j]
+        assert point.lo == point.hi
+        assert phi_rat(point.lo) == _CYCLE_POINTS[(j + 1) % 3].lo
+
+    @pytest.mark.parametrize("j", [0, 1, 2])
+    def test_codes_read_the_table(self, j):
+        x = _CYCLE_POINTS[j].lo
+        assert code_of_rational(x).prefix(30) == _CYCLE_CODE[j] * 10
+        assert itinerary(x, 30) == _CYCLE_CODE[j] * 10
+        for m in range(6):  # read from symbol m on: the entry m phases later
+            assert code_of_rational(x).prefix(m + 3)[m:] == _CYCLE_CODE[(j + m) % 3]
+
+    def test_names_name_the_points(self):
+        named = {"zero": ZERO, "inf": INF, "one": ONE}
+        assert [named[name] for name in _CYCLE_NAMES] == [p.lo for p in _CYCLE_POINTS]
+
+
 class TestTauCode:
     def setup_method(self):
         self.alpha = alpha_transitive()
         self.tracked = [code_of_rational(ONE), code_of_rational(xr(3, 5))]
         self.beta = CodeStream.periodic("", "0110")
         self.tau = tau_code(self.beta, self.alpha, self.tracked)
+
+    @pytest.mark.parametrize("x_codes", [[], (), iter([])])
+    def test_no_tracked_code_is_rejected(self, x_codes):
+        # an empty iterator is truthy; its first tracking window divided by zero
+        with pytest.raises(ValueError, match="at least one tracked code"):
+            tau_code("01", self.alpha, x_codes)
+
+    def test_segments_are_cycle_table_entries(self):
+        # separation runs, (b 0 0) cells and separation windows of block 5
+        lay = _layout(5)
+        for n in range(lay.part_start(1) + lay.quarter, lay.part_start(3)):
+            word, _ = self.tau.run_at(n)
+            assert word in _CYCLE_CODE or word == "000", n
+        for n in range(lay.tracking_start(1) + lay.k * lay.window, lay.tracking_start(2)):
+            assert self.tau.run_at(n)[0] in _CYCLE_CODE, n
 
     def test_preamble(self):
         text = self.tau.prefix(120)
@@ -592,6 +634,18 @@ class TestScheduleEvents:
         with pytest.raises(ValueError, match="schedule kind '%s' needs the param '%s'"
                            % (kind, name)):
             schedule_events(kind, (5, 5), **params)
+
+    @pytest.mark.parametrize("kind, params, name", [
+        ("theorem1", dict(shift=-3), "shift"),  # gave the close-only unshifted schedule
+        ("theorem2", dict(shift=-3), "shift"),
+        ("theorem1", dict(diff_indices=[0, -1]), "diff_indices"),  # the head cell, 121
+        ("theorem2", dict(diff_index=-1), "diff_index"),  # index 336, in the separation string
+        ("theorem2_tracked", dict(track_index=0, x_code=code_of_rational(ONE)), "track_index"),
+        ("rational_vs_tau", dict(escape=-5), "escape"),  # phases of no orbit
+    ])
+    def test_out_of_range_param_is_rejected(self, kind, params, name):
+        with pytest.raises(ValueError, match="schedule param '%s' must be >= " % name):
+            schedule_events(kind, (5, 9), **params)
 
     def test_unknown_kind_is_rejected(self):
         with pytest.raises(ValueError, match="unknown schedule kind 'theorem3'"):
