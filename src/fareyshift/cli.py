@@ -9,7 +9,9 @@ reader closed stdout early (128 + SIGPIPE, as a shell reports it).
 from __future__ import annotations
 
 import argparse
+import contextlib
 import functools
+import itertools
 import json
 import math
 import os
@@ -56,13 +58,15 @@ USAGE_ERROR = 2
 PIPE_CLOSED = 141  # 128 + SIGPIPE
 
 
+# q's digits may be left out (q = 1); a "*" before sqrt only follows them
 _SURD_RE = re.compile(
-    r"^\(\s*(-?\d+)\s*([+-])\s*(\d+)\s*(?:√|\*?sqrt\(?)\s*(\d+)\)?\s*\)\s*/\s*(\d+)$"
+    r"^\(\s*(-?\d+)\s*([+-])\s*(\d+)?\s*(?:√|(?(3)\*?)sqrt\(?)\s*(\d+)\)?\s*\)\s*/\s*(\d+)$"
 )
 
 
 def parse_point(text: str):
-    """Fraction "p/q" (with 1/0 for infinity), decimal, or surd "(p+q√d)/r".
+    """Fraction "p/q" (with 1/0 for infinity), decimal, or surd "(p+q√d)/r",
+    where "(p+√d)/r" and "(p+sqrt(d))/r" have q = 1.
 
     A surd with q = 0 or a square radicand is the fraction it equals.
     """
@@ -70,7 +74,7 @@ def parse_point(text: str):
     m = _SURD_RE.match(text)
     if m:
         p, sign, q, d, r = m.groups()
-        p, q, r, d = int(p), int(q) if sign == "+" else -int(q), int(r), int(d)
+        p, q, r, d = int(p), int(sign + (q or "1")), int(r), int(d)
         s = math.isqrt(d)
         try:
             if r and (q == 0 or s * s == d):  # rational; r = 0 is a bad surd
@@ -114,30 +118,56 @@ def parse_krange(text: str) -> tuple[int, int]:
     return int(m.group(1)), int(m.group(2))
 
 
+_CHUNK_LINES = 1 << 14  # lines (json: rows) formatted per write
+
+
+def _write(pieces, out_path):
+    """Write the text pieces and a newline to the --out file or stdout,
+    _CHUNK_LINES pieces at a time.
+
+    The newline goes out on its own, as print writes it: a large write to a
+    pipe can end short without an error when the reader leaves, and the
+    next write is the one that raises."""
+    pieces = iter(pieces)
+    with open(out_path, "w", encoding="utf-8") if out_path \
+            else contextlib.nullcontext(sys.stdout) as fh:
+        while chunk := list(itertools.islice(pieces, _CHUNK_LINES)):
+            fh.write("".join(chunk))
+        fh.write("\n")
+
+
 def _emit(text: str, out_path):
-    if out_path:
-        with open(out_path, "w", encoding="utf-8") as fh:
-            fh.write(text)
-            if not text.endswith("\n"):
-                fh.write("\n")
-    else:
-        print(text)
+    _write((text,), out_path)
 
 
 def _emit_json(obj, out_path):
     _emit(json.dumps(obj, indent=2, sort_keys=True), out_path)
 
 
+def _json_rows(rows, header):
+    """json.dumps of the rows as a list of objects, the text of one row at a time."""
+    encode = json.JSONEncoder(indent=2, sort_keys=True).encode  # what json.dumps calls
+    sep = "[\n  "
+    for row in rows:
+        yield sep + encode(dict(zip(header, row))).replace("\n", "\n  ")
+        sep = ",\n  "
+    yield "[]" if sep == "[\n  " else "\n]"
+
+
 def _emit_rows(rows, header, fmt, out_path):
+    """Write the rows as JSON objects, CSV or an aligned table, formatted as
+    they are written; only the table holds its cells, for the column widths."""
     if fmt == "json":
-        _emit_json([dict(zip(header, row)) for row in rows], out_path)
-    elif fmt == "csv":
-        _emit("\n".join([",".join(header), *[",".join(map(str, row)) for row in rows]]), out_path)
+        _write(_json_rows(rows, header), out_path)
+        return
+    if fmt == "csv":
+        template = ",".join(["%s"] * len(header))
     else:
-        cells = [[str(c) for c in row] for row in rows]
-        widths = [max(map(len, column)) for column in zip(header, *cells)]
-        _emit("\n".join("  ".join(c.ljust(w) for c, w in zip(row, widths))
-                        for row in [header, *cells]), out_path)
+        rows = list(rows)
+        widths = [max(map(len, map(str, column))) for column in zip(header, *rows)]
+        template = "  ".join(["%%-%ds" % w for w in widths])
+    _write(itertools.chain([template % header], map(("\n" + template).__mod__, rows)),
+           out_path)
 
 
 def _count(value: int, flag: str) -> int:
@@ -193,39 +223,45 @@ def cmd_point(args) -> int:
 
 
 def _level_h(n: int) -> list[str]:
-    """h of each level-n node, i/2^n in lowest terms: i over its lowest set bit."""
-    full = 1 << n  # stands in for the lowest set bit of i = 0, printed as 0/2^0
-    return ["%d/2^%d" % (i // (low := i & -i or full), n + 1 - low.bit_length())
-            for i in range(full + 1)]
+    """h of each level-n node, i/2^n in lowest terms: level k's odd nodes are
+    new, i/2^k, and its even nodes keep level k-1's labels."""
+    labels = ["0/2^0", "1/2^0"]
+    for k in range(1, n + 1):
+        finer = [""] * ((1 << k) + 1)
+        finer[::2] = labels
+        finer[1::2] = map(("%%d/2^%d" % k).__mod__, range(1, 1 << k, 2))
+        labels = finer
+    return labels
+
+
+def _fractions(level):
+    """The level's nodes as "p/q" cells."""
+    return ("%d/%d" % pq for pq in zip(level.nums, level.dens))
 
 
 def cmd_conjugacy(args) -> int:
-    rows = []
-    ok = True
     _count(args.phi_grid, "--phi-grid")
     level = farey_level(args.level)
     full = 1 << args.level
-    for i, (p, q, h) in enumerate(zip(level.nums, level.dens, _level_h(args.level))):
-        good = conjugacy_check(p, q)
-        ok &= good
-        rows.append(("%d/%d" % (p, q), h, "%.12g" % (p / q if q else math.inf),
-                     "%.12g" % (i / full), "true" if good else "false"))
-    if args.phi_grid:
-        for j in range(args.phi_grid + 1):  # grid over [0, 4]
-            x = ExtendedRational(4 * j, args.phi_grid)
-            rows.append((str(x), "", "%.12g" % float(x),
-                         "%.12g" % float(phi_rat(x)), "phi-grid"))
+    checks = list(map(conjugacy_check, level.nums, level.dens))
+    rows = zip(_fractions(level), _level_h(args.level),
+               ("%.12g" % (p / q if q else math.inf) for p, q in zip(level.nums, level.dens)),
+               ("%.12g" % (i / full) for i in range(full + 1)),
+               map(("false", "true").__getitem__, checks))
+    if args.phi_grid:  # x, phi(x) samples over [0, 4]
+        grid = (ExtendedRational(4 * j, args.phi_grid) for j in range(args.phi_grid + 1))
+        rows = itertools.chain(rows, ((str(x), "", "%.12g" % float(x),
+                                       "%.12g" % float(phi_rat(x)), "phi-grid") for x in grid))
     _emit_rows(rows, ("fraction", "h", "x_float", "y_float", "check"),
                args.format, args.out)
-    return 0 if ok else 1
+    return 0 if all(checks) else 1
 
 
 def cmd_farey(args) -> int:
     level = farey_level(args.level)
     # the report validates the level, so a rejected level prints nothing
     rep = farey_properties_report(level) if args.report else None
-    rows = [(i, "%d/%d" % (p, q), h)
-            for i, (p, q, h) in enumerate(zip(level.nums, level.dens, _level_h(args.level)))]
+    rows = zip(itertools.count(), _fractions(level), _level_h(args.level))
     _emit_rows(rows, ("index", "fraction", "h"), args.format, args.out)
     if rep is not None:
         summary = {
@@ -377,12 +413,13 @@ def _add_common(p, fmt_default=None, formats=("json", "csv", "table")):
 
 
 @functools.cache
-def build_parser() -> argparse.ArgumentParser:
-    """The command parser, built on first use and shared by every later call.
+def _parsers() -> tuple[argparse.ArgumentParser, dict[str, argparse.ArgumentParser]]:
+    """The top-level parser and each command's own, by command name, built
+    on first use and shared by every later call.
 
-    Sharing is safe because parsing leaves the parser unchanged and every
+    Sharing is safe because parsing leaves the parsers unchanged and every
     default is immutable (str, int, float, bool, None or Fraction);
-    callers must not add to the returned parser.
+    callers must not add to the returned parsers.
     """
     ap = argparse.ArgumentParser(
         prog="fareyshift",
@@ -481,13 +518,35 @@ def build_parser() -> argparse.ArgumentParser:
     _add_common(p)
     p.set_defaults(func=cmd_gdemo)
 
-    return ap
+    return ap, sub.choices
+
+
+def build_parser() -> argparse.ArgumentParser:
+    """The shared top-level parser (see _parsers)."""
+    return _parsers()[0]
+
+
+def _parse_args(argv):
+    """The namespace of argv, from one parser pass: a known command's own
+    parser reads the rest of argv, and the top-level parser reads the argv
+    that names no command (--version, -h, nothing or an unknown command).
+
+    The namespace is the top-level parser's without its "command", and
+    usage errors exit as its parse_args does.
+    """
+    ap, commands = _parsers()
+    command = commands.get(argv[0]) if argv else None
+    if command is None:
+        return ap.parse_args(argv)
+    args, extras = command.parse_known_args(argv[1:])
+    if extras:
+        ap.error("unrecognized arguments: %s" % " ".join(extras))
+    return args
 
 
 def main(argv=None) -> int:
-    ap = build_parser()
     try:
-        args = ap.parse_args(argv)
+        args = _parse_args(sys.argv[1:] if argv is None else argv)
     except SystemExit as exc:
         return exc.code if exc.code is not None else USAGE_ERROR
     try:

@@ -3,8 +3,10 @@ import hashlib
 import json
 import math
 import os
+import random
 import subprocess
 import sys
+import tracemalloc
 from fractions import Fraction
 
 import pytest
@@ -25,6 +27,21 @@ class TestParsers:
         expect = QuadraticSurd(-1, 1, 2, 5)
         assert parse_point("(-1+1*sqrt(5))/2") == expect
         assert parse_point("(−1+1√5)/2") == expect  # unicode minus and root
+
+    @pytest.mark.parametrize("text, surd", [
+        ("(1+sqrt(5))/2", (1, 1, 2, 5)),
+        ("(1+√5)/2", (1, 1, 2, 5)),
+        ("(−1+sqrt(5))/2", (-1, 1, 2, 5)),
+        ("(3 - sqrt 7)/4", (3, -1, 4, 7)),
+    ])
+    def test_point_surd_without_coefficient(self, text, surd):
+        # q's digits left out read as q = 1
+        assert parse_point(text) == QuadraticSurd(*surd)
+
+    @pytest.mark.parametrize("text", ["(1+*sqrt(5))/2", "(1+*√5)/2", "(1+3*√5)/2"])
+    def test_point_star_without_coefficient_is_refused(self, text):
+        with pytest.raises(ValueError, match="cannot parse point"):
+            parse_point(text)
 
     def test_point_rational_surd_is_a_fraction(self):
         assert parse_point("(1+3*sqrt(4))/2") == ExtendedRational(7, 2)
@@ -79,6 +96,10 @@ class TestCommands:
     def test_code_word(self, capsys):
         code, out = run(capsys, "code", "1/1", "--length", "7")
         assert code == 0 and out.strip() == "0010010"
+
+    def test_code_of_a_surd_without_coefficient(self, capsys):
+        assert run(capsys, "code", "(1+sqrt(5))/2", "--length", "5") == \
+            run(capsys, "code", "(1+1*sqrt(5))/2", "--length", "5") == (0, "10101\n")
 
     def test_interval(self, capsys):
         code, out = run(capsys, "interval", "0100")
@@ -368,18 +389,27 @@ class TestCommands:
         assert payload["summary"]["inconclusive"] > 0
         assert payload["summary"]["fail"] == 0
 
-    def test_closed_pipe_exits_141_quietly(self):
-        # level 12 writes far more than a pipe buffer holds, so the reader
-        # closing after one line always meets the writer mid-output
-        proc = subprocess.Popen([sys.executable, "-m", "fareyshift", "conjugacy",
-                                 "--level", "12"], stdout=subprocess.PIPE,
-                                stderr=subprocess.PIPE, env=_env_with_src())
+    @staticmethod
+    def _read_one_line_and_close(*argv):
+        """Exit code and stderr of the CLI when its reader leaves after one line."""
+        proc = subprocess.Popen([sys.executable, "-m", "fareyshift", *argv],
+                                stdout=subprocess.PIPE, stderr=subprocess.PIPE,
+                                env=_env_with_src())
         assert proc.stdout.readline() == b"fraction,h,x_float,y_float,check\n"
         proc.stdout.close()
         err = proc.stderr.read()
         proc.stderr.close()
-        assert proc.wait(timeout=120) == 141
-        assert err == b""
+        return proc.wait(timeout=120), err
+
+    def test_closed_pipe_exits_141_quietly(self):
+        # level 12 writes far more than a pipe buffer holds, so the reader
+        # closing after one line always meets the writer mid-output
+        assert self._read_one_line_and_close("conjugacy", "--level", "12") == (141, b"")
+
+    def test_closed_pipe_across_chunks_exits_141_quietly(self):
+        # level 16's table spans several write chunks
+        assert (1 << 16) + 2 > 2 * cli._CHUNK_LINES
+        assert self._read_one_line_and_close("conjugacy", "--level", "16") == (141, b"")
 
     def test_huge_prime_radicand_exits_promptly(self):
         # the radicand is a 60-bit prime: building the surd must not factor it
@@ -451,6 +481,14 @@ class TestCommands:
          "e717c6190a9cb896e75e3bd2b97f130cc67502ab0e238e0c80854e3e33956c1b"),
         ("conjugacy --level 14",
          "a28994dfa5993271d51ac7632bfb6b5dbfa39d48ecb2634ab6991297fbab1888"),
+        # recorded while a table was formatted row tuple by row tuple and
+        # joined whole before it was written
+        ("farey --level 14 --format json",
+         "d7c38193e76719fb4574fb341d7bbca0372adb944440c80de71d9cc467030b9f"),
+        ("conjugacy --level 11 --format table",
+         "5db857c7e6918f1ab15846823b6e0b10bf68df60dcfd361ac901df856e450afc"),
+        ("iterate 7/3 --steps 40 --format csv",
+         "8bf92c57dba899de0c00b73bf7527a5d4a68a1abf177eb894acd76e7cf511b8b"),
     ])
     def test_conjugacy_and_entropy_output_is_golden(self, capsys, argv, digest):
         # SHA-256 of stdout recorded from the Fraction-based kernels
@@ -574,3 +612,141 @@ def test_entropy_json_from_named_tuples_is_golden(capsys):
                for e in json.loads(out)["estimates"])
     assert hashlib.sha256(out.encode()).hexdigest() == \
         "697247b44b003c8a57dc401f4c8f2ab29c87710d7536c5aaf216a2da3bbbe954"
+
+
+def _level_h_by_index(n):
+    """Reference: h of node i is i/2^n in lowest terms, i over its lowest set bit."""
+    full = 1 << n  # stands in for the lowest set bit of i = 0, printed as 0/2^0
+    return ["%d/2^%d" % (i // (low := i & -i or full), n + 1 - low.bit_length())
+            for i in range(full + 1)]
+
+
+def _emit_by_print(text, out_path):
+    if out_path:
+        with open(out_path, "w", encoding="utf-8") as fh:
+            fh.write(text)
+            if not text.endswith("\n"):
+                fh.write("\n")
+    else:
+        print(text)
+
+
+def _emit_rows_by_tuples(rows, header, fmt, out_path):
+    """Reference: every row tuple and cell string held, the text joined whole."""
+    if fmt == "json":
+        _emit_by_print(json.dumps([dict(zip(header, row)) for row in rows], indent=2,
+                                  sort_keys=True), out_path)
+    elif fmt == "csv":
+        _emit_by_print("\n".join([",".join(header), *[",".join(map(str, row)) for row in rows]]),
+                       out_path)
+    else:
+        cells = [[str(c) for c in row] for row in rows]
+        widths = [max(map(len, column)) for column in zip(header, *cells)]
+        _emit_by_print("\n".join("  ".join(c.ljust(w) for c, w in zip(row, widths))
+                                 for row in [header, *cells]), out_path)
+
+
+class TestStreamedTables:
+    @pytest.mark.parametrize("n", range(17))
+    def test_interleaved_level_h_matches_the_index_formula(self, n):
+        assert cli._level_h(n) == _level_h_by_index(n)
+
+    @staticmethod
+    def _random_rows(rng, count, width):
+        cell = lambda: rng.choice([
+            rng.randrange(-10 ** 6, 10 ** 6), "", "1/0", "x" * rng.randrange(12),
+            "%d/2^%d" % (rng.randrange(99), rng.randrange(20)), "%.12g" % rng.random(),
+            'quote " and \\ back', "é√"])
+        return [tuple(cell() for _ in range(width)) for _ in range(count)]
+
+    @pytest.mark.parametrize("fmt", ["csv", "json", "table"])
+    @pytest.mark.parametrize("count", [
+        0, 1, 2, 17,
+        # lines (header and rows) one short of, at and one past a write chunk
+        cli._CHUNK_LINES - 2, cli._CHUNK_LINES - 1, cli._CHUNK_LINES])
+    def test_emit_rows_matches_the_row_tuple_reference(self, tmp_path, capsys, fmt, count):
+        rng = random.Random(count * 7 + len(fmt))
+        header = tuple("col%d" % j for j in range(rng.randrange(1, 6)))
+        rows = self._random_rows(rng, count, len(header))
+        _emit_rows_by_tuples(rows, header, fmt, None)
+        expect = capsys.readouterr().out
+        cli._emit_rows(iter(rows), header, fmt, None)  # a one-pass iterator
+        assert capsys.readouterr().out == expect
+        cli._emit_rows(iter(rows), header, fmt, str(tmp_path / "rows"))
+        assert (tmp_path / "rows").read_text(encoding="utf-8") == expect
+
+    def test_csv_emission_peaks_below_its_text(self, tmp_path):
+        # holding every row tuple, cell string and the joined text took 3.0
+        # times the text written
+        n = 1 << 17
+        rows = (("%d/%d" % (i, i + 1), "%d/2^17" % i, "%.12g" % (i / 7), "%.12g" % (i / n),
+                 "true") for i in range(n + 1))
+        target = tmp_path / "table.csv"
+        tracemalloc.start()
+        try:
+            cli._emit_rows(rows, ("fraction", "h", "x_float", "y_float", "check"), "csv",
+                           str(target))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        size = target.stat().st_size
+        assert size > 5 * 10 ** 6
+        assert peak < size, (peak, size)
+
+
+# every command and output form, with small inputs
+_EVERY_FORM = [
+    *("iterate 7/3 --steps 12 --format %s" % f for f in ("json", "csv", "table")),
+    "iterate (3+1*sqrt(1000003))/7 --steps 4",
+    "code 1/1 --length 7",
+    "interval 0100",
+    *("point 0(010) --format %s" % f for f in ("json", "table")),
+    "point 0(001) --max-prefix 5 --format table",  # the width-goal note
+    *("conjugacy --level 5 --phi-grid 4 --format %s" % f for f in ("json", "csv", "table")),
+    *("farey --level 5 --format %s" % f for f in ("json", "csv", "table")),
+    "farey --level 4 --report",
+    "entropy --depth 30 --lap-depth 10",
+    "mixing 0100",
+    "periodic 0100",
+    "scramble theorem1 --beta 01 --xi 10 --k-range 5..6",
+    "scramble theorem2 --k-range 5..6 --seed 3",
+    "scramble rational --rational 7/3 --k-range 5..6 --seed 3",
+    "gdemo",
+]
+
+
+@pytest.mark.parametrize("argv", _EVERY_FORM)
+def test_out_file_holds_what_stdout_prints(tmp_path, capsys, argv):
+    code, printed = run(capsys, *argv.split())
+    target = tmp_path / "out"
+    code_with_out, rest = run(capsys, *argv.split(), "--out", str(target))
+    written = target.read_text(encoding="utf-8")
+    assert (code_with_out, written + rest) == (code, printed)
+    # farey --report prints its identity summary to stdout even with --out
+    assert written and (rest == "") == ("--report" not in argv)
+
+
+def _outcome(capsys, parse, argv):
+    """(namespace without "command", stdout, stderr, exit code) of one parse."""
+    try:
+        ns, code = vars(parse(argv)), None
+        ns.pop("command", None)
+    except SystemExit as exc:
+        ns, code = None, exc.code
+    return (ns, *capsys.readouterr(), code)
+
+
+@pytest.mark.parametrize("argv", [
+    "point (0) --bogus 3", "periodic 010 010", "scramble rational --shift 1",
+    "point (0) --version", "point (0) -h", "", "--version", "bogus",
+    # and the accepted forms, each command's own options included
+    "interval 0100", "point 0(010) --max-prefix 64 --precision 1/1000 --format json",
+    "conjugacy --level 5 --phi-grid 2 --format table", "farey --lev 3 --rep",
+    "scramble theorem2 --beta 01 --shift 2 --k-range 5..6", "scramble", "interval",
+    "-h", "gdemo --out x", "code -- 1/1",
+])
+def test_one_parse_matches_the_top_level_parse(capsys, monkeypatch, argv):
+    monkeypatch.setenv("COLUMNS", "80")  # argparse wraps usage at the terminal width
+    argv = argv.split()
+    assert _outcome(capsys, cli._parse_args, argv) == \
+        _outcome(capsys, build_parser().parse_args, argv)
