@@ -121,18 +121,23 @@ def parse_krange(text: str) -> tuple[int, int]:
 _CHUNK_LINES = 1 << 14  # lines (json: rows) formatted per write
 
 
-def _write(pieces, out_path):
-    """Write the text pieces and a newline to the --out file or stdout,
-    _CHUNK_LINES pieces at a time.
+def _batches(items):
+    """The items in lists of _CHUNK_LINES, the last one shorter."""
+    items = iter(items)
+    while batch := list(itertools.islice(items, _CHUNK_LINES)):
+        yield batch
+
+
+def _write(chunks, out_path):
+    """Write the text chunks, one write each, and a newline to the --out file or stdout.
 
     The newline goes out on its own, as print writes it: a large write to a
     pipe can end short without an error when the reader leaves, and the
     next write is the one that raises."""
-    pieces = iter(pieces)
     with open(out_path, "w", encoding="utf-8") if out_path \
             else contextlib.nullcontext(sys.stdout) as fh:
-        while chunk := list(itertools.islice(pieces, _CHUNK_LINES)):
-            fh.write("".join(chunk))
+        for chunk in chunks:
+            fh.write(chunk)
         fh.write("\n")
 
 
@@ -145,13 +150,17 @@ def _emit_json(obj, out_path):
 
 
 def _json_rows(rows, header):
-    """json.dumps of the rows as a list of objects, the text of one row at a time."""
-    encode = json.JSONEncoder(indent=2, sort_keys=True).encode  # what json.dumps calls
-    sep = "[\n  "
-    for row in rows:
-        yield sep + encode(dict(zip(header, row))).replace("\n", "\n  ")
-        sep = ",\n  "
-    yield "[]" if sep == "[\n  " else "\n]"
+    """json.dumps of the rows as a list of objects, one dumps call per _CHUNK_LINES rows.
+
+    A batch's list text is cut to what lies between its "[" and its closing
+    newline and "]"; those parts joined by "," and bracketed are the text of
+    the whole list."""
+    sep = "["
+    for batch in _batches(rows):
+        text = json.dumps([dict(zip(header, row)) for row in batch], indent=2, sort_keys=True)
+        yield sep + text[1:-2]
+        sep = ","
+    yield "[]" if sep == "[" else "\n]"
 
 
 def _emit_rows(rows, header, fmt, out_path):
@@ -166,8 +175,8 @@ def _emit_rows(rows, header, fmt, out_path):
         rows = list(rows)
         widths = [max(map(len, map(str, column))) for column in zip(header, *rows)]
         template = "  ".join(["%%-%ds" % w for w in widths])
-    _write(itertools.chain([template % header], map(("\n" + template).__mod__, rows)),
-           out_path)
+    lines = itertools.chain([template % header], map(("\n" + template).__mod__, rows))
+    _write(map("".join, _batches(lines)), out_path)
 
 
 def _count(value: int, flag: str) -> int:

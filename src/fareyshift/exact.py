@@ -213,7 +213,10 @@ class QuadraticSurd:
         s, d = _strip_small_squares(d)
         if math.isqrt(d) ** 2 == d:
             raise ValueError("square radicand makes a rational, not a surd")
-        q *= s
+        self._reduce(p, q * s, r, d)
+
+    def _reduce(self, p: int, q: int, r: int, d: int):
+        """Set the fields from p, q != 0, r != 0 and a canonical radicand d: sign and gcd fixed."""
         if r < 0:
             p, q, r = -p, -q, -r
         g = math.gcd(p, q, r)
@@ -312,7 +315,12 @@ def mobius_apply(m: tuple[int, int, int, int], x):
     denom = dc * dc - dd * dd * rad
     if denom == 0:
         raise ZeroDivisionError("pole of the map")
-    return QuadraticSurd(na * dc - nb * dd * rad, nb * dc - na * dd, denom, rad)
+    nq = nb * dc - na * dd  # q * r * det(m)
+    if nq == 0:
+        raise ValueError("q = 0 makes a rational, not a surd")
+    y = object.__new__(QuadraticSurd)  # x's radicand is canonical: no square strip
+    y._reduce(na * dc - nb * dd * rad, nq, denom, rad)
+    return y
 
 
 def mobius_fixed_point(m: tuple[int, int, int, int]):

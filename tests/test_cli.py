@@ -4,10 +4,12 @@ import json
 import math
 import os
 import random
+import re
 import subprocess
 import sys
 import tracemalloc
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
@@ -46,6 +48,7 @@ class TestParsers:
     def test_point_rational_surd_is_a_fraction(self):
         assert parse_point("(1+3*sqrt(4))/2") == ExtendedRational(7, 2)
         assert parse_point("(1+0*sqrt(5))/2") == ExtendedRational(1, 2)
+        assert parse_point("(1+1*sqrt(4))/3") == ExtendedRational(1, 1)
 
     def test_code(self):
         s = parse_code("0(010)")
@@ -72,6 +75,112 @@ def run(capsys, *argv):
     code = main(list(argv))
     out = capsys.readouterr().out
     return code, out
+
+
+# The CLI's pinned outputs: each argv exits 0 and its stdout has this SHA-256.
+# This table is the one place a pin is written; CI runs this file against the
+# installed package.  The first column names the test that runs the row, so
+# each row keeps the test id it was recorded under; the notes say what each
+# output was recorded from, and a change that alters one on purpose
+# re-records it here.
+PINS = [
+    # recorded from the per-symbol stream implementation
+    ("scramble", "scramble theorem1 --k-range 5..9 --seed 3",
+     "b4da227ad479be0fd822f38d4ff37330af95476b91eb5c8025d23085887d7d8f"),
+    ("scramble", "scramble theorem2 --shift 1 --k-range 5..9 --seed 3",
+     "3febccd38f6e5bd274662961b5c1574574ce9e556316ec5f9ed317891bfd8c55"),
+    ("scramble", "scramble theorem2 --k-range 5..9 --seed 3",
+     "1e678a21445ff31cbcc704f43c833164256c8a5a2989243d2e070fba432bedba"),
+    ("scramble", "scramble rational --rational 7/3 --k-range 5..9 --seed 3",
+     "8fe9e53210826332850f6711debe5da289692c6300d0ee9d44c91115d78cf0e6"),
+    # escape times 3 and 2, so with 7/3's (7) every residue mod 3 meets
+    # the separation runs; recorded while the phases were looked up
+    # through rotated strings
+    ("scramble", "scramble rational --rational 2/1 --k-range 5..9 --seed 3",
+     "6da5826dd8c21919f9c427eb5e2003e5fe605fa1f3ef494d4984ca81590e6429"),
+    ("scramble", "scramble rational --rational 1/2 --k-range 5..9 --seed 3",
+     "22bf0cd3241330a0d541dc47eed2a8e0a2568aa2ee59515f4213b545f55a2346"),
+    # the far rule as it stands: the far events at k = 5, 6 and 7 pass on
+    # lower bounds 305/18, 13805/118 and 670436/801, below m_big, because
+    # their upper bound is infinite; recorded from the Fraction-comparing
+    # _classify, so a change of that rule must re-record it
+    ("scramble", "scramble theorem2 --shift 1 --k-range 5..9 --seed 1 --m-big 1000",
+     "8539bcf97d77e6f7db7e02761f6865c2b3d1d46c5c10e74a1655aeccbb381edb"),
+    # recorded from the Fraction-based kernels
+    ("table", "conjugacy --level 12",
+     "ccd03c81aa095fcb7e0772f0bb4228cc4c557a62a1eccc96846698a910a67aeb"),
+    ("table", "farey --level 12 --report",
+     "4a7beb7f28434b028b05817f72545d47b1d195eecc093dde6eb661d829ce6a20"),
+    ("table", "entropy",
+     "ced52f31a9c6f9af07ac0b700ae5d3f0c89d508b2b34f8ae2245a8d056f3b0ac"),
+    ("table", "conjugacy --level 6 --phi-grid 8 --format table",
+     "33c801f59d2f02e7c3d3198a4d754eb8b4f428d94467a50d1cbd31c734ffb7b9"),
+    ("table", "farey --level 3",
+     "c851cfadbae8a4f131e9ef4f3b9c1cb0ba90ce416483a86eee72ccaa06d571ff"),
+    # recorded while the rows were formatted from ExtendedRational and
+    # DyadicRational objects
+    ("table", "conjugacy --level 9 --format json",
+     "54c8f996ecaef369e75bb4e86a5acc99aa4d1a8426413f9d42c8d51c4d4e69c0"),
+    ("table", "farey --level 10 --report --format table",
+     "5dcae97567454b4184db1fce93bb211b24b92709f40b40ada2ceead2c44b2e91"),
+    # recorded while farey_level built a level as ExtendedRational objects
+    ("table", "farey --level 16 --report",
+     "e717c6190a9cb896e75e3bd2b97f130cc67502ab0e238e0c80854e3e33956c1b"),
+    ("table", "conjugacy --level 14",
+     "a28994dfa5993271d51ac7632bfb6b5dbfa39d48ecb2634ab6991297fbab1888"),
+    # recorded while a table was formatted row tuple by row tuple and
+    # joined whole before it was written
+    ("table", "farey --level 14 --format json",
+     "d7c38193e76719fb4574fb341d7bbca0372adb944440c80de71d9cc467030b9f"),
+    ("table", "conjugacy --level 11 --format table",
+     "5db857c7e6918f1ab15846823b6e0b10bf68df60dcfd361ac901df856e450afc"),
+    ("table", "iterate 7/3 --steps 40 --format csv",
+     "8bf92c57dba899de0c00b73bf7527a5d4a68a1abf177eb894acd76e7cf511b8b"),
+    ("table", "farey --level 18 --report",
+     "9b9d68ac20957c699d01f10c3268442bb0b51b0379d93f2c383351ccf5194e3f"),
+    # recorded from the merged-interval mixing walk, the hand-written surd
+    # phi and the stepped rational orbit
+    ("certificate", "mixing 10100100",
+     "6a5800409e28b78a14b96f38bfe5d23aad8befe3e45120dc1aea93c6e02cbe92"),
+    ("certificate", "periodic 0100100",
+     "8c227259e2b04f007c0909468183cf8b993423a2f284831df19c538ff7797485"),
+    ("certificate", "iterate (3+1*sqrt(1000003))/7 --steps 20",
+     "810c09dc95e85864842208c5fcca78332a8115a52f245acd7b5c53ec97e2c134"),
+    ("certificate", "scramble theorem1 --shift 2 --k-range 5..9 --seed 3",
+     "7204e47926bd514ed399fb1f25209235629041d25475f96eba8fa6dc23ef3df3"),
+    ("certificate", "scramble rational --rational 1/200 --k-range 5..7 --seed 3",
+     "ad3323bcbebf41a97985418228f44811305dd0a9e23a1f9ab66d876fc2bba069"),
+    # a deep periodic enclosure, recorded from per-symbol string reads
+    ("certificate", "point 10(0100) --max-prefix 5000 --format json --precision 1/1" + "0" * 200,
+     "4df505cfe9a5eee28e38a4994f953a33de1c73ea693a9966c9ed32e67903f261"),
+    # an enclosure stopped by its prefix cap after 1666 whole periods,
+    # recorded from the kernel that stepped the whole matrix per symbol
+    ("certificate", "point 0(001) --precision 1/1000000000000 --max-prefix 5000 --format json",
+     "4cb64ee5717e867046793f1612742dea96d6ba0e860e033d4a9496b98e2a3ec9"),
+    # a long surd itinerary read off the continued fraction, its 60-bit
+    # prime radicand never factored
+    ("certificate", "code (0+1*sqrt(1000000000000000003))/1 --length 100000",
+     "d5b421f466e42652b17291a9bef573b9208f46b5edc3b2f5c8b769f9f825bb4c"),
+    # recorded while the CLI kept its own g-map node list
+    ("gdemo", "gdemo",
+     "830a86bab57e17a043c0f82053030e2a06f80ca17889f7b4037b7040e44d0148"),
+    # recorded while the estimates were dataclasses
+    ("entropy-json", "entropy --depth 45 --lap-depth 16",
+     "697247b44b003c8a57dc401f4c8f2ab29c87710d7536c5aaf216a2da3bbbe954"),
+]
+
+
+def _pins(test):
+    """The (argv, digest) rows of PINS that the named test runs."""
+    return [(argv, digest) for name, argv, digest in PINS if name == test]
+
+
+def _assert_pinned(capsys, argv, digest):
+    """Run argv in process: exit 0 and stdout with the pinned SHA-256; returns stdout."""
+    code, out = run(capsys, *argv.split())
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == digest
+    return out
 
 
 class TestCommands:
@@ -116,6 +225,14 @@ class TestCommands:
         assert payload["width_goal_met"] is True
         num, den = payload["enclosure"].split("..")[0].split("/")
         assert int(den) != 0
+
+    def test_point_of_a_periodic_code_at_a_width_goal(self, capsys):
+        code, out = run(capsys, "point", "1(00100)", "--precision", "1/1000000000000",
+                        "--format", "json")
+        assert code == 0
+        payload = json.loads(out)
+        assert (payload["enclosure"], payload["prefix_used"]) == \
+            ("5274724/1100899..6665999/1391275", 52)
 
     def test_conjugacy_all_rows_check(self, capsys):
         code, out = run(capsys, "conjugacy", "--level", "3", "--format", "csv")
@@ -213,6 +330,7 @@ class TestCommands:
         "scramble theorem1 --k-range 4..6",
         "scramble theorem1 --k-range 7..5",
         "farey --level 30",
+        "farey --level 0 --report",  # a rejected level prints no table
         "conjugacy --level 30",
         "conjugacy --level -1",
         "entropy --lap-depth 40",
@@ -261,6 +379,8 @@ class TestCommands:
         ("scramble theorem1 --k-range 5-7", "error: k-range must look like 5..7; got '5-7'"),
         ("entropy --methods bogus", "error: unknown entropy method 'bogus'"),
         ("code (1+1*sqrt(2))/0", "error: bad surd '(1+1*sqrt(2))/0': zero denominator"),
+        # the "11" sits across the seam between two periods, at indices 3 and 4
+        ("point (1001)", "error: stream prefix contains '11' at index 4"),
     ])
     def test_rejected_input_message_is_verbatim(self, capsys, argv, err):
         # recorded while the CLI raised its own error type for these inputs
@@ -293,11 +413,8 @@ class TestCommands:
         assert run(capsys, *argv, "(1+1*sqrt(4))/3") == run(capsys, *argv, "1/1")
 
     def test_gdemo_output_is_golden(self, capsys):
-        # SHA-256 of stdout recorded while the CLI kept its own g-map node list
-        code, out = run(capsys, "gdemo")
-        assert code == 0
-        assert hashlib.sha256(out.encode()).hexdigest() == \
-            "830a86bab57e17a043c0f82053030e2a06f80ca17889f7b4037b7040e44d0148"
+        [pin] = _pins("gdemo")
+        _assert_pinned(capsys, *pin)
 
     @pytest.mark.parametrize("nodes", [
         # a node inside (1/6, 1/3): g is no longer affine on the band
@@ -333,12 +450,6 @@ class TestCommands:
         monkeypatch.setattr(cli, "farey_level", logged)
         assert main(["farey", "--level", "8", "--report"]) == 0
         assert calls == [8]
-
-    def test_rejected_report_level_prints_no_table(self, capsys):
-        assert main(["farey", "--level", "0", "--report"]) == 2
-        captured = capsys.readouterr()
-        assert captured.out == ""
-        assert captured.err.startswith("error: ")
 
     @pytest.mark.parametrize("argv", [
         *("%s --format json" % cmd for cmd in (
@@ -430,97 +541,17 @@ class TestCommands:
         assert code == 0
         assert json.loads(target.read_text())["n_cover"] == 1
 
-    @pytest.mark.parametrize("argv, digest", [
-        ("scramble theorem1 --k-range 5..9 --seed 3",
-         "b4da227ad479be0fd822f38d4ff37330af95476b91eb5c8025d23085887d7d8f"),
-        ("scramble theorem2 --shift 1 --k-range 5..9 --seed 3",
-         "3febccd38f6e5bd274662961b5c1574574ce9e556316ec5f9ed317891bfd8c55"),
-        ("scramble theorem2 --k-range 5..9 --seed 3",
-         "1e678a21445ff31cbcc704f43c833164256c8a5a2989243d2e070fba432bedba"),
-        ("scramble rational --rational 7/3 --k-range 5..9 --seed 3",
-         "8fe9e53210826332850f6711debe5da289692c6300d0ee9d44c91115d78cf0e6"),
-        # escape times 3 and 2, so with 7/3's (7) every residue mod 3 meets
-        # the separation runs; recorded while the phases were looked up
-        # through rotated strings
-        ("scramble rational --rational 2/1 --k-range 5..9 --seed 3",
-         "6da5826dd8c21919f9c427eb5e2003e5fe605fa1f3ef494d4984ca81590e6429"),
-        ("scramble rational --rational 1/2 --k-range 5..9 --seed 3",
-         "22bf0cd3241330a0d541dc47eed2a8e0a2568aa2ee59515f4213b545f55a2346"),
-        # the far rule as it stands: the far events at k = 5, 6 and 7 pass on
-        # lower bounds 305/18, 13805/118 and 670436/801, below m_big, because
-        # their upper bound is infinite; recorded from the Fraction-comparing
-        # _classify, so a change of that rule must re-record it
-        ("scramble theorem2 --shift 1 --k-range 5..9 --seed 1 --m-big 1000",
-         "8539bcf97d77e6f7db7e02761f6865c2b3d1d46c5c10e74a1655aeccbb381edb"),
-    ])
+    @pytest.mark.parametrize("argv, digest", _pins("scramble"))
     def test_seeded_scramble_output_is_golden(self, capsys, argv, digest):
-        # SHA-256 of stdout recorded from the per-symbol stream implementation
-        code, out = run(capsys, *argv.split())
-        assert code == 0
-        assert hashlib.sha256(out.encode()).hexdigest() == digest
+        _assert_pinned(capsys, argv, digest)
 
-    @pytest.mark.parametrize("argv, digest", [
-        ("conjugacy --level 12",
-         "ccd03c81aa095fcb7e0772f0bb4228cc4c557a62a1eccc96846698a910a67aeb"),
-        ("farey --level 12 --report",
-         "4a7beb7f28434b028b05817f72545d47b1d195eecc093dde6eb661d829ce6a20"),
-        ("entropy",
-         "ced52f31a9c6f9af07ac0b700ae5d3f0c89d508b2b34f8ae2245a8d056f3b0ac"),
-        ("conjugacy --level 6 --phi-grid 8 --format table",
-         "33c801f59d2f02e7c3d3198a4d754eb8b4f428d94467a50d1cbd31c734ffb7b9"),
-        ("farey --level 3",
-         "c851cfadbae8a4f131e9ef4f3b9c1cb0ba90ce416483a86eee72ccaa06d571ff"),
-        # recorded while the rows were formatted from ExtendedRational and
-        # DyadicRational objects
-        ("conjugacy --level 9 --format json",
-         "54c8f996ecaef369e75bb4e86a5acc99aa4d1a8426413f9d42c8d51c4d4e69c0"),
-        ("farey --level 10 --report --format table",
-         "5dcae97567454b4184db1fce93bb211b24b92709f40b40ada2ceead2c44b2e91"),
-        # recorded while farey_level built a level as ExtendedRational objects
-        ("farey --level 16 --report",
-         "e717c6190a9cb896e75e3bd2b97f130cc67502ab0e238e0c80854e3e33956c1b"),
-        ("conjugacy --level 14",
-         "a28994dfa5993271d51ac7632bfb6b5dbfa39d48ecb2634ab6991297fbab1888"),
-        # recorded while a table was formatted row tuple by row tuple and
-        # joined whole before it was written
-        ("farey --level 14 --format json",
-         "d7c38193e76719fb4574fb341d7bbca0372adb944440c80de71d9cc467030b9f"),
-        ("conjugacy --level 11 --format table",
-         "5db857c7e6918f1ab15846823b6e0b10bf68df60dcfd361ac901df856e450afc"),
-        ("iterate 7/3 --steps 40 --format csv",
-         "8bf92c57dba899de0c00b73bf7527a5d4a68a1abf177eb894acd76e7cf511b8b"),
-    ])
+    @pytest.mark.parametrize("argv, digest", _pins("table"))
     def test_conjugacy_and_entropy_output_is_golden(self, capsys, argv, digest):
-        # SHA-256 of stdout recorded from the Fraction-based kernels
-        code, out = run(capsys, *argv.split())
-        assert code == 0
-        assert hashlib.sha256(out.encode()).hexdigest() == digest
+        _assert_pinned(capsys, argv, digest)
 
-    @pytest.mark.parametrize("argv, digest", [
-        ("mixing 10100100",
-         "6a5800409e28b78a14b96f38bfe5d23aad8befe3e45120dc1aea93c6e02cbe92"),
-        ("periodic 0100100",
-         "8c227259e2b04f007c0909468183cf8b993423a2f284831df19c538ff7797485"),
-        ("iterate (3+1*sqrt(1000003))/7 --steps 20",
-         "810c09dc95e85864842208c5fcca78332a8115a52f245acd7b5c53ec97e2c134"),
-        ("scramble theorem1 --shift 2 --k-range 5..9 --seed 3",
-         "7204e47926bd514ed399fb1f25209235629041d25475f96eba8fa6dc23ef3df3"),
-        ("scramble rational --rational 1/200 --k-range 5..7 --seed 3",
-         "ad3323bcbebf41a97985418228f44811305dd0a9e23a1f9ab66d876fc2bba069"),
-        # a deep periodic enclosure, recorded from per-symbol string reads
-        ("point 10(0100) --max-prefix 5000 --format json --precision 1/1" + "0" * 200,
-         "4df505cfe9a5eee28e38a4994f953a33de1c73ea693a9966c9ed32e67903f261"),
-        # an enclosure stopped by its prefix cap after 1666 whole periods,
-        # recorded from the kernel that stepped the whole matrix per symbol
-        ("point 0(001) --precision 1/1000000000000 --max-prefix 5000 --format json",
-         "4cb64ee5717e867046793f1612742dea96d6ba0e860e033d4a9496b98e2a3ec9"),
-    ])
+    @pytest.mark.parametrize("argv, digest", _pins("certificate"))
     def test_certificate_orbit_and_schedule_output_is_golden(self, capsys, argv, digest):
-        # SHA-256 of stdout recorded from the merged-interval mixing walk,
-        # the hand-written surd phi and the stepped rational orbit
-        code, out = run(capsys, *argv.split())
-        assert code == 0
-        assert hashlib.sha256(out.encode()).hexdigest() == digest
+        _assert_pinned(capsys, argv, digest)
 
     def test_zero_counts_stay_valid(self, capsys):
         for argv in ("iterate 1/2 --steps 0", "conjugacy --level 1 --phi-grid 0"):
@@ -605,13 +636,25 @@ def test_result_records_keep_their_fields_and_refuse_assignment(record, fields):
 
 
 def test_entropy_json_from_named_tuples_is_golden(capsys):
-    # SHA-256 of stdout recorded while the estimates were dataclasses
-    code, out = run(capsys, "entropy", "--depth", "45", "--lap-depth", "16")
-    assert code == 0
+    [pin] = _pins("entropy-json")
+    out = _assert_pinned(capsys, *pin)
     assert all(list(e) == ["depth", "error_bound", "method", "rate", "value"]
                for e in json.loads(out)["estimates"])
-    assert hashlib.sha256(out.encode()).hexdigest() == \
-        "697247b44b003c8a57dc401f4c8f2ab29c87710d7536c5aaf216a2da3bbbe954"
+
+
+def test_pins_are_stated_once():
+    # every SHA-256 under tests/ is a PINS row's and written once; CI's
+    # workflow states none, as it runs this file against the installed package
+    argvs = [argv for _, argv, _ in PINS]
+    assert len(set(argvs)) == len(argvs)
+    digest = re.compile(r"(?<![0-9a-f])[0-9a-f]{64}(?![0-9a-f])")
+    root = Path(__file__).resolve().parents[1]
+    workflow = root / ".github" / "workflows" / "tests.yml"
+    assert digest.findall(workflow.read_text(encoding="utf-8")) == []
+    written = [d for path in sorted((root / "tests").glob("*.py"))
+               for d in digest.findall(path.read_text(encoding="utf-8"))]
+    assert sorted(written) == sorted(d for _, _, d in PINS)
+    assert len(set(written)) == len(written)
 
 
 def _level_h_by_index(n):
@@ -662,8 +705,8 @@ class TestStreamedTables:
     @pytest.mark.parametrize("fmt", ["csv", "json", "table"])
     @pytest.mark.parametrize("count", [
         0, 1, 2, 17,
-        # lines (header and rows) one short of, at and one past a write chunk
-        cli._CHUNK_LINES - 2, cli._CHUNK_LINES - 1, cli._CHUNK_LINES])
+        # lines (header and rows; json: rows) one short of, at and one past a write chunk
+        cli._CHUNK_LINES - 2, cli._CHUNK_LINES - 1, cli._CHUNK_LINES, cli._CHUNK_LINES + 1])
     def test_emit_rows_matches_the_row_tuple_reference(self, tmp_path, capsys, fmt, count):
         rng = random.Random(count * 7 + len(fmt))
         header = tuple("col%d" % j for j in range(rng.randrange(1, 6)))

@@ -352,6 +352,43 @@ class TestMobiusMap:
         assert mobius_apply(PSI1, z) == QuadraticSurd(3, 1, 2, 5)
         assert mobius_apply(PSI0, z) == z  # z is the fixed point of psi0 too
 
+    def test_surd_image_matches_the_constructor(self):
+        # mobius_apply builds a surd's image on x's radicand, already stripped;
+        # the constructor, which strips it again, is the reference
+        def reference(m, x):
+            a, b, c, d = m
+            p, q, r, rad = x.p, x.q, x.r, x.d
+            na, nb = a * p + b * r, a * q
+            dc, dd = c * p + d * r, c * q
+            denom = dc * dc - dd * dd * rad
+            if denom == 0:
+                raise ZeroDivisionError("pole of the map")
+            return QuadraticSurd(na * dc - nb * dd * rad, nb * dc - na * dd, denom, rad)
+
+        def outcome(apply, m, x):
+            try:
+                y = apply(m, x)
+            except (ValueError, ZeroDivisionError) as exc:
+                return type(exc), str(exc)
+            return type(y), (y.p, y.q, y.r, y.d)
+
+        rng = random.Random(43)
+        seen = set()
+        for _ in range(3000):
+            d = rng.choice((2, 5, 12, 18 * 49, 10 ** 18 + 3, rng.randrange(2, 10 ** 12)))
+            p, q = rng.randrange(-10 ** 4, 10 ** 4), rng.randrange(-10 ** 4, 10 ** 4)
+            if not q or math.isqrt(d) ** 2 == d or _comb_sign(p, q, d) < 0:
+                continue
+            x = QuadraticSurd(p, q, rng.randrange(1, 10 ** 4), d)
+            if rng.random() < 0.7:
+                m = _word_matrix("".join(rng.choice("01") for _ in range(rng.randrange(25))))
+            else:  # any integer matrix: singular ones, poles and negative images too
+                m = tuple(rng.randrange(-3, 4) for _ in range(4))
+            want = outcome(reference, m, x)
+            assert outcome(mobius_apply, m, x) == want, (m, x)
+            seen.add(want[0] if want[0] is not QuadraticSurd else "surd")
+        assert seen == {"surd", ValueError, ZeroDivisionError}
+
     def test_compose_against_pointwise(self):
         rng = random.Random(3)
         gens = [TRANSLATE, (1, 0, 1, 1), PSI0, PSI1]
