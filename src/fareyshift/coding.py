@@ -236,10 +236,12 @@ class CodeStream:
 
 def _label_text(label) -> str:
     """A CodeStream's _label as its text (see CodeStream.label)."""
-    if isinstance(label, str):
-        return label
-    parent, k = label
-    return "shift(%s,%d)" % (_label_text(parent), k)
+    tail = []  # outermost shift first
+    while not isinstance(label, str):
+        label, k = label
+        tail.append(",%d)" % k)
+    tail.reverse()
+    return "shift(" * len(tail) + label + "".join(tail)
 
 
 # Right-multiplication by the inverse-branch matrices, (0, 1, 1, 1) for

@@ -13,7 +13,6 @@ from __future__ import annotations
 import math
 from fractions import Fraction
 from functools import total_ordering
-from itertools import islice
 
 
 class NoFixedPointError(ValueError):
@@ -139,12 +138,17 @@ def _escape_word(x, tie_high: bool = False, limit: float = math.inf) -> str:
     """Symbols of the orbit of x up to its first visit to 0.
 
     The last symbol is always the visit to 1, which tie_high reads as 1.
-    Each run of passes is cut at `limit` passes and at most limit + 1 runs
-    are read (each but the last gives a symbol), so the word is exact on
-    its first `limit` symbols, tie_high included.
+    Each run of passes is cut at `limit` passes and no run is read once
+    the word is longer than `limit`, so the word is exact on its first
+    `limit` symbols, tie_high included, and has at most 4 * limit + 2.
     """
-    runs = _escape_runs(x) if limit == math.inf else islice(_escape_runs(x), limit + 1)
-    word = "".join(["100" * min(passes, limit) + tail for passes, tail in runs])
+    parts, size = [], 0
+    for passes, tail in _escape_runs(x):
+        if size > limit:
+            break
+        parts.append("100" * min(passes, limit) + tail)
+        size += len(parts[-1])
+    word = "".join(parts)
     return word[:-1] + "1" if tie_high and word else word
 
 

@@ -520,21 +520,30 @@ def _thresholds(eps, m_big) -> tuple[Fraction, Fraction]:
     return eps, m_big
 
 
-def _enclosure_rule(ev: ScheduleEvent, prefix_len: int, goal: Fraction):
-    """(prefix cap, width goal) shared by an event's enclosures.
+def _verify(first, t: CodeStream, events, eps: Fraction, m_big: Fraction,
+            prefix_len: int, pair: str) -> ScrambleReport:
+    """Decide each event on first(n, cap, goal) against t's enclosure at n.
 
-    The cap is prefix_len, or the event's own cap when smaller; the goal
-    is an eighth of a close event's own threshold, else goal (eps / 8,
-    formed once per verification).  An event's cap or threshold that is
-    not positive is refused (ValueError) before any enclosure.
+    An event's enclosures share a prefix cap, prefix_len or the event's
+    own cap when smaller, and a width goal, an eighth of a close event's
+    own threshold, else eps / 8 (formed once).  An event's cap or
+    threshold that is not positive is refused (ValueError) before any
+    enclosure, and so is no events at all, as no verdict can rest on it.
     """
-    cap, thr = ev.prefix_cap, ev.threshold
-    if cap is not None and cap < 1 or thr is not None and thr <= 0:
-        raise ValueError("prefix_cap and threshold must be positive: %s" % (ev,))
-    cap = prefix_len if cap is None else min(prefix_len, cap)
-    if ev.kind == "close" and thr is not None:
-        return cap, Fraction(thr) / 8
-    return cap, goal
+    eps_goal = eps / 8
+    outcomes = []
+    for ev in events:
+        cap, thr = ev.prefix_cap, ev.threshold
+        if cap is not None and cap < 1 or thr is not None and thr <= 0:
+            raise ValueError("prefix_cap and threshold must be positive: %s" % (ev,))
+        cap = prefix_len if cap is None else min(prefix_len, cap)
+        goal = Fraction(thr) / 8 if ev.kind == "close" and thr is not None else eps_goal
+        e1 = first(ev.index, cap, goal)
+        e2 = point_of_code(t.shifted(ev.index + ev.t_offset), cap, goal).interval
+        outcomes.append(_classify(ev, e1, e2, eps, m_big))
+    if not outcomes:
+        raise ValueError("no events to verify")
+    return ScrambleReport(pair, outcomes)
 
 
 def verify_scrambling(s: CodeStream, t: CodeStream, events,
@@ -551,16 +560,9 @@ def verify_scrambling(s: CodeStream, t: CodeStream, events,
     no events at all is refused (ValueError), as no verdict can rest on it.
     """
     eps, m_big = _thresholds(eps, m_big)
-    eps_goal = eps / 8
-    outcomes = []
-    for ev in events:
-        cap, goal = _enclosure_rule(ev, prefix_len, eps_goal)
-        e1 = point_of_code(s.shifted(ev.index), cap, goal).interval
-        e2 = point_of_code(t.shifted(ev.index + ev.t_offset), cap, goal).interval
-        outcomes.append(_classify(ev, e1, e2, eps, m_big))
-    if not outcomes:
-        raise ValueError("no events to verify")
-    return ScrambleReport(pair or "%s vs %s" % (s.label, t.label), outcomes)
+    return _verify(lambda n, cap, goal: point_of_code(s.shifted(n), cap, goal).interval,
+                   t, events, eps, m_big, prefix_len,
+                   pair or "%s vs %s" % (s.label, t.label))
 
 
 def rational_vs_tau(r: ExtendedRational, t: CodeStream, k_range,
@@ -581,14 +583,9 @@ def rational_vs_tau(r: ExtendedRational, t: CodeStream, k_range,
     eps, m_big = _thresholds(eps, m_big)
     e = escape_time(r)
     events = schedule_events("rational_vs_tau", k_range, escape=e, eps=eps)
-    eps_goal = eps / 8
-    outcomes = []
-    for ev in events:
-        e1 = _CYCLE_POINTS[(ev.index - e) % 3]  # the schedule skips n < e
-        cap, goal = _enclosure_rule(ev, prefix_budget, eps_goal)
-        e2 = point_of_code(t.shifted(ev.index), cap, goal).interval
-        outcomes.append(_classify(ev, e1, e2, eps, m_big))
-    return ScrambleReport("rational %s vs %s" % (r, t.label), outcomes)
+    # the exact orbit point; the schedule skips n < e
+    return _verify(lambda n, cap, goal: _CYCLE_POINTS[(n - e) % 3],
+                   t, events, eps, m_big, prefix_budget, "rational %s vs %s" % (r, t.label))
 
 
 _G_NODES = (

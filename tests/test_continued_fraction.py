@@ -199,6 +199,18 @@ def test_itinerary_reads_only_what_it_returns():
     assert itinerary(x, 8) == itinerary_reference(x, 8) == "01001001"
 
 
+def test_surd_itinerary_word_grows_with_its_length_only():
+    # sqrt(10^18 + 1) = [10^9; 2 * 10^9, ...]: each run of passes is cut at n,
+    # and reading n + 1 such runs built 3n^2 symbols (3 * 10^8 at n = 10^4)
+    for d in (10 ** 18 + 1, 10 ** 12 + 1):
+        x = QuadraticSurd(0, 1, 1, d)
+        for n in (1, 2, 3, 10, 1000, 10 ** 4):
+            assert len(_escape_word(x, False, n)) <= 4 * n + 2, (d, n)
+        for n in (1, 2, 3, 7, 20):
+            assert itinerary(x, n) == itinerary(x, n, tie_high=True) == \
+                surd_itinerary_reference(x, n), (d, n)
+
+
 def _random_surds(count, seed):
     """Surds of both signs of q over radicands up to 10^18 + 3 (a prime),
     with values from just above 0 to past 10^6, so first digits range

@@ -32,7 +32,6 @@ from fareyshift.scrambled import (
     _build_alpha_blocks,
     _classify,
     _distance_bounds,
-    _enclosure_rule,
     _layout,
     alpha_transitive,
     g_map,
@@ -686,6 +685,18 @@ def rational_events_by_name_tables(e: int, eps: Fraction, lo: int, hi: int) -> l
     return events
 
 
+def _record_enclosures(monkeypatch):
+    """Record the (prefix cap, width goal) of each scrambled.point_of_code call."""
+    calls = []
+
+    def recording(stream, cap, goal):
+        calls.append((cap, goal))
+        return point_of_code(stream, cap, goal)
+
+    monkeypatch.setattr("fareyshift.scrambled.point_of_code", recording)
+    return calls
+
+
 class TestVerifyScrambling:
     def test_no_events_is_rejected(self):
         mu = mu_code("01")
@@ -789,15 +800,38 @@ class TestVerifyScrambling:
         with pytest.raises(ValueError, match=match):
             rational_vs_tau(ONE, tau, (5, 5))
 
-    def test_enclosure_rule(self):
-        # the verification's goal is passed through as it is; an event's own
-        # cap binds when smaller, and a close event's own threshold sets the goal
-        goal = Fraction(1, 800)
-        for kind in ("close", "far"):
-            assert _enclosure_rule(ScheduleEvent(kind, 0, "x"), 99, goal)[1] is goal
-            ev = ScheduleEvent(kind, 0, "x", threshold=Fraction(1, 10), prefix_cap=1)
-            assert _enclosure_rule(ev, 99, goal) == (1, Fraction(1, 80) if kind == "close" else goal)
-        assert _enclosure_rule(ScheduleEvent("far", 0, "x", prefix_cap=500), 99, goal) == (99, goal)
+    def test_enclosure_rule(self, monkeypatch):
+        # the verification's goal eps / 8 is formed once and passed through as
+        # it is; an event's own cap binds when smaller, and a close event's own
+        # threshold sets the goal; both enclosures of an event share them
+        calls = _record_enclosures(monkeypatch)
+        events = [ScheduleEvent(kind, 0, "x") for kind in ("close", "far")]
+        events += [ScheduleEvent(kind, 0, "x", threshold=Fraction(1, 10), prefix_cap=1)
+                   for kind in ("close", "far")]
+        events.append(ScheduleEvent("far", 0, "x", prefix_cap=500))
+        s = mu_code("01")
+        verify_scrambling(s, s, events, eps=Fraction(1, 100), prefix_len=99)
+        assert calls[0::2] == calls[1::2] and len(calls) == 2 * len(events)
+        rules = calls[0::2]
+        goal = rules[0][1]
+        assert goal == Fraction(1, 800)
+        for kind, (_, own_goal), capped in zip(("close", "far"), rules, rules[2:]):
+            assert own_goal is goal
+            assert capped == (1, Fraction(1, 80) if kind == "close" else goal)
+        assert rules[-1] == (99, goal)
+
+    def test_deeply_shifted_streams_are_labelled(self):
+        # the label was formatted by one recursive call per shift, so about
+        # a thousand shifts raised RecursionError wherever it was read
+        ks = [i % 7 + 1 for i in range(5000)]
+        s, t = CodeStream.periodic("01", "001"), mu_code("01")
+        want = s.label
+        for k in ks:
+            s, t, want = s.shifted(k), t.shifted(k), "shift(%s,%d)" % (want, k)
+        assert s.label == want and repr(s) == "CodeStream(%s)" % want
+        assert mu_code(s).label == "mu(%s)" % want
+        ev = schedule_events("theorem1", (5, 5))
+        assert verify_scrambling(t, t, ev).pair == "%s vs %s" % (t.label, t.label)
 
     def test_report_json_round_trip(self):
         import json
@@ -1021,24 +1055,30 @@ class TestRationalVsTau:
             rational_vs_tau(INF, self.tau, (5, 6))
 
     @pytest.mark.parametrize("r", ["1/200", "7/3", "0/1"])
-    def test_events_follow_the_exact_orbit(self, r):
+    def test_events_follow_the_exact_orbit(self, r, monkeypatch):
         # every event comes after the escape (1/200 escapes at 299, past
         # the first runs of block 5), and the verdicts match those
         # decided on the orbit point phi_rat gives at the event index
         r = xr(*map(int, r.split("/")))
         e = escape_time(r)
         eps, m_big = Fraction(1, 100), Fraction(1000)
+        calls = _record_enclosures(monkeypatch)
         rep = rational_vs_tau(r, self.tau, (5, 7), eps=eps, m_big=m_big)
         events = schedule_events("rational_vs_tau", (5, 7), escape=e, eps=eps)
         assert [o.event for o in rep.outcomes] == events
         assert events and min(ev.index for ev in events) >= e
+        # one enclosure per event, the tau side's, at the budget or the
+        # event's own cap when smaller, to eps / 8
+        rules = [(10 ** 6 if ev.prefix_cap is None else min(10 ** 6, ev.prefix_cap), eps / 8)
+                 for ev in events]
+        assert calls == rules
         y, n = r, 0
-        for o in rep.outcomes:
+        for o, (cap, goal) in zip(rep.outcomes, rules):
             ev = o.event
             while n < ev.index:
                 y, n = phi_rat(y), n + 1
             assert y == (ZERO, INF, ONE)[(ev.index - e) % 3]
-            e2 = point_of_code(self.tau.shifted(ev.index), *_enclosure_rule(ev, 10 ** 6, eps / 8))
+            e2 = point_of_code(self.tau.shifted(ev.index), cap, goal)
             assert o == _classify(ev, FareyInterval(y, y), e2.interval, eps, m_big)
 
 
