@@ -118,21 +118,31 @@ class CodeStream:
     symbol is read off its segment.  A segmented stream's kind is
     "procedural".  Evaluation is pure given the index.
     A periodic stream also holds its symbols pre + per as a table of
-    0/1 bytes, so a symbol is one index into it.  A shifted stream's
-    label, shift(label,k), is formatted only when it is read.
+    0/1 bytes, and its period a second time as a list of ints rotated
+    to phase p = |pre|: entry n % q is symbol n for every n >= p
+    (q = |per|).  So a symbol past the preperiod is one modulo and one
+    list index (CPython specializes a list subscript by an int, not a
+    bytes one), and one inside it is one index into the bytes, which
+    stay one byte per symbol: an escape word may be 10^7 symbols long.
+    A shifted stream's label, shift(label,k), is formatted only when it
+    is read.
     Streams are general points of the full 2-shift; admissibility (no
     "11") is a property checked where an operation requires it.
     """
 
-    __slots__ = ("kind", "pre", "per", "_syms", "_p", "_q", "_runs", "_offset", "_label")
+    __slots__ = ("kind", "pre", "per", "_syms", "_cycle", "_p", "_q", "_runs", "_offset",
+                 "_label")
 
     def __init__(self, kind, pre=None, per=None, syms=None, runs=None, offset=0, label=""):
         self.kind = kind
         self.pre = pre
         self.per = per
         self._syms = syms
+        self._cycle = None
         if syms is not None:
-            self._p, self._q = len(pre), len(per)
+            p, q = self._p, self._q = len(pre), len(per)
+            j = -p % q
+            self._cycle = list(syms[p + j:] + syms[p:p + j])  # entry n % q is symbol n >= p
         self._runs = runs
         self._offset = offset
         self._label = label  # a str, or (parent's _label, k) for a shifted stream
@@ -157,14 +167,13 @@ class CodeStream:
         return cls("procedural", runs=runs, label=label)
 
     def symbol_at(self, n: int) -> int:
-        syms = self._syms
-        if syms is not None:
-            p = self._p
-            if n >= p:
-                return syms[p + (n - p) % self._q]
+        cycle = self._cycle
+        if cycle is not None:
+            if n >= self._p:
+                return cycle[n % self._q]
             if n < 0:
                 raise IndexError("negative index")
-            return syms[n]
+            return self._syms[n]
         if n < 0:
             raise IndexError("negative index")
         return _SYMBOL[self._runs(n + self._offset)[0][0]]
@@ -218,11 +227,13 @@ class CodeStream:
         s = object.__new__(CodeStream)
         s.kind, s._runs, s._label = self.kind, self._runs, (self._label, k)
         if s._runs is not None:
-            s.pre = s.per = s._syms = None
+            s.pre = s.per = s._syms = s._cycle = None
             s._offset = self._offset + k
             return s
         s._offset, s._q = 0, self._q
         p, syms = self._p, self._syms
+        cycle, r = self._cycle, k % s._q
+        s._cycle = cycle[r:] + cycle[:r]
         if k <= p:
             s.pre, s.per, s._syms, s._p = self.pre[k:], self.per, syms[k:], p - k
         else:
@@ -341,8 +352,9 @@ def point_of_code(s: CodeStream, max_prefix: int, width_goal) -> PointEnclosure:
     second case the returned enclosure has width_ok = False ("width goal
     not reached").  The prefix read must be admissible.
 
-    On a periodic stream each symbol costs one read of the stream's
-    symbol table and one step of the matrix's bottom row (c, d), and the
+    On a periodic stream each symbol costs one symbol_at call (past the
+    preperiod, one index n % q into the period list held in phase) and
+    one step of the matrix's bottom row (c, d), and the
     first "11" is found before the walk, in one string search.  The
     cylinder's endpoints b/d and p/q form a unimodular pair, so a
     bounded cylinder has width exactly 1/|d*q| (an unbounded one has

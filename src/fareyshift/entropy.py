@@ -90,18 +90,17 @@ def transition_spectral_radius(iterations: int) -> EntropyEstimate:
 
     Exact integer vectors; the ratio of consecutive coordinate sums
     estimates the dominant eigenvalue, with the spread of successive
-    ratios as the error bound.
+    ratios as the error bound.  Only the last two ratios are formed.
     """
     if iterations < 1:
         raise ValueError("iterations must be positive")
-    v = (1, 1)
-    prev_ratio = None
-    ratio = None
-    for _ in range(iterations):
-        nxt = (v[0] + v[1], v[0])
-        prev_ratio, ratio = ratio, Fraction(nxt[0] + nxt[1], v[0] + v[1])
-        v = nxt
-    bound = abs(float(ratio - prev_ratio)) if prev_ratio is not None else None
+    x, y = 1, 1
+    for _ in range(iterations - 1):
+        x, y = x + y, x
+    # (x, y) is the vector before the last step, (x + y, x) after it, and
+    # x is the coordinate sum of the vector before (x, y)
+    ratio = Fraction(2 * x + y, x + y)
+    bound = abs(float(ratio - Fraction(x + y, x))) if iterations > 1 else None
     return EntropyEstimate("spectral", math.log(float(ratio)), float(ratio),
                            iterations, bound)
 

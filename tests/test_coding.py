@@ -209,6 +209,31 @@ class TestCodeStream:
             with pytest.raises(IndexError):
                 t[-1]
 
+    @staticmethod
+    def _symbol_by_byte_table(s, n):
+        """symbol_at as it was: one index into the bytes of pre + per."""
+        syms, p, q = s._syms, s._p, s._q
+        return syms[p + (n - p) % q] if n >= p else syms[n]
+
+    @settings(max_examples=200, deadline=None)
+    @given(periodic_codes, st.integers(0, 3 * 10 ** 12), st.integers(1, 7))
+    @example(CodeStream.periodic("0100", "00101"), 10 ** 12, 3)
+    @example(CodeStream.periodic("", "1"), 0, 1)
+    def test_period_list_matches_the_byte_table(self, s, k, m):
+        # shifts inside the preperiod, at its end, mid-period and nested
+        # (a shift of each), read at the seams and near 10^12
+        p, q = s._p, s._q
+        shifts = [s] + [s.shifted(j) for j in range(1, p + 2 * q + 1)] + [s.shifted(k)]
+        shifts += [t.shifted(m) for t in shifts]
+        for t in shifts:
+            tp, tq = t._p, t._q
+            seams = {0, tp, tp + tq, tp + 2 * tq + m}
+            for base in (0, tp, 10 ** 12, 10 ** 12 + tp):
+                seams.update(base + d for d in range(-1, tq + 2))
+            for n in sorted(i for i in seams if i >= 0):
+                sym = t.symbol_at(n)
+                assert type(sym) is int and sym == self._symbol_by_byte_table(t, n), (t, n)
+
     @pytest.mark.parametrize("bad", ["2", " ", "O", "\u0661"])
     def test_symbols_other_than_0_1_rejected(self, bad):
         for pre, per in (("0" + bad, "01"), ("", "0" + bad), (bad, "0"), ("", bad)):

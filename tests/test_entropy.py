@@ -95,7 +95,26 @@ class TestPolynomialRoot:
             entropy_polynomial_root(tol)
 
 
+def spectral_radius_by_fractions(iterations):
+    """transition_spectral_radius as it was: a Fraction at every step."""
+    v = (1, 1)
+    prev_ratio = None
+    ratio = None
+    for _ in range(iterations):
+        nxt = (v[0] + v[1], v[0])
+        prev_ratio, ratio = ratio, Fraction(nxt[0] + nxt[1], v[0] + v[1])
+        v = nxt
+    bound = abs(float(ratio - prev_ratio)) if prev_ratio is not None else None
+    return EntropyEstimate("spectral", math.log(float(ratio)), float(ratio),
+                           iterations, bound)
+
+
 class TestSpectral:
+    def test_matches_the_fraction_per_step_reference(self):
+        for iterations in range(1, 201):
+            assert transition_spectral_radius(iterations) == \
+                spectral_radius_by_fractions(iterations), iterations
+
     def test_first_iteration_ratio(self):
         est = transition_spectral_radius(1)
         assert est.rate == 1.5
