@@ -57,14 +57,6 @@ def admissible_words(n: int) -> list[str]:
     return out
 
 
-def iter_admissible_words(min_len: int = 1):
-    """Admissible words in length-lexicographic order, smallest length first."""
-    n = min_len
-    while True:
-        yield from admissible_words(n)
-        n += 1
-
-
 class FareyInterval:
     """Closed subinterval of [0, infinity] with exact rational endpoints."""
 
@@ -488,7 +480,7 @@ def itinerary(x, n: int, tie_high: bool = False) -> str:
     if x == INF:
         return code_of_rational(x).prefix(n)
     # only n symbols are read, so no run of the escape word need be longer
-    return (_escape_word(x, tie_high, n) + "010" * n)[:n]
+    return (_escape_word(x, tie_high, n) + "010" * (n // 3 + 1))[:n]
 
 
 def periodic_point(preperiod: str, period: str):

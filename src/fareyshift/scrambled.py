@@ -17,18 +17,12 @@ an explicit "inconclusive" (never a silent pass).
 
 from __future__ import annotations
 
-import bisect
 import functools
 import math
 from collections import namedtuple
 from fractions import Fraction
 
-from .coding import (
-    CodeStream,
-    FareyInterval,
-    iter_admissible_words,
-    point_of_code,
-)
+from .coding import CodeStream, FareyInterval, point_of_code
 from .exact import (
     INF,
     INFINITE_DISTANCE,
@@ -121,13 +115,18 @@ def _layout(k: int) -> BlockLayout:
     return BlockLayout.for_k(k)
 
 
-def _block_at(n: int) -> BlockLayout:
-    """Layout of the block [k!, (k+1)!) holding the index n >= 5!."""
-    k, fk = 5, 120
+def _factorial_floor(n: int) -> int:
+    """The k with k! <= n < (k+1)!, for n >= 3!."""
+    k, fk = 3, 6
     while fk * (k + 1) <= n:
         k += 1
         fk *= k
-    return _layout(k)
+    return k
+
+
+def _block_at(n: int) -> BlockLayout:
+    """Layout of the block [k!, (k+1)!) holding the index n >= 5!."""
+    return _layout(_factorial_floor(n))
 
 
 def mu_code(beta) -> CodeStream:
@@ -154,50 +153,54 @@ def mu_code(beta) -> CodeStream:
     return CodeStream.segmented(runs, label="mu(%s)" % beta.label)
 
 
-def _build_alpha_blocks():
-    """Resolved (start, word) table for the transitive stream.
+def _alpha_word(i: int) -> str:
+    """Word i of the admissible words from length 5, length-lexicographic.
 
-    Words come in length-lexicographic order from length 5 up; block i
-    sits at (m_i)! for the minimal increasing schedule satisfying
-    (m_i)! > (m_{i-1})! + |B_{i-1}| + 1, up to 10^18.
+    There are F(m + 2) admissible words of length m (Fibonacci counts),
+    so word i's length is found by subtracting whole lengths, and its
+    symbols by greedy Zeckendorf: with m symbols still to come, a 1 skips
+    the F(m + 2) words that have a 0 there.  A 1 leaves fewer than
+    F(m + 1) words, so the next symbol is a 0 and no "11" occurs.
     """
-    blocks = []
-    m, end = 0, -1  # end: one past the previous block
-    for word in iter_admissible_words(5):
-        m += 1
-        while math.factorial(m) <= end + 1:
-            m += 1
-        start = math.factorial(m)
-        if start > 10 ** 18:
-            break
-        blocks.append((start, word))
-        end = start + len(word)
-    return tuple(blocks)
+    counts = [1, 2, 3, 5, 8, 13]  # counts[m] = F(m + 2), the admissible words of length m
+    while i >= counts[-1]:  # word i is longer: skip the words of this length
+        i -= counts[-1]
+        counts.append(counts[-1] + counts[-2])
+    word = []
+    for m in range(len(counts) - 2, -1, -1):  # m symbols still to come
+        if i >= counts[m]:
+            word.append("1")
+            i -= counts[m]
+        else:
+            word.append("0")
+    return "".join(word)
 
 
 def alpha_transitive() -> CodeStream:
-    """Stream with the i-th admissible word written at (m_i)!, zeros elsewhere.
+    """Stream with admissible word i (from length 5) at (i + 3)!, zeros elsewhere.
 
-    Admissible as a whole because consecutive blocks are separated by at
-    least two zeros (the schedule constraint).
+    Word i is _alpha_word(i), and every admissible word of length >= 5
+    is one of them, so every admissible word occurs: a shorter one as
+    the start of its extension by zeros to length 5.  Word i has at most
+    i + 5 symbols, and (i + 4)! - (i + 3)! >= i + 7, so at least two
+    zeros follow every word and the stream is admissible.
 
     Coverage: every admissible word u of length <= 4 occurs at a multiple
-    of 6 by 15!.  If u contains a 1, the length-5 word u 0^(5-|u|) has
-    rank r >= 1 among the 13 of its length and is written at (r+3)!; the
-    last of them, 10101, sits at 15!.
-    Strides 2 and 3 are not covered below 10^6: only the blocks up to 9!
+    of 6 by 15!.  If u contains a 1, the length-5 word u 0^(5-|u|) is
+    word r >= 1 and is written at (r+3)!; the last of them, 10101, sits
+    at 15!.
+    Strides 2 and 3 are not covered below 10^6: only the words up to 9!
     fit there, and 101 occurs there only at 5042.
     """
-    blocks = _build_alpha_blocks()
-    starts = [s for s, _ in blocks]
 
     def runs(n: int):
-        i = bisect.bisect_right(starts, n) - 1
-        if i >= 0:
-            start, word = blocks[i]
-            if n < start + len(word):
-                return word[n - start:], start + len(word)
-        return "0", starts[i + 1] if i + 1 < len(starts) else None
+        if n < 6:
+            return "0", 6
+        k = _factorial_floor(n)
+        start, word = math.factorial(k), _alpha_word(k - 3)
+        if n < start + len(word):
+            return word[n - start:], start + len(word)
+        return "0", start * (k + 1)
 
     return CodeStream.segmented(runs, label="alpha")
 

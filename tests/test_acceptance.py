@@ -246,17 +246,17 @@ def test_criterion_08_transitivity_proxy():
     alpha = alpha_transitive()
     # The scan below 10^6 is a finite-horizon measurement; what the
     # construction promises is coverage by H = 15! + 5, in closed form.
-    # Words come in length-lexicographic order from length 5 and block i
-    # sits at (m_i)! with the minimal schedule 1, 4, 5, 6, ..., so the word
-    # of rank r >= 1 among the 13 admissible words of length 5 is written
-    # at (r + 3)!.  An admissible u with |u| <= 4 that contains a 1 extends
-    # to u + 0^(5 - |u|), of some rank r >= 1; u therefore occurs at
-    # (r + 3)!, a multiple of 2 and of 3, before the end of the block of
-    # the last length-5 word, 10101 at 15!.  Below 10^6 only the blocks up
-    # to 9! fit, and they put 101, 0101, 1001 and 1010 at single residue
-    # classes (101 only at 5042); the first stride-compatible indices are
-    # 0101 at 10!, 1001 at 13!, and 101 and 1010 at 14!.  Each word the
-    # scan misses is read back through the stream at its certificate.
+    # Words come in length-lexicographic order from length 5 and word i
+    # sits at (i + 3)!, so the word of rank r among the 13 admissible
+    # words of length 5 is written at (r + 3)!.  An admissible u with
+    # |u| <= 4 that contains a 1 extends to u + 0^(5 - |u|), of some rank
+    # r >= 1; u therefore occurs at (r + 3)!, a multiple of 2 and of 3,
+    # before the end of the last length-5 word, 10101 at 15!.  Below 10^6
+    # only the words up to 9! fit, and they put 101, 0101, 1001 and 1010
+    # at single residue classes (101 only at 5042); the first
+    # stride-compatible indices are 0101 at 10!, 1001 at 13!, and 101 and
+    # 1010 at 14!.  Each word the scan misses is read back through the
+    # stream at its certificate.
     fives = admissible_words(5)
     last = len(fives) - 1
     horizon = math.factorial(last + 3) + 5

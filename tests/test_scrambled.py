@@ -17,7 +17,6 @@ from fareyshift.coding import (
     code_of_rational,
     cylinder,
     itinerary,
-    iter_admissible_words,
     phi_interval_image,
     point_of_code,
 )
@@ -29,7 +28,7 @@ from fareyshift.scrambled import (
     _CYCLE_CODE,
     _CYCLE_NAMES,
     _CYCLE_POINTS,
-    _build_alpha_blocks,
+    _alpha_word,
     _classify,
     _distance_bounds,
     _layout,
@@ -47,8 +46,8 @@ def xr(n, d=1):
     return ExtendedRational(n, d)
 
 
-# The per-index symbol functions the segment functions replaced, kept
-# verbatim as the reference oracle.
+# The per-index symbol functions the segment functions replaced, and the
+# word table alpha's rule replaced, kept verbatim as the reference oracle.
 
 _RUNS = ((1, 0, 0), (0, 0, 1), (0, 1, 0))
 _100 = (1, 0, 0)
@@ -72,6 +71,27 @@ def _mu_symbol_reference(beta, n):
     if off != 1:
         return 0
     return 1 if j == 0 else beta[j - 1]
+
+
+def _build_alpha_blocks():
+    """Resolved (start, word) table for the transitive stream.
+
+    Words come in length-lexicographic order from length 5 up; block i
+    sits at (m_i)! for the minimal increasing schedule satisfying
+    (m_i)! > (m_{i-1})! + |B_{i-1}| + 1, up to 10^18.
+    """
+    blocks = []
+    m, end = 0, -1  # end: one past the previous block
+    for word in enumerate_admissible(18):
+        m += 1
+        while math.factorial(m) <= end + 1:
+            m += 1
+        start = math.factorial(m)
+        if start > 10 ** 18:
+            break
+        blocks.append((start, word))
+        end = start + len(word)
+    return tuple(blocks)
 
 
 def _alpha_symbol_reference(blocks, n):
@@ -197,6 +217,62 @@ class TestAlpha:
         al = alpha_transitive()
         assert "11" not in al.prefix(10 ** 5)
 
+    def test_rule_matches_reference_below_20_factorial(self):
+        # word 0, 00000, is at 1! in the table and at 3! by the rule: the same zeros
+        blocks = _build_alpha_blocks()
+        al = alpha_transitive()
+        assert al.prefix(30) == "".join(str(_alpha_symbol_reference(blocks, n))
+                                        for n in range(30))
+        nexts = [s for s, _ in blocks[2:]] + [math.factorial(20)]
+        for (start, word), nxt in zip(blocks[1:], nexts):
+            end = start + len(word)
+            for n in range(start - 3, end + 4):
+                assert al[n] == _alpha_symbol_reference(blocks, n), n
+            for n in range(start - 3, start):
+                assert al.run_at(n) == ("0", start), n
+            for n in range(start, end):
+                assert al.run_at(n) == (word[n - start:], end), n
+            for n in range(end, end + 4):
+                assert al.run_at(n) == ("0", nxt), n
+
+    def test_rule_goes_on_past_the_reference(self):
+        blocks = _build_alpha_blocks()
+        assert blocks[-1] == (math.factorial(19), "000100")
+        f20 = math.factorial(20)
+        al = alpha_transitive()
+        assert _alpha_symbol_reference(blocks, f20 + 3) == 0 and al[f20 + 3] == 1
+        assert al.run_at(math.factorial(19) + 6) == ("0", f20)
+        assert al.run_at(10 ** 18 + 100) == ("0", f20)
+        assert al.run_at(f20) == ("000101", f20 + 6)
+
+
+def _zeckendorf_rank(word: str, counts) -> int:
+    """Index of an admissible word among those from length 5, length-lexicographic.
+
+    counts[m] is the number of admissible words of length m; a 1 with m
+    symbols after it ranks the word above the counts[m] words with a 0 there.
+    """
+    shorter = sum(counts[length] for length in range(5, len(word)))
+    return shorter + sum(counts[len(word) - 1 - p] for p, ch in enumerate(word) if ch == "1")
+
+
+class TestAlphaWord:
+    def test_unrank_matches_admissible_words(self):
+        counts = [len(admissible_words(m)) for m in range(21)]
+        i = 0
+        for length in range(5, 21):
+            for word in admissible_words(length):
+                assert _alpha_word(i) == word, i
+                assert _zeckendorf_rank(word, counts) == i, word
+                i += 1
+        assert i == 46347
+
+    def test_gap_holds_each_word_and_two_zeros(self):
+        for i in range(200):
+            length = len(_alpha_word(i))
+            assert length <= i + 5, i
+            assert math.factorial(i + 4) - math.factorial(i + 3) >= length + 2, i
+
 
 # Word and window builders with no library caller, kept as independent
 # oracles for the stream layouts (tau_block_literal assembles tau blocks from them).
@@ -205,8 +281,11 @@ def enumerate_admissible(count: int) -> list[str]:
     """First `count` admissible words, length-lexicographic from length 5."""
     if count < 0:
         raise ValueError("negative count")
-    gen = iter_admissible_words(5)
-    return [next(gen) for _ in range(count)]
+    words, length = [], 5
+    while len(words) < count:
+        words += admissible_words(length)
+        length += 1
+    return words[:count]
 
 
 def c_block(code: CodeStream, i: int, j: int) -> str:
