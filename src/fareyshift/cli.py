@@ -351,6 +351,8 @@ def _rational_point(text: str, flag: str) -> ExtendedRational:
 
 
 def cmd_scramble(args) -> int:
+    if args.prefix_budget < 1:
+        raise ValueError("--prefix-budget must be positive; got %d" % args.prefix_budget)
     rng = random.Random(args.seed)
     k_range = parse_krange(args.k_range)
     eps = parse_fraction(args.eps)

@@ -9,7 +9,7 @@ inverse branches
     psi1: y -> 1/(1 - y)   (into I1 = [1, infinity], defined on [0, 1]),
 
 right to left over the word.  Infinite codes are CodeStream objects:
-eventually periodic data or a chain of periodic runs.
+a chain of periodic runs, read from an offset.
 """
 
 from __future__ import annotations
@@ -104,39 +104,31 @@ _TO_BITS = bytes.maketrans(b"01", b"\x00\x01")
 class CodeStream:
     """An infinite 0/1 sequence addressed by nonnegative index.
 
-    Two shapes: eventually periodic (preperiod + repeating period) and
-    segmented, given by a segment function runs(n) -> (word, end):
-    symbols n..end-1 read word repeated (end None: forever), so each
-    symbol is read off its segment.  A segmented stream's kind is
-    "procedural".  Evaluation is pure given the index.
-    A periodic stream also holds its symbols pre + per as a table of
-    0/1 bytes, and its period a second time as a list of ints rotated
-    to phase p = |pre|: entry n % q is symbol n for every n >= p
-    (q = |per|).  So a symbol past the preperiod is one modulo and one
-    list index (CPython specializes a list subscript by an int, not a
-    bytes one), and one inside it is one index into the bytes, which
-    stay one byte per symbol: an escape word may be 10^7 symbols long.
-    A shifted stream's label, shift(label,k), is formatted only when it
-    is read.
+    Every stream is a segment function runs(n) -> (word, end) plus an
+    offset: symbols n..end-1 of the runs read word repeated (end None:
+    forever), and symbol n of the stream is symbol n + offset of the
+    runs.  A shift adds to the offset and shares the rest.
+    CodeStream.periodic's runs give the rest of the preperiod, then the
+    period rotated to phase (kind "periodic"); CodeStream.segmented takes
+    any runs (kind "procedural").  Evaluation is pure given the index.
+    A periodic stream also holds symbol_at's tables: its symbols pre + per
+    as 0/1 bytes (an escape word may be 10^7 symbols long), and its period
+    as a list of ints in phase p, the preperiod left after the offset:
+    entry n % q is symbol n for every n >= p (q = |per|).  So a symbol
+    past the preperiod is one modulo and one list index (CPython
+    specializes a list subscript by an int, not a bytes one), and one
+    inside it is the byte at n + offset.  A segmented stream has no
+    tables (no period list, and q = 1).  A shifted stream's label,
+    shift(label,k), is formatted only when it is read.
     Streams are general points of the full 2-shift; admissibility (no
     "11") is a property checked where an operation requires it.
     """
 
-    __slots__ = ("kind", "pre", "per", "_syms", "_cycle", "_p", "_q", "_runs", "_offset",
-                 "_label")
+    __slots__ = ("kind", "_runs", "_offset", "_syms", "_cycle", "_p", "_q", "_label")
 
-    def __init__(self, kind, pre=None, per=None, syms=None, runs=None, offset=0, label=""):
-        self.kind = kind
-        self.pre = pre
-        self.per = per
-        self._syms = syms
-        self._cycle = None
-        if syms is not None:
-            p, q = self._p, self._q = len(pre), len(per)
-            j = -p % q
-            self._cycle = list(syms[p + j:] + syms[p:p + j])  # entry n % q is symbol n >= p
-        self._runs = runs
-        self._offset = offset
+    def __init__(self, kind, runs, offset=0, label=""):
+        self.kind, self._runs, self._offset = kind, runs, offset
+        self._syms, self._cycle, self._p, self._q = None, None, 0, 1  # no tables
         self._label = label  # a str, or (parent's _label, k) for a shifted stream
 
     @property
@@ -150,13 +142,24 @@ class CodeStream:
         raw = (pre + per).encode()
         if raw.translate(None, b"01"):
             raise ValueError("symbols must be 0/1")
-        return cls("periodic", pre=pre, per=per, syms=raw.translate(_TO_BITS),
-                   label=label or "%s(%s)" % (pre, per))
+        p, q = len(pre), len(per)
+
+        def runs(n):
+            if n < p:
+                return pre[n:], p
+            j = (n - p) % q
+            return per[j:] + per[:j], None
+
+        s = cls("periodic", runs, label=label or "%s(%s)" % (pre, per))
+        syms = s._syms = raw.translate(_TO_BITS)
+        s._p, s._q, j = p, q, -p % q
+        s._cycle = list(syms[p + j:] + syms[p:p + j])  # entry n % q is symbol n >= p
+        return s
 
     @classmethod
     def segmented(cls, runs, label: str = "segmented") -> "CodeStream":
         """Stream given by its segment function (see the class)."""
-        return cls("procedural", runs=runs, label=label)
+        return cls("procedural", runs, label=label)
 
     def symbol_at(self, n: int) -> int:
         cycle = self._cycle
@@ -165,7 +168,7 @@ class CodeStream:
                 return cycle[n % self._q]
             if n < 0:
                 raise IndexError("negative index")
-            return self._syms[n]
+            return self._syms[n + self._offset]
         if n < 0:
             raise IndexError("negative index")
         return _SYMBOL[self._runs(n + self._offset)[0][0]]
@@ -175,17 +178,11 @@ class CodeStream:
     def run_at(self, n: int) -> tuple[str, int | None]:
         """(word, end): symbols n..end-1 read word repeated; end None is forever.
 
-        Periodic streams give the rest of the preperiod, then the rotated
-        period forever; segmented streams give their segment from n on.
+        The segment holding symbol n + offset, read from there on and
+        moved back by the offset.
         """
         if n < 0:
             raise IndexError("negative index")
-        if self._runs is None:
-            p = len(self.pre)
-            if n < p:
-                return self.pre[n:], p
-            j = (n - p) % len(self.per)
-            return self.per[j:] + self.per[:j], None
         off = self._offset
         word, end = self._runs(n + off)
         if end is None:
@@ -206,31 +203,22 @@ class CodeStream:
         return "".join(parts)
 
     def shifted(self, k: int) -> "CodeStream":
-        """Drop the first k symbols; periodic streams are renormalised.
+        """Drop the first k symbols: the same runs and tables, read k further on.
 
-        The new stream's slots are assigned straight from this one's, to
-        the values __init__ would give them (the symbols are checked
-        already, and the period keeps its length).
+        The new stream shares this one's runs and byte table, adds k to
+        the offset, and holds its period list rotated by k, so a shift
+        costs O(q) however long the preperiod.
         """
         if k < 0:
             raise ValueError("shift must be nonnegative")
         if k == 0:
             return self
         s = object.__new__(CodeStream)
-        s.kind, s._runs, s._label = self.kind, self._runs, (self._label, k)
-        if s._runs is not None:
-            s.pre = s.per = s._syms = s._cycle = None
-            s._offset = self._offset + k
-            return s
-        s._offset, s._q = 0, self._q
-        p, syms = self._p, self._syms
-        cycle, r = self._cycle, k % s._q
-        s._cycle = cycle[r:] + cycle[:r]
-        if k <= p:
-            s.pre, s.per, s._syms, s._p = self.pre[k:], self.per, syms[k:], p - k
-        else:
-            j, per = (k - p) % s._q, self.per
-            s.pre, s.per, s._syms, s._p = "", per[j:] + per[:j], syms[p + j:] + syms[p:p + j], 0
+        s.kind, s._runs, s._syms, s._label = self.kind, self._runs, self._syms, (self._label, k)
+        p, q, cycle = self._p - k, self._q, self._cycle
+        r = k % q  # 0 for whole periods, so always 0 without tables (q = 1)
+        s._offset, s._p, s._q = self._offset + k, p if p > 0 else 0, q
+        s._cycle = cycle[r:] + cycle[:r] if r else cycle
         return s
 
     def __repr__(self):
@@ -295,8 +283,16 @@ def _word_matrix(word: str) -> tuple[int, int, int, int]:
     return _steps((1, 0, 0, 1), word.encode().translate(_TO_BITS))
 
 
-def _prefix_matrix(s: CodeStream, n: int) -> tuple[int, int, int, int]:
-    """The matrix of a periodic stream's first n symbols, off its byte table.
+def _periodic_tables(s: CodeStream, n: int) -> tuple[bytes, bytes]:
+    """A periodic stream's preperiod cut at n, and its period from there on, as 0/1 bytes."""
+    syms, p, q, off = s._syms, s._p, s._q, s._offset
+    base = len(syms) - q  # the unshifted stream's preperiod length
+    j = (off + p - base) % q
+    return syms[off:off + (p if p < n else n)], syms[base + j:] + syms[base:base + j]
+
+
+def _prefix_matrix(pre: bytes, per: bytes, n: int) -> tuple[int, int, int, int]:
+    """The matrix of the first n symbols of pre + per + per + ... (0/1 bytes).
 
     With p = |pre|, q = |per| and k, r = divmod(n - p, q) it is
     Pre * W^k * R (W the period's matrix, R its first r symbols').  W^k
@@ -305,17 +301,17 @@ def _prefix_matrix(s: CodeStream, n: int) -> tuple[int, int, int, int]:
     multiply is by W itself; shorter prefixes are stepped symbol by
     symbol.  Nothing is multiplied by the identity.
     """
-    syms, p, q = s._syms, s._p, s._q
-    k, r = divmod(n - p, q)
+    p = len(pre)
+    k, r = divmod(n - p, len(per))
     if k < 2:
-        return _steps((1, 0, 0, 1), syms[:n] if k < 1 else syms + syms[p:p + r])
-    w = power = _steps((1, 0, 0, 1), syms[p:])
+        return _steps((1, 0, 0, 1), (pre + per + per)[:n])
+    w = power = _steps((1, 0, 0, 1), per)
     for bit in bin(k)[3:]:
         power = _mul(power, power)
         if bit == "1":
             power = _mul(power, w)
-    m = _mul(_steps((1, 0, 0, 1), syms[:p]), power) if p else power
-    return _steps(m, syms[p:p + r])
+    m = _mul(_steps((1, 0, 0, 1), pre), power) if p else power
+    return _steps(m, per[:r])
 
 
 def cylinder(word: str) -> FareyInterval:
@@ -346,8 +342,8 @@ def point_of_code(s: CodeStream, max_prefix: int, width_goal) -> PointEnclosure:
 
     On a periodic stream each symbol costs one symbol_at call (past the
     preperiod, one index n % q into the period list held in phase) and
-    one step of the matrix's bottom row (c, d), and the
-    first "11" is found before the walk, in one string search.  The
+    one step of the matrix's bottom row (c, d); the first "11" is found
+    before the walk, by one search of the stream's byte tables.  The
     cylinder's endpoints b/d and p/q form a unimodular pair, so a
     bounded cylinder has width exactly 1/|d*q| (an unbounded one has
     d*q = 0), and width < goal iff goal.denominator <
@@ -370,7 +366,7 @@ def point_of_code(s: CodeStream, max_prefix: int, width_goal) -> PointEnclosure:
     # goal_num * |d*q| has at most goal_num's bits + d's bits + q's bits;
     # while d's + q's are at most this, it is below goal_den
     short_bits = goal_den.bit_length() - goal_num.bit_length() - 1
-    if s._runs is not None:
+    if s._cycle is None:  # no tables: a segmented stream
         return _walk_segments(s, max_prefix, goal_num, goal_den, short_bits)
     # Width tests that cannot pass are skipped.  A step maps the bottom
     # row (c, d) to (d, c + d) after a 0 and to (-d, c + d) after a 1, so
@@ -381,10 +377,11 @@ def point_of_code(s: CodeStream, max_prefix: int, width_goal) -> PointEnclosure:
     # short_bits: after the bit test fails at index i, no index before
     # i + 1 + (short_bits - 1)//2 - row can pass it.
     half = (short_bits - 1) // 2
+    pre, per = _periodic_tables(s, max_prefix)
     # pre + per + per is a prefix of the stream holding each of its adjacent
     # pairs, so its first "11" inside the first max_prefix symbols is the
     # stream's: bad is the index of that "11"'s second symbol, 0 for none
-    bad = (s.pre[:max_prefix] + s.per + s.per).find("11", 0, max_prefix) + 1
+    bad = (pre + per + per).find(b"\1\1", 0, max_prefix) + 1
     symbol_at = s.symbol_at
     c, d = 0, 1  # the bottom row of the prefix's matrix
     test_at = 0
@@ -400,10 +397,12 @@ def point_of_code(s: CodeStream, max_prefix: int, width_goal) -> PointEnclosure:
             if d.bit_length() + q.bit_length() <= short_bits:
                 test_at = i + 1 + half - max(c.bit_length(), d.bit_length())
             elif goal_den < goal_num * abs(d * q):
-                return PointEnclosure(_interval_of(_prefix_matrix(s, i + 1), sym), i + 1, True)
+                return PointEnclosure(_interval_of(_prefix_matrix(pre, per, i + 1), sym),
+                                      i + 1, True)
     if bad:
         raise InadmissibleWordError("stream prefix contains '11' at index %d" % bad)
-    return PointEnclosure(_interval_of(_prefix_matrix(s, max_prefix), sym), max_prefix, False)
+    return PointEnclosure(_interval_of(_prefix_matrix(pre, per, max_prefix), sym),
+                          max_prefix, False)
 
 
 def _walk_segments(s: CodeStream, max_prefix: int, goal_num: int, goal_den: int,

@@ -14,3 +14,10 @@ settings.load_profile(os.environ.get("HYPOTHESIS_PROFILE", "default"))
 def per_symbol_stream(fn, label="procedural"):
     """A stream given symbol by symbol: fn(n) is symbol n, each a one-symbol segment."""
     return CodeStream.segmented(lambda n: ("1" if fn(n) else "0", n + 1), label=label)
+
+
+def pre_and_period(s):
+    """A periodic stream's preperiod and its period from there on, read off
+    run_at(0) and, after a preperiod of length p, run_at(p)."""
+    word, p = s.run_at(0)
+    return ("", word) if p is None else (word, s.run_at(p)[0])

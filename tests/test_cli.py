@@ -381,6 +381,10 @@ class TestCommands:
         ("code (1+1*sqrt(2))/0", "error: bad surd '(1+1*sqrt(2))/0': zero denominator"),
         # the "11" sits across the seam between two periods, at indices 3 and 4
         ("point (1001)", "error: stream prefix contains '11' at index 4"),
+        # refused by its own flag's name, before any stream is built
+        ("scramble theorem1 --prefix-budget 0", "error: --prefix-budget must be positive; got 0"),
+        ("scramble rational --prefix-budget -5",
+         "error: --prefix-budget must be positive; got -5"),
     ])
     def test_rejected_input_message_is_verbatim(self, capsys, argv, err):
         # recorded while the CLI raised its own error type for these inputs

@@ -6,7 +6,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from conftest import per_symbol_stream
+from conftest import per_symbol_stream, pre_and_period
 from fareyshift import coding
 from fareyshift.exact import (
     GOLDEN_FIXED_POINT,
@@ -27,6 +27,7 @@ from fareyshift.coding import (
     InadmissibleWordError,
     PointEnclosure,
     _interval_of,
+    _periodic_tables,
     _prefix_matrix,
     _word_matrix,
     admissible_words,
@@ -111,7 +112,15 @@ periodic_codes = st.builds(
     st.text(alphabet="01", max_size=6),
     st.text(alphabet="01", min_size=1, max_size=8),
 )
-admissible_periodic_codes = periodic_codes.filter(lambda c: is_admissible(c.pre + c.per + c.per))
+
+
+def _seams(s):
+    """A periodic stream's pre + per + per: a prefix holding each of its adjacent pairs."""
+    pre, per = pre_and_period(s)
+    return pre + per + per
+
+
+admissible_periodic_codes = periodic_codes.filter(lambda c: is_admissible(_seams(c)))
 
 
 def _rewrap(s):
@@ -172,9 +181,9 @@ class TestCodeStream:
         zero = CodeStream.periodic("", "0")
         assert zero.shifted(5).prefix(6) == "000000"
         s = CodeStream.periodic("0", "010")
-        assert s.shifted(1).pre == "" and s.shifted(1).per == "010"
+        assert pre_and_period(s.shifted(1)) == ("", "010")
         t = CodeStream.periodic("", "100")
-        assert t.shifted(3).per == "100"
+        assert pre_and_period(t.shifted(3)) == ("", "100")
         assert t.shifted(4).prefix(6) == "001001"
 
     def test_periodic_symbols_are_ints(self):
@@ -211,8 +220,10 @@ class TestCodeStream:
 
     @staticmethod
     def _symbol_by_byte_table(s, n):
-        """symbol_at as it was: one index into the bytes of pre + per."""
-        syms, p, q = s._syms, s._p, s._q
+        """symbol_at as it was: one index into the bytes of pre + per, here
+        the unshifted stream's table, read at n + offset."""
+        syms, q = s._syms, s._q
+        p, n = len(syms) - q, n + s._offset
         return syms[p + (n - p) % q] if n >= p else syms[n]
 
     @settings(max_examples=200, deadline=None)
@@ -257,12 +268,16 @@ class TestCodeStream:
                     tau_code("0110", alpha_transitive(), _TRACKED)]
         for base in builders:
             for s in [base.shifted(k) for k in (0, 1, 119, 120, 721)]:
+                # every stream is its runs plus an offset; a periodic one also
+                # holds symbol_at's tables
+                assert callable(s._runs) and type(s._offset) is int
                 if s.kind == "periodic":
-                    assert s._runs is None
-                    assert type(s.pre) is str and type(s.per) is str
+                    assert type(s._syms) is bytes and type(s._cycle) is list
+                    assert len(s._cycle) == s._q and 0 <= s._p < len(s._syms)
                 else:
                     # bench/tracing.py splits scrambled.lookup from coding.symbol_at on this kind
-                    assert s.kind == "procedural" and callable(s._runs)
+                    assert s.kind == "procedural"
+                    assert (s._syms, s._cycle, s._p, s._q) == (None, None, 0, 1)
                 # each segment's first, second and last symbol, up to index 6000
                 indices, i = set(), 0
                 while i < 6000:
@@ -290,13 +305,14 @@ class TestCodeStream:
 
     @staticmethod
     def _assert_shift_has_the_built_shape(s, k, t, want):
-        """t = s.shifted(k) against want, the stream CodeStream(...) builds
-        from the same data: every slot (set or unset alike), the label
+        """t = s.shifted(k) against want, a dict of every slot's value: the
+        runs and byte table shared with s (the same objects), the label
         text, and the symbols, runs and prefix of s read from k on."""
-        missing = object()
-        for name in CodeStream.__slots__:
-            got, exp = getattr(t, name, missing), getattr(want, name, missing)
+        assert sorted(want) == sorted(CodeStream.__slots__)
+        for name, exp in want.items():
+            got = getattr(t, name)
             assert type(got) is type(exp) and got == exp, (s, k, name, got, exp)
+        assert t._runs is s._runs and t._syms is s._syms
         assert t.label == "shift(%s,%d)" % (s.label, k)
         for i in range(3 * k + 40):
             assert t.symbol_at(i) == s.symbol_at(k + i), (s, k, i)
@@ -309,15 +325,17 @@ class TestCodeStream:
     def test_periodic_shift_has_the_built_shape(self, pre, per):
         # shifts inside the preperiod, at its end and 0..2q past it, then
         # each shifted once more
+        p, q = len(pre), len(per)
+        plain = pre + per * (p + 3 * q + 8)
+
         def built(n, label):
-            """CodeStream(...) of pre + per repeated, read from n on."""
-            if n <= len(pre):
-                want_pre, want_per = pre[n:], per
-            else:
-                j = (n - len(pre)) % len(per)
-                want_pre, want_per = "", per[j:] + per[:j]
-            return CodeStream("periodic", pre=want_pre, per=want_per,
-                              syms=bytes(int(ch) for ch in want_pre + want_per), label=label)
+            """The slots of pre + per repeated, read from n on: the preperiod
+            left, and the period list whose entry i % q is symbol i past it."""
+            left = max(0, p - n)
+            cycle = [int(plain[n + i + q * (left // q + 1)]) for i in range(q)]
+            return {"kind": "periodic", "_runs": s._runs, "_offset": n,
+                    "_syms": bytes(int(ch) for ch in pre + per), "_cycle": cycle,
+                    "_p": left, "_q": q, "_label": label}
 
         s = CodeStream.periodic(pre, per)
         for k in range(1, len(pre) + 2 * len(per) + 1):
@@ -332,14 +350,36 @@ class TestCodeStream:
         ids=["mu", "tau"])
     def test_segmented_shift_has_the_built_shape(self, base):
         # shifted once, then shifted again
+        def built(n, label):
+            """The slots CodeStream(...) gives base's runs read from n on."""
+            want = CodeStream("procedural", base._runs, offset=n, label=label)
+            return {name: getattr(want, name) for name in CodeStream.__slots__}
+
         for k in (1, 119, 120, 721):
             once = base.shifted(k)
-            want = CodeStream("procedural", runs=base._runs, offset=k, label=(base._label, k))
-            self._assert_shift_has_the_built_shape(base, k, once, want)
+            self._assert_shift_has_the_built_shape(base, k, once, built(k, (base._label, k)))
             for m in (1, 5):
-                want = CodeStream("procedural", runs=base._runs, offset=k + m,
-                                  label=((base._label, k), m))
+                want = built(k + m, ((base._label, k), m))
                 self._assert_shift_has_the_built_shape(once, m, once.shifted(m), want)
+
+    def test_shift_shares_a_long_preperiod(self):
+        # the 10^7-symbol escape word of 1/6666667, shifted inside the
+        # preperiod, at its end and past it, then each shifted again: no
+        # table is copied, and the seams read the base from k on
+        s = code_of_rational(xr(1, 6666667))
+        p = escape_time(xr(1, 6666667))
+        assert s.run_at(0)[1] == p > 9 * 10 ** 6
+        once = [s.shifted(k) for k in (1, 2, p // 2, p - 1, p, p + 1, p + 2, p + 100)]
+        for t in once + [t.shifted(m) for t in once for m in (1, 3)]:
+            k = t._offset
+            assert t._syms is s._syms and t._runs is s._runs, k
+            seams = {0, 1, 2} | {i for i in range(p - k - 3, p - k + 8) if i >= 0}
+            for i in sorted(seams):
+                assert t.symbol_at(i) == s.symbol_at(k + i), (k, i)
+                word, end = s.run_at(k + i)
+                assert t.run_at(i) == (word, None if end is None else end - k), (k, i)
+            n = max(p - k, 0) + 8
+            assert t.prefix(n) == s.prefix(k + n)[k:], k
 
     def test_procedural_shift_and_cache(self):
         s = per_symbol_stream(lambda n: 1 if n % 5 == 0 else 0)
@@ -348,7 +388,7 @@ class TestCodeStream:
 
     def test_admissibility_checks(self):
         def seams_admissible(s):
-            return is_admissible(s.pre + s.per + s.per)
+            return is_admissible(_seams(s))
 
         assert seams_admissible(CodeStream.periodic("", "1")) is False
         assert seams_admissible(CodeStream.periodic("010", "011")) is False
@@ -507,8 +547,23 @@ class TestItinerary:
             assert itinerary(x, len(w)) == w
 
 
+def _bits(word):
+    return bytes(int(ch) for ch in word)
+
+
 class TestPrefixMatrix:
     """_prefix_matrix against its definition, the matrix of the prefix's word."""
+
+    @staticmethod
+    def _assert_matches_the_word(s, n):
+        """The matrix of s.prefix(n), from s's preperiod and period as run_at
+        reads them and from the tables point_of_code reads."""
+        pre, per = pre_and_period(s)
+        want = _word_matrix(s.prefix(n))
+        assert _prefix_matrix(_bits(pre), _bits(per), n) == want, (s, n)
+        tables = _periodic_tables(s, n)
+        assert tables == (_bits(pre[:n]), _bits(per)), (s, n)
+        assert _prefix_matrix(*tables, n) == want, (s, n)
 
     # k, r = divmod(n - p, q) on the shifted stream; both None for n < p
     @pytest.mark.parametrize("pre, per, shift, n, k, r", [
@@ -532,23 +587,34 @@ class TestPrefixMatrix:
     ])
     def test_cases(self, pre, per, shift, n, k, r):
         s = CodeStream.periodic(pre, per).shifted(shift)
-        p, q = len(s.pre), len(s.per)
+        p, q = map(len, pre_and_period(s))
         assert (k, r) == ((None, None) if n < p else divmod(n - p, q))
-        assert _prefix_matrix(s, n) == _word_matrix(s.prefix(n))
+        self._assert_matches_the_word(s, n)
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.text(alphabet="01", max_size=6), st.text(alphabet="01", min_size=1, max_size=8),
+           st.integers(0, 300))
+    @example("", "1", 2)  # inadmissible words step alike
+    def test_pure_function_of_the_bytes(self, pre, per, n):
+        # the first n symbols of pre + per + per + ..., with no stream at all
+        word = (pre + per * (n // len(per) + 1))[:n]
+        assert _prefix_matrix(_bits(pre), _bits(per), n) == _word_matrix(word)
 
     @settings(max_examples=300, deadline=None)
     @given(periodic_codes, st.integers(0, 14), st.integers(0, 300))
     @example(CodeStream.periodic("", "1"), 0, 2)  # inadmissible words step alike
     def test_equals_the_word_matrix(self, s, shift, n):
-        t = s.shifted(shift)
-        assert _prefix_matrix(t, n) == _word_matrix(t.prefix(n))
+        self._assert_matches_the_word(s.shifted(shift), n)
 
     def test_rational_code_with_a_long_preperiod(self):
         s = code_of_rational(xr(1, 200))
-        p = len(s.pre)
+        p = len(pre_and_period(s)[0])
         assert p == 299
-        for n in (0, 1, 150, p - 1, p, p + 1, p + 3, p + 7, p + 3000):
-            assert _prefix_matrix(s, n) == _word_matrix(s.prefix(n)), n
+        # unshifted, then shifted inside the preperiod, to its end and mid-period
+        for shift in (0, 1, 150, p - 1, p, p + 1, p + 2):
+            t = s.shifted(shift)
+            for n in (0, 1, 150, p - 1, p, p + 1, p + 3, p + 7, p + 3000):
+                self._assert_matches_the_word(t, n)
 
 
 class TestPointOfCode:
@@ -614,6 +680,21 @@ class TestPointOfCode:
                     point_of_code(s, max_prefix, goal)
             else:
                 assert point_of_code(s, max_prefix, goal).prefix_len == max_prefix
+
+    # "11" at the join of preperiod and period, inside the period and across
+    # the seam between two periods, on every shift from inside the preperiod
+    # to mid-period
+    @pytest.mark.parametrize("pre, per", [("0001", "1001"), ("01001", "0110"), ("0", "10001")])
+    def test_first_11_of_a_shift_is_the_one_prefix_shows(self, pre, per):
+        s = CodeStream.periodic(pre, per)
+        goal = Fraction(1, 10 ** 300)
+        for k in range(len(pre) + 2 * len(per) + 1):
+            t = s.shifted(k)
+            bad = t.prefix(60).find("11") + 1
+            assert bad, (pre, per, k)
+            with pytest.raises(InadmissibleWordError, match="at index %d$" % bad):
+                point_of_code(t, 60, goal)
+            _assert_matches_reference(t, 60, goal)
 
     def test_width_goal_met_before_the_first_11(self):
         s = CodeStream.periodic("0" * 30, "110")  # "11" ends at index 31
@@ -809,7 +890,7 @@ class TestSegmentWalk:
     @pytest.mark.parametrize("k", [5, 6, 7, 8])
     def test_schedule_events_match_reference(self, k):
         for s, t, events, _ in _schedule_cases(k):
-            assert t._runs is not None
+            assert t.kind == "procedural"  # read by the segment walk
             for ev in events:
                 budget = min(10 ** 5, ev.prefix_cap) if ev.prefix_cap else 10 ** 5
                 if s is not None:
@@ -964,7 +1045,7 @@ class TestPhiIntervalImage:
 
 class TestCodeOfRational:
     def test_orbit_members(self):
-        assert code_of_rational(ZERO).per == "010"
+        assert pre_and_period(code_of_rational(ZERO))[1] == "010"
         assert code_of_rational(INF).prefix(6) == "100100"
         assert code_of_rational(ONE).prefix(7) == "0010010"
         assert code_of_rational(ONE, tie_high=True).prefix(7) == "1010010"
@@ -974,12 +1055,12 @@ class TestCodeOfRational:
             x = xr(num, den)
             s = code_of_rational(x)
             assert s.prefix(20) == itinerary(x, 20)
-            assert is_admissible(s.pre + s.per + s.per)
+            assert is_admissible(_seams(s))
 
     def test_code_at_the_memory_guard(self, monkeypatch):
         # the largest escape time the guard allows still has a code; one
         # symbol more is refused, read off the continued fraction
         monkeypatch.setattr(coding, "_MAX_ESCAPE", 14998)
-        assert len(code_of_rational(xr(1, 9999)).pre) == 14998
+        assert len(pre_and_period(code_of_rational(xr(1, 9999)))[0]) == 14998
         with pytest.raises(ValueError, match="memory guard"):
             code_of_rational(xr(1, 10000))  # escape time 14999

@@ -9,6 +9,8 @@ from fractions import Fraction
 
 import pytest
 
+from conftest import pre_and_period
+
 from fareyshift.exact import (INF, ONE, ZERO, ExtendedRational, QuadraticSurd, _cf_digits,
                               _escape_word, _surd_digits, escape_time, phi_rat, phi_surd)
 from fareyshift.coding import code_of_rational, itinerary
@@ -180,7 +182,7 @@ def test_codes_and_itineraries_match_per_step_walk(escape_times, tie_high):
         want = itinerary_reference(x, e + 6, tie_high)
         assert itinerary(x, e + 6, tie_high) == want, x
         code = code_of_rational(x, tie_high)
-        assert (code.pre, code.per) == (want[:e], "010"), x
+        assert pre_and_period(code) == (want[:e], "010"), x
 
 
 def test_h_matches_string_built_reference():
