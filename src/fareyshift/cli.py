@@ -211,6 +211,8 @@ def cmd_interval(args) -> int:
 
 
 def cmd_point(args) -> int:
+    if args.max_prefix < 1:
+        raise ValueError("--max-prefix must be positive; got %d" % args.max_prefix)
     stream = parse_code(args.code)
     enc = point_of_code(stream, args.max_prefix, parse_fraction(args.precision))
     width = enc.interval.width()

@@ -253,23 +253,29 @@ def _steps(m: tuple[int, int, int, int], syms: bytes) -> tuple[int, int, int, in
     return a, b, c, d
 
 
-def _interval_of(m: tuple[int, int, int, int], last_sym: int) -> FareyInterval:
-    """The enclosure M(base), read off the columns of M = (a, b, c, d).
+def _endpoints(m: tuple[int, int, int, int], last_sym: int) -> tuple[int, int, int, int]:
+    """The enclosure M(base) as its ordered endpoints (lo_num, lo_den, hi_num, hi_den).
 
-    Its endpoints are M(0) = b/d and M(infinity) = a/c after a trailing
-    0, M(1) = (a + b)/(c + d) after a 1, and they are built as they
-    stand.  det M = +-1 makes each pair coprime, so no gcd is needed.
-    No sign needs fixing: on vectors (x, y), psi0 maps the cone
-    x, y >= 0 into the cone 0 <= x <= y and psi1 maps the latter into
-    the former, so along an admissible word M maps the base's cone to
-    nonnegative vectors.  One cross-multiplication orders the two.
+    They are read off the columns of M = (a, b, c, d): M(0) = b/d and
+    M(infinity) = a/c after a trailing 0, M(1) = (a + b)/(c + d) after
+    a 1.  det M = +-1 makes each pair coprime, so no gcd is needed.  No
+    sign needs fixing: on vectors (x, y), psi0 maps the cone x, y >= 0
+    into the cone 0 <= x <= y and psi1 maps the latter into the former,
+    so along an admissible word M maps the base's cone to nonnegative
+    vectors, and infinity is (1, 0).  One cross-multiplication orders
+    the two.
     """
     a, b, c, d = m
     if last_sym:
         a, c = a + b, c + d
-    p, q = _canonical(b, d), _canonical(a, c)
-    iv = object.__new__(FareyInterval)  # ordered here, so __init__'s check is skipped
-    iv.lo, iv.hi = (p, q) if b * c < a * d else (q, p)
+    return (b, d, a, c) if b * c < a * d else (a, c, b, d)
+
+
+def _interval_of(m: tuple[int, int, int, int], last_sym: int) -> FareyInterval:
+    """The enclosure M(base) as a FareyInterval of its _endpoints, built as they stand."""
+    lo_num, lo_den, hi_num, hi_den = _endpoints(m, last_sym)
+    iv = object.__new__(FareyInterval)  # ordered already, so __init__'s check is skipped
+    iv.lo, iv.hi = _canonical(lo_num, lo_den), _canonical(hi_num, hi_den)
     return iv
 
 
@@ -283,9 +289,10 @@ def _word_matrix(word: str) -> tuple[int, int, int, int]:
     return _steps((1, 0, 0, 1), word.encode().translate(_TO_BITS))
 
 
-def _periodic_tables(s: CodeStream, n: int) -> tuple[bytes, bytes]:
-    """A periodic stream's preperiod cut at n, and its period from there on, as 0/1 bytes."""
-    syms, p, q, off = s._syms, s._p, s._q, s._offset
+def _periodic_tables(s: CodeStream, k: int, n: int) -> tuple[bytes, bytes]:
+    """The preperiod of s shifted by k, cut at n, and its period from there on, as 0/1 bytes."""
+    syms, q, off = s._syms, s._q, s._offset + k
+    p = s._p - k if s._p > k else 0  # the preperiod left after the shift
     base = len(syms) - q  # the unshifted stream's preperiod length
     j = (off + p - base) % q
     return syms[off:off + (p if p < n else n)], syms[base + j:] + syms[base:base + j]
@@ -338,36 +345,52 @@ def point_of_code(s: CodeStream, max_prefix: int, width_goal) -> PointEnclosure:
     Grows the consumed prefix one symbol at a time until the cylinder is
     narrower than width_goal, or max_prefix symbols are consumed; in the
     second case the returned enclosure has width_ok = False ("width goal
-    not reached").  The prefix read must be admissible.
-
-    On a periodic stream each symbol costs one symbol_at call (past the
-    preperiod, one index n % q into the period list held in phase) and
-    one step of the matrix's bottom row (c, d); the first "11" is found
-    before the walk, by one search of the stream's byte tables.  The
-    cylinder's endpoints b/d and p/q form a unimodular pair, so a
-    bounded cylinder has width exactly 1/|d*q| (an unbounded one has
-    d*q = 0), and width < goal iff goal.denominator <
-    goal.numerator * |d*q|: the test reads the bottom row alone.  It
-    runs only at the symbols where a bound on the growth of the row's
-    bit lengths allows it to pass; it compares bit lengths first, so the
-    product is formed only on the last few symbols.  The full matrix of
-    the prefix that is returned is built once, by squaring the period
-    matrix (_prefix_matrix), and so is its FareyInterval.
-
-    A segmented stream is read segment by segment instead, with the same
-    result (see _walk_segments).
+    not reached").  The prefix read must be admissible.  The walk is
+    _enclose's from index 0; this wrapper checks the arguments and builds
+    the record, which the scramble checks never need (they read
+    _enclose's matrix as the four integers of its _endpoints).
     """
     if max_prefix < 1:
         raise ValueError("max_prefix must be positive")
     goal = width_goal if isinstance(width_goal, Fraction) else Fraction(width_goal)
-    goal_num, goal_den = goal.numerator, goal.denominator
-    if goal_num <= 0:
+    if goal.numerator <= 0:
         raise ValueError("width_goal must be positive")
+    m, last, n, ok = _enclose(s, 0, max_prefix, goal.numerator, goal.denominator)
+    return PointEnclosure(_interval_of(m, last), n, ok)
+
+
+def _enclose(s: CodeStream, k: int, max_prefix: int, goal_num: int, goal_den: int):
+    """point_of_code of s.shifted(k), read from s itself at index k on.
+
+    Returns (matrix, last_symbol, prefix_len, width_ok): the matrix of
+    the consumed prefix and its last symbol, whose _endpoints are the
+    enclosure.  The goal goal_num/goal_den must be positive and
+    max_prefix at least 1 (unchecked here); no shifted stream and no
+    record is built, and an InadmissibleWordError names the index of
+    the "11" counted from k.
+
+    On a periodic stream each symbol costs one symbol_at call (past the
+    preperiod, one index n % q into the period list held in phase) and
+    one step of the matrix's bottom row (c, d), over the stream's own
+    indices k, k + 1, ...; the first "11" is found before the walk, by
+    one search of the shifted stream's byte tables.  The cylinder's
+    endpoints b/d and p/q form a unimodular pair, so a bounded cylinder
+    has width exactly 1/|d*q| (an unbounded one has d*q = 0), and
+    width < goal iff goal_den < goal_num * |d*q|: the test reads the
+    bottom row alone.  It runs only at the symbols where a bound on the
+    growth of the row's bit lengths allows it to pass; it compares bit
+    lengths first, so the product is formed only on the last few
+    symbols.  The full matrix of the prefix that is returned is built
+    once, by squaring the period matrix (_prefix_matrix).
+
+    A segmented stream is read segment by segment instead, with the same
+    result (see _walk_segments).
+    """
     # goal_num * |d*q| has at most goal_num's bits + d's bits + q's bits;
     # while d's + q's are at most this, it is below goal_den
     short_bits = goal_den.bit_length() - goal_num.bit_length() - 1
     if s._cycle is None:  # no tables: a segmented stream
-        return _walk_segments(s, max_prefix, goal_num, goal_den, short_bits)
+        return _walk_segments(s, k, max_prefix, goal_num, goal_den, short_bits)
     # Width tests that cannot pass are skipped.  A step maps the bottom
     # row (c, d) to (d, c + d) after a 0 and to (-d, c + d) after a 1, so
     # row = max(bits(c), bits(d)) grows by at most 1 per symbol.  q is an
@@ -377,15 +400,16 @@ def point_of_code(s: CodeStream, max_prefix: int, width_goal) -> PointEnclosure:
     # short_bits: after the bit test fails at index i, no index before
     # i + 1 + (short_bits - 1)//2 - row can pass it.
     half = (short_bits - 1) // 2
-    pre, per = _periodic_tables(s, max_prefix)
-    # pre + per + per is a prefix of the stream holding each of its adjacent
-    # pairs, so its first "11" inside the first max_prefix symbols is the
-    # stream's: bad is the index of that "11"'s second symbol, 0 for none
+    pre, per = _periodic_tables(s, k, max_prefix)
+    # pre + per + per is a prefix of the shifted stream holding each of its
+    # adjacent pairs, so its first "11" inside the first max_prefix symbols
+    # is the stream's: bad is the index of that "11"'s second symbol counted
+    # from k, 0 for none
     bad = (pre + per + per).find(b"\1\1", 0, max_prefix) + 1
     symbol_at = s.symbol_at
     c, d = 0, 1  # the bottom row of the prefix's matrix
-    test_at = 0
-    for i in range(bad or max_prefix):
+    test_at = k
+    for i in range(k, k + (bad or max_prefix)):
         sym = symbol_at(i)
         if sym:
             c, d = -d, c + d
@@ -397,35 +421,36 @@ def point_of_code(s: CodeStream, max_prefix: int, width_goal) -> PointEnclosure:
             if d.bit_length() + q.bit_length() <= short_bits:
                 test_at = i + 1 + half - max(c.bit_length(), d.bit_length())
             elif goal_den < goal_num * abs(d * q):
-                return PointEnclosure(_interval_of(_prefix_matrix(pre, per, i + 1), sym),
-                                      i + 1, True)
+                n = i + 1 - k
+                return _prefix_matrix(pre, per, n), sym, n, True
     if bad:
         raise InadmissibleWordError("stream prefix contains '11' at index %d" % bad)
-    return PointEnclosure(_interval_of(_prefix_matrix(pre, per, max_prefix), sym),
-                          max_prefix, False)
+    return _prefix_matrix(pre, per, max_prefix), sym, max_prefix, False
 
 
-def _walk_segments(s: CodeStream, max_prefix: int, goal_num: int, goal_den: int,
-                   short_bits: int) -> PointEnclosure:
-    """point_of_code on a segmented stream, in O(segments * log run) multiplies.
+def _walk_segments(s: CodeStream, k: int, max_prefix: int, goal_num: int, goal_den: int,
+                   short_bits: int):
+    """_enclose on a segmented stream, in O(segments * log run) multiplies.
 
-    A run of r >= 2 whole periods of a word w (no "11" in w, across the
-    seam between repetitions, or at the join with the symbol before) is
-    consumed by galloping over W, W^2, W^4, ... (W the matrix of w) and
-    then descending: this finds the most periods after which the width
-    goal is still unmet, which is exact because cylinders are nested, so
-    "goal met" is monotone in the prefix length.  At most one more period
-    is then read symbol by symbol, as is every other segment.  Galloping
-    only forms powers up to about the size the goal needs; from the empty
-    prefix its first step takes W itself.  The width test is point_of_code's,
-    without abs: d, q >= 0 along an admissible word (see _interval_of).
+    Reads s's runs from index k on (run_at(k + i)), counting the prefix
+    from k.  A run of r >= 2 whole periods of a word w (no "11" in w,
+    across the seam between repetitions, or at the join with the symbol
+    before) is consumed by galloping over W, W^2, W^4, ... (W the matrix
+    of w) and then descending: this finds the most periods after which
+    the width goal is still unmet, which is exact because cylinders are
+    nested, so "goal met" is monotone in the prefix length.  At most one
+    more period is then read symbol by symbol, as is every other segment.
+    Galloping only forms powers up to about the size the goal needs; from
+    the empty prefix its first step takes W itself.  The width test is
+    _enclose's, without abs: d, q >= 0 along an admissible word (see
+    _endpoints).
     """
     m = (1, 0, 0, 1)
     prev = 0
     i = 0
     while i < max_prefix:
-        word, end = s.run_at(i)
-        count = (max_prefix if end is None else min(end, max_prefix)) - i
+        word, end = s.run_at(k + i)
+        count = (max_prefix if end is None else min(end - k, max_prefix)) - i
         size = len(word)
         reps = count // size
         done = 0
@@ -460,10 +485,10 @@ def _walk_segments(s: CodeStream, max_prefix: int, goal_num: int, goal_den: int,
             m = (-b, a + b, -d, c + d) if sym else (b, a + b, d, c + d)
             d, q = m[3], (m[2] + m[3] if sym else m[2])
             if d.bit_length() + q.bit_length() > short_bits and goal_den < goal_num * d * q:
-                return PointEnclosure(_interval_of(m, sym), i + p + 1, True)
+                return m, sym, i + p + 1, True
             prev = sym
         i += count
-    return PointEnclosure(_interval_of(m, prev), max_prefix, False)
+    return m, prev, max_prefix, False
 
 
 def itinerary(x, n: int, tie_high: bool = False) -> str:

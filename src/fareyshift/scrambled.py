@@ -22,21 +22,15 @@ import math
 from collections import namedtuple
 from fractions import Fraction
 
-from .coding import CodeStream, FareyInterval, point_of_code
-from .exact import (
-    INF,
-    INFINITE_DISTANCE,
-    ONE,
-    ZERO,
-    ExtendedRational,
-    escape_time,
-)
+from .coding import CodeStream, _enclose, _endpoints
+from .exact import INFINITE_DISTANCE, ExtendedRational, escape_time
 
 # Phase j of phi's 3-cycle 0 -> infinity -> 1 is phi^j(0), coded _CYCLE_CODE[j]:
-# a run from phase j reads _CYCLE_CODE[(j + m) % 3] after m symbols.
+# a run from phase j reads _CYCLE_CODE[(j + m) % 3] after m symbols, and
+# _CYCLE_POINTS[j] is that point as enclosure endpoints (lo_num, lo_den, hi_num, hi_den).
 _CYCLE_CODE = ("010", "100", "001")
 _CYCLE_NAMES = ("zero", "inf", "one")
-_CYCLE_POINTS = tuple(FareyInterval(p, p) for p in (ZERO, INF, ONE))
+_CYCLE_POINTS = ((0, 1, 0, 1), (1, 0, 1, 0), (1, 1, 1, 1))
 _TAU_MAX_K = 16  # largest block tau_code will index
 _SCHEDULE_MAX_K = 9  # largest block schedule_events will schedule
 _SCHEDULE_PARAMS = {  # the params of each schedule_events kind: (required, optional)
@@ -385,28 +379,30 @@ def schedule_events(kind: str, k_range, **params) -> list[ScheduleEvent]:
     return events
 
 
-def _distance_bounds(e1: FareyInterval, e2: FareyInterval):
+def _distance_bounds(e1, e2):
     """Certified (lower, upper) bounds of |x - y| over the two enclosures.
 
-    Each bound is an integer pair (num, den) with den >= 0, not
+    Each enclosure is its ordered endpoints (lo_num, lo_den, hi_num,
+    hi_den), as coding._endpoints gives them: dens >= 0 and infinity
+    (1, 0).  Each bound is an integer pair (num, den) with den >= 0, not
     necessarily in lowest terms; infinity is (1, 0).  Endpoints are
     compared by cross-multiplying num/den, with infinity 1/0 the maximum
     (as ExtendedRational compares them), and each finite bound is one
     difference of integer cross-products.
     """
-    l1, h1, l2, h2 = e1.lo, e1.hi, e2.lo, e2.hi
-    if h2.num * l1.den < l1.num * h2.den:  # e2 lies below e1: |x - y| is symmetric
-        l1, h1, l2, h2 = l2, h2, l1, h1
-    if h1.num * l2.den < l2.num * h1.den:  # a gap from h1 up to l2; h1 is finite
-        lower = (1, 0) if not l2.den else \
-            (l2.num * h1.den - h1.num * l2.den, l2.den * h1.den)
+    if e2[2] * e1[1] < e1[0] * e2[3]:  # e2 lies below e1: |x - y| is symmetric
+        e1, e2 = e2, e1
+    l1n, l1d, h1n, h1d = e1
+    l2n, l2d, h2n, h2d = e2
+    if h1n * l2d < l2n * h1d:  # a gap from h1 up to l2; h1 is finite
+        lower = (1, 0) if not l2d else (l2n * h1d - h1n * l2d, l2d * h1d)
     else:
         lower = (0, 1)
-    if not (h1.den and h2.den):
+    if not (h1d and h2d):
         return lower, (1, 0)
     # the larger of h2 - l1 and h1 - l2
-    n1, d1 = h2.num * l1.den - l1.num * h2.den, h2.den * l1.den
-    n2, d2 = h1.num * l2.den - l2.num * h1.den, h1.den * l2.den
+    n1, d1 = h2n * l1d - l1n * h2d, h2d * l1d
+    n2, d2 = h1n * l2d - l2n * h1d, h1d * l2d
     return lower, ((n1, d1) if n1 * d2 >= n2 * d1 else (n2, d2))
 
 
@@ -430,9 +426,9 @@ def _dist_str(v) -> str:
     return "inf" if v == INFINITE_DISTANCE else "%d/%d" % (v.numerator, v.denominator)
 
 
-def _classify(ev: ScheduleEvent, e1: FareyInterval, e2: FareyInterval,
-              eps: Fraction, m_big: Fraction) -> EventOutcome:
-    """Decide an event from its distance bounds (either may be infinite).
+def _classify(ev: ScheduleEvent, e1, e2, eps: Fraction, m_big: Fraction) -> EventOutcome:
+    """Decide an event from the distance bounds of its two enclosures'
+    endpoint quadruples (either bound may be infinite).
 
     Each rule cross-multiplies a bound (num, den) with the threshold's
     numerator and denominator; since den >= 0 and the threshold's
@@ -525,13 +521,16 @@ def _thresholds(eps, m_big) -> tuple[Fraction, Fraction]:
 
 def _verify(first, t: CodeStream, events, eps: Fraction, m_big: Fraction,
             prefix_len: int, pair: str) -> ScrambleReport:
-    """Decide each event on first(n, cap, goal) against t's enclosure at n.
+    """Decide each event on first(n, cap, goal_num, goal_den) against t's enclosure at n.
 
     An event's enclosures share a prefix cap, prefix_len or the event's
     own cap when smaller, and a width goal, an eighth of a close event's
-    own threshold, else eps / 8 (formed once).  An event's cap or
-    threshold that is not positive is refused (ValueError) before any
-    enclosure, and so is no events at all, as no verdict can rest on it.
+    own threshold, else eps / 8 (formed once).  Each side is an endpoint
+    quadruple (lo_num, lo_den, hi_num, hi_den); t's is enclosed from its
+    own index n + t_offset by coding._enclose, with no shifted stream
+    and no record.  An event's cap or threshold that is not positive is
+    refused (ValueError) before any enclosure, and so is no events at
+    all, as no verdict can rest on it.
     """
     eps_goal = eps / 8
     outcomes = []
@@ -541,8 +540,9 @@ def _verify(first, t: CodeStream, events, eps: Fraction, m_big: Fraction,
             raise ValueError("prefix_cap and threshold must be positive: %s" % (ev,))
         cap = prefix_len if cap is None else min(prefix_len, cap)
         goal = Fraction(thr) / 8 if ev.kind == "close" and thr is not None else eps_goal
-        e1 = first(ev.index, cap, goal)
-        e2 = point_of_code(t.shifted(ev.index + ev.t_offset), cap, goal).interval
+        num, den = goal.numerator, goal.denominator
+        e1 = first(ev.index, cap, num, den)
+        e2 = _endpoints(*_enclose(t, ev.index + ev.t_offset, cap, num, den)[:2])
         outcomes.append(_classify(ev, e1, e2, eps, m_big))
     if not outcomes:
         raise ValueError("no events to verify")
@@ -563,7 +563,7 @@ def verify_scrambling(s: CodeStream, t: CodeStream, events,
     no events at all is refused (ValueError), as no verdict can rest on it.
     """
     eps, m_big = _thresholds(eps, m_big)
-    return _verify(lambda n, cap, goal: point_of_code(s.shifted(n), cap, goal).interval,
+    return _verify(lambda n, cap, num, den: _endpoints(*_enclose(s, n, cap, num, den)[:2]),
                    t, events, eps, m_big, prefix_len,
                    pair or "%s vs %s" % (s.label, t.label))
 
@@ -587,7 +587,7 @@ def rational_vs_tau(r: ExtendedRational, t: CodeStream, k_range,
     e = escape_time(r)
     events = schedule_events("rational_vs_tau", k_range, escape=e, eps=eps)
     # the exact orbit point; the schedule skips n < e
-    return _verify(lambda n, cap, goal: _CYCLE_POINTS[(n - e) % 3],
+    return _verify(lambda n, cap, num, den: _CYCLE_POINTS[(n - e) % 3],
                    t, events, eps, m_big, prefix_budget, "rational %s vs %s" % (r, t.label))
 
 

@@ -385,6 +385,8 @@ class TestCommands:
         ("scramble theorem1 --prefix-budget 0", "error: --prefix-budget must be positive; got 0"),
         ("scramble rational --prefix-budget -5",
          "error: --prefix-budget must be positive; got -5"),
+        ("point (0) --max-prefix 0", "error: --max-prefix must be positive; got 0"),
+        ("point (0) --max-prefix -3", "error: --max-prefix must be positive; got -3"),
     ])
     def test_rejected_input_message_is_verbatim(self, capsys, argv, err):
         # recorded while the CLI raised its own error type for these inputs

@@ -26,6 +26,8 @@ from fareyshift.coding import (
     FareyInterval,
     InadmissibleWordError,
     PointEnclosure,
+    _enclose,
+    _endpoints,
     _interval_of,
     _periodic_tables,
     _prefix_matrix,
@@ -555,15 +557,19 @@ class TestPrefixMatrix:
     """_prefix_matrix against its definition, the matrix of the prefix's word."""
 
     @staticmethod
-    def _assert_matches_the_word(s, n):
-        """The matrix of s.prefix(n), from s's preperiod and period as run_at
-        reads them and from the tables point_of_code reads."""
-        pre, per = pre_and_period(s)
-        want = _word_matrix(s.prefix(n))
-        assert _prefix_matrix(_bits(pre), _bits(per), n) == want, (s, n)
-        tables = _periodic_tables(s, n)
-        assert tables == (_bits(pre[:n]), _bits(per)), (s, n)
-        assert _prefix_matrix(*tables, n) == want, (s, n)
+    def _assert_matches_the_word(s, k, n):
+        """The matrix of s.shifted(k).prefix(n), from the shifted stream's
+        preperiod and period as run_at reads them and from the tables
+        _enclose reads off s itself at k; also with the shift split
+        between the stream and k, and all of it in the stream."""
+        t = s.shifted(k)
+        pre, per = pre_and_period(t)
+        want = _word_matrix(t.prefix(n))
+        assert _prefix_matrix(_bits(pre), _bits(per), n) == want, (s, k, n)
+        for base, j in ((s, k), (s.shifted(k // 2), k - k // 2), (t, 0)):
+            tables = _periodic_tables(base, j, n)
+            assert tables == (_bits(pre[:n]), _bits(per)), (s, k, j, n)
+            assert _prefix_matrix(*tables, n) == want, (s, k, j, n)
 
     # k, r = divmod(n - p, q) on the shifted stream; both None for n < p
     @pytest.mark.parametrize("pre, per, shift, n, k, r", [
@@ -586,10 +592,10 @@ class TestPrefixMatrix:
         ("010", "00101", 3 + 5 * 9 + 1, 41, 8, 1),
     ])
     def test_cases(self, pre, per, shift, n, k, r):
-        s = CodeStream.periodic(pre, per).shifted(shift)
-        p, q = map(len, pre_and_period(s))
+        s = CodeStream.periodic(pre, per)
+        p, q = map(len, pre_and_period(s.shifted(shift)))
         assert (k, r) == ((None, None) if n < p else divmod(n - p, q))
-        self._assert_matches_the_word(s, n)
+        self._assert_matches_the_word(s, shift, n)
 
     @settings(max_examples=300, deadline=None)
     @given(st.text(alphabet="01", max_size=6), st.text(alphabet="01", min_size=1, max_size=8),
@@ -604,7 +610,7 @@ class TestPrefixMatrix:
     @given(periodic_codes, st.integers(0, 14), st.integers(0, 300))
     @example(CodeStream.periodic("", "1"), 0, 2)  # inadmissible words step alike
     def test_equals_the_word_matrix(self, s, shift, n):
-        self._assert_matches_the_word(s.shifted(shift), n)
+        self._assert_matches_the_word(s, shift, n)
 
     def test_rational_code_with_a_long_preperiod(self):
         s = code_of_rational(xr(1, 200))
@@ -612,9 +618,8 @@ class TestPrefixMatrix:
         assert p == 299
         # unshifted, then shifted inside the preperiod, to its end and mid-period
         for shift in (0, 1, 150, p - 1, p, p + 1, p + 2):
-            t = s.shifted(shift)
             for n in (0, 1, 150, p - 1, p, p + 1, p + 3, p + 7, p + 3000):
-                self._assert_matches_the_word(t, n)
+                self._assert_matches_the_word(s, shift, n)
 
 
 class TestPointOfCode:
@@ -968,6 +973,80 @@ class TestSegmentWalk:
                 got = verify_scrambling(_rewrap(s), _rewrap(t), events, eps=EPS,
                                         m_big=m_big, pair="p").to_dict()
             assert got == want
+
+
+def _assert_enclose_matches(s, k, max_prefix, goal):
+    """_enclose(s, k, ...) against point_of_code(s.shifted(k), ...): the same
+    endpoints, prefix length and goal flag, or the same error and index."""
+    goal = Fraction(goal)
+    try:
+        want = point_of_code(s.shifted(k), max_prefix, goal)
+    except InadmissibleWordError as exc:
+        with pytest.raises(InadmissibleWordError) as got:
+            _enclose(s, k, max_prefix, goal.numerator, goal.denominator)
+        assert str(got.value) == str(exc), (s, k, max_prefix)
+        return
+    m, last, n, ok = _enclose(s, k, max_prefix, goal.numerator, goal.denominator)
+    lo, hi = want.interval.lo, want.interval.hi
+    assert _endpoints(m, last) == (lo.num, lo.den, hi.num, hi.den), (s, k, max_prefix, goal)
+    assert (n, ok) == (want.prefix_len, want.width_ok), (s, k, max_prefix, goal)
+
+
+class TestEncloseKernel:
+    """_enclose reads a stream from index k on, as point_of_code reads its shift by k."""
+
+    GOALS = (Fraction(1, 800), Fraction(1, 10 ** 40))
+
+    @pytest.mark.parametrize("s", [
+        CodeStream.periodic("0100100", "00101"),
+        CodeStream.periodic("0100100", "00101").shifted(3),  # a stream with an offset
+        CodeStream.periodic("01", "0"),
+        CodeStream.periodic("", "100"),
+        CodeStream.periodic("0", "1001"),  # "11" across the seam between periods
+        CodeStream.periodic("0110", "0"),  # "11" inside the preperiod
+    ], ids=repr)
+    def test_inside_at_the_end_of_and_past_the_preperiod(self, s):
+        p, q = map(len, pre_and_period(s))
+        for k in [*range(p + 2 * q + 3), 10 ** 6 + 3]:
+            for cap in (1, 2, 7, 60, 500):
+                for goal in self.GOALS:
+                    _assert_enclose_matches(s, k, cap, goal)
+
+    def test_long_rational_preperiod(self):
+        s = code_of_rational(xr(1, 200))
+        p = len(pre_and_period(s)[0])
+        assert p == 299
+        for k in (0, 1, 150, 290, p - 1, p, p + 1, p + 2, p + 1000):
+            for cap in (1, 9, 300, 3000):
+                for goal in self.GOALS:
+                    _assert_enclose_matches(s, k, cap, goal)
+
+    def test_shifted_inside_a_ten_million_symbol_preperiod(self):
+        s = code_of_rational(xr(1, 6666667))
+        p = len(pre_and_period(s)[0])
+        assert p >= 10 ** 7 - 10
+        for k in (1, 2, 12345, p // 2, p - 5, p - 1, p, p + 1, p + 2):
+            for cap in (1, 50, 4000):
+                for goal in self.GOALS:
+                    _assert_enclose_matches(s, k, cap, goal)
+
+    @pytest.mark.parametrize("k", [5, 6, 7, 8, 9])
+    def test_every_scheduled_index(self, k):
+        alpha = alpha_transitive()
+        for s, t, events, _ in _schedule_cases(k):
+            for ev in events:
+                budget = min(10 ** 5, ev.prefix_cap) if ev.prefix_cap else 10 ** 5
+                for n in {ev.index, ev.index + ev.t_offset}:
+                    for stream in (s, t, alpha):
+                        if stream is not None:
+                            _assert_enclose_matches(stream, n, budget, EPS / 8)
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.one_of(periodic_codes, procedural_codes, rewrapped_periodic_codes),
+           st.integers(0, 3000), st.integers(1, 400), width_goals)
+    @example(CodeStream.periodic("", "1"), 5, 2, Fraction(1, 10))  # "11" at once
+    def test_drawn_index(self, s, k, cap, goal):
+        _assert_enclose_matches(s, k, cap, goal)
 
 
 class TestPeriodicPoint:

@@ -13,6 +13,7 @@ from fareyshift.exact import (INF, INFINITE_DISTANCE, ONE, ZERO, ExtendedRationa
 from fareyshift.coding import (
     CodeStream,
     FareyInterval,
+    _enclose,
     admissible_words,
     code_of_rational,
     cylinder,
@@ -44,6 +45,12 @@ from fareyshift.scrambled import (
 
 def xr(n, d=1):
     return ExtendedRational(n, d)
+
+
+def _ends(iv):
+    """A FareyInterval as the endpoint quadruple (lo_num, lo_den, hi_num, hi_den)
+    the scramble checks decide on."""
+    return iv.lo.num, iv.lo.den, iv.hi.num, iv.hi.den
 
 
 # The per-index symbol functions the segment functions replaced, and the
@@ -373,19 +380,27 @@ def tau_block_literal(k, beta, alpha, x_codes):
     return "".join(parts)
 
 
+def _cycle_point(j):
+    """The point _CYCLE_POINTS[j] encloses, checked to be one point whose
+    (num, den) is in lowest terms (infinity is (1, 0))."""
+    lo_num, lo_den, hi_num, hi_den = _CYCLE_POINTS[j]
+    assert (lo_num, lo_den) == (hi_num, hi_den), j
+    x = xr(lo_num, lo_den)
+    assert (x.num, x.den) == (lo_num, lo_den), j
+    return x
+
+
 class TestCycleTable:
     # phase j is phi^j(0); entry j of each table belongs to that point
 
     @pytest.mark.parametrize("j", [0, 1, 2])
     def test_phi_steps_the_phase(self, j):
-        assert _CYCLE_POINTS[0].lo == ZERO
-        point = _CYCLE_POINTS[j]
-        assert point.lo == point.hi
-        assert phi_rat(point.lo) == _CYCLE_POINTS[(j + 1) % 3].lo
+        assert _cycle_point(0) == ZERO
+        assert phi_rat(_cycle_point(j)) == _cycle_point((j + 1) % 3)
 
     @pytest.mark.parametrize("j", [0, 1, 2])
     def test_codes_read_the_table(self, j):
-        x = _CYCLE_POINTS[j].lo
+        x = _cycle_point(j)
         assert code_of_rational(x).prefix(30) == _CYCLE_CODE[j] * 10
         assert itinerary(x, 30) == _CYCLE_CODE[j] * 10
         for m in range(6):  # read from symbol m on: the entry m phases later
@@ -393,7 +408,7 @@ class TestCycleTable:
 
     def test_names_name_the_points(self):
         named = {"zero": ZERO, "inf": INF, "one": ONE}
-        assert [named[name] for name in _CYCLE_NAMES] == [p.lo for p in _CYCLE_POINTS]
+        assert [named[name] for name in _CYCLE_NAMES] == [_cycle_point(j) for j in range(3)]
 
 
 class TestTauCode:
@@ -765,14 +780,15 @@ def rational_events_by_name_tables(e: int, eps: Fraction, lo: int, hi: int) -> l
 
 
 def _record_enclosures(monkeypatch):
-    """Record the (prefix cap, width goal) of each scrambled.point_of_code call."""
+    """Record the (prefix cap, goal numerator, goal denominator) of each
+    scrambled._enclose call."""
     calls = []
 
-    def recording(stream, cap, goal):
-        calls.append((cap, goal))
-        return point_of_code(stream, cap, goal)
+    def recording(stream, k, cap, num, den):
+        calls.append((cap, num, den))
+        return _enclose(stream, k, cap, num, den)
 
-    monkeypatch.setattr("fareyshift.scrambled.point_of_code", recording)
+    monkeypatch.setattr("fareyshift.scrambled._enclose", recording)
     return calls
 
 
@@ -848,7 +864,7 @@ class TestVerifyScrambling:
         def no_enclosure(*args):
             raise AssertionError("enclosure computed before the check")
 
-        monkeypatch.setattr("fareyshift.scrambled.point_of_code", no_enclosure)
+        monkeypatch.setattr("fareyshift.scrambled._enclose", no_enclosure)
         s = mu_code("01")
         with pytest.raises(ValueError, match=name):
             verify_scrambling(s, s, [ScheduleEvent("far", 200, "same point")], **thresholds)
@@ -869,7 +885,7 @@ class TestVerifyScrambling:
         def no_enclosure(*args):
             raise AssertionError("enclosure computed before the check")
 
-        monkeypatch.setattr("fareyshift.scrambled.point_of_code", no_enclosure)
+        monkeypatch.setattr("fareyshift.scrambled._enclose", no_enclosure)
         monkeypatch.setattr("fareyshift.scrambled.schedule_events", lambda *a, **kw: [event])
         s = mu_code("01")
         match = "prefix_cap and threshold must be positive"
@@ -880,8 +896,9 @@ class TestVerifyScrambling:
             rational_vs_tau(ONE, tau, (5, 5))
 
     def test_enclosure_rule(self, monkeypatch):
-        # the verification's goal eps / 8 is formed once and passed through as
-        # it is; an event's own cap binds when smaller, and a close event's own
+        # the verification's goal eps / 8 is formed once and its numerator and
+        # denominator passed through as they are (the same int objects); an
+        # event's own cap binds when smaller, and a close event's own
         # threshold sets the goal; both enclosures of an event share them
         calls = _record_enclosures(monkeypatch)
         events = [ScheduleEvent(kind, 0, "x") for kind in ("close", "far")]
@@ -892,12 +909,12 @@ class TestVerifyScrambling:
         verify_scrambling(s, s, events, eps=Fraction(1, 100), prefix_len=99)
         assert calls[0::2] == calls[1::2] and len(calls) == 2 * len(events)
         rules = calls[0::2]
-        goal = rules[0][1]
-        assert goal == Fraction(1, 800)
-        for kind, (_, own_goal), capped in zip(("close", "far"), rules, rules[2:]):
-            assert own_goal is goal
-            assert capped == (1, Fraction(1, 80) if kind == "close" else goal)
-        assert rules[-1] == (99, goal)
+        _, num, den = rules[0]
+        assert (num, den) == (1, 800)
+        for kind, (_, own_num, own_den), capped in zip(("close", "far"), rules, rules[2:]):
+            assert own_num is num and own_den is den
+            assert capped == ((1, 1, 80) if kind == "close" else (1, num, den))
+        assert rules[-1][0] == 99 and rules[-1][1] is num and rules[-1][2] is den
 
     def test_deeply_shifted_streams_are_labelled(self):
         # the label was formatted by one recursive call per shift, so about
@@ -993,7 +1010,7 @@ _pairs = st.one_of(st.tuples(_enclosures, _enclosures), _nested, _siblings)
 
 def _assert_bounds_match_reference(e1, e2):
     for a, b in ((e1, e2), (e2, e1)):
-        got, want = _distance_bounds(a, b), _distance_bounds_reference(a, b)
+        got, want = _distance_bounds(_ends(a), _ends(b)), _distance_bounds_reference(a, b)
         assert len(got) == 2, (a, b)
         for pair, value in zip(got, want):
             _assert_pair_is(pair, value)
@@ -1031,7 +1048,7 @@ class TestClassifyReference:
             for thr in self.THRESHOLDS:
                 ev = ScheduleEvent(kind, 0, "hand-built", threshold=thr)
                 for a, b in ((e1, e2), (e2, e1)):
-                    got = _classify(ev, a, b, self.EPS, self.M_BIG)
+                    got = _classify(ev, _ends(a), _ends(b), self.EPS, self.M_BIG)
                     want = _classify_reference(ev, a, b, self.EPS, self.M_BIG)
                     assert got == want, (kind, thr, a, b)
                     assert [type(v) for v in got] == [type(v) for v in want], (kind, thr, a, b)
@@ -1077,7 +1094,7 @@ class TestVerdictRules:
     def test_classify_table(self, kind, e1, e2, threshold, status):
         ev = ScheduleEvent(kind, 0, "hand-built", threshold=threshold)
         for a, b in ((e1, e2), (e2, e1)):
-            assert _classify(ev, a, b, self.EPS, self.M_BIG).status == status
+            assert _classify(ev, _ends(a), _ends(b), self.EPS, self.M_BIG).status == status
 
     @pytest.mark.parametrize("e1, e2, lower, upper", [
         (iv((0, 1), (1, 3)), iv((1, 2), (1, 1)), Fraction(1, 6), Fraction(1)),
@@ -1089,7 +1106,7 @@ class TestVerdictRules:
     ])
     def test_distance_bounds(self, e1, e2, lower, upper):
         for a, b in ((e1, e2), (e2, e1)):
-            got = _distance_bounds(a, b)
+            got = _distance_bounds(_ends(a), _ends(b))
             assert len(got) == 2
             _assert_pair_is(got[0], lower)
             _assert_pair_is(got[1], upper)
@@ -1105,8 +1122,8 @@ class TestVerdictRules:
 
     def test_report_extremes(self):
         ev = ScheduleEvent("far", 0, "hand-built")
-        finite = _classify(ev, iv((0, 1), (0, 1)), iv((2, 1), (2, 1)), self.EPS, self.M_BIG)
-        infinite = _classify(ev, iv((0, 1), (1, 1)), iv((1, 0), (1, 0)), self.EPS, self.M_BIG)
+        finite = _classify(ev, (0, 1, 0, 1), (2, 1, 2, 1), self.EPS, self.M_BIG)
+        infinite = _classify(ev, (0, 1, 1, 1), (1, 0, 1, 0), self.EPS, self.M_BIG)
         rep = ScrambleReport("two", [finite, infinite])
         assert rep.max_certified_distance == INFINITE_DISTANCE
         assert rep.min_certified_distance == Fraction(2)
@@ -1148,17 +1165,19 @@ class TestRationalVsTau:
         assert events and min(ev.index for ev in events) >= e
         # one enclosure per event, the tau side's, at the budget or the
         # event's own cap when smaller, to eps / 8
-        rules = [(10 ** 6 if ev.prefix_cap is None else min(10 ** 6, ev.prefix_cap), eps / 8)
-                 for ev in events]
+        goal = eps / 8
+        rules = [(10 ** 6 if ev.prefix_cap is None else min(10 ** 6, ev.prefix_cap),
+                  goal.numerator, goal.denominator) for ev in events]
         assert calls == rules
         y, n = r, 0
-        for o, (cap, goal) in zip(rep.outcomes, rules):
+        for o, (cap, _, _) in zip(rep.outcomes, rules):
             ev = o.event
             while n < ev.index:
                 y, n = phi_rat(y), n + 1
             assert y == (ZERO, INF, ONE)[(ev.index - e) % 3]
             e2 = point_of_code(self.tau.shifted(ev.index), cap, goal)
-            assert o == _classify(ev, FareyInterval(y, y), e2.interval, eps, m_big)
+            assert o == _classify(ev, _ends(FareyInterval(y, y)), _ends(e2.interval),
+                                  eps, m_big)
 
 
 class TestGMap:
