@@ -185,6 +185,13 @@ def _count(value: int, flag: str) -> int:
     return value
 
 
+def _positive(value, flag: str):
+    """value (an int or a Fraction), refused by its flag's name unless above 0."""
+    if value <= 0:
+        raise ValueError("%s must be positive; got %s" % (flag, value))
+    return value
+
+
 def cmd_iterate(args) -> int:
     x = parse_point(args.point)
     rows = []
@@ -211,10 +218,9 @@ def cmd_interval(args) -> int:
 
 
 def cmd_point(args) -> int:
-    if args.max_prefix < 1:
-        raise ValueError("--max-prefix must be positive; got %d" % args.max_prefix)
-    stream = parse_code(args.code)
-    enc = point_of_code(stream, args.max_prefix, parse_fraction(args.precision))
+    max_prefix = _positive(args.max_prefix, "--max-prefix")
+    goal = _positive(parse_fraction(args.precision), "--precision")
+    enc = point_of_code(parse_code(args.code), max_prefix, goal)
     width = enc.interval.width()
     payload = {
         "code": args.code,
@@ -353,12 +359,11 @@ def _rational_point(text: str, flag: str) -> ExtendedRational:
 
 
 def cmd_scramble(args) -> int:
-    if args.prefix_budget < 1:
-        raise ValueError("--prefix-budget must be positive; got %d" % args.prefix_budget)
+    budget = _positive(args.prefix_budget, "--prefix-budget")
     rng = random.Random(args.seed)
     k_range = parse_krange(args.k_range)
-    eps = parse_fraction(args.eps)
-    m_big = parse_fraction(args.m_big)
+    eps = _positive(parse_fraction(args.eps), "--eps")
+    m_big = _positive(parse_fraction(args.m_big), "--m-big")
     beta = args.beta
     if beta is None:  # only an absent word is drawn: an empty one is refused below
         beta = _random_bits(rng)
@@ -368,7 +373,7 @@ def cmd_scramble(args) -> int:
     if args.which == "rational":
         r = _rational_point(args.rational, "--rational")
         report = rational_vs_tau(r, tau_code(beta, alpha, tracked), k_range, eps=eps,
-                                 m_big=m_big, prefix_budget=args.prefix_budget)
+                                 m_big=m_big, prefix_budget=budget)
     else:
         other = args.xi if args.which == "theorem1" else args.eta
         if other is None:
@@ -386,7 +391,7 @@ def cmd_scramble(args) -> int:
             events = schedule_events("theorem2", k_range, shift=args.shift,
                                      diff_index=diffs[0] if diffs else None)
         report = verify_scrambling(s, t.shifted(args.shift), events, eps=eps, m_big=m_big,
-                                   prefix_len=args.prefix_budget,
+                                   prefix_len=budget,
                                    pair="%s(%s) vs %s(%s) shift=%d"
                                    % (name, beta, name, other, args.shift))
     # a scrambled pair has liminf = 0 and limsup > 0: a verdict needs both kinds

@@ -99,6 +99,7 @@ FULL_LINE = FareyInterval(ZERO, INF)
 
 _SYMBOL = {"0": 0, "1": 1}
 _TO_BITS = bytes.maketrans(b"01", b"\x00\x01")
+_PRE_RUN = 64  # symbols: the longest run a periodic stream's preperiod is read in
 
 
 class CodeStream:
@@ -108,27 +109,23 @@ class CodeStream:
     offset: symbols n..end-1 of the runs read word repeated (end None:
     forever), and symbol n of the stream is symbol n + offset of the
     runs.  A shift adds to the offset and shares the rest.
-    CodeStream.periodic's runs give the rest of the preperiod, then the
-    period rotated to phase (kind "periodic"); CodeStream.segmented takes
-    any runs (kind "procedural").  Evaluation is pure given the index.
-    A periodic stream also holds symbol_at's tables: its symbols pre + per
-    as 0/1 bytes (an escape word may be 10^7 symbols long), and its period
-    as a list of ints in phase p, the preperiod left after the offset:
-    entry n % q is symbol n for every n >= p (q = |per|).  So a symbol
-    past the preperiod is one modulo and one list index (CPython
-    specializes a list subscript by an int, not a bytes one), and one
-    inside it is the byte at n + offset.  A segmented stream has no
-    tables (no period list, and q = 1).  A shifted stream's label,
-    shift(label,k), is formatted only when it is read.
+    CodeStream.periodic builds the runs of a preperiod and a period (kind
+    "periodic"); CodeStream.segmented takes any runs (kind "procedural").
+    Evaluation is pure given the index.  A periodic stream holds its
+    preperiod once, as the string its runs read, and its period as a list
+    of ints in phase p, the preperiod left after the offset: entry n % q
+    is symbol n for every n >= p (q = |per|).  A segmented stream has no
+    period list (q = 1).  A shifted stream's label, shift(label,k), is
+    formatted only when it is read.
     Streams are general points of the full 2-shift; admissibility (no
     "11") is a property checked where an operation requires it.
     """
 
-    __slots__ = ("kind", "_runs", "_offset", "_syms", "_cycle", "_p", "_q", "_label")
+    __slots__ = ("kind", "_runs", "_offset", "_cycle", "_p", "_q", "_label")
 
     def __init__(self, kind, runs, offset=0, label=""):
         self.kind, self._runs, self._offset = kind, runs, offset
-        self._syms, self._cycle, self._p, self._q = None, None, 0, 1  # no tables
+        self._cycle, self._p, self._q = None, 0, 1  # no period list
         self._label = label  # a str, or (parent's _label, k) for a shifted stream
 
     @property
@@ -137,23 +134,24 @@ class CodeStream:
 
     @classmethod
     def periodic(cls, pre: str, per: str, label: str = "") -> "CodeStream":
+        """pre, then per forever; the runs read pre (an escape word may be 10^7
+        symbols long) in pieces of at most _PRE_RUN, then per rotated to phase."""
         if not per:
             raise ValueError("period must be nonempty")
-        raw = (pre + per).encode()
-        if raw.translate(None, b"01"):
+        if pre.encode().translate(None, b"01") or per.encode().translate(None, b"01"):
             raise ValueError("symbols must be 0/1")
         p, q = len(pre), len(per)
 
         def runs(n):
             if n < p:
-                return pre[n:], p
+                end = n + _PRE_RUN if n + _PRE_RUN < p else p
+                return pre[n:end], end
             j = (n - p) % q
             return per[j:] + per[:j], None
 
         s = cls("periodic", runs, label=label or "%s(%s)" % (pre, per))
-        syms = s._syms = raw.translate(_TO_BITS)
-        s._p, s._q, j = p, q, -p % q
-        s._cycle = list(syms[p + j:] + syms[p:p + j])  # entry n % q is symbol n >= p
+        s._p, s._q, j = p, q, -p % q  # _cycle[n % q] is symbol n for every n >= p
+        s._cycle = list((per[j:] + per[:j]).encode().translate(_TO_BITS))
         return s
 
     @classmethod
@@ -162,13 +160,11 @@ class CodeStream:
         return cls("procedural", runs, label=label)
 
     def symbol_at(self, n: int) -> int:
+        """Symbol n: past the preperiod, an index into the period list (CPython
+        specializes a list subscript by an int, not a bytes one); else its run's first."""
         cycle = self._cycle
-        if cycle is not None:
-            if n >= self._p:
-                return cycle[n % self._q]
-            if n < 0:
-                raise IndexError("negative index")
-            return self._syms[n + self._offset]
+        if cycle is not None and n >= self._p:
+            return cycle[n % self._q]
         if n < 0:
             raise IndexError("negative index")
         return _SYMBOL[self._runs(n + self._offset)[0][0]]
@@ -203,20 +199,20 @@ class CodeStream:
         return "".join(parts)
 
     def shifted(self, k: int) -> "CodeStream":
-        """Drop the first k symbols: the same runs and tables, read k further on.
+        """Drop the first k symbols: the same runs, read k further on.
 
-        The new stream shares this one's runs and byte table, adds k to
-        the offset, and holds its period list rotated by k, so a shift
-        costs O(q) however long the preperiod.
+        The new stream shares this one's runs, adds k to the offset, and
+        holds its period list rotated by k, so a shift costs O(q) however
+        long the preperiod.
         """
         if k < 0:
             raise ValueError("shift must be nonnegative")
         if k == 0:
             return self
         s = object.__new__(CodeStream)
-        s.kind, s._runs, s._syms, s._label = self.kind, self._runs, self._syms, (self._label, k)
+        s.kind, s._runs, s._label = self.kind, self._runs, (self._label, k)
         p, q, cycle = self._p - k, self._q, self._cycle
-        r = k % q  # 0 for whole periods, so always 0 without tables (q = 1)
+        r = k % q  # 0 for whole periods, so always 0 without a period list (q = 1)
         s._offset, s._p, s._q = self._offset + k, p if p > 0 else 0, q
         s._cycle = cycle[r:] + cycle[:r] if r else cycle
         return s
@@ -290,12 +286,15 @@ def _word_matrix(word: str) -> tuple[int, int, int, int]:
 
 
 def _periodic_tables(s: CodeStream, k: int, n: int) -> tuple[bytes, bytes]:
-    """The preperiod of s shifted by k, cut at n, and its period from there on, as 0/1 bytes."""
-    syms, q, off = s._syms, s._q, s._offset + k
-    p = s._p - k if s._p > k else 0  # the preperiod left after the shift
-    base = len(syms) - q  # the unshifted stream's preperiod length
-    j = (off + p - base) % q
-    return syms[off:off + (p if p < n else n)], syms[base + j:] + syms[base:base + j]
+    """The preperiod of s shifted by k, cut at n, and its period from there on, as 0/1 bytes:
+    the preperiod read through run_at, the period off _cycle rotated to index max(p, k)."""
+    p, i, words = s._p, k, []
+    stop = p if p < k + n else k + n
+    while i < stop:
+        word, i = s.run_at(i)
+        words.append(word)
+    j, cycle = (p if p > k else k) % s._q, s._cycle
+    return "".join(words)[:stop - k].encode().translate(_TO_BITS), bytes(cycle[j:] + cycle[:j])
 
 
 def _prefix_matrix(pre: bytes, per: bytes, n: int) -> tuple[int, int, int, int]:

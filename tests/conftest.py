@@ -17,7 +17,12 @@ def per_symbol_stream(fn, label="procedural"):
 
 
 def pre_and_period(s):
-    """A periodic stream's preperiod and its period from there on, read off
-    run_at(0) and, after a preperiod of length p, run_at(p)."""
-    word, p = s.run_at(0)
-    return ("", word) if p is None else (word, s.run_at(p)[0])
+    """A periodic stream's preperiod and its period from there on: the join
+    of its runs from index 0 up to the run whose end is None, and that run."""
+    words, i = [], 0
+    while True:
+        word, end = s.run_at(i)
+        if end is None:
+            return "".join(words), word
+        words.append(word)
+        i = end

@@ -387,6 +387,12 @@ class TestCommands:
          "error: --prefix-budget must be positive; got -5"),
         ("point (0) --max-prefix 0", "error: --max-prefix must be positive; got 0"),
         ("point (0) --max-prefix -3", "error: --max-prefix must be positive; got -3"),
+        ("point (0) --precision 0", "error: --precision must be positive; got 0"),
+        ("point (0) --precision=-1/3", "error: --precision must be positive; got -1/3"),
+        ("scramble theorem1 --eps 0", "error: --eps must be positive; got 0"),
+        ("scramble theorem1 --m-big -1", "error: --m-big must be positive; got -1"),
+        # the flags are checked before the code is parsed
+        ("point 0(1 --precision 0", "error: --precision must be positive; got 0"),
     ])
     def test_rejected_input_message_is_verbatim(self, capsys, argv, err):
         # recorded while the CLI raised its own error type for these inputs

@@ -15,6 +15,7 @@ from fareyshift.exact import (
     ZERO,
     ExtendedRational,
     QuadraticSurd,
+    _escape_word,
     escape_time,
     mobius_apply,
     phi_rat,
@@ -222,10 +223,10 @@ class TestCodeStream:
 
     @staticmethod
     def _symbol_by_byte_table(s, n):
-        """symbol_at as it was: one index into the bytes of pre + per, here
-        the unshifted stream's table, read at n + offset."""
-        syms, q = s._syms, s._q
-        p, n = len(syms) - q, n + s._offset
+        """symbol_at as it once was: one index into the bytes of pre + per,
+        here of the unshifted stream (s's runs read from 0), at n + offset."""
+        pre, per = pre_and_period(CodeStream(s.kind, s._runs))
+        syms, p, q, n = bytes(int(ch) for ch in pre + per), len(pre), len(per), n + s._offset
         return syms[p + (n - p) % q] if n >= p else syms[n]
 
     @settings(max_examples=200, deadline=None)
@@ -271,15 +272,16 @@ class TestCodeStream:
         for base in builders:
             for s in [base.shifted(k) for k in (0, 1, 119, 120, 721)]:
                 # every stream is its runs plus an offset; a periodic one also
-                # holds symbol_at's tables
+                # holds its period list and the preperiod left after the offset
                 assert callable(s._runs) and type(s._offset) is int
                 if s.kind == "periodic":
-                    assert type(s._syms) is bytes and type(s._cycle) is list
-                    assert len(s._cycle) == s._q and 0 <= s._p < len(s._syms)
+                    pre, per = pre_and_period(s)
+                    assert type(s._cycle) is list and len(s._cycle) == s._q == len(per)
+                    assert s._p == len(pre)
                 else:
                     # bench/tracing.py splits scrambled.lookup from coding.symbol_at on this kind
                     assert s.kind == "procedural"
-                    assert (s._syms, s._cycle, s._p, s._q) == (None, None, 0, 1)
+                    assert (s._cycle, s._p, s._q) == (None, 0, 1)
                 # each segment's first, second and last symbol, up to index 6000
                 indices, i = set(), 0
                 while i < 6000:
@@ -308,13 +310,13 @@ class TestCodeStream:
     @staticmethod
     def _assert_shift_has_the_built_shape(s, k, t, want):
         """t = s.shifted(k) against want, a dict of every slot's value: the
-        runs and byte table shared with s (the same objects), the label
-        text, and the symbols, runs and prefix of s read from k on."""
+        runs shared with s (the same object), the label text, and the
+        symbols, runs and prefix of s read from k on."""
         assert sorted(want) == sorted(CodeStream.__slots__)
         for name, exp in want.items():
             got = getattr(t, name)
             assert type(got) is type(exp) and got == exp, (s, k, name, got, exp)
-        assert t._runs is s._runs and t._syms is s._syms
+        assert t._runs is s._runs
         assert t.label == "shift(%s,%d)" % (s.label, k)
         for i in range(3 * k + 40):
             assert t.symbol_at(i) == s.symbol_at(k + i), (s, k, i)
@@ -335,8 +337,7 @@ class TestCodeStream:
             left, and the period list whose entry i % q is symbol i past it."""
             left = max(0, p - n)
             cycle = [int(plain[n + i + q * (left // q + 1)]) for i in range(q)]
-            return {"kind": "periodic", "_runs": s._runs, "_offset": n,
-                    "_syms": bytes(int(ch) for ch in pre + per), "_cycle": cycle,
+            return {"kind": "periodic", "_runs": s._runs, "_offset": n, "_cycle": cycle,
                     "_p": left, "_q": q, "_label": label}
 
         s = CodeStream.periodic(pre, per)
@@ -366,15 +367,15 @@ class TestCodeStream:
 
     def test_shift_shares_a_long_preperiod(self):
         # the 10^7-symbol escape word of 1/6666667, shifted inside the
-        # preperiod, at its end and past it, then each shifted again: no
-        # table is copied, and the seams read the base from k on
+        # preperiod, at its end and past it, then each shifted again: the
+        # runs are shared, not copied, and the seams read the base from k on
         s = code_of_rational(xr(1, 6666667))
         p = escape_time(xr(1, 6666667))
-        assert s.run_at(0)[1] == p > 9 * 10 ** 6
+        assert s._p == p > 9 * 10 ** 6 and s.run_at(p - 1)[1] == p
         once = [s.shifted(k) for k in (1, 2, p // 2, p - 1, p, p + 1, p + 2, p + 100)]
         for t in once + [t.shifted(m) for t in once for m in (1, 3)]:
             k = t._offset
-            assert t._syms is s._syms and t._runs is s._runs, k
+            assert t._runs is s._runs and t._p == max(p - k, 0), k
             seams = {0, 1, 2} | {i for i in range(p - k - 3, p - k + 8) if i >= 0}
             for i in sorted(seams):
                 assert t.symbol_at(i) == s.symbol_at(k + i), (k, i)
@@ -382,6 +383,62 @@ class TestCodeStream:
                 assert t.run_at(i) == (word, None if end is None else end - k), (k, i)
             n = max(p - k, 0) + 8
             assert t.prefix(n) == s.prefix(k + n)[k:], k
+
+    def test_preperiod_runs_are_short(self):
+        # at the start, the middle and the last 70 indices of the 10^7-symbol
+        # escape word of 1/6666667, unshifted and shifted: each run holds at
+        # most 64 symbols, read once, and ends at or before the preperiod's end
+        s = code_of_rational(xr(1, 6666667))
+        p = escape_time(xr(1, 6666667))
+        for k in (0, 1, p // 2 + 7):
+            t, left = s.shifted(k), p - k
+            for n in [*range(70), *range(left // 2 - 35, left // 2 + 35), *range(left - 70, left)]:
+                word, end = t.run_at(n)
+                assert 1 <= len(word) <= 64 and end == n + len(word) <= left, (k, n, end)
+                assert word[0] == str(t.symbol_at(n)) == str(s.symbol_at(k + n)), (k, n)
+            assert t.run_at(left)[1] is None
+
+    @staticmethod
+    def _assert_runs_join(s, pre, per, k):
+        """The runs of s.shifted(k) from 0, of s = pre(per): runs of at most
+        64 symbols up to the preperiod's end, then the period in phase."""
+        t, p, q = s.shifted(k), len(pre), len(per)
+        plain = pre + per * (k // q + 3)
+        words, i = [], 0
+        while True:
+            word, end = t.run_at(i)
+            if end is None:
+                break
+            assert 1 <= len(word) <= 64 and end == i + len(word) <= p - k, (k, i, end)
+            words.append(word)
+            i = end
+        start = max(p, k)
+        assert "".join(words) + word == plain[k:start + q], k
+        for i in range(start - k + q + 2):
+            assert t.symbol_at(i) == int(plain[k + i]), (k, i)
+
+    @settings(max_examples=100, deadline=None)
+    @given(st.text(alphabet="01", max_size=300), st.text(alphabet="01", min_size=1, max_size=8),
+           st.integers(0, 300), st.integers(0, 24))
+    @example("01" * 150, "001", 150, 7)
+    def test_runs_join_to_the_preperiod_and_period(self, pre, per, inside, past):
+        # shifted inside the preperiod, at its end and past it
+        s = CodeStream.periodic(pre, per)
+        p = len(pre)
+        shifts = {0, 1, 63, 64, 65, min(inside, p), p - 1, p, p + 1, p + past}
+        for k in sorted(j for j in shifts if j >= 0):
+            self._assert_runs_join(s, pre, per, k)
+
+    @settings(max_examples=100, deadline=None)
+    @given(st.integers(0, 200), st.integers(1, 200), st.booleans(), st.integers(0, 400))
+    @example(1, 200, False, 150)  # escape time 299
+    def test_rational_runs_join_to_the_escape_word(self, num, den, tie_high, inside):
+        # the escape word read off the continued fraction, then the 3-cycle
+        x = xr(num, den)
+        s, pre = code_of_rational(x, tie_high), _escape_word(x, tie_high)
+        p = len(pre)
+        for k in sorted(j for j in {0, 1, 64, min(inside, p), p - 1, p, p + 1, p + 4} if j >= 0):
+            self._assert_runs_join(s, pre, "010", k)
 
     def test_procedural_shift_and_cache(self):
         s = per_symbol_stream(lambda n: 1 if n % 5 == 0 else 0)
@@ -614,8 +671,8 @@ class TestPrefixMatrix:
 
     def test_rational_code_with_a_long_preperiod(self):
         s = code_of_rational(xr(1, 200))
-        p = len(pre_and_period(s)[0])
-        assert p == 299
+        p = escape_time(xr(1, 200))
+        assert p == 299 == len(pre_and_period(s)[0])
         # unshifted, then shifted inside the preperiod, to its end and mid-period
         for shift in (0, 1, 150, p - 1, p, p + 1, p + 2):
             for n in (0, 1, 150, p - 1, p, p + 1, p + 3, p + 7, p + 3000):
@@ -1014,8 +1071,8 @@ class TestEncloseKernel:
 
     def test_long_rational_preperiod(self):
         s = code_of_rational(xr(1, 200))
-        p = len(pre_and_period(s)[0])
-        assert p == 299
+        p = escape_time(xr(1, 200))
+        assert p == 299 == len(pre_and_period(s)[0])
         for k in (0, 1, 150, 290, p - 1, p, p + 1, p + 2, p + 1000):
             for cap in (1, 9, 300, 3000):
                 for goal in self.GOALS:
@@ -1023,8 +1080,8 @@ class TestEncloseKernel:
 
     def test_shifted_inside_a_ten_million_symbol_preperiod(self):
         s = code_of_rational(xr(1, 6666667))
-        p = len(pre_and_period(s)[0])
-        assert p >= 10 ** 7 - 10
+        p = escape_time(xr(1, 6666667))
+        assert s._p == p >= 10 ** 7 - 10
         for k in (1, 2, 12345, p // 2, p - 5, p - 1, p, p + 1, p + 2):
             for cap in (1, 50, 4000):
                 for goal in self.GOALS:
@@ -1140,6 +1197,7 @@ class TestCodeOfRational:
         # the largest escape time the guard allows still has a code; one
         # symbol more is refused, read off the continued fraction
         monkeypatch.setattr(coding, "_MAX_ESCAPE", 14998)
-        assert len(pre_and_period(code_of_rational(xr(1, 9999)))[0]) == 14998
+        s = code_of_rational(xr(1, 9999))
+        assert len(pre_and_period(s)[0]) == escape_time(xr(1, 9999)) == 14998
         with pytest.raises(ValueError, match="memory guard"):
             code_of_rational(xr(1, 10000))  # escape time 14999
