@@ -14,6 +14,7 @@ a chain of periodic runs, read from an offset.
 
 from __future__ import annotations
 
+from bisect import bisect_right
 from fractions import Fraction
 from collections import namedtuple
 
@@ -23,8 +24,7 @@ from .exact import (
     ZERO,
     ExtendedRational,
     _canonical,
-    _escape_word,
-    escape_time,
+    _escape_runs,
     mobius_apply,
     mobius_fixed_point,
     phi_rat,
@@ -99,7 +99,8 @@ FULL_LINE = FareyInterval(ZERO, INF)
 
 _SYMBOL = {"0": 0, "1": 1}
 _TO_BITS = bytes.maketrans(b"01", b"\x00\x01")
-_PRE_RUN = 64  # symbols: the longest run a periodic stream's preperiod is read in
+_CYCLE_CODE = ("010", "100", "001")  # phi's 3-cycle 0 -> infinity -> 1 read from each phase
+_PRE_RUN = 64  # symbols: the longest run a typed PRE(PER) code's preperiod is read in
 
 
 class CodeStream:
@@ -134,8 +135,8 @@ class CodeStream:
 
     @classmethod
     def periodic(cls, pre: str, per: str, label: str = "") -> "CodeStream":
-        """pre, then per forever; the runs read pre (an escape word may be 10^7
-        symbols long) in pieces of at most _PRE_RUN, then per rotated to phase."""
+        """pre, then per forever; the runs read pre (only a typed PRE(PER) code
+        is long) in pieces of at most _PRE_RUN, then per rotated to phase."""
         if not per:
             raise ValueError("period must be nonempty")
         if pre.encode().translate(None, b"01") or per.encode().translate(None, b"01"):
@@ -502,8 +503,14 @@ def itinerary(x, n: int, tie_high: bool = False) -> str:
         raise ValueError("need at least one symbol")
     if x == INF:
         return code_of_rational(x).prefix(n)
-    # only n symbols are read, so no run of the escape word need be longer
-    return (_escape_word(x, tie_high, n) + "010" * (n // 3 + 1))[:n]
+    # no run is read past n symbols, and each is cut at n passes: at most 4n + 2 symbols
+    parts, size = [], 0
+    for passes, tail in _escape_runs(x, tie_high):
+        if size > n:
+            break
+        parts.append("100" * min(passes, n) + tail)
+        size += len(parts[-1])
+    return ("".join(parts) + "010" * (n // 3 + 1))[:n]
 
 
 def periodic_point(preperiod: str, period: str):
@@ -535,20 +542,29 @@ def phi_interval_image(iv: FareyInterval) -> list[FareyInterval]:
     ]
 
 
-_MAX_ESCAPE = 10 ** 7  # symbols: the memory guard of code_of_rational's preperiod
-
-
 def code_of_rational(x: ExtendedRational, tie_high: bool = False) -> CodeStream:
-    """Eventually periodic code of a rational point of [0, infinity].
-
-    The preperiod is x's escape word, read off its continued fraction;
-    after the escape to 0 the code is the period-3 cycle code
-    010 010 ...  tie_high reads the visit to 1 as 1, which picks the
-    other of the two codes a positive rational has.  An escape time
-    above _MAX_ESCAPE is refused before the word is built.
+    """Eventually periodic code of a rational point of [0, infinity]: a segmented
+    stream of its escape runs (exact._escape_runs), a run of passes as ("100", end)
+    and its tail, then the 3-cycle code 010 forever.  A run is found by bisecting
+    the run starts, O(digits) of them whatever the escape time.  tie_high reads the
+    visit to 1 as 1, which picks the other of the two codes a positive rational has.
     """
     if x.is_infinite:
         return CodeStream.periodic("", "100", label="code(1/0)")
-    if escape_time(x) > _MAX_ESCAPE:
-        raise ValueError("escape time of %s above the memory guard %d" % (x, _MAX_ESCAPE))
-    return CodeStream.periodic(_escape_word(x, tie_high), "010", label="code(%s)" % x)
+    starts, rotations, e = [], [], 0  # each run's start, and its word read from each phase
+    for passes, tail in _escape_runs(x, tie_high):
+        for word, size in (("100", 3 * passes), (tail, len(tail))):
+            if size:
+                starts.append(e)
+                rotations.append(tuple(word[r:] + word[:r] for r in range(len(word))))
+                e += size
+    ends = starts[1:] + [e]
+
+    def runs(n):
+        if n >= e:  # escaped: the 3-cycle from 0, in phase
+            return _CYCLE_CODE[(n - e) % 3], None
+        j = bisect_right(starts, n) - 1
+        words = rotations[j]
+        return words[(n - starts[j]) % len(words)], ends[j]
+
+    return CodeStream.segmented(runs, label="code(%s)" % x)

@@ -116,7 +116,7 @@ def _surd_digits(x: "QuadraticSurd"):
         Q = (D - P * P) // Q
 
 
-def _escape_runs(x):
+def _escape_runs(x, tie_high: bool = False):
     """The orbit of x up to its first visit to 0 (never, for a surd) as (passes, tail) runs.
 
     Read off the continued fraction x = [b; a1, a2, ...]: each 2 taken
@@ -125,31 +125,18 @@ def _escape_runs(x):
     [a1; a2, ...]; a 0 left over is x < 1, read 0, going to
     [a1 - 1; a2, ...]; a 1 left over after the last digit is x = 1,
     read 0.  Each digit gives one run: its passes, then that tail.
+    The last symbol is the visit to 1, which tie_high reads as 1: the
+    last run's final 0 becomes 1, so (passes, "") becomes (passes - 1, "101").
     """
     digits = _surd_digits(x) if isinstance(x, QuadraticSurd) else _cf_digits(x.num, x.den)
     b = next(digits)
     for a in digits:
         yield b >> 1, "10" if b & 1 else "0"
         b = a if b & 1 else a - 1
-    yield b >> 1, "0" * (b & 1)
-
-
-def _escape_word(x, tie_high: bool = False, limit: float = math.inf) -> str:
-    """Symbols of the orbit of x up to its first visit to 0.
-
-    The last symbol is always the visit to 1, which tie_high reads as 1.
-    Each run of passes is cut at `limit` passes and no run is read once
-    the word is longer than `limit`, so the word is exact on its first
-    `limit` symbols, tie_high included, and has at most 4 * limit + 2.
-    """
-    parts, size = [], 0
-    for passes, tail in _escape_runs(x):
-        if size > limit:
-            break
-        parts.append("100" * min(passes, limit) + tail)
-        size += len(parts[-1])
-    word = "".join(parts)
-    return word[:-1] + "1" if tie_high and word else word
+    passes, tail = b >> 1, "0" * (b & 1)
+    if tie_high and b:  # b = 0 only for x = 0, whose word is empty
+        passes, tail = (passes, "1") if tail else (passes - 1, "101")
+    yield passes, tail
 
 
 def escape_time(x: ExtendedRational) -> int:

@@ -22,16 +22,14 @@ import math
 from collections import namedtuple
 from fractions import Fraction
 
-from .coding import CodeStream, _enclose, _endpoints
+from .coding import _CYCLE_CODE, CodeStream, _enclose, _endpoints
 from .exact import INFINITE_DISTANCE, ExtendedRational, escape_time
 
 # Phase j of phi's 3-cycle 0 -> infinity -> 1 is phi^j(0), coded _CYCLE_CODE[j]:
 # a run from phase j reads _CYCLE_CODE[(j + m) % 3] after m symbols, and
 # _CYCLE_POINTS[j] is that point as enclosure endpoints (lo_num, lo_den, hi_num, hi_den).
-_CYCLE_CODE = ("010", "100", "001")
 _CYCLE_NAMES = ("zero", "inf", "one")
 _CYCLE_POINTS = ((0, 1, 0, 1), (1, 0, 1, 0), (1, 1, 1, 1))
-_TAU_MAX_K = 16  # largest block tau_code will index
 _SCHEDULE_MAX_K = 9  # largest block schedule_events will schedule
 _SCHEDULE_PARAMS = {  # the params of each schedule_events kind: (required, optional)
     "theorem1": ((), ("shift", "diff_indices")),          # int >= 0, ints >= 0
@@ -235,8 +233,6 @@ def tau_code(beta, alpha: CodeStream, x_codes) -> CodeStream:
         if n == 119:
             return "0", 120
         lay = _block_at(n)
-        if lay.k > _TAU_MAX_K:
-            raise ValueError("index beyond the configured max block size k=%d" % _TAU_MAX_K)
         part, off = divmod(n - lay.start, lay.string_len)
         if part == 0:
             return clipped(alpha, off, n, lay.part_start(1))

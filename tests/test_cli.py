@@ -161,6 +161,10 @@ PINS = [
     # prime radicand never factored
     ("certificate", "code (0+1*sqrt(1000000000000000003))/1 --length 100000",
      "d5b421f466e42652b17291a9bef573b9208f46b5edc3b2f5c8b769f9f825bb4c"),
+    # a tracked rational whose escape word has 1.5 * 10^15 symbols, read as
+    # its runs; recorded when its code became those runs
+    ("scramble", "scramble theorem2 --tracked 1000000000000000/1 --k-range 5..5",
+     "e839e5ed8b49530a4b0203b5ef293b449c98e241e471a83d898afa375c29e0eb"),
     # recorded while the CLI kept its own g-map node list
     ("gdemo", "gdemo",
      "830a86bab57e17a043c0f82053030e2a06f80ca17889f7b4037b7040e44d0148"),
@@ -364,8 +368,8 @@ class TestCommands:
         "scramble theorem1 --xi= --k-range 5..6",
         "scramble theorem2 --eta= --k-range 5..6",
         "scramble theorem2 --beta= --eta= --k-range 5..6",
-        # an escape word of 1.5 * 10^15 symbols is refused before it is built
-        "scramble theorem2 --tracked 1000000000000000/1 --k-range 5..5",
+        # k = 5 schedules no close event for a rational, however long the
+        # tracked rational's escape (1.5 * 10^15 symbols here)
         "scramble rational --tracked 1000000000000000/1 --k-range 5..5",
     ])
     def test_rejected_input_exit_code(self, capsys, argv):
@@ -393,6 +397,9 @@ class TestCommands:
         ("scramble theorem1 --m-big -1", "error: --m-big must be positive; got -1"),
         # the flags are checked before the code is parsed
         ("point 0(1 --precision 0", "error: --precision must be positive; got 0"),
+        # a tracked rational of any escape time is read; the schedule refuses
+        ("scramble rational --tracked 1000000000000000/1 --k-range 5..5",
+         "error: no close event in k-range 5..5, so the run cannot certify liminf = 0"),
     ])
     def test_rejected_input_message_is_verbatim(self, capsys, argv, err):
         # recorded while the CLI raised its own error type for these inputs

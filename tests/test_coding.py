@@ -6,8 +6,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from conftest import per_symbol_stream, pre_and_period
-from fareyshift import coding
+from conftest import escape_word, per_symbol_stream, pre_and_period
 from fareyshift.exact import (
     GOLDEN_FIXED_POINT,
     INF,
@@ -15,7 +14,6 @@ from fareyshift.exact import (
     ZERO,
     ExtendedRational,
     QuadraticSurd,
-    _escape_word,
     escape_time,
     mobius_apply,
     phi_rat,
@@ -366,42 +364,53 @@ class TestCodeStream:
                 self._assert_shift_has_the_built_shape(once, m, once.shifted(m), want)
 
     def test_shift_shares_a_long_preperiod(self):
-        # the 10^7-symbol escape word of 1/6666667, shifted inside the
-        # preperiod, at its end and past it, then each shifted again: the
-        # runs are shared, not copied, and the seams read the base from k on
-        s = code_of_rational(xr(1, 6666667))
-        p = escape_time(xr(1, 6666667))
-        assert s._p == p > 9 * 10 ** 6 and s.run_at(p - 1)[1] == p
-        once = [s.shifted(k) for k in (1, 2, p // 2, p - 1, p, p + 1, p + 2, p + 100)]
-        for t in once + [t.shifted(m) for t in once for m in (1, 3)]:
-            k = t._offset
-            assert t._runs is s._runs and t._p == max(p - k, 0), k
-            seams = {0, 1, 2} | {i for i in range(p - k - 3, p - k + 8) if i >= 0}
-            for i in sorted(seams):
-                assert t.symbol_at(i) == s.symbol_at(k + i), (k, i)
-                word, end = s.run_at(k + i)
-                assert t.run_at(i) == (word, None if end is None else end - k), (k, i)
-            n = max(p - k, 0) + 8
-            assert t.prefix(n) == s.prefix(k + n)[k:], k
+        # the 10^7-symbol escape word of 1/6666667 typed as a preperiod, and
+        # the rational's own code (its runs), shifted inside the preperiod,
+        # at its end and past it, then each shifted again: the runs are
+        # shared, not copied, and the seams read the base from k on
+        x = xr(1, 6666667)
+        p = escape_time(x)
+        for s in (CodeStream.periodic(escape_word(x), "010"), code_of_rational(x)):
+            assert p > 9 * 10 ** 6 and s.run_at(p - 1)[1] == p and s.run_at(p)[1] is None
+            assert s._p == (p if s.kind == "periodic" else 0)
+            once = [s.shifted(k) for k in (1, 2, p // 2, p - 1, p, p + 1, p + 2, p + 100)]
+            for t in once + [t.shifted(m) for t in once for m in (1, 3)]:
+                k = t._offset
+                assert t._runs is s._runs and t._p == (max(p - k, 0) if s._p else 0), k
+                seams = {0, 1, 2} | {i for i in range(p - k - 3, p - k + 8) if i >= 0}
+                for i in sorted(seams):
+                    assert t.symbol_at(i) == s.symbol_at(k + i), (k, i)
+                    word, end = s.run_at(k + i)
+                    assert t.run_at(i) == (word, None if end is None else end - k), (k, i)
+                n = max(p - k, 0) + 8
+                assert t.prefix(n) == s.prefix(k + n)[k:], k
 
     def test_preperiod_runs_are_short(self):
         # at the start, the middle and the last 70 indices of the 10^7-symbol
-        # escape word of 1/6666667, unshifted and shifted: each run holds at
-        # most 64 symbols, read once, and ends at or before the preperiod's end
-        s = code_of_rational(xr(1, 6666667))
-        p = escape_time(xr(1, 6666667))
+        # escape word of 1/6666667 typed as a preperiod, unshifted and shifted:
+        # each run holds at most 64 symbols, read once, and ends at or before
+        # the preperiod's end; the rational's own code reads the same symbols
+        # in its two runs, 0 and (100)^3333333, each ending where the word's does
+        x = xr(1, 6666667)
+        p = escape_time(x)
+        s, code = CodeStream.periodic(escape_word(x), "010"), code_of_rational(x)
+        assert code.run_at(0) == ("0", 1) and code.run_at(1) == ("100", p)
         for k in (0, 1, p // 2 + 7):
-            t, left = s.shifted(k), p - k
+            t, c, left = s.shifted(k), code.shifted(k), p - k
             for n in [*range(70), *range(left // 2 - 35, left // 2 + 35), *range(left - 70, left)]:
                 word, end = t.run_at(n)
                 assert 1 <= len(word) <= 64 and end == n + len(word) <= left, (k, n, end)
                 assert word[0] == str(t.symbol_at(n)) == str(s.symbol_at(k + n)), (k, n)
-            assert t.run_at(left)[1] is None
+                cword, cend = c.run_at(n)
+                m = min(len(word), cend - n)
+                assert cend == (1 if k + n == 0 else left) and (cword * 22)[:m] == word[:m], (k, n)
+            assert t.run_at(left)[1] is c.run_at(left)[1] is None
 
     @staticmethod
     def _assert_runs_join(s, pre, per, k):
-        """The runs of s.shifted(k) from 0, of s = pre(per): runs of at most
-        64 symbols up to the preperiod's end, then the period in phase."""
+        """The runs of s.shifted(k) from 0, of s = pre(per), each read up to its
+        end: runs up to the preperiod's end (of at most 64 symbols, read once,
+        for a periodic s), then the period in phase."""
         t, p, q = s.shifted(k), len(pre), len(per)
         plain = pre + per * (k // q + 3)
         words, i = [], 0
@@ -409,8 +418,10 @@ class TestCodeStream:
             word, end = t.run_at(i)
             if end is None:
                 break
-            assert 1 <= len(word) <= 64 and end == i + len(word) <= p - k, (k, i, end)
-            words.append(word)
+            assert i < end <= p - k, (k, i, end)
+            if s.kind == "periodic":
+                assert 1 <= len(word) <= 64 and end == i + len(word), (k, i, end)
+            words.append((word * (end - i))[:end - i])
             i = end
         start = max(p, k)
         assert "".join(words) + word == plain[k:start + q], k
@@ -435,7 +446,7 @@ class TestCodeStream:
     def test_rational_runs_join_to_the_escape_word(self, num, den, tie_high, inside):
         # the escape word read off the continued fraction, then the 3-cycle
         x = xr(num, den)
-        s, pre = code_of_rational(x, tie_high), _escape_word(x, tie_high)
+        s, pre = code_of_rational(x, tie_high), escape_word(x, tie_high)
         p = len(pre)
         for k in sorted(j for j in {0, 1, 64, min(inside, p), p - 1, p, p + 1, p + 4} if j >= 0):
             self._assert_runs_join(s, pre, "010", k)
@@ -670,13 +681,21 @@ class TestPrefixMatrix:
         self._assert_matches_the_word(s, shift, n)
 
     def test_rational_code_with_a_long_preperiod(self):
-        s = code_of_rational(xr(1, 200))
-        p = escape_time(xr(1, 200))
-        assert p == 299 == len(pre_and_period(s)[0])
+        # the escape word of 1/200 typed as a preperiod; the rational's own
+        # code is segmented, so its matrix is the segment walk's under a goal
+        # no prefix meets
+        x = xr(1, 200)
+        p = escape_time(x)
+        s, code = CodeStream.periodic(escape_word(x), "010"), code_of_rational(x)
+        assert p == 299 == len(pre_and_period(s)[0]) == len(pre_and_period(code)[0])
         # unshifted, then shifted inside the preperiod, to its end and mid-period
         for shift in (0, 1, 150, p - 1, p, p + 1, p + 2):
             for n in (0, 1, 150, p - 1, p, p + 1, p + 3, p + 7, p + 3000):
                 self._assert_matches_the_word(s, shift, n)
+                if n:
+                    m, _, got, ok = _enclose(code, shift, n, 1, 10 ** 40)
+                    assert (got, ok) == (n, False), (shift, n)
+                    assert m == _word_matrix(s.shifted(shift).prefix(n)), (shift, n)
 
 
 class TestPointOfCode:
@@ -1069,23 +1088,42 @@ class TestEncloseKernel:
                 for goal in self.GOALS:
                     _assert_enclose_matches(s, k, cap, goal)
 
-    def test_long_rational_preperiod(self):
-        s = code_of_rational(xr(1, 200))
-        p = escape_time(xr(1, 200))
-        assert p == 299 == len(pre_and_period(s)[0])
-        for k in (0, 1, 150, 290, p - 1, p, p + 1, p + 2, p + 1000):
-            for cap in (1, 9, 300, 3000):
-                for goal in self.GOALS:
+    @classmethod
+    def _assert_codes_enclose_alike(cls, x, shifts, caps):
+        """x's escape word typed as a preperiod, and x's own code, a segmented
+        stream: each _enclose matches point_of_code of the shift, and the
+        segment walk over the code's runs returns the periodic kernel's tuple."""
+        s, code = CodeStream.periodic(escape_word(x), "010"), code_of_rational(x)
+        for k in shifts:
+            for cap in caps:
+                for goal in cls.GOALS:
                     _assert_enclose_matches(s, k, cap, goal)
+                    _assert_enclose_matches(code, k, cap, goal)
+                    num, den = goal.numerator, goal.denominator
+                    assert _enclose(code, k, cap, num, den) == _enclose(s, k, cap, num, den)
+
+    def test_long_rational_preperiod(self):
+        p = escape_time(xr(1, 200))
+        assert p == 299 == len(escape_word(xr(1, 200)))
+        self._assert_codes_enclose_alike(
+            xr(1, 200), (0, 1, 150, 290, p - 1, p, p + 1, p + 2, p + 1000), (1, 9, 300, 3000))
 
     def test_shifted_inside_a_ten_million_symbol_preperiod(self):
-        s = code_of_rational(xr(1, 6666667))
         p = escape_time(xr(1, 6666667))
-        assert s._p == p >= 10 ** 7 - 10
-        for k in (1, 2, 12345, p // 2, p - 5, p - 1, p, p + 1, p + 2):
-            for cap in (1, 50, 4000):
-                for goal in self.GOALS:
-                    _assert_enclose_matches(s, k, cap, goal)
+        assert p >= 10 ** 7 - 10
+        self._assert_codes_enclose_alike(
+            xr(1, 6666667), (1, 2, 12345, p // 2, p - 5, p - 1, p, p + 1, p + 2), (1, 50, 4000))
+
+    def test_deep_inside_an_escape_of_one_and_a_half_times_ten_to_the_eighteen(self):
+        # 1/10^18 reads 0 (100)^(5 * 10^17 - 1) 0, then 010 forever: index
+        # 1 + 3 * 10^17 starts a pass deep inside the run, where the code
+        # reads as (100) forever does up to the cap
+        s = code_of_rational(xr(1, 10 ** 18))
+        for cap in (1, 9, 300, 3000):
+            for goal in self.GOALS:
+                num, den = goal.numerator, goal.denominator
+                want = _enclose(CodeStream.periodic("", "100"), 0, cap, num, den)
+                assert _enclose(s, 1 + 3 * 10 ** 17, cap, num, den) == want, (cap, goal)
 
     @pytest.mark.parametrize("k", [5, 6, 7, 8, 9])
     def test_every_scheduled_index(self, k):
@@ -1193,11 +1231,38 @@ class TestCodeOfRational:
             assert s.prefix(20) == itinerary(x, 20)
             assert is_admissible(_seams(s))
 
-    def test_code_at_the_memory_guard(self, monkeypatch):
-        # the largest escape time the guard allows still has a code; one
-        # symbol more is refused, read off the continued fraction
-        monkeypatch.setattr(coding, "_MAX_ESCAPE", 14998)
-        s = code_of_rational(xr(1, 9999))
-        assert len(pre_and_period(s)[0]) == escape_time(xr(1, 9999)) == 14998
-        with pytest.raises(ValueError, match="memory guard"):
-            code_of_rational(xr(1, 10000))  # escape time 14999
+    def test_code_of_any_escape_time(self):
+        # no escape time is refused, and each code is its few runs: 1/9999
+        # reads 0 (100)^4999, 1/10000 and 1/10^18 read 0 (100)^m 0, each
+        # then 010 forever; tie_high reads the last symbol, the visit to 1, as 1
+        for den, e, tail in ((9999, 14998, "0100"), (10000, 14999, "1000"),
+                             (10 ** 18, 15 * 10 ** 17 - 1, "1000")):
+            x = xr(1, den)
+            assert escape_time(x) == e
+            for tie_high in (False, True):
+                s = code_of_rational(x, tie_high)
+                assert s.run_at(e) == ("010", None), (den, tie_high)
+                want = (tail[:-1] + "1" if tie_high else tail) + "010010"
+                assert s.shifted(e - 4).prefix(10) == want, (den, tie_high)
+                word, end = s.run_at(1)
+                assert s.run_at(0) == ("0", 1) and word == "100" and end >= e - 3, den
+                if den < 10 ** 6:
+                    assert pre_and_period(s) == (escape_word(x, tie_high), "010"), den
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.integers(0, 1200), st.integers(1, 400), st.booleans())
+    @example(1, 200, True)
+    @example(2, 1, True)  # the tie turns the last run (1, "") into (0, "101")
+    @example(0, 1, True)  # the empty escape word: no tie to read
+    def test_code_reads_the_escape_word(self, num, den, tie_high):
+        # against the escape word built as one string, and shifted at its
+        # start, inside it, at its last symbols and past it
+        x = xr(num, den)
+        e = escape_time(x)
+        plain = escape_word(x, tie_high) + "010" * 10
+        s = code_of_rational(x, tie_high)
+        assert s.prefix(e + 12) == plain[:e + 12]
+        for k in sorted({0, 1, e // 2, e - 1, e, e + 5} - {-1}):
+            t = s.shifted(k)
+            assert t.prefix(12) == plain[k:k + 12], k
+            assert "".join(str(t[i]) for i in range(12)) == plain[k:k + 12], k

@@ -9,10 +9,10 @@ from fractions import Fraction
 
 import pytest
 
-from conftest import pre_and_period
+from conftest import escape_word, pre_and_period
 
 from fareyshift.exact import (INF, ONE, ZERO, ExtendedRational, QuadraticSurd, _cf_digits,
-                              _escape_word, _surd_digits, escape_time, phi_rat, phi_surd)
+                              _surd_digits, escape_time, phi_rat, phi_surd)
 from fareyshift.coding import code_of_rational, itinerary
 from fareyshift.conjugacy import (DyadicRational, _run_bits, farey_level, h_enclosure, h_inverse,
                                   h_level, h_rational)
@@ -158,7 +158,7 @@ def escape_times():
 def test_escape_time_matches_per_step_walk(escape_times):
     for x in POINTS:
         assert escape_time(x) == escape_times[x], x
-        assert len(_escape_word(x)) == escape_times[x], x
+        assert len(escape_word(x)) == escape_times[x], x
     assert escape_times[ExtendedRational(1, 9999)] == 14998
 
 
@@ -203,11 +203,18 @@ def test_itinerary_reads_only_what_it_returns():
 
 def test_surd_itinerary_word_grows_with_its_length_only():
     # sqrt(10^18 + 1) = [10^9; 2 * 10^9, ...]: each run of passes is cut at n,
-    # and reading n + 1 such runs built 3n^2 symbols (3 * 10^8 at n = 10^4)
+    # and reading n + 1 such runs built 3n^2 symbols (3 * 10^8 at n = 10^4),
+    # where the word of at most 4n + 2 symbols is held a few times over
     for d in (10 ** 18 + 1, 10 ** 12 + 1):
         x = QuadraticSurd(0, 1, 1, d)
         for n in (1, 2, 3, 10, 1000, 10 ** 4):
-            assert len(_escape_word(x, False, n)) <= 4 * n + 2, (d, n)
+            tracemalloc.start()
+            try:
+                assert len(itinerary(x, n)) == n
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            assert peak < 20 * n + 4096, (d, n, peak)
         for n in (1, 2, 3, 7, 20):
             assert itinerary(x, n) == itinerary(x, n, tie_high=True) == \
                 surd_itinerary_reference(x, n), (d, n)

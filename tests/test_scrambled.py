@@ -58,7 +58,6 @@ def _ends(iv):
 
 _RUNS = ((1, 0, 0), (0, 0, 1), (0, 1, 0))
 _100 = (1, 0, 0)
-_TAU_MAX_K = 16
 
 
 def _factorial_block(n):
@@ -117,8 +116,6 @@ def _tau_symbol_reference(beta, alpha, x_codes, n):
     if n == 119:
         return 0
     k, fk = _factorial_block(n)
-    if k > _TAU_MAX_K:
-        raise ValueError("index beyond the configured max block size k=%d" % _TAU_MAX_K)
     part, off = divmod(n - fk, fk)
     if part == 0:
         return alpha[off]
@@ -602,20 +599,29 @@ class TestSegmentsMatchReference:
         ref = _reference_tau(beta, _reference_alpha(), [r for _, r in tracked])
         _assert_segments_match(stream, ref.symbol_at, shift_by, _starts("tau", shift_by) | {extra})
 
-    def test_index_past_the_last_block_raises_alike(self):
-        tau = tau_code("0110", alpha_transitive(), [code_of_rational(ONE)])
-        f17 = math.factorial(17)
-        message = "index beyond the configured max block size k=16"
-        for n in (f17, f17 + 5, math.factorial(18)):
-            with pytest.raises(ValueError) as by_symbol:
-                tau.symbol_at(n)
-            with pytest.raises(ValueError) as by_enclosure:
-                point_of_code(tau.shifted(n), 10, Fraction(1, 100))
-            assert str(by_symbol.value) == str(by_enclosure.value) == message
-        # an enclosure that walks into 17! raises there, as the symbols do
-        assert tau[f17 - 1] in (0, 1)
-        with pytest.raises(ValueError, match=message):
-            point_of_code(tau.shifted(f17 - 3), 10, Fraction(1, 10 ** 9))
+    def test_blocks_past_sixteen_read_the_rule(self):
+        # no block is capped: part 0 of block k copies alpha's first k!
+        # symbols, so alpha's word k - 4, written at (k - 1)!, sits at
+        # k! + (k - 1)!; every string of the block reads as the reference
+        # does from its start, and an enclosure from k! + 2 is read alike
+        tracked = [code_of_rational(xr(7, 3))]
+        tau = tau_code("01101", alpha_transitive(), tracked)
+        ref = _reference_tau("01101", alpha_transitive(), tracked)
+        words = []
+        for k in (17, 20, 25):
+            fk, word = math.factorial(k), _alpha_word(k - 4)
+            at = fk + math.factorial(k - 1)
+            assert tau.shifted(at).prefix(len(word) + 2) == word + "00", k
+            words.append(word)
+            lay = BlockLayout.for_k(k)
+            for n in [at, *(lay.part_start(p) for p in range(k)), lay.run_start(0),
+                      lay.run_start(2) + 1, lay.encode_cell(3), lay.separation_source(1, 2)]:
+                assert tau.shifted(n).prefix(12) == "".join(
+                    str(ref[n + i]) for i in range(12)), (k, n)
+            enc = point_of_code(tau.shifted(fk + 2), 60, Fraction(1, 100))
+            assert enc == point_of_code(ref.shifted(fk + 2), 60, Fraction(1, 100)), k
+            assert enc.width_ok, k
+        assert words == ["000000", "000100", "010000"]
 
 
 class TestBlockBookkeeping:
