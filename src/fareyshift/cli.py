@@ -513,7 +513,9 @@ def _parsers() -> tuple[argparse.ArgumentParser, dict[str, argparse.ArgumentPars
         "--eta": dict(help="second parameter of the pair"),
         "--shift": dict(type=int, default=0),
         "--rational": dict(default="1/1"),
-        "--tracked": dict(default="1/1", help="rational whose code the tau stream tracks"),
+        "--tracked": dict(default="1/1", help="rational whose code the tau stream tracks; no "
+                          "theorem2 or rational event reads a tracking window, so it changes "
+                          "no printed byte"),
     }
     for which, help_, flags in (
             ("theorem1", "bounded-family pair mu(beta), mu(xi)", ("--xi", "--shift")),

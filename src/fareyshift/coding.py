@@ -113,7 +113,8 @@ class CodeStream:
     CodeStream.periodic builds the runs of a preperiod and a period (kind
     "periodic"); CodeStream.segmented takes any runs (kind "procedural").
     Evaluation is pure given the index.  A periodic stream holds its
-    preperiod once, as the string its runs read, and its period as a list
+    preperiod once, as the string its runs read (_pre, which symbol_at
+    indexes and prefix slices), and its period as a list
     of ints in phase p, the preperiod left after the offset: entry n % q
     is symbol n for every n >= p (q = |per|).  A segmented stream has no
     period list (q = 1).  A shifted stream's label, shift(label,k), is
@@ -122,11 +123,11 @@ class CodeStream:
     "11") is a property checked where an operation requires it.
     """
 
-    __slots__ = ("kind", "_runs", "_offset", "_cycle", "_p", "_q", "_label")
+    __slots__ = ("kind", "_runs", "_offset", "_pre", "_cycle", "_p", "_q", "_label")
 
     def __init__(self, kind, runs, offset=0, label=""):
         self.kind, self._runs, self._offset = kind, runs, offset
-        self._cycle, self._p, self._q = None, 0, 1  # no period list
+        self._pre, self._cycle, self._p, self._q = None, None, 0, 1  # no period list
         self._label = label  # a str, or (parent's _label, k) for a shifted stream
 
     @property
@@ -151,6 +152,7 @@ class CodeStream:
             return per[j:] + per[:j], None
 
         s = cls("periodic", runs, label=label or "%s(%s)" % (pre, per))
+        s._pre = pre  # the string runs reads, not a copy: symbol n + _offset for n < _p
         s._p, s._q, j = p, q, -p % q  # _cycle[n % q] is symbol n for every n >= p
         s._cycle = list((per[j:] + per[:j]).encode().translate(_TO_BITS))
         return s
@@ -162,12 +164,15 @@ class CodeStream:
 
     def symbol_at(self, n: int) -> int:
         """Symbol n: past the preperiod, an index into the period list (CPython
-        specializes a list subscript by an int, not a bytes one); else its run's first."""
+        specializes a list subscript by an int, not a bytes one); inside it, a
+        character of the preperiod; on a segmented stream, its run's first."""
         cycle = self._cycle
         if cycle is not None and n >= self._p:
             return cycle[n % self._q]
         if n < 0:
             raise IndexError("negative index")
+        if cycle is not None:
+            return _SYMBOL[self._pre[n + self._offset]]
         return _SYMBOL[self._runs(n + self._offset)[0][0]]
 
     __getitem__ = symbol_at
@@ -189,9 +194,13 @@ class CodeStream:
         return word, end - off
 
     def prefix(self, n: int) -> str:
-        """The first n symbols, read run by run through run_at."""
+        """The first n symbols: a periodic stream's preperiod sliced, the rest
+        read run by run through run_at."""
         parts = []
         i = 0
+        if self._p:
+            i, off = min(n, self._p), self._offset
+            parts.append(self._pre[off:off + i])
         while i < n:
             word, end = self.run_at(i)
             stop = n if end is None else min(end, n)
@@ -211,7 +220,7 @@ class CodeStream:
         if k == 0:
             return self
         s = object.__new__(CodeStream)
-        s.kind, s._runs, s._label = self.kind, self._runs, (self._label, k)
+        s.kind, s._runs, s._pre, s._label = self.kind, self._runs, self._pre, (self._label, k)
         p, q, cycle = self._p - k, self._q, self._cycle
         r = k % q  # 0 for whole periods, so always 0 without a period list (q = 1)
         s._offset, s._p, s._q = self._offset + k, p if p > 0 else 0, q
@@ -288,14 +297,11 @@ def _word_matrix(word: str) -> tuple[int, int, int, int]:
 
 def _periodic_tables(s: CodeStream, k: int, n: int) -> tuple[bytes, bytes]:
     """The preperiod of s shifted by k, cut at n, and its period from there on, as 0/1 bytes:
-    the preperiod read through run_at, the period off _cycle rotated to index max(p, k)."""
-    p, i, words = s._p, k, []
-    stop = p if p < k + n else k + n
-    while i < stop:
-        word, i = s.run_at(i)
-        words.append(word)
+    the preperiod sliced from s's string, the period off _cycle rotated to index max(p, k)."""
+    p, off = s._p, s._offset
+    pre = s._pre[off + k:off + min(p, k + n)]  # empty when k >= p
     j, cycle = (p if p > k else k) % s._q, s._cycle
-    return "".join(words)[:stop - k].encode().translate(_TO_BITS), bytes(cycle[j:] + cycle[:j])
+    return pre.encode().translate(_TO_BITS), bytes(cycle[j:] + cycle[:j])
 
 
 def _prefix_matrix(pre: bytes, per: bytes, n: int) -> tuple[int, int, int, int]:
@@ -435,15 +441,18 @@ def _walk_segments(s: CodeStream, k: int, max_prefix: int, goal_num: int, goal_d
     Reads s's runs from index k on (run_at(k + i)), counting the prefix
     from k.  A run of r >= 2 whole periods of a word w (no "11" in w,
     across the seam between repetitions, or at the join with the symbol
-    before) is consumed by galloping over W, W^2, W^4, ... (W the matrix
-    of w) and then descending: this finds the most periods after which
+    before) is consumed whole periods first: the most periods after which
     the width goal is still unmet, which is exact because cylinders are
     nested, so "goal met" is monotone in the prefix length.  At most one
     more period is then read symbol by symbol, as is every other segment.
-    Galloping only forms powers up to about the size the goal needs; from
-    the empty prefix its first step takes W itself.  The width test is
-    _enclose's, without abs: d, q >= 0 along an admissible word (see
-    _endpoints).
+    A run of phi's neutral 3-cycle (W, the matrix of w, has trace 2 and
+    det 1: w is a power of 100, 010 or 001) costs O(1) multiplies and one
+    floor division, whatever r (_neutral_periods).  Any other run is
+    galloped over W, W^2, W^4, ... and then descended, in O(log r)
+    multiplies; galloping only forms powers up to about the size the goal
+    needs, and from the empty prefix its first step takes W itself.  The
+    width test is _enclose's, without abs: d, q >= 0 along an admissible
+    word (see _endpoints).
     """
     m = (1, 0, 0, 1)
     prev = 0
@@ -456,24 +465,28 @@ def _walk_segments(s: CodeStream, k: int, max_prefix: int, goal_num: int, goal_d
         done = 0
         if reps >= 2 and "11" not in word + word and not (prev and word[0] == "1"):
             last = int(word[-1])
-            powers = [_word_matrix(word)]  # powers[j] = W^(2^j)
-            t, j = 0, 0
-            while t + (1 << j) <= reps:
-                if j == len(powers):
-                    powers.append(_mul(powers[-1], powers[-1]))
-                nxt = _mul(m, powers[j]) if i or t else powers[j]
-                d, q = nxt[3], (nxt[2] + nxt[3] if last else nxt[2])
-                if d.bit_length() + q.bit_length() > short_bits and goal_den < goal_num * d * q:
-                    break
-                m, t, j = nxt, t + (1 << j), j + 1
-            while j:
-                j -= 1
-                if t + (1 << j) <= reps:
-                    nxt = _mul(m, powers[j])
+            w = _word_matrix(word)
+            if w[0] + w[3] == 2 and w[0] * w[3] - w[1] * w[2] == 1:
+                m, t = _neutral_periods(m, w, last, reps, goal_den // goal_num, i)
+            else:
+                powers = [w]  # powers[j] = W^(2^j)
+                t, j = 0, 0
+                while t + (1 << j) <= reps:
+                    if j == len(powers):
+                        powers.append(_mul(powers[-1], powers[-1]))
+                    nxt = _mul(m, powers[j]) if i or t else powers[j]
                     d, q = nxt[3], (nxt[2] + nxt[3] if last else nxt[2])
-                    if (d.bit_length() + q.bit_length() <= short_bits
-                            or goal_den >= goal_num * d * q):
-                        m, t = nxt, t + (1 << j)
+                    if d.bit_length() + q.bit_length() > short_bits and goal_den < goal_num * d * q:
+                        break
+                    m, t, j = nxt, t + (1 << j), j + 1
+                while j:
+                    j -= 1
+                    if t + (1 << j) <= reps:
+                        nxt = _mul(m, powers[j])
+                        d, q = nxt[3], (nxt[2] + nxt[3] if last else nxt[2])
+                        if (d.bit_length() + q.bit_length() <= short_bits
+                                or goal_den >= goal_num * d * q):
+                            m, t = nxt, t + (1 << j)
             if t:
                 prev, done = last, t * size
         for p in range(done, count):
@@ -489,6 +502,31 @@ def _walk_segments(s: CodeStream, k: int, max_prefix: int, goal_num: int, goal_d
             prev = sym
         i += count
     return m, prev, max_prefix, False
+
+
+def _neutral_periods(m, w, last: int, reps: int, g: int, i: int):
+    """(m * W^t, t) for the most whole periods t <= reps of a neutral word w
+    after which the width goal is unmet, d*q <= g; i is 0 when m is the identity.
+
+    W = I + N with N^2 = 0 (trace 2, det 1), so m * W^t = m + t * (m * N).
+    W's one fixed point is rational and periodic, so it is infinity, 0 or
+    1 and w is a power of 100, 010 or 001: the fixed point is the base
+    endpoint w's last symbol gives, whose column of m * W^t is m's.  So
+    with d, q the denominators after one period and d1, q1 their growth
+    per period (all >= 0: d, q >= 0 after every period, see _endpoints),
+    one of d1, q1 is 0, and s more periods leave d*q + s*(d*q1 + q*d1):
+    linear in s, solved by one floor division.
+    """
+    n = (w[0] - 1, w[1], w[2], w[3] - 1)
+    na, nb, nc, nd = _mul(m, n) if i else n  # m * N
+    ma, mb, mc, md = m
+    d1, q1 = nd, (nc + nd if last else nc)
+    d, q = md + d1, (mc + md if last else mc) + q1
+    if d * q > g:  # the first period meets the goal
+        return m, 0
+    slope = d * q1 + q * d1
+    t = min(1 + (g - d * q) // slope, reps) if slope else reps
+    return (ma + t * na, mb + t * nb, mc + t * nc, md + t * nd), t
 
 
 def itinerary(x, n: int, tie_high: bool = False) -> str:

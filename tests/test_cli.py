@@ -161,8 +161,9 @@ PINS = [
     # prime radicand never factored
     ("certificate", "code (0+1*sqrt(1000000000000000003))/1 --length 100000",
      "d5b421f466e42652b17291a9bef573b9208f46b5edc3b2f5c8b769f9f825bb4c"),
-    # a tracked rational whose escape word has 1.5 * 10^15 symbols, read as
-    # its runs; recorded when its code became those runs
+    # a tracked rational whose escape word has 1.5 * 10^15 symbols, built as
+    # its runs and never read (no theorem2 event reads a tracking window);
+    # recorded when its code became those runs
     ("scramble", "scramble theorem2 --tracked 1000000000000000/1 --k-range 5..5",
      "e839e5ed8b49530a4b0203b5ef293b449c98e241e471a83d898afa375c29e0eb"),
     # recorded while the CLI kept its own g-map node list

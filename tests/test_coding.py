@@ -19,7 +19,9 @@ from fareyshift.exact import (
     phi_rat,
     phi_surd,
 )
+from fareyshift import coding
 from fareyshift.coding import (
+    _CYCLE_CODE,
     FULL_LINE,
     CodeStream,
     FareyInterval,
@@ -28,6 +30,8 @@ from fareyshift.coding import (
     _enclose,
     _endpoints,
     _interval_of,
+    _mul,
+    _neutral_periods,
     _periodic_tables,
     _prefix_matrix,
     _word_matrix,
@@ -276,10 +280,12 @@ class TestCodeStream:
                     pre, per = pre_and_period(s)
                     assert type(s._cycle) is list and len(s._cycle) == s._q == len(per)
                     assert s._p == len(pre)
+                    # the base's whole preperiod, shared: the part left starts at the offset
+                    assert s._pre is base._pre and s._pre[s._offset:s._offset + s._p] == pre
                 else:
                     # bench/tracing.py splits scrambled.lookup from coding.symbol_at on this kind
                     assert s.kind == "procedural"
-                    assert (s._cycle, s._p, s._q) == (None, 0, 1)
+                    assert (s._pre, s._cycle, s._p, s._q) == (None, None, 0, 1)
                 # each segment's first, second and last symbol, up to index 6000
                 indices, i = set(), 0
                 while i < 6000:
@@ -314,7 +320,7 @@ class TestCodeStream:
         for name, exp in want.items():
             got = getattr(t, name)
             assert type(got) is type(exp) and got == exp, (s, k, name, got, exp)
-        assert t._runs is s._runs
+        assert t._runs is s._runs and t._pre is s._pre
         assert t.label == "shift(%s,%d)" % (s.label, k)
         for i in range(3 * k + 40):
             assert t.symbol_at(i) == s.symbol_at(k + i), (s, k, i)
@@ -335,8 +341,8 @@ class TestCodeStream:
             left, and the period list whose entry i % q is symbol i past it."""
             left = max(0, p - n)
             cycle = [int(plain[n + i + q * (left // q + 1)]) for i in range(q)]
-            return {"kind": "periodic", "_runs": s._runs, "_offset": n, "_cycle": cycle,
-                    "_p": left, "_q": q, "_label": label}
+            return {"kind": "periodic", "_runs": s._runs, "_offset": n, "_pre": pre,
+                    "_cycle": cycle, "_p": left, "_q": q, "_label": label}
 
         s = CodeStream.periodic(pre, per)
         for k in range(1, len(pre) + 2 * len(per) + 1):
@@ -376,7 +382,8 @@ class TestCodeStream:
             once = [s.shifted(k) for k in (1, 2, p // 2, p - 1, p, p + 1, p + 2, p + 100)]
             for t in once + [t.shifted(m) for t in once for m in (1, 3)]:
                 k = t._offset
-                assert t._runs is s._runs and t._p == (max(p - k, 0) if s._p else 0), k
+                assert t._runs is s._runs and t._pre is s._pre, k
+                assert t._p == (max(p - k, 0) if s._p else 0), k
                 seams = {0, 1, 2} | {i for i in range(p - k - 3, p - k + 8) if i >= 0}
                 for i in sorted(seams):
                     assert t.symbol_at(i) == s.symbol_at(k + i), (k, i)
@@ -921,8 +928,22 @@ def _assert_matches_reference(s, max_prefix, goal):
     assert point_of_code(s, max_prefix, goal) == want
 
 
+class _ReadLimitedWord(str):
+    """A run's word that refuses more symbol reads than a correct walk makes
+    (at most two periods and a few symbols per segment), so that a walk
+    reading a long run symbol by symbol fails at once instead of running on."""
+
+    reads = 0
+
+    def __getitem__(self, key):
+        self.reads += 1
+        assert self.reads <= 10 ** 4, "a run of %r read symbol by symbol" % str(self)
+        return str.__getitem__(self, key)
+
+
 def _pieces_stream(pieces):
-    """Segmented stream: each word repeated reps times (reps None: forever)."""
+    """Segmented stream: each word repeated reps times (reps None: forever),
+    each run's word read-limited (_ReadLimitedWord)."""
     table, start = [], 0
     for word, reps in pieces:
         end = None if reps is None else start + reps * len(word)
@@ -937,7 +958,7 @@ def _pieces_stream(pieces):
         for start, end, word in table:
             if end is None or n < end:
                 j = (n - start) % len(word)
-                return word[j:] + word[:j], end
+                return _ReadLimitedWord(word[j:] + word[:j]), end
 
     return CodeStream.segmented(runs, label="pieces")
 
@@ -1049,6 +1070,211 @@ class TestSegmentWalk:
                 got = verify_scrambling(_rewrap(s), _rewrap(t), events, eps=EPS,
                                         m_big=m_big, pair="p").to_dict()
             assert got == want
+
+
+def _walk_segments_by_gallop(s, k, max_prefix, goal_num, goal_den, short_bits):
+    """The segment walk before neutral runs were read in closed form: every
+    run of r >= 2 whole periods galloped over W, W^2, W^4, ... and then
+    descended, in O(log r) multiplies, the rest read symbol by symbol."""
+    m = (1, 0, 0, 1)
+    prev = 0
+    i = 0
+    while i < max_prefix:
+        word, end = s.run_at(k + i)
+        count = (max_prefix if end is None else min(end - k, max_prefix)) - i
+        size = len(word)
+        reps = count // size
+        done = 0
+        if reps >= 2 and "11" not in word + word and not (prev and word[0] == "1"):
+            last = int(word[-1])
+            powers = [_word_matrix(word)]  # powers[j] = W^(2^j)
+            t, j = 0, 0
+            while t + (1 << j) <= reps:
+                if j == len(powers):
+                    powers.append(_mul(powers[-1], powers[-1]))
+                nxt = _mul(m, powers[j]) if i or t else powers[j]
+                d, q = nxt[3], (nxt[2] + nxt[3] if last else nxt[2])
+                if d.bit_length() + q.bit_length() > short_bits and goal_den < goal_num * d * q:
+                    break
+                m, t, j = nxt, t + (1 << j), j + 1
+            while j:
+                j -= 1
+                if t + (1 << j) <= reps:
+                    nxt = _mul(m, powers[j])
+                    d, q = nxt[3], (nxt[2] + nxt[3] if last else nxt[2])
+                    if (d.bit_length() + q.bit_length() <= short_bits
+                            or goal_den >= goal_num * d * q):
+                        m, t = nxt, t + (1 << j)
+            if t:
+                prev, done = last, t * size
+        for p in range(done, count):
+            sym = 1 if word[p % size] == "1" else 0
+            if prev == 1 and sym == 1:
+                raise InadmissibleWordError(
+                    "stream prefix contains '11' at index %d" % (i + p))
+            a, b, c, d = m
+            m = (-b, a + b, -d, c + d) if sym else (b, a + b, d, c + d)
+            d, q = m[3], (m[2] + m[3] if sym else m[2])
+            if d.bit_length() + q.bit_length() > short_bits and goal_den < goal_num * d * q:
+                return m, sym, i + p + 1, True
+            prev = sym
+        i += count
+    return m, prev, max_prefix, False
+
+
+def _assert_walk_matches_the_gallop(s, k, max_prefix, goal):
+    """_enclose on a segmented stream returns the gallop's (matrix, last,
+    prefix_len, width_ok), or raises its error with the same index."""
+    num, den = goal.numerator, goal.denominator
+    short_bits = den.bit_length() - num.bit_length() - 1
+    try:
+        want = _walk_segments_by_gallop(s, k, max_prefix, num, den, short_bits)
+    except InadmissibleWordError as exc:
+        with pytest.raises(InadmissibleWordError) as got:
+            _enclose(s, k, max_prefix, num, den)
+        assert str(got.value) == str(exc), (s, k, max_prefix, goal)
+        return None
+    got = _enclose(s, k, max_prefix, num, den)
+    assert got == want, (s, k, max_prefix, goal)
+    return got
+
+
+# the powers of phi's neutral 3-cycle read from each phase, once and twice
+NEUTRAL_WORDS = [word * j for j in (1, 2) for word in _CYCLE_CODE]
+# no lead, a leading 0 and a leading 1 (whose join with a leading 1 of the run is refused)
+leads = pytest.mark.parametrize("lead", ["", "0", "1"], ids=["none", "0", "1"])
+
+
+def _neutral_stream(lead, word, reps):
+    """lead, then word repeated reps times, then 0 forever."""
+    return _pieces_stream(([(lead, 1)] if lead else []) + [(word, reps), ("0", None)])
+
+
+def _denominator_product(word):
+    """d*q of the cylinder of an admissible word: one over its width, 0 when unbounded."""
+    m = _word_matrix(word)
+    return m[3] * (m[2] + m[3] if word[-1] == "1" else m[2])
+
+
+class TestNeutralRuns:
+    """Runs of phi's neutral 3-cycle, read in closed form, against the gallop."""
+
+    def test_neutral_words_are_the_powers_of_the_3_cycle(self):
+        # trace 2 and det 1 among the cyclically admissible words (W = I + N,
+        # N^2 = 0): W's one fixed point is rational and periodic, so it is on
+        # phi's 3-cycle and the word is a power of one of its codes
+        def neutral(word):
+            a, b, c, d = _word_matrix(word)
+            return a + d == 2 and a * d - b * c == 1
+
+        words = [w for n in range(1, 16) for w in admissible_words(n) if "11" not in w + w]
+        assert len(words) == 3568
+        want = sorted(word * j for word in _CYCLE_CODE for j in range(1, 6))
+        assert sorted(w for w in words if neutral(w)) == want and len(want) == 15
+
+    def test_closed_form_against_a_scan(self):
+        # every admissible lead of up to five symbols, each neutral word that
+        # may follow it, reps 1 to 40 and each g at, above and below the d*q
+        # after some number of periods: d*q grows by the same step each period
+        # (W fixes one endpoint), and the most periods leaving d*q <= g match
+        for lead in [w for n in range(6) for w in admissible_words(n)]:
+            m = _word_matrix(lead)
+            for word in _CYCLE_CODE:
+                if "11" in lead[-1:] + word:
+                    continue
+                w, last = _word_matrix(word), int(word[-1])
+                products = [_denominator_product(lead + word * t) for t in range(1, 41)]
+                assert len({b - a for a, b in zip(products, products[1:])}) == 1, (lead, word)
+                for g in sorted({-1, 0} | {p + e for p in products for e in (-1, 0, 1)}):
+                    for reps in (1, 2, 7, 40):
+                        t = max([t for t in range(1, reps + 1) if products[t - 1] <= g], default=0)
+                        want = _word_matrix(lead + word * t) if t else m
+                        assert _neutral_periods(m, w, last, reps, g, len(lead)) == (want, t), \
+                            (lead, word, g, reps)
+
+    @pytest.mark.parametrize("word", NEUTRAL_WORDS)
+    @leads
+    def test_rotations_leads_goals_and_budgets(self, word, lead):
+        # reps from 2 to 2^60; budgets inside the first periods, mid-period
+        # and at the run's end; goals from 10^-1 to 10^-300
+        size = len(word)
+        for reps in (2, 3, 7, 2 ** 10 + 37, 2 ** 60):
+            s, start = _neutral_stream(lead, word, reps), len(lead)
+            whole = start + size * reps
+            budgets = {1, 2, start + size, start + 2 * size - 1, start + 2 * size,
+                       start + 2 * size + 1, start + size * (reps // 2) + size // 2,
+                       whole - 1, whole, whole + 1, whole + 5}
+            for e in (1, 2, 5, 13, 40, 120, 300):
+                for budget in sorted(budgets):
+                    _assert_walk_matches_the_gallop(s, 0, budget, Fraction(1, 10 ** e))
+            _assert_walk_matches_the_gallop(s, start + 1, size * reps, Fraction(1, 10 ** 9))
+        if lead == "1" and word[0] == "1":  # the 1|1 join is refused, not read in closed form
+            with pytest.raises(InadmissibleWordError, match="at index 1$"):
+                _enclose(_neutral_stream(lead, word, 2 ** 60), 0, 10, 1, 10)
+
+    @pytest.mark.parametrize("word", NEUTRAL_WORDS)
+    @leads
+    def test_goals_at_each_period_boundary(self, word, lead):
+        # floor(goal_den / goal_num) exactly d*q after t periods, and one
+        # either side of it, against the gallop and the per-symbol reference
+        reps = 40
+        if "11" in lead + word:
+            return
+        s = _neutral_stream(lead, word, reps)
+        budget = len(lead) + len(word) * reps
+        for t in (1, 2, 3, 10, 39, 40):
+            p = _denominator_product(lead + word * t)
+            goals = [Fraction(1, p + 1)] + [Fraction(k, k * p + k - 1) for k in (1, 2, 7) if p]
+            if p > 1:
+                goals.append(Fraction(1, p - 1))
+            for goal in goals:
+                _assert_walk_matches_the_gallop(s, 0, budget, goal)
+                _assert_matches_reference(s, budget, goal)
+
+    def test_unbounded_run_has_zero_slope(self):
+        # (100)^t from the empty prefix encloses [2t, infinity]: d*q is 0 after
+        # every period, so no goal stops the run
+        for reps in (2, 3, 2 ** 10, 2 ** 60):
+            s = _neutral_stream("", "100", reps)
+            for goal in (Fraction(10 ** 6), Fraction(1, 10), Fraction(1, 10 ** 300)):
+                m, last, n, ok = _assert_walk_matches_the_gallop(s, 0, 3 * reps, goal)
+                assert (m, last, n, ok) == ((1, 2 * reps, 0, 1), 0, 3 * reps, False)
+                assert _endpoints(m, last) == (2 * reps, 1, 1, 0)
+
+    def test_a_neutral_run_costs_the_same_whatever_its_length(self, monkeypatch):
+        # (100)^m behind a "0": the same number of multiplies for m = 2^10 and
+        # 2^60, with a goal met mid-run and with one never met
+        counts = []
+        mul = _mul
+
+        def counting_mul(x, y):
+            counts[-1] += 1
+            return mul(x, y)
+
+        monkeypatch.setattr(coding, "_mul", counting_mul)
+        for goal, met in ((Fraction(1, 100), True), (Fraction(1, 10 ** 300), False)):
+            for m in (2 ** 10, 2 ** 60):
+                counts.append(0)
+                _, _, n, ok = _enclose(_neutral_stream("0", "100", m), 0, 1 + 3 * m,
+                                       goal.numerator, goal.denominator)
+                assert ok == met and (n < 1 + 3 * 2 ** 10 if met else n == 1 + 3 * m), (goal, m)
+            assert counts[-2] == counts[-1], (goal, counts)
+
+    @settings(max_examples=300, deadline=None)
+    @given(
+        st.lists(st.tuples(st.one_of(st.sampled_from(NEUTRAL_WORDS), admissible_word,
+                                     st.text(alphabet="01", min_size=1, max_size=5)),
+                           st.one_of(st.integers(1, 60), st.integers(1, 2 ** 62))),
+                 min_size=1, max_size=6),
+        st.one_of(st.none(), st.sampled_from(["0", "100", "010", "001", "00100"])),
+        st.integers(0, 40),
+        st.one_of(st.integers(1, 700), st.integers(1, 2 ** 64)),
+        width_goals,
+    )
+    def test_streams_mixing_neutral_and_other_runs(self, pieces, tail, k, cap, goal):
+        if tail is not None:
+            pieces = pieces + [(tail, None)]
+        _assert_walk_matches_the_gallop(_pieces_stream(pieces), k, cap, Fraction(goal))
 
 
 def _assert_enclose_matches(s, k, max_prefix, goal):
