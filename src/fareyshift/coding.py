@@ -101,6 +101,7 @@ _SYMBOL = {"0": 0, "1": 1}
 _TO_BITS = bytes.maketrans(b"01", b"\x00\x01")
 _CYCLE_CODE = ("010", "100", "001")  # phi's 3-cycle 0 -> infinity -> 1 read from each phase
 _PRE_RUN = 64  # symbols: the longest run a typed PRE(PER) code's preperiod is read in
+_GALLOP_MIN = 26  # symbols the bit bound must rule out before a run is galloped, not stepped
 
 
 class CodeStream:
@@ -436,24 +437,29 @@ def _enclose(s: CodeStream, k: int, max_prefix: int, goal_num: int, goal_den: in
 
 def _walk_segments(s: CodeStream, k: int, max_prefix: int, goal_num: int, goal_den: int,
                    short_bits: int):
-    """_enclose on a segmented stream, in O(segments * log run) multiplies.
+    """_enclose on a segmented stream: each run stepped, or read in O(log run) multiplies.
 
     Reads s's runs from index k on (run_at(k + i)), counting the prefix
     from k.  A run of r >= 2 whole periods of a word w (no "11" in w,
     across the seam between repetitions, or at the join with the symbol
-    before) is consumed whole periods first: the most periods after which
-    the width goal is still unmet, which is exact because cylinders are
-    nested, so "goal met" is monotone in the prefix length.  At most one
-    more period is then read symbol by symbol, as is every other segment.
-    A run of phi's neutral 3-cycle (W, the matrix of w, has trace 2 and
-    det 1: w is a power of 100, 010 or 001) costs O(1) multiplies and one
-    floor division, whatever r (_neutral_periods).  Any other run is
+    before) may be consumed whole periods first: the most periods after
+    which the width goal is still unmet, which is exact because cylinders
+    are nested, so "goal met" is monotone in the prefix length.  At most
+    one more period is then read symbol by symbol, as is every other
+    segment.  A run of phi's neutral 3-cycle (w is a power of 100, 010 or
+    001; its matrix W has trace 2 and det 1) costs O(1) multiplies and
+    one floor division, whatever r (_neutral_periods).  Any other run is
     galloped over W, W^2, W^4, ... and then descended, in O(log r)
-    multiplies; galloping only forms powers up to about the size the goal
-    needs, and from the empty prefix its first step takes W itself.  The
-    width test is _enclose's, without abs: d, q >= 0 along an admissible
-    word (see _endpoints).
+    multiplies, only when the bit bound of _enclose's periodic kernel
+    proves that the next _GALLOP_MIN symbols cannot meet the goal;
+    galloping only forms powers up to about the size the goal needs, and
+    from the empty prefix its first step takes W itself.  Below that
+    bound the run is stepped symbol by symbol, up to the goal: a shallow
+    goal is met within a few dozen symbols, and stepping them costs less
+    than forming W and its powers.  The width test is _enclose's, without abs:
+    d, q >= 0 along an admissible word (see _endpoints).
     """
+    half = (short_bits - 1) // 2  # see _enclose: the next half - row symbols fail the test
     m = (1, 0, 0, 1)
     prev = 0
     i = 0
@@ -463,14 +469,16 @@ def _walk_segments(s: CodeStream, k: int, max_prefix: int, goal_num: int, goal_d
         size = len(word)
         reps = count // size
         done = 0
-        if reps >= 2 and "11" not in word + word and not (prev and word[0] == "1"):
-            last = int(word[-1])
-            w = _word_matrix(word)
-            if w[0] + w[3] == 2 and w[0] * w[3] - w[1] * w[2] == 1:
-                m, t = _neutral_periods(m, w, last, reps, goal_den // goal_num, i)
-            else:
-                powers = [w]  # powers[j] = W^(2^j)
-                t, j = 0, 0
+        if reps >= 2 and not (prev and word[0] == "1"):
+            t = 0
+            if word[:3] in _CYCLE_CODE and word == word[:3] * (size // 3):  # neutral, no "11"
+                last = int(word[-1])
+                m, t = _neutral_periods(m, _word_matrix(word), last, reps, goal_den // goal_num, i)
+            elif (half - max(m[2].bit_length(), m[3].bit_length()) >= _GALLOP_MIN
+                    and "11" not in word + word):
+                last = int(word[-1])
+                powers = [_word_matrix(word)]  # powers[j] = W^(2^j)
+                j = 0
                 while t + (1 << j) <= reps:
                     if j == len(powers):
                         powers.append(_mul(powers[-1], powers[-1]))
@@ -489,17 +497,20 @@ def _walk_segments(s: CodeStream, k: int, max_prefix: int, goal_num: int, goal_d
                             m, t = nxt, t + (1 << j)
             if t:
                 prev, done = last, t * size
+        a, b, c, d = m
         for p in range(done, count):
-            sym = 1 if word[p % size] == "1" else 0
-            if prev == 1 and sym == 1:
-                raise InadmissibleWordError(
-                    "stream prefix contains '11' at index %d" % (i + p))
-            a, b, c, d = m
-            m = (-b, a + b, -d, c + d) if sym else (b, a + b, d, c + d)
-            d, q = m[3], (m[2] + m[3] if sym else m[2])
+            if word[p % size] == "1":
+                if prev:
+                    raise InadmissibleWordError(
+                        "stream prefix contains '11' at index %d" % (i + p))
+                a, b, c, d = -b, a + b, -d, c + d
+                q, prev = c + d, 1
+            else:
+                a, b, c, d = b, a + b, d, c + d
+                q, prev = c, 0
             if d.bit_length() + q.bit_length() > short_bits and goal_den < goal_num * d * q:
-                return m, sym, i + p + 1, True
-            prev = sym
+                return (a, b, c, d), prev, i + p + 1, True
+        m = (a, b, c, d)
         i += count
     return m, prev, max_prefix, False
 

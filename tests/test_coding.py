@@ -22,6 +22,7 @@ from fareyshift.exact import (
 from fareyshift import coding
 from fareyshift.coding import (
     _CYCLE_CODE,
+    _GALLOP_MIN,
     FULL_LINE,
     CodeStream,
     FareyInterval,
@@ -133,13 +134,40 @@ def _rewrap(s):
     return per_symbol_stream(s.symbol_at, label=s.label)
 
 
+class _ReadLimitedWord(str):
+    """A run's word that refuses more symbol reads than a correct walk makes
+    (at most two periods and a few symbols per segment, or the few hundred a
+    run is stepped to a shallow goal), so that a walk reading a long run
+    symbol by symbol fails at once instead of running on."""
+
+    reads = 0
+
+    def __getitem__(self, key):
+        self.reads += 1
+        assert self.reads <= 10 ** 4, "a run of %r read symbol by symbol" % str(self)
+        return str.__getitem__(self, key)
+
+
+def _read_limited(s):
+    """A segmented stream's runs with each word read-limited (_ReadLimitedWord):
+    the same symbols and segments, so a walk that reads a long run of a
+    library-built stream symbol by symbol fails at once instead of running on."""
+    assert s.kind == "procedural", s  # a periodic stream is read by _enclose's own kernel
+
+    def runs(n):
+        word, end = s.run_at(n)
+        return _ReadLimitedWord(word), end
+
+    return CodeStream.segmented(runs, label=s.label)
+
+
 # one-symbol segments of periodic codes, admissible or not
 rewrapped_periodic_codes = st.one_of(admissible_periodic_codes, periodic_codes).map(_rewrap)
 rational_and_unbounded_codes = st.sampled_from(
     [CodeStream.periodic("", per) for per in ("100", "010", "001")])
 procedural_codes = st.builds(
     CodeStream.shifted,
-    st.sampled_from(_PROCEDURAL),
+    st.sampled_from([_read_limited(s) for s in _PROCEDURAL]),
     st.one_of(st.integers(0, 6000), st.sampled_from([118, 119, 120, 239, 719, 720, 5039])),
 )
 width_goals = st.one_of(
@@ -928,19 +956,6 @@ def _assert_matches_reference(s, max_prefix, goal):
     assert point_of_code(s, max_prefix, goal) == want
 
 
-class _ReadLimitedWord(str):
-    """A run's word that refuses more symbol reads than a correct walk makes
-    (at most two periods and a few symbols per segment), so that a walk
-    reading a long run symbol by symbol fails at once instead of running on."""
-
-    reads = 0
-
-    def __getitem__(self, key):
-        self.reads += 1
-        assert self.reads <= 10 ** 4, "a run of %r read symbol by symbol" % str(self)
-        return str.__getitem__(self, key)
-
-
 def _pieces_stream(pieces):
     """Segmented stream: each word repeated reps times (reps None: forever),
     each run's word read-limited (_ReadLimitedWord)."""
@@ -968,19 +983,21 @@ EPS = Fraction(1, 100)
 
 def _schedule_cases(k):
     """(s, t, events, m_big) for every schedule family at block size k; s is
-    None for rational_vs_tau, whose first point is an exact orbit point."""
+    None for rational_vs_tau, whose first point is an exact orbit point.
+    Every segmented stream is read-limited (_read_limited)."""
     alpha = alpha_transitive()
     tracked = [code_of_rational(xr(3, 5))]
     x_code = CodeStream.periodic("1", "00100")
-    mu_s, mu_t = mu_code("0110"), mu_code("1010")
-    tau_s, tau_t = tau_code("0110", alpha, tracked), tau_code("1001", alpha, tracked)
+    mu_s, mu_t = _read_limited(mu_code("0110")), _read_limited(mu_code("1010"))
+    tau_s = _read_limited(tau_code("0110", alpha, tracked))
+    tau_t = _read_limited(tau_code("1001", alpha, tracked))
     big = Fraction(1000)
     return [
         (mu_s, mu_t, schedule_events("theorem1", (k, k), diff_indices=[0, 1]), Fraction(3, 2)),
         (mu_s, mu_s.shifted(2), schedule_events("theorem1", (k, k), shift=2), Fraction(3, 2)),
         (tau_s, tau_t, schedule_events("theorem2", (k, k), diff_index=0), big),
         (tau_s, tau_t.shifted(1), schedule_events("theorem2", (k, k), shift=1), big),
-        (x_code, tau_code("01", alpha, [x_code]),
+        (x_code, _read_limited(tau_code("01", alpha, [x_code])),
          schedule_events("theorem2_tracked", (k, k), track_index=1, x_code=x_code), big),
         (None, tau_s, schedule_events("rational_vs_tau", (k, k), escape=3, eps=EPS), big),
     ]
@@ -1002,9 +1019,11 @@ class TestSegmentWalk:
     @pytest.mark.parametrize("word", ["0", "100", "00101"])
     @pytest.mark.parametrize("lead", [[], [("0", 1)]])
     def test_long_first_run(self, word, lead):
-        # a first run of over 2^10 periods: the gallop from the empty prefix
-        # (no leading symbol) starts at W itself and climbs and descends
-        # many levels; behind a leading symbol it multiplies from the start
+        # a first run of over 2^10 periods: a shallow goal (10^-1 to 10^-12)
+        # does not start the gallop at W, the run is stepped up to the goal;
+        # from 10^-40 on the gallop from the empty prefix (no leading symbol)
+        # starts at W itself and climbs and descends many levels, and behind
+        # a leading symbol it multiplies from the start
         reps = 2 ** 10 + 37
         s = _pieces_stream(lead + [(word, reps), ("0", None)])
         for k in (1, 3, 12, 40, 100, 200, 300):
@@ -1012,7 +1031,7 @@ class TestSegmentWalk:
                 _assert_matches_reference(s, budget, Fraction(1, 10 ** k))
 
     def test_budgets_ending_mid_period(self):
-        tau = tau_code("0110", alpha_transitive(), [CodeStream.periodic("1", "00100")])
+        tau = _read_limited(tau_code("0110", alpha_transitive(), [CodeStream.periodic("1", "00100")]))
         goals = (Fraction(1, 10 ** 12), Fraction(1, 800), Fraction(1, 90), Fraction(1, 7))
         for k in (5, 6):
             lay = BlockLayout.for_k(k)
@@ -1156,6 +1175,18 @@ def _denominator_product(word):
     return m[3] * (m[2] + m[3] if word[-1] == "1" else m[2])
 
 
+def _counting_mul(monkeypatch):
+    """Count the library's _mul calls: a list whose last entry the calls add to."""
+    counts, mul = [0], _mul
+
+    def counting_mul(x, y):
+        counts[-1] += 1
+        return mul(x, y)
+
+    monkeypatch.setattr(coding, "_mul", counting_mul)
+    return counts
+
+
 class TestNeutralRuns:
     """Runs of phi's neutral 3-cycle, read in closed form, against the gallop."""
 
@@ -1244,14 +1275,7 @@ class TestNeutralRuns:
     def test_a_neutral_run_costs_the_same_whatever_its_length(self, monkeypatch):
         # (100)^m behind a "0": the same number of multiplies for m = 2^10 and
         # 2^60, with a goal met mid-run and with one never met
-        counts = []
-        mul = _mul
-
-        def counting_mul(x, y):
-            counts[-1] += 1
-            return mul(x, y)
-
-        monkeypatch.setattr(coding, "_mul", counting_mul)
+        counts = _counting_mul(monkeypatch)
         for goal, met in ((Fraction(1, 100), True), (Fraction(1, 10 ** 300), False)):
             for m in (2 ** 10, 2 ** 60):
                 counts.append(0)
@@ -1275,6 +1299,55 @@ class TestNeutralRuns:
         if tail is not None:
             pieces = pieces + [(tail, None)]
         _assert_walk_matches_the_gallop(_pieces_stream(pieces), k, cap, Fraction(goal))
+
+
+def _gate_bound(m, goal):
+    """The symbols the bit bound rules out from the matrix m on, for the goal:
+    (short_bits - 1) // 2 - max(bits(c), bits(d)), as the walk's gate reads it."""
+    short_bits = goal.denominator.bit_length() - goal.numerator.bit_length() - 1
+    return (short_bits - 1) // 2 - max(m[2].bit_length(), m[3].bit_length())
+
+
+class TestGallopGate:
+    """A run that is not neutral is galloped only where the bit bound rules
+    out _GALLOP_MIN symbols; a shallower goal steps it, with the same tuple."""
+
+    @pytest.mark.parametrize("word", ["0", "000", "00101", "1000000"])
+    @pytest.mark.parametrize("lead", ["", "0"], ids=["none", "0"])
+    def test_walk_at_the_gate(self, word, lead, monkeypatch):
+        # over 2^14 periods; goals whose bound is _GALLOP_MIN - 1 (stepped,
+        # no multiply), _GALLOP_MIN and _GALLOP_MIN + 1 (galloped); budgets
+        # ending inside the stepped stretch, at the goal and past the run
+        counts = _counting_mul(monkeypatch)
+        reps = 2 ** 14 + 37  # more symbols than _ReadLimitedWord lets a walk step
+        s = _pieces_stream(([(lead, 1)] if lead else []) + [(word, reps), ("0", None)])
+        whole = len(lead) + len(word) * reps
+        m = _word_matrix(lead) if lead else (1, 0, 0, 1)
+        goals = [Fraction(num, 2 ** e) for e in range(40, 80) for num in (1, 5)
+                 if abs(_gate_bound(m, Fraction(num, 2 ** e)) - _GALLOP_MIN) <= 1]
+        assert {_gate_bound(m, goal) - _GALLOP_MIN for goal in goals} == {-1, 0, 1}
+        for goal in goals:
+            counts.append(0)
+            _, _, n, ok = _enclose(s, 0, whole, goal.numerator, goal.denominator)
+            assert ok and n > len(lead) + 2 * len(word), (goal, n)
+            assert (counts[-1] > 0) == (_gate_bound(m, goal) >= _GALLOP_MIN), (goal, counts[-1])
+            for budget in sorted({1, 2, len(lead) + 2 * len(word), n // 2, n - 1, n, n + 1,
+                                  whole - 1, whole + 5}):
+                _assert_walk_matches_the_gallop(s, 0, budget, goal)
+                _assert_matches_reference(s, budget, goal)
+
+    def test_mu_zero_run_multiplies(self, monkeypatch):
+        # mu's zero run at 122 (up to 241): the scramble goal eps/8 = 1/800,
+        # met after 9 symbols, is stepped with no multiply (galloping to it
+        # takes 9); the deep goals are galloped
+        counts = _counting_mul(monkeypatch)
+        mu = _read_limited(mu_code("011010"))
+        assert mu.run_at(122) == ("0", 241)
+        for goal, want in ((Fraction(1, 800), 0), (Fraction(1, 10 ** 20), 15),
+                           (Fraction(1, 10 ** 40), 16), (Fraction(1, 10 ** 300), 88)):
+            counts.append(0)
+            _enclose(mu, 122, 10 ** 5, goal.numerator, goal.denominator)
+            assert counts[-1] == want, goal
 
 
 def _assert_enclose_matches(s, k, max_prefix, goal):
@@ -1319,7 +1392,7 @@ class TestEncloseKernel:
         """x's escape word typed as a preperiod, and x's own code, a segmented
         stream: each _enclose matches point_of_code of the shift, and the
         segment walk over the code's runs returns the periodic kernel's tuple."""
-        s, code = CodeStream.periodic(escape_word(x), "010"), code_of_rational(x)
+        s, code = CodeStream.periodic(escape_word(x), "010"), _read_limited(code_of_rational(x))
         for k in shifts:
             for cap in caps:
                 for goal in cls.GOALS:
@@ -1344,7 +1417,7 @@ class TestEncloseKernel:
         # 1/10^18 reads 0 (100)^(5 * 10^17 - 1) 0, then 010 forever: index
         # 1 + 3 * 10^17 starts a pass deep inside the run, where the code
         # reads as (100) forever does up to the cap
-        s = code_of_rational(xr(1, 10 ** 18))
+        s = _read_limited(code_of_rational(xr(1, 10 ** 18)))
         for cap in (1, 9, 300, 3000):
             for goal in self.GOALS:
                 num, den = goal.numerator, goal.denominator
@@ -1353,7 +1426,7 @@ class TestEncloseKernel:
 
     @pytest.mark.parametrize("k", [5, 6, 7, 8, 9])
     def test_every_scheduled_index(self, k):
-        alpha = alpha_transitive()
+        alpha = _read_limited(alpha_transitive())
         for s, t, events, _ in _schedule_cases(k):
             for ev in events:
                 budget = min(10 ** 5, ev.prefix_cap) if ev.prefix_cap else 10 ** 5
