@@ -377,18 +377,23 @@ def _enclose(s: CodeStream, k: int, max_prefix: int, goal_num: int, goal_den: in
     the "11" counted from k.
 
     On a periodic stream each symbol costs one symbol_at call (past the
-    preperiod, one index n % q into the period list held in phase) and
-    one step of the matrix's bottom row (c, d), over the stream's own
-    indices k, k + 1, ...; the first "11" is found before the walk, by
-    one search of the shifted stream's byte tables.  The cylinder's
-    endpoints b/d and p/q form a unimodular pair, so a bounded cylinder
-    has width exactly 1/|d*q| (an unbounded one has d*q = 0), and
-    width < goal iff goal_den < goal_num * |d*q|: the test reads the
-    bottom row alone.  It runs only at the symbols where a bound on the
-    growth of the row's bit lengths allows it to pass; it compares bit
-    lengths first, so the product is formed only on the last few
-    symbols.  The full matrix of the prefix that is returned is built
-    once, by squaring the period matrix (_prefix_matrix).
+    preperiod, one index n % q into the period list held in phase), over
+    the stream's own indices k, k + 1, ....  The cylinder's endpoints
+    b/d and p/q form a unimodular pair, so a bounded cylinder has width
+    exactly 1/|d*q| (an unbounded one has d*q = 0), and width < goal
+    iff goal_den < goal_num * |d*q|; the test compares bit lengths
+    first, so the product is formed only on the last few symbols.  A shallow
+    goal, one the bit bound below does not rule out for _GALLOP_MIN
+    symbols, is met within a few dozen: each symbol steps all four
+    entries of the matrix, a 1 after a 1 raises, and the matrix held
+    is returned, with no table, search or rebuild (as _walk_segments'
+    tail steps a run).  A deeper goal steps only the matrix's bottom
+    row (c, d), which the test reads alone; the first "11" is found
+    before that walk, by one search of the shifted stream's byte
+    tables, the test runs only at the symbols where a bound on the
+    growth of the row's bit lengths allows it to pass, and the full
+    matrix of the prefix that is returned is built once, by squaring
+    the period matrix (_prefix_matrix).
 
     A segmented stream is read segment by segment instead, with the same
     result (see _walk_segments).
@@ -407,13 +412,29 @@ def _enclose(s: CodeStream, k: int, max_prefix: int, goal_num: int, goal_den: in
     # short_bits: after the bit test fails at index i, no index before
     # i + 1 + (short_bits - 1)//2 - row can pass it.
     half = (short_bits - 1) // 2
+    symbol_at = s.symbol_at
+    if half < _GALLOP_MIN:  # shallow: _walk_segments' tail over symbol_at (d, q >= 0: no abs)
+        a, b, c, d = 1, 0, 0, 1
+        prev = 0
+        for i in range(k, k + max_prefix):
+            if symbol_at(i):
+                if prev:
+                    raise InadmissibleWordError(
+                        "stream prefix contains '11' at index %d" % (i - k))
+                a, b, c, d = -b, a + b, -d, c + d
+                q, prev = c + d, 1
+            else:
+                a, b, c, d = b, a + b, d, c + d
+                q, prev = c, 0
+            if d.bit_length() + q.bit_length() > short_bits and goal_den < goal_num * d * q:
+                return (a, b, c, d), prev, i + 1 - k, True
+        return (a, b, c, d), prev, max_prefix, False
     pre, per = _periodic_tables(s, k, max_prefix)
     # pre + per + per is a prefix of the shifted stream holding each of its
     # adjacent pairs, so its first "11" inside the first max_prefix symbols
     # is the stream's: bad is the index of that "11"'s second symbol counted
     # from k, 0 for none
     bad = (pre + per + per).find(b"\1\1", 0, max_prefix) + 1
-    symbol_at = s.symbol_at
     c, d = 0, 1  # the bottom row of the prefix's matrix
     test_at = k
     for i in range(k, k + (bad or max_prefix)):
@@ -591,6 +612,11 @@ def phi_interval_image(iv: FareyInterval) -> list[FareyInterval]:
     ]
 
 
+# each run word _escape_runs yields, read from each of its phases
+_ROTATIONS = {w: tuple(w[r:] + w[:r] for r in range(len(w)))
+              for w in ("100", "10", "0", "1", "101")}
+
+
 def code_of_rational(x: ExtendedRational, tie_high: bool = False) -> CodeStream:
     """Eventually periodic code of a rational point of [0, infinity]: a segmented
     stream of its escape runs (exact._escape_runs), a run of passes as ("100", end)
@@ -605,7 +631,7 @@ def code_of_rational(x: ExtendedRational, tie_high: bool = False) -> CodeStream:
         for word, size in (("100", 3 * passes), (tail, len(tail))):
             if size:
                 starts.append(e)
-                rotations.append(tuple(word[r:] + word[:r] for r in range(len(word))))
+                rotations.append(_ROTATIONS[word])
                 e += size
     ends = starts[1:] + [e]
 

@@ -1,3 +1,4 @@
+import itertools
 import math
 import random
 from fractions import Fraction
@@ -783,13 +784,14 @@ class TestPointOfCode:
             point_of_code(CodeStream.periodic("", "110"), 10, Fraction(1, 10))
 
     # the first "11" inside the preperiod, at its join with the period,
-    # inside the period and across the seam between two periods
+    # inside the period and across the seam between two periods; at a goal
+    # of 1/800 the shallow loop meets it on a 1, at 10^-30 the kernel's search
     @pytest.mark.parametrize("pre, per, bad", [
         ("0110", "0", 2), ("01", "10", 2), ("", "0110", 2), ("", "1001", 4)])
     def test_first_11_found_up_front(self, pre, per, bad):
         s = CodeStream.periodic(pre, per)
-        goal = Fraction(1, 10 ** 30)
-        for max_prefix in (bad - 1, bad, bad + 1, bad + 10):
+        for goal, max_prefix in itertools.product(
+                (Fraction(1, 800), Fraction(1, 10 ** 30)), (bad - 1, bad, bad + 1, bad + 10)):
             _assert_matches_reference(s, max_prefix, goal)
             if max_prefix > bad:
                 with pytest.raises(InadmissibleWordError, match="at index %d$" % bad):
@@ -799,12 +801,12 @@ class TestPointOfCode:
 
     # "11" at the join of preperiod and period, inside the period and across
     # the seam between two periods, on every shift from inside the preperiod
-    # to mid-period
+    # to mid-period, at a shallow goal and a deep one
     @pytest.mark.parametrize("pre, per", [("0001", "1001"), ("01001", "0110"), ("0", "10001")])
     def test_first_11_of_a_shift_is_the_one_prefix_shows(self, pre, per):
         s = CodeStream.periodic(pre, per)
-        goal = Fraction(1, 10 ** 300)
-        for k in range(len(pre) + 2 * len(per) + 1):
+        for goal, k in itertools.product((Fraction(1, 800), Fraction(1, 10 ** 300)),
+                                         range(len(pre) + 2 * len(per) + 1)):
             t = s.shifted(k)
             bad = t.prefix(60).find("11") + 1
             assert bad, (pre, per, k)
@@ -883,17 +885,27 @@ class TestPointOfCode:
 
     def test_goals_at_each_cylinder_width(self):
         # goals at and just above the width 1/(d*q) of a cylinder: the
-        # sharpest cases for the stopping compare
-        for n in range(1, 10):
-            for w in admissible_words(n):
-                iv = cylinder(w)
-                if not iv.is_bounded:
-                    continue
-                p = iv.lo.den * iv.hi.den
-                s = CodeStream.periodic(w, "0")
-                goals = [Fraction(1, p)] + [Fraction(k, k * p - 1) for k in range(1, 9) if k * p > 1]
-                for goal in goals:
-                    assert point_of_code(s, n, goal) == _point_of_code_reference(s, n, goal)
+        # sharpest cases for the stopping compare, of the shallow loop on
+        # every short word and of the bottom-row kernel on drawn long ones
+        rng = random.Random(12)
+        long_words = []
+        while len(long_words) < 12:
+            w = ""
+            while len(w) < 100:
+                w += "0" if w.endswith("1") else rng.choice("01")
+            long_words.append(w)
+        deep = 0
+        for w in [w for n in range(1, 10) for w in admissible_words(n)] + long_words:
+            iv = cylinder(w)
+            if not iv.is_bounded:
+                continue
+            p = iv.lo.den * iv.hi.den
+            deep += _half(Fraction(1, p)) >= _GALLOP_MIN
+            s = CodeStream.periodic(w, "0")
+            goals = [Fraction(1, p)] + [Fraction(k, k * p - 1) for k in range(1, 9) if k * p > 1]
+            for goal in goals:
+                assert point_of_code(s, len(w), goal) == _point_of_code_reference(s, len(w), goal)
+        assert deep >= 10, deep
 
     def test_deep_golden_enclosure_is_zero_run_cylinder(self):
         goal = Fraction(1, 10 ** 1000)
@@ -1175,15 +1187,16 @@ def _denominator_product(word):
     return m[3] * (m[2] + m[3] if word[-1] == "1" else m[2])
 
 
-def _counting_mul(monkeypatch):
-    """Count the library's _mul calls: a list whose last entry the calls add to."""
-    counts, mul = [0], _mul
+def _counting_calls(monkeypatch, name):
+    """Count the calls of the library's function coding.<name>: a list whose
+    last entry the calls add to."""
+    counts, func = [0], getattr(coding, name)
 
-    def counting_mul(x, y):
+    def counting(*args):
         counts[-1] += 1
-        return mul(x, y)
+        return func(*args)
 
-    monkeypatch.setattr(coding, "_mul", counting_mul)
+    monkeypatch.setattr(coding, name, counting)
     return counts
 
 
@@ -1275,7 +1288,7 @@ class TestNeutralRuns:
     def test_a_neutral_run_costs_the_same_whatever_its_length(self, monkeypatch):
         # (100)^m behind a "0": the same number of multiplies for m = 2^10 and
         # 2^60, with a goal met mid-run and with one never met
-        counts = _counting_mul(monkeypatch)
+        counts = _counting_calls(monkeypatch, "_mul")
         for goal, met in ((Fraction(1, 100), True), (Fraction(1, 10 ** 300), False)):
             for m in (2 ** 10, 2 ** 60):
                 counts.append(0)
@@ -1301,11 +1314,16 @@ class TestNeutralRuns:
         _assert_walk_matches_the_gallop(_pieces_stream(pieces), k, cap, Fraction(goal))
 
 
+def _half(goal):
+    """(short_bits - 1) // 2 for the goal, the bound _enclose's periodic gate reads."""
+    short_bits = goal.denominator.bit_length() - goal.numerator.bit_length() - 1
+    return (short_bits - 1) // 2
+
+
 def _gate_bound(m, goal):
     """The symbols the bit bound rules out from the matrix m on, for the goal:
-    (short_bits - 1) // 2 - max(bits(c), bits(d)), as the walk's gate reads it."""
-    short_bits = goal.denominator.bit_length() - goal.numerator.bit_length() - 1
-    return (short_bits - 1) // 2 - max(m[2].bit_length(), m[3].bit_length())
+    _half(goal) - max(bits(c), bits(d)), as the walk's gate reads it."""
+    return _half(goal) - max(m[2].bit_length(), m[3].bit_length())
 
 
 class TestGallopGate:
@@ -1318,7 +1336,7 @@ class TestGallopGate:
         # over 2^14 periods; goals whose bound is _GALLOP_MIN - 1 (stepped,
         # no multiply), _GALLOP_MIN and _GALLOP_MIN + 1 (galloped); budgets
         # ending inside the stepped stretch, at the goal and past the run
-        counts = _counting_mul(monkeypatch)
+        counts = _counting_calls(monkeypatch, "_mul")
         reps = 2 ** 14 + 37  # more symbols than _ReadLimitedWord lets a walk step
         s = _pieces_stream(([(lead, 1)] if lead else []) + [(word, reps), ("0", None)])
         whole = len(lead) + len(word) * reps
@@ -1340,7 +1358,7 @@ class TestGallopGate:
         # mu's zero run at 122 (up to 241): the scramble goal eps/8 = 1/800,
         # met after 9 symbols, is stepped with no multiply (galloping to it
         # takes 9); the deep goals are galloped
-        counts = _counting_mul(monkeypatch)
+        counts = _counting_calls(monkeypatch, "_mul")
         mu = _read_limited(mu_code("011010"))
         assert mu.run_at(122) == ("0", 241)
         for goal, want in ((Fraction(1, 800), 0), (Fraction(1, 10 ** 20), 15),
@@ -1348,6 +1366,34 @@ class TestGallopGate:
             counts.append(0)
             _enclose(mu, 122, 10 ** 5, goal.numerator, goal.denominator)
             assert counts[-1] == want, goal
+
+
+class TestPeriodicGate:
+    """A periodic stream whose goal's bound is below _GALLOP_MIN is stepped on
+    the whole matrix, with no _prefix_matrix rebuild; a deeper goal is read
+    by the bottom-row kernel, which rebuilds the matrix once."""
+
+    @pytest.mark.parametrize("s, k", [
+        (CodeStream.periodic("", "0"), 0),
+        (CodeStream.periodic("", "01"), 0),
+        (CodeStream.periodic("1", "00100"), 0),
+        (CodeStream.periodic("0100100", "00101").shifted(3), 0),  # a shift into the preperiod
+        (CodeStream.periodic("0100100", "00101"), 3),
+    ], ids=repr)
+    def test_enclosures_at_the_gate(self, s, k, monkeypatch):
+        counts = _counting_calls(monkeypatch, "_prefix_matrix")
+        goals = [Fraction(num, 2 ** e) for e in range(40, 70) for num in (1, 5)
+                 if abs(_half(Fraction(num, 2 ** e)) - _GALLOP_MIN) <= 1]
+        assert {_half(goal) - _GALLOP_MIN for goal in goals} == {-1, 0, 1}
+        t = s.shifted(k)
+        for goal in goals:
+            stop = _point_of_code_reference(t, 10 ** 3, goal).prefix_len
+            for budget in sorted({1, 2, stop // 2, stop - 1, stop, stop + 1, 10 ** 3}):
+                counts.append(0)
+                m, last, n, ok = _enclose(s, k, budget, goal.numerator, goal.denominator)
+                want = _point_of_code_reference(t, budget, goal)
+                assert PointEnclosure(_interval_of(m, last), n, ok) == want, (goal, budget)
+                assert counts[-1] == (_half(goal) >= _GALLOP_MIN), (goal, budget, counts[-1])
 
 
 def _assert_enclose_matches(s, k, max_prefix, goal):
