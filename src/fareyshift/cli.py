@@ -565,6 +565,8 @@ def _parse_args(argv):
 
 
 def main(argv=None) -> int:
+    if hasattr(sys, "set_int_max_str_digits"):  # 3.10.7+: exact output is never refused
+        sys.set_int_max_str_digits(0)
     try:
         args = _parse_args(sys.argv[1:] if argv is None else argv)
     except SystemExit as exc:

@@ -296,38 +296,6 @@ def _word_matrix(word: str) -> tuple[int, int, int, int]:
     return _steps((1, 0, 0, 1), word.encode().translate(_TO_BITS))
 
 
-def _periodic_tables(s: CodeStream, k: int, n: int) -> tuple[bytes, bytes]:
-    """The preperiod of s shifted by k, cut at n, and its period from there on, as 0/1 bytes:
-    the preperiod sliced from s's string, the period off _cycle rotated to index max(p, k)."""
-    p, off = s._p, s._offset
-    pre = s._pre[off + k:off + min(p, k + n)]  # empty when k >= p
-    j, cycle = (p if p > k else k) % s._q, s._cycle
-    return pre.encode().translate(_TO_BITS), bytes(cycle[j:] + cycle[:j])
-
-
-def _prefix_matrix(pre: bytes, per: bytes, n: int) -> tuple[int, int, int, int]:
-    """The matrix of the first n symbols of pre + per + per + ... (0/1 bytes).
-
-    With p = |pre|, q = |per| and k, r = divmod(n - p, q) it is
-    Pre * W^k * R (W the period's matrix, R its first r symbols').  W^k
-    is formed by squaring only when k >= 2, the rule _walk_segments
-    gallops by, reading k's bits from the top so that every other
-    multiply is by W itself; shorter prefixes are stepped symbol by
-    symbol.  Nothing is multiplied by the identity.
-    """
-    p = len(pre)
-    k, r = divmod(n - p, len(per))
-    if k < 2:
-        return _steps((1, 0, 0, 1), (pre + per + per)[:n])
-    w = power = _steps((1, 0, 0, 1), per)
-    for bit in bin(k)[3:]:
-        power = _mul(power, power)
-        if bit == "1":
-            power = _mul(power, w)
-    m = _mul(_steps((1, 0, 0, 1), pre), power) if p else power
-    return _steps(m, per[:r])
-
-
 def cylinder(word: str) -> FareyInterval:
     """Exact cylinder interval of an admissible word.
 
@@ -376,109 +344,78 @@ def _enclose(s: CodeStream, k: int, max_prefix: int, goal_num: int, goal_den: in
     record is built, and an InadmissibleWordError names the index of
     the "11" counted from k.
 
-    On a periodic stream each symbol costs one symbol_at call (past the
-    preperiod, one index n % q into the period list held in phase), over
-    the stream's own indices k, k + 1, ....  The cylinder's endpoints
-    b/d and p/q form a unimodular pair, so a bounded cylinder has width
-    exactly 1/|d*q| (an unbounded one has d*q = 0), and width < goal
-    iff goal_den < goal_num * |d*q|; the test compares bit lengths
-    first, so the product is formed only on the last few symbols.  A shallow
-    goal, one the bit bound below does not rule out for _GALLOP_MIN
-    symbols, is met within a few dozen: each symbol steps all four
-    entries of the matrix, a 1 after a 1 raises, and the matrix held
-    is returned, with no table, search or rebuild (as _walk_segments'
-    tail steps a run).  A deeper goal steps only the matrix's bottom
-    row (c, d), which the test reads alone; the first "11" is found
-    before that walk, by one search of the shifted stream's byte
-    tables, the test runs only at the symbols where a bound on the
-    growth of the row's bit lengths allows it to pass, and the full
-    matrix of the prefix that is returned is built once, by squaring
-    the period matrix (_prefix_matrix).
-
-    A segmented stream is read segment by segment instead, with the same
-    result (see _walk_segments).
+    The cylinder's endpoints b/d and p/q form a unimodular pair, so a
+    bounded cylinder has width exactly 1/|d*q| (an unbounded one has
+    d*q = 0), and width < goal iff goal_den < goal_num * |d*q|; the test
+    compares bit lengths first, so the product is formed only on the
+    last few symbols.  A periodic stream at a shallow goal, one the bit
+    bound below does not rule out for _GALLOP_MIN symbols, is met within
+    a few dozen symbols: each costs one symbol_at call (past the
+    preperiod, one index n % q into the period list held in phase) and
+    steps all four entries of the matrix, a 1 after a 1 raises, and the
+    matrix held is returned (as _walk_segments' tail steps a run).  Any
+    other stream, a segmented one or a periodic one at a deeper goal, is
+    read run by run by _walk_segments, with the same result: a periodic
+    stream's runs are its preperiod in pieces of at most _PRE_RUN
+    symbols, stepped, then its period rotated to phase forever, whose
+    whole periods are galloped in O(log n) multiplies.
     """
     # goal_num * |d*q| has at most goal_num's bits + d's bits + q's bits;
     # while d's + q's are at most this, it is below goal_den
     short_bits = goal_den.bit_length() - goal_num.bit_length() - 1
-    if s._cycle is None:  # no tables: a segmented stream
-        return _walk_segments(s, k, max_prefix, goal_num, goal_den, short_bits)
-    # Width tests that cannot pass are skipped.  A step maps the bottom
-    # row (c, d) to (d, c + d) after a 0 and to (-d, c + d) after a 1, so
-    # row = max(bits(c), bits(d)) grows by at most 1 per symbol.  q is an
-    # entry of the previous row: its d, which is now +-c, after a 0, or
-    # its c, which is now c + d, after a 1.  So bits(q) <= row + 1 and
-    # bits(d) + bits(q) <= 2*row + 1, while the test needs that sum above
-    # short_bits: after the bit test fails at index i, no index before
-    # i + 1 + (short_bits - 1)//2 - row can pass it.
+    # A step maps the bottom row (c, d) to (d, c + d) after a 0 and to
+    # (-d, c + d) after a 1, so row = max(bits(c), bits(d)) grows by at
+    # most 1 per symbol.  q is an entry of the previous row: its d, which
+    # is now +-c, after a 0, or its c, which is now c + d, after a 1.  So
+    # bits(q) <= row + 1 and bits(d) + bits(q) <= 2*row + 1, while the
+    # test needs that sum above short_bits: from a row of r bits, the
+    # next half - r symbols cannot pass it.
     half = (short_bits - 1) // 2
-    symbol_at = s.symbol_at
-    if half < _GALLOP_MIN:  # shallow: _walk_segments' tail over symbol_at (d, q >= 0: no abs)
-        a, b, c, d = 1, 0, 0, 1
-        prev = 0
-        for i in range(k, k + max_prefix):
-            if symbol_at(i):
-                if prev:
-                    raise InadmissibleWordError(
-                        "stream prefix contains '11' at index %d" % (i - k))
-                a, b, c, d = -b, a + b, -d, c + d
-                q, prev = c + d, 1
-            else:
-                a, b, c, d = b, a + b, d, c + d
-                q, prev = c, 0
-            if d.bit_length() + q.bit_length() > short_bits and goal_den < goal_num * d * q:
-                return (a, b, c, d), prev, i + 1 - k, True
-        return (a, b, c, d), prev, max_prefix, False
-    pre, per = _periodic_tables(s, k, max_prefix)
-    # pre + per + per is a prefix of the shifted stream holding each of its
-    # adjacent pairs, so its first "11" inside the first max_prefix symbols
-    # is the stream's: bad is the index of that "11"'s second symbol counted
-    # from k, 0 for none
-    bad = (pre + per + per).find(b"\1\1", 0, max_prefix) + 1
-    c, d = 0, 1  # the bottom row of the prefix's matrix
-    test_at = k
-    for i in range(k, k + (bad or max_prefix)):
-        sym = symbol_at(i)
-        if sym:
-            c, d = -d, c + d
+    if s._cycle is None or half >= _GALLOP_MIN:
+        return _walk_segments(s, k, max_prefix, goal_num, goal_den, short_bits)
+    symbol_at = s.symbol_at  # shallow: _walk_segments' tail over symbol_at (d, q >= 0: no abs)
+    a, b, c, d = 1, 0, 0, 1
+    prev = 0
+    for i in range(k, k + max_prefix):
+        if symbol_at(i):
+            if prev:
+                raise InadmissibleWordError(
+                    "stream prefix contains '11' at index %d" % (i - k))
+            a, b, c, d = -b, a + b, -d, c + d
+            q, prev = c + d, 1
         else:
-            c, d = d, c + d
-        if i >= test_at:
-            # d and q: denominators of the images of 0 and of 1 or infinity
-            q = c + d if sym else c
-            if d.bit_length() + q.bit_length() <= short_bits:
-                test_at = i + 1 + half - max(c.bit_length(), d.bit_length())
-            elif goal_den < goal_num * abs(d * q):
-                n = i + 1 - k
-                return _prefix_matrix(pre, per, n), sym, n, True
-    if bad:
-        raise InadmissibleWordError("stream prefix contains '11' at index %d" % bad)
-    return _prefix_matrix(pre, per, max_prefix), sym, max_prefix, False
+            a, b, c, d = b, a + b, d, c + d
+            q, prev = c, 0
+        if d.bit_length() + q.bit_length() > short_bits and goal_den < goal_num * d * q:
+            return (a, b, c, d), prev, i + 1 - k, True
+    return (a, b, c, d), prev, max_prefix, False
 
 
 def _walk_segments(s: CodeStream, k: int, max_prefix: int, goal_num: int, goal_den: int,
                    short_bits: int):
-    """_enclose on a segmented stream: each run stepped, or read in O(log run) multiplies.
+    """_enclose run by run: each run stepped, or read in O(log run) multiplies.
 
     Reads s's runs from index k on (run_at(k + i)), counting the prefix
-    from k.  A run of r >= 2 whole periods of a word w (no "11" in w,
-    across the seam between repetitions, or at the join with the symbol
-    before) may be consumed whole periods first: the most periods after
-    which the width goal is still unmet, which is exact because cylinders
-    are nested, so "goal met" is monotone in the prefix length.  At most
-    one more period is then read symbol by symbol, as is every other
-    segment.  A run of phi's neutral 3-cycle (w is a power of 100, 010 or
-    001; its matrix W has trace 2 and det 1) costs O(1) multiplies and
-    one floor division, whatever r (_neutral_periods).  Any other run is
-    galloped over W, W^2, W^4, ... and then descended, in O(log r)
-    multiplies, only when the bit bound of _enclose's periodic kernel
-    proves that the next _GALLOP_MIN symbols cannot meet the goal;
-    galloping only forms powers up to about the size the goal needs, and
-    from the empty prefix its first step takes W itself.  Below that
-    bound the run is stepped symbol by symbol, up to the goal: a shallow
-    goal is met within a few dozen symbols, and stepping them costs less
-    than forming W and its powers.  The width test is _enclose's, without abs:
-    d, q >= 0 along an admissible word (see _endpoints).
+    from k: a segmented stream's segments, or a periodic stream's
+    preperiod in short runs and then its period forever.  A run of
+    r >= 2 whole periods of a word w (no "11" in w, across the seam
+    between repetitions, or at the join with the symbol before) may be
+    consumed whole periods first: the most periods after which the width
+    goal is still unmet, which is exact because cylinders are nested, so
+    "goal met" is monotone in the prefix length.  At most one more
+    period is then read symbol by symbol, as is every other run.  A run
+    of phi's neutral 3-cycle (w is a power of 100, 010 or 001; its
+    matrix W has trace 2 and det 1) costs O(1) multiplies and one floor
+    division, whatever r (_neutral_periods).  Any other run is galloped
+    over W, W^2, W^4, ... and then descended, in O(log r) multiplies,
+    only when the bit bound (see _enclose) proves that the next
+    _GALLOP_MIN symbols cannot meet the goal; galloping only forms
+    powers up to about the size the goal needs, and from the empty
+    prefix its first step takes W itself.  Below that bound the run is
+    stepped symbol by symbol, up to the goal: a shallow goal is met
+    within a few dozen symbols, and stepping them costs less than
+    forming W and its powers.  The width test is _enclose's, without
+    abs: d, q >= 0 along an admissible word (see _endpoints).
     """
     half = (short_bits - 1) // 2  # see _enclose: the next half - row symbols fail the test
     m = (1, 0, 0, 1)

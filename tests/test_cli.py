@@ -239,6 +239,16 @@ class TestCommands:
         assert (payload["enclosure"], payload["prefix_used"]) == \
             ("5274724/1100899..6665999/1391275", 52)
 
+    def test_point_past_the_int_string_limit(self, capsys):
+        # the width's denominator has more digits than Python's default
+        # int-to-str limit (4300), which would refuse to print it
+        code, out = run(capsys, "point", "(01)", "--precision", "1e-5000",
+                        "--max-prefix", "100000", "--format", "json")
+        assert code == 0
+        payload = json.loads(out)
+        num, den = payload["width"].split("/")
+        assert payload["width_goal_met"] and num == "1" and den.isdigit() and len(den) > 4300
+
     def test_conjugacy_all_rows_check(self, capsys):
         code, out = run(capsys, "conjugacy", "--level", "3", "--format", "csv")
         assert code == 0

@@ -34,8 +34,7 @@ from fareyshift.coding import (
     _interval_of,
     _mul,
     _neutral_periods,
-    _periodic_tables,
-    _prefix_matrix,
+    _steps,
     _word_matrix,
     admissible_words,
     code_of_rational,
@@ -153,7 +152,7 @@ def _read_limited(s):
     """A segmented stream's runs with each word read-limited (_ReadLimitedWord):
     the same symbols and segments, so a walk that reads a long run of a
     library-built stream symbol by symbol fails at once instead of running on."""
-    assert s.kind == "procedural", s  # a periodic stream is read by _enclose's own kernel
+    assert s.kind == "procedural", s  # wrapping a periodic stream would make it segmented
 
     def runs(n):
         word, end = s.run_at(n)
@@ -657,8 +656,78 @@ def _bits(word):
     return bytes(int(ch) for ch in word)
 
 
+def _periodic_tables(s, k, n):
+    """The preperiod of s shifted by k, cut at n, and its period from there on, as 0/1 bytes:
+    the preperiod sliced from s's string, the period off _cycle rotated to index max(p, k)."""
+    p, off = s._p, s._offset
+    pre = s._pre[off + k:off + min(p, k + n)]  # empty when k >= p
+    j, cycle = (p if p > k else k) % s._q, s._cycle
+    return _bits(pre), bytes(cycle[j:] + cycle[:j])
+
+
+def _prefix_matrix(pre, per, n):
+    """The matrix of the first n symbols of pre + per + per + ... (0/1 bytes).
+
+    With p = |pre|, q = |per| and k, r = divmod(n - p, q) it is
+    Pre * W^k * R (W the period's matrix, R its first r symbols'), W^k
+    formed by squaring when k >= 2, reading k's bits from the top so
+    that every other multiply is by W itself; shorter prefixes are
+    stepped symbol by symbol.
+    """
+    p = len(pre)
+    k, r = divmod(n - p, len(per))
+    if k < 2:
+        return _steps((1, 0, 0, 1), (pre + per + per)[:n])
+    w = power = _steps((1, 0, 0, 1), per)
+    for bit in bin(k)[3:]:
+        power = _mul(power, power)
+        if bit == "1":
+            power = _mul(power, w)
+    m = _mul(_steps((1, 0, 0, 1), pre), power) if p else power
+    return _steps(m, per[:r])
+
+
+def _enclose_by_kernel(s, k, max_prefix, goal_num, goal_den):
+    """_enclose on a periodic stream as the bottom-row kernel read it, at any goal.
+
+    The first "11" is found before the walk, by one search of the shifted
+    stream's byte tables; each symbol (one symbol_at call) steps only the
+    bottom row (c, d), which the width test reads alone; the test runs
+    only at the symbols where the bit bound on the row's growth lets it
+    pass (see test_bit_growth_bound_exhaustive_to_16); and the full
+    matrix of the prefix returned is built once, by _prefix_matrix.
+    """
+    short_bits = goal_den.bit_length() - goal_num.bit_length() - 1
+    half = (short_bits - 1) // 2
+    pre, per = _periodic_tables(s, k, max_prefix)
+    # pre + per + per is a prefix of the shifted stream holding each of its
+    # adjacent pairs, so its first "11" inside the first max_prefix symbols
+    # is the stream's: bad is the index of that "11"'s second symbol counted
+    # from k, 0 for none
+    bad = (pre + per + per).find(b"\1\1", 0, max_prefix) + 1
+    c, d = 0, 1
+    test_at = k
+    for i in range(k, k + (bad or max_prefix)):
+        sym = s.symbol_at(i)
+        if sym:
+            c, d = -d, c + d
+        else:
+            c, d = d, c + d
+        if i >= test_at:
+            q = c + d if sym else c
+            if d.bit_length() + q.bit_length() <= short_bits:
+                test_at = i + 1 + half - max(c.bit_length(), d.bit_length())
+            elif goal_den < goal_num * abs(d * q):
+                n = i + 1 - k
+                return _prefix_matrix(pre, per, n), sym, n, True
+    if bad:
+        raise InadmissibleWordError("stream prefix contains '11' at index %d" % bad)
+    return _prefix_matrix(pre, per, max_prefix), sym, max_prefix, False
+
+
 class TestPrefixMatrix:
-    """_prefix_matrix against its definition, the matrix of the prefix's word."""
+    """_prefix_matrix, the bottom-row kernel's rebuild, against its definition,
+    the matrix of the prefix's word."""
 
     @staticmethod
     def _assert_matches_the_word(s, k, n):
@@ -785,7 +854,7 @@ class TestPointOfCode:
 
     # the first "11" inside the preperiod, at its join with the period,
     # inside the period and across the seam between two periods; at a goal
-    # of 1/800 the shallow loop meets it on a 1, at 10^-30 the kernel's search
+    # of 1/800 the shallow loop meets it on a 1, at 10^-30 the segment walk
     @pytest.mark.parametrize("pre, per, bad", [
         ("0110", "0", 2), ("01", "10", 2), ("", "0110", 2), ("", "1001", 4)])
     def test_first_11_found_up_front(self, pre, per, bad):
@@ -820,7 +889,7 @@ class TestPointOfCode:
         assert enc.width_ok and enc.prefix_len < 31
         assert enc == _point_of_code_reference(s, 100, Fraction(1, 100))
 
-    # the periodic kernel and the segment walk read the goal apart
+    # a periodic stream's shallow loop and the segment walk read the goal apart
     GOAL_STREAMS = [CodeStream.periodic("1", "00100"), mu_code("0110").shifted(121)]
 
     @pytest.mark.parametrize("goals", [
@@ -863,8 +932,8 @@ class TestPointOfCode:
         if iv.is_bounded:
             assert iv.width() == Fraction(1, iv.lo.den * iv.hi.den)
 
-    # each exit of the periodic kernel: the goal met at some index, and
-    # max_prefix reached with width_ok False, many whole periods in
+    # each exit of a deep periodic enclosure: the goal met at some index,
+    # and max_prefix reached with width_ok False, many whole periods in
     @pytest.mark.parametrize("pre, per, max_prefix, goal, width_ok", [
         ("1", "00100", 10 ** 4, Fraction(1, 10 ** 60), True),
         ("", "0", 10 ** 4, Fraction(1, 10 ** 300), True),
@@ -886,7 +955,7 @@ class TestPointOfCode:
     def test_goals_at_each_cylinder_width(self):
         # goals at and just above the width 1/(d*q) of a cylinder: the
         # sharpest cases for the stopping compare, of the shallow loop on
-        # every short word and of the bottom-row kernel on drawn long ones
+        # every short word and of the segment walk on drawn long ones
         rng = random.Random(12)
         long_words = []
         while len(long_words) < 12:
@@ -918,9 +987,9 @@ class TestPointOfCode:
         assert iv.width() == Fraction(1, iv.lo.den * iv.hi.den) < goal
 
     def test_bit_growth_bound_exhaustive_to_16(self):
-        # the bound point_of_code skips width tests by: with
-        # row = max(bits(c), bits(d)), bits(d) + bits(q) <= 2*row + 1,
-        # and row grows by at most 1 per symbol
+        # the bound the gallop gate reads (and _enclose_by_kernel skips
+        # width tests by): with row = max(bits(c), bits(d)),
+        # bits(d) + bits(q) <= 2*row + 1, and row grows by at most 1 per symbol
         def row(m):
             return max(m[2].bit_length(), m[3].bit_length())
 
@@ -1370,8 +1439,9 @@ class TestGallopGate:
 
 class TestPeriodicGate:
     """A periodic stream whose goal's bound is below _GALLOP_MIN is stepped on
-    the whole matrix, with no _prefix_matrix rebuild; a deeper goal is read
-    by the bottom-row kernel, which rebuilds the matrix once."""
+    the whole matrix by _enclose's shallow loop; a deeper goal is read by
+    _walk_segments, which gallops the period, with the same tuple as the
+    bottom-row kernel it replaced (_enclose_by_kernel)."""
 
     @pytest.mark.parametrize("s, k", [
         (CodeStream.periodic("", "0"), 0),
@@ -1381,7 +1451,7 @@ class TestPeriodicGate:
         (CodeStream.periodic("0100100", "00101"), 3),
     ], ids=repr)
     def test_enclosures_at_the_gate(self, s, k, monkeypatch):
-        counts = _counting_calls(monkeypatch, "_prefix_matrix")
+        counts = _counting_calls(monkeypatch, "_walk_segments")
         goals = [Fraction(num, 2 ** e) for e in range(40, 70) for num in (1, 5)
                  if abs(_half(Fraction(num, 2 ** e)) - _GALLOP_MIN) <= 1]
         assert {_half(goal) - _GALLOP_MIN for goal in goals} == {-1, 0, 1}
@@ -1394,6 +1464,53 @@ class TestPeriodicGate:
                 want = _point_of_code_reference(t, budget, goal)
                 assert PointEnclosure(_interval_of(m, last), n, ok) == want, (goal, budget)
                 assert counts[-1] == (_half(goal) >= _GALLOP_MIN), (goal, budget, counts[-1])
+
+    def test_a_deep_goal_costs_logarithmic_multiplies(self, monkeypatch):
+        # (01) at 10^-2000 and 10^-20000 (about 9600 and 95700 symbols):
+        # the period is galloped, read by no symbol_at call, and ten times
+        # the symbols costs about 2 log2(10) more multiplies
+        muls = _counting_calls(monkeypatch, "_mul")
+        reads = [0]
+
+        def symbol_at(stream, n):
+            reads[0] += 1
+            return CodeStream.symbol_at(stream, n)
+
+        s = CodeStream.periodic("", "01")
+        monkeypatch.setattr(CodeStream, "symbol_at", symbol_at)
+        monkeypatch.setattr(CodeStream, "__getitem__", symbol_at)
+        for e in (2000, 20000):
+            muls.append(0)
+            _, _, n, ok = _enclose(s, 0, 10 ** 6, 1, 10 ** e)
+            assert ok and n > 4 * e, (e, n)
+        assert reads == [0]
+        assert 0 < muls[-2] < muls[-1] <= muls[-2] + 12, muls
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.one_of(admissible_periodic_codes, periodic_codes, rational_and_unbounded_codes),
+           st.integers(0, 16), st.integers(0, 16),
+           st.builds(lambda num, e: Fraction(num, 2 ** e), st.integers(1, 1000),
+                     st.integers(40, 3000)),
+           st.integers(0, 400))
+    @example(CodeStream.periodic("0100100", "00101"), 3, 5, Fraction(1, 2 ** 500), 7)
+    @example(CodeStream.periodic("0", "1001"), 0, 2, Fraction(1, 2 ** 200), 0)  # "11" at a seam
+    def test_matches_the_bottom_row_kernel(self, s, shift, k, goal, extra):
+        # shifts of the stream and offsets k inside and past its preperiod;
+        # budgets around the kernel's stop (its "11" for an inadmissible one)
+        t, num, den = s.shifted(shift), goal.numerator, goal.denominator
+        try:
+            stop = _enclose_by_kernel(t, k, 2000, num, den)[2]
+        except InadmissibleWordError as exc:
+            stop = int(str(exc).rsplit(" ", 1)[1])
+        for budget in sorted({1, stop - 1, stop, stop + 1, stop + extra} - {0}):
+            try:
+                want = _enclose_by_kernel(t, k, budget, num, den)
+            except InadmissibleWordError as exc:
+                with pytest.raises(InadmissibleWordError) as got:
+                    _enclose(t, k, budget, num, den)
+                assert str(got.value) == str(exc), (t, k, budget, goal)
+                continue
+            assert _enclose(t, k, budget, num, den) == want, (t, k, budget, goal)
 
 
 def _assert_enclose_matches(s, k, max_prefix, goal):
@@ -1437,7 +1554,7 @@ class TestEncloseKernel:
     def _assert_codes_enclose_alike(cls, x, shifts, caps):
         """x's escape word typed as a preperiod, and x's own code, a segmented
         stream: each _enclose matches point_of_code of the shift, and the
-        segment walk over the code's runs returns the periodic kernel's tuple."""
+        segment walk over the code's runs returns the typed code's tuple."""
         s, code = CodeStream.periodic(escape_word(x), "010"), _read_limited(code_of_rational(x))
         for k in shifts:
             for cap in caps:
