@@ -14,6 +14,7 @@ a chain of periodic runs, read from an offset.
 
 from __future__ import annotations
 
+import math
 from bisect import bisect_right
 from fractions import Fraction
 from collections import namedtuple
@@ -340,26 +341,14 @@ def _enclose(s: CodeStream, k: int, max_prefix: int, goal_num: int, goal_den: in
     Returns (matrix, last_symbol, prefix_len, width_ok): the matrix of
     the consumed prefix and its last symbol, whose _endpoints are the
     enclosure.  The goal goal_num/goal_den must be positive and
-    max_prefix at least 1 (unchecked here); no shifted stream and no
-    record is built, and an InadmissibleWordError names the index of
-    the "11" counted from k.
-
-    The cylinder's endpoints b/d and p/q form a unimodular pair, so a
-    bounded cylinder has width exactly 1/|d*q| (an unbounded one has
-    d*q = 0), and width < goal iff goal_den < goal_num * |d*q|; the test
-    compares bit lengths first, so the product is formed only on the
-    last few symbols.  A periodic stream at a shallow goal, one the bit
-    bound below does not rule out for _GALLOP_MIN symbols, is met within
-    a few dozen symbols: each costs one symbol_at call (past the
-    preperiod, one index n % q into the period list held in phase) and
-    steps all four entries of the matrix, a 1 after a 1 raises, and the
-    matrix held is returned (as _walk_segments' tail steps a run).  Any
-    other stream, a segmented one or a periodic one at a deeper goal, is
-    read run by run by _walk_segments, with the same result: a periodic
-    stream's runs are its preperiod in pieces of at most _PRE_RUN
-    symbols, stepped, then its period rotated to phase forever, whose
-    whole periods are galloped in O(log n) multiplies.
-    """
+    max_prefix at least 1 (unchecked); no shifted stream or record is
+    built, and an InadmissibleWordError names the index of the "11"
+    counted from k.  A cylinder's endpoints b/d and p/q are a unimodular
+    pair, so its width is 1/|d*q| (d*q = 0: unbounded), below the goal
+    iff goal_den < goal_num * |d*q|.  A periodic stream at a goal the
+    bit bound below does not rule out for _GALLOP_MIN symbols is stepped
+    here on all four entries, one symbol_at call a symbol; any other
+    stream is read run by run by _walk_segments, with the same result."""
     # goal_num * |d*q| has at most goal_num's bits + d's bits + q's bits;
     # while d's + q's are at most this, it is below goal_den
     short_bits = goal_den.bit_length() - goal_num.bit_length() - 1
@@ -393,30 +382,18 @@ def _enclose(s: CodeStream, k: int, max_prefix: int, goal_num: int, goal_den: in
 
 def _walk_segments(s: CodeStream, k: int, max_prefix: int, goal_num: int, goal_den: int,
                    short_bits: int):
-    """_enclose run by run: each run stepped, or read in O(log run) multiplies.
+    """_enclose run by run: each run stepped, or read in whole periods at once.
 
-    Reads s's runs from index k on (run_at(k + i)), counting the prefix
-    from k: a segmented stream's segments, or a periodic stream's
-    preperiod in short runs and then its period forever.  A run of
-    r >= 2 whole periods of a word w (no "11" in w, across the seam
-    between repetitions, or at the join with the symbol before) may be
-    consumed whole periods first: the most periods after which the width
-    goal is still unmet, which is exact because cylinders are nested, so
-    "goal met" is monotone in the prefix length.  At most one more
-    period is then read symbol by symbol, as is every other run.  A run
-    of phi's neutral 3-cycle (w is a power of 100, 010 or 001; its
-    matrix W has trace 2 and det 1) costs O(1) multiplies and one floor
-    division, whatever r (_neutral_periods).  Any other run is galloped
-    over W, W^2, W^4, ... and then descended, in O(log r) multiplies,
-    only when the bit bound (see _enclose) proves that the next
-    _GALLOP_MIN symbols cannot meet the goal; galloping only forms
-    powers up to about the size the goal needs, and from the empty
-    prefix its first step takes W itself.  Below that bound the run is
-    stepped symbol by symbol, up to the goal: a shallow goal is met
-    within a few dozen symbols, and stepping them costs less than
-    forming W and its powers.  The width test is _enclose's, without
-    abs: d, q >= 0 along an admissible word (see _endpoints).
-    """
+    Reads s's runs from index k on, counting the prefix from k: a segmented
+    stream's segments, or a periodic stream's preperiod in pieces of at most
+    _PRE_RUN symbols and then its period in phase forever.  A run of r >= 2
+    periods of a word with no "11" (inside, across its seam or at its join)
+    first takes the most whole periods that leave the goal unmet (exact:
+    cylinders nest), in closed form for the neutral 3-cycle's powers
+    (_neutral_periods), else by one predicted power (_whole_periods) where
+    the bit bound (see _enclose) proves the next _GALLOP_MIN symbols cannot
+    meet the goal.  The rest is stepped with _enclose's width test (no abs:
+    d, q >= 0 along an admissible word, see _endpoints)."""
     half = (short_bits - 1) // 2  # see _enclose: the next half - row symbols fail the test
     m = (1, 0, 0, 1)
     prev = 0
@@ -428,31 +405,13 @@ def _walk_segments(s: CodeStream, k: int, max_prefix: int, goal_num: int, goal_d
         reps = count // size
         done = 0
         if reps >= 2 and not (prev and word[0] == "1"):
-            t = 0
+            t, last = 0, int(word[-1])
             if word[:3] in _CYCLE_CODE and word == word[:3] * (size // 3):  # neutral, no "11"
-                last = int(word[-1])
                 m, t = _neutral_periods(m, _word_matrix(word), last, reps, goal_den // goal_num, i)
             elif (half - max(m[2].bit_length(), m[3].bit_length()) >= _GALLOP_MIN
                     and "11" not in word + word):
-                last = int(word[-1])
-                powers = [_word_matrix(word)]  # powers[j] = W^(2^j)
-                j = 0
-                while t + (1 << j) <= reps:
-                    if j == len(powers):
-                        powers.append(_mul(powers[-1], powers[-1]))
-                    nxt = _mul(m, powers[j]) if i or t else powers[j]
-                    d, q = nxt[3], (nxt[2] + nxt[3] if last else nxt[2])
-                    if d.bit_length() + q.bit_length() > short_bits and goal_den < goal_num * d * q:
-                        break
-                    m, t, j = nxt, t + (1 << j), j + 1
-                while j:
-                    j -= 1
-                    if t + (1 << j) <= reps:
-                        nxt = _mul(m, powers[j])
-                        d, q = nxt[3], (nxt[2] + nxt[3] if last else nxt[2])
-                        if (d.bit_length() + q.bit_length() <= short_bits
-                                or goal_den >= goal_num * d * q):
-                            m, t = nxt, t + (1 << j)
+                m, t = _whole_periods(m, _word_matrix(word), last, reps, goal_num, goal_den,
+                                      short_bits, i)
             if t:
                 prev, done = last, t * size
         a, b, c, d = m
@@ -473,9 +432,50 @@ def _walk_segments(s: CodeStream, k: int, max_prefix: int, goal_num: int, goal_d
     return m, prev, max_prefix, False
 
 
+def _whole_periods(m, w, last, reps, goal_num, goal_den, short_bits, i):
+    """(m * W^t, t) for the most whole periods t <= reps of a word that is not
+    neutral after which the goal is unmet; i is 0 when m is the identity.
+
+    W^t = U_t*W - det*U_(t-1)*I (Cayley-Hamilton; U from _lucas), at a t
+    predicted from d*q after one period and W's spectral radius rho > 1 (logs
+    of ints: a long period's trace overflows a float), corrected exactly: down
+    by W^-1 = det*adj(W) while the goal is met, else up by W while unmet."""
+    def met(x):
+        d, q = x[3], (x[2] + x[3] if last else x[2])
+        return d.bit_length() + q.bit_length() > short_bits and goal_den < goal_num * d * q
+
+    mw = _mul(m, w) if i else w
+    a, b, c, d = w
+    p, det = a + d, a * d - b * c
+    log_rho = math.log2(abs(p)) + math.log2((1 + math.sqrt(1 - 4 * det / (p * p))) / 2)
+    dq = mw[3] * (mw[2] + mw[3] if last else mw[2]) or 1  # d = 0 while unbounded
+    t = 1 + math.floor((math.log2(goal_den) - math.log2(goal_num * dq)) / (2 * log_rho))
+    t = min(max(t, 1), reps)
+    u, v = _lucas(p, det, t - 1)  # U_(t-1), U_t
+    du = det * u
+    x = (v * mw[0] - du * m[0], v * mw[1] - du * m[1], v * mw[2] - du * m[2],
+         v * mw[3] - du * m[3])
+    if met(x):  # down, to t = 0 and x = m at the least (one period meets the goal)
+        while t and met(x):
+            x, t = _mul(x, (det * d, -det * b, -det * c, det * a)), t - 1  # W^-1 = det*adj(W)
+        return x, t
+    while t < reps and not met(nxt := _mul(x, w)):
+        x, t = nxt, t + 1
+    return x, t
+
+
+def _lucas(p: int, det: int, n: int) -> tuple[int, int]:
+    """(U_n, U_(n+1)) of U_0 = 0, U_1 = 1, U_(j+1) = p*U_j - det*U_(j-1), doubling per bit of n."""
+    u, v = 0, 1
+    for j in range(n.bit_length() - 1, -1, -1):
+        u, v = u * (2 * v - p * u), v * v - det * u * u
+        if n >> j & 1:
+            u, v = v, p * v - det * u
+    return u, v
+
+
 def _neutral_periods(m, w, last: int, reps: int, g: int, i: int):
-    """(m * W^t, t) for the most whole periods t <= reps of a neutral word w
-    after which the width goal is unmet, d*q <= g; i is 0 when m is the identity.
+    """_whole_periods for a neutral word w, the goal unmet while d*q <= g.
 
     W = I + N with N^2 = 0 (trace 2, det 1), so m * W^t = m + t * (m * N).
     W's one fixed point is rational and periodic, so it is infinity, 0 or

@@ -1,6 +1,8 @@
+import inspect
 import itertools
 import math
 import random
+import sys
 from fractions import Fraction
 
 import pytest
@@ -1101,10 +1103,10 @@ class TestSegmentWalk:
     @pytest.mark.parametrize("lead", [[], [("0", 1)]])
     def test_long_first_run(self, word, lead):
         # a first run of over 2^10 periods: a shallow goal (10^-1 to 10^-12)
-        # does not start the gallop at W, the run is stepped up to the goal;
-        # from 10^-40 on the gallop from the empty prefix (no leading symbol)
-        # starts at W itself and climbs and descends many levels, and behind
-        # a leading symbol it multiplies from the start
+        # does not form a power of W, the run is stepped up to the goal; from
+        # 10^-40 on the run's whole periods are one power, of W itself from
+        # the empty prefix (no leading symbol) and of the lead times W behind
+        # a leading symbol, clamped to the run where the goal outlasts it
         reps = 2 ** 10 + 37
         s = _pieces_stream(lead + [(word, reps), ("0", None)])
         for k in (1, 3, 12, 40, 100, 200, 300):
@@ -1269,6 +1271,37 @@ def _counting_calls(monkeypatch, name):
     return counts
 
 
+def _recording_lucas(monkeypatch):
+    """Wrap coding._lucas: a list of (n, doublings) per call, doublings being
+    how many times its doubling line ran, counted by a line tracer on its frame."""
+    func = coding._lucas
+    lines, first = inspect.getsourcelines(func)
+    doubling = first + next(j for j, line in enumerate(lines) if "v * v" in line)
+    calls = []
+
+    def recording(p, det, n):
+        hits = [0]
+
+        def trace(frame, event, arg):
+            if frame.f_code is not func.__code__:
+                return None
+            if event == "line" and frame.f_lineno == doubling:
+                hits[0] += 1
+            return trace
+
+        old = sys.gettrace()
+        sys.settrace(trace)
+        try:
+            out = func(p, det, n)
+        finally:
+            sys.settrace(old)
+        calls.append((n, hits[0]))
+        return out
+
+    monkeypatch.setattr(coding, "_lucas", recording)
+    return calls
+
+
 class TestNeutralRuns:
     """Runs of phi's neutral 3-cycle, read in closed form, against the gallop."""
 
@@ -1396,14 +1429,16 @@ def _gate_bound(m, goal):
 
 
 class TestGallopGate:
-    """A run that is not neutral is galloped only where the bit bound rules
-    out _GALLOP_MIN symbols; a shallower goal steps it, with the same tuple."""
+    """A run that is not neutral is read in whole periods only where the bit
+    bound rules out _GALLOP_MIN symbols; a shallower goal steps it, with the
+    same tuple."""
 
     @pytest.mark.parametrize("word", ["0", "000", "00101", "1000000"])
     @pytest.mark.parametrize("lead", ["", "0"], ids=["none", "0"])
     def test_walk_at_the_gate(self, word, lead, monkeypatch):
         # over 2^14 periods; goals whose bound is _GALLOP_MIN - 1 (stepped,
-        # no multiply), _GALLOP_MIN and _GALLOP_MIN + 1 (galloped); budgets
+        # no multiply), _GALLOP_MIN and _GALLOP_MIN + 1 (one power, then a
+        # multiply at least, the check of one more period); budgets
         # ending inside the stepped stretch, at the goal and past the run
         counts = _counting_calls(monkeypatch, "_mul")
         reps = 2 ** 14 + 37  # more symbols than _ReadLimitedWord lets a walk step
@@ -1425,23 +1460,33 @@ class TestGallopGate:
 
     def test_mu_zero_run_multiplies(self, monkeypatch):
         # mu's zero run at 122 (up to 241): the scramble goal eps/8 = 1/800,
-        # met after 9 symbols, is stepped with no multiply (galloping to it
-        # takes 9); the deep goals are galloped
+        # met after 9 symbols, is stepped with no multiply; a deep goal takes
+        # one predicted power per run of 0 and a multiply per correction (the
+        # power-table gallop made 15, 16 and 88): at 10^-20, 48 periods
+        # predicted and 49 right, one step up and one check; at 10^-40, 96
+        # and one check; at 10^-300 five runs of 119 periods, the power
+        # clamped to the run (a multiply by the lead for each run but the
+        # first), then 123 periods of the run from 600 on and one check
         counts = _counting_calls(monkeypatch, "_mul")
+        calls = _recording_lucas(monkeypatch)
         mu = _read_limited(mu_code("011010"))
         assert mu.run_at(122) == ("0", 241)
-        for goal, want in ((Fraction(1, 800), 0), (Fraction(1, 10 ** 20), 15),
-                           (Fraction(1, 10 ** 40), 16), (Fraction(1, 10 ** 300), 88)):
+        for goal, want, indices in ((Fraction(1, 800), 0, []),
+                                    (Fraction(1, 10 ** 20), 2, [47]),
+                                    (Fraction(1, 10 ** 40), 1, [95]),
+                                    (Fraction(1, 10 ** 300), 6, [118] * 5 + [122])):
             counts.append(0)
+            calls.clear()
             _enclose(mu, 122, 10 ** 5, goal.numerator, goal.denominator)
             assert counts[-1] == want, goal
+            assert calls == [(n, n.bit_length()) for n in indices], (goal, calls)
 
 
 class TestPeriodicGate:
     """A periodic stream whose goal's bound is below _GALLOP_MIN is stepped on
     the whole matrix by _enclose's shallow loop; a deeper goal is read by
-    _walk_segments, which gallops the period, with the same tuple as the
-    bottom-row kernel it replaced (_enclose_by_kernel)."""
+    _walk_segments, which reads the period's whole periods in one power, with
+    the same tuple as the bottom-row kernel (_enclose_by_kernel)."""
 
     @pytest.mark.parametrize("s, k", [
         (CodeStream.periodic("", "0"), 0),
@@ -1466,10 +1511,13 @@ class TestPeriodicGate:
                 assert counts[-1] == (_half(goal) >= _GALLOP_MIN), (goal, budget, counts[-1])
 
     def test_a_deep_goal_costs_logarithmic_multiplies(self, monkeypatch):
-        # (01) at 10^-2000 and 10^-20000 (about 9600 and 95700 symbols):
-        # the period is galloped, read by no symbol_at call, and ten times
-        # the symbols costs about 2 log2(10) more multiplies
+        # (01) at 10^-2000 and 10^-20000 (9572 and 95700 symbols): the period
+        # is read by no symbol_at call, in one power whose Lucas pair takes a
+        # doubling per bit of the 4785 and 47849 periods predicted (13 and 16),
+        # and one multiply, the check that one more period meets the goal
+        # (the power-table gallop made 36 and 45)
         muls = _counting_calls(monkeypatch, "_mul")
+        calls = _recording_lucas(monkeypatch)
         reads = [0]
 
         def symbol_at(stream, n):
@@ -1484,7 +1532,8 @@ class TestPeriodicGate:
             _, _, n, ok = _enclose(s, 0, 10 ** 6, 1, 10 ** e)
             assert ok and n > 4 * e, (e, n)
         assert reads == [0]
-        assert 0 < muls[-2] < muls[-1] <= muls[-2] + 12, muls
+        assert muls == [0, 1, 1]
+        assert calls == [(4784, 13), (47848, 16)]
 
     @settings(max_examples=300, deadline=None)
     @given(st.one_of(admissible_periodic_codes, periodic_codes, rational_and_unbounded_codes),
@@ -1511,6 +1560,190 @@ class TestPeriodicGate:
                 assert str(got.value) == str(exc), (t, k, budget, goal)
                 continue
             assert _enclose(t, k, budget, num, den) == want, (t, k, budget, goal)
+
+
+def _predicted_periods(m, w, last, reps, goal):
+    """The whole periods _whole_periods predicts before its exact corrections:
+    1 + floor(log2(goal's reciprocal / (d*q after one period)) / (2 log2 rho)),
+    clamped to [1, reps] (d*q read as 1 while the cylinder is unbounded)."""
+    mw = _mul(m, w)
+    a, b, c, d = w
+    p, det = a + d, a * d - b * c
+    rho = (abs(p) + math.sqrt(p * p - 4 * det)) / 2  # a short word: p fits a float
+    dq = mw[3] * (mw[2] + mw[3] if last else mw[2]) or 1
+    gap = math.log2(goal.denominator) - math.log2(goal.numerator * dq)
+    return min(max(1 + math.floor(gap / (2 * math.log2(rho))), 1), reps)
+
+
+def _assert_matches_the_gallop_and_kernel(s, k, max_prefix, goal):
+    """_enclose against _walk_segments_by_gallop and, on a periodic stream,
+    _enclose_by_kernel: the same tuple, or the same error and index."""
+    got = _assert_walk_matches_the_gallop(s, k, max_prefix, goal)
+    if s._cycle is not None and got is not None:
+        assert _enclose_by_kernel(s, k, max_prefix, goal.numerator, goal.denominator) == got, \
+            (s, k, max_prefix, goal)
+    return got
+
+
+def _is_neutral(word):
+    """A power of one of phi's 3-cycle codes, the words read in closed form."""
+    return word[:3] in _CYCLE_CODE and word == word[:3] * (len(word) // 3)
+
+
+def _enclose_deep_codes(rng, count):
+    """(pre, per) drawn as enclose-deep draws them: pre of up to 5 symbols, per
+    of 1 to 8, no "11" in pre + per + per, per not neutral (irrational point)."""
+    codes = []
+    while len(codes) < count:
+        pre = "".join(rng.choice("01") for _ in range(rng.randint(0, 5)))
+        per = "".join(rng.choice("01") for _ in range(rng.randint(1, 8)))
+        if "11" not in pre + per + per and not _is_neutral(per):
+            codes.append((pre, per))
+    return codes
+
+
+class TestWholePeriods:
+    """A run that is not neutral, read in whole periods by one predicted power
+    W^t = U_t*W - det*U_(t-1)*I and exact corrections, against the power-table
+    gallop it replaced and the bottom-row kernel, at the edges of the prediction."""
+
+    def test_lucas_pair_is_the_recurrence_and_the_power(self):
+        for p in range(-6, 9):
+            for det in (-1, 1):
+                u = [0, 1]
+                for _ in range(70):
+                    u.append(p * u[-1] - det * u[-2])
+                for n in range(69):
+                    assert coding._lucas(p, det, n) == (u[n], u[n + 1]), (p, det, n)
+        for word in ("0", "01", "0001", "00100", "00101", "1000000", "10"):
+            w = _word_matrix(word)
+            det = w[0] * w[3] - w[1] * w[2]
+            power = w
+            for t in range(2, 40):
+                power = _mul(power, w)
+                u, v = coding._lucas(w[0] + w[3], det, t - 1)
+                assert tuple(v * e - det * u * f for e, f in zip(w, (1, 0, 0, 1))) == power
+
+    def test_a_trace_that_overflows_a_float(self):
+        # a 1602-symbol period: its trace has over 1100 bits, so a float
+        # prediction from W's entries would raise OverflowError
+        word = "0" * 1600 + "10"
+        w = _word_matrix(word)
+        with pytest.raises(OverflowError):
+            float(w[0] + w[3])
+        s = CodeStream.periodic("", word)
+        goal = Fraction(1, 10 ** 3000)
+        _, _, n, ok = _assert_matches_the_gallop_and_kernel(s, 0, 10 ** 5, goal)
+        assert ok and n > 4 * len(word), n
+        for budget in (n - 1, n + 1, 3 * len(word), 4 * len(word) + 1):
+            _assert_matches_the_gallop_and_kernel(s, 0, budget, goal)
+        _assert_matches_the_gallop_and_kernel(s, 5, 10 ** 5, goal)
+        # at 10^-100 the first period meets the goal: no whole period is taken
+        _, _, n, ok = _assert_matches_the_gallop_and_kernel(s, 0, 10 ** 5, Fraction(1, 10 ** 100))
+        assert ok and n < len(word), n
+
+    def test_words_of_either_determinant(self):
+        # the inverse step and the power's identity term carry det's sign
+        def det(word):
+            a, b, c, d = _word_matrix(word)
+            return a * d - b * c
+
+        words = [w for n in range(1, 7) for w in admissible_words(n)
+                 if "11" not in w + w and not _is_neutral(w)]
+        assert {det(w) for w in words} == {-1, 1}
+        for word in words:
+            for lead in ("", "0", "1"):
+                if "11" in lead + word[:1]:
+                    continue
+                for reps in (2, 3, 50, 2 ** 12):
+                    s = _pieces_stream(([(lead, 1)] if lead else []) + [(word, reps), ("0", None)])
+                    for e in (30, 100, 400):
+                        _assert_walk_matches_the_gallop(
+                            s, 0, len(lead) + len(word) * reps + 3, Fraction(1, 10 ** e))
+
+    def test_10_from_the_empty_prefix(self):
+        # one period of 10 encloses [1, infinity]: d = 0, so d*q is read as 1
+        w = _word_matrix("10")
+        assert w[3] == 0
+        s = CodeStream.periodic("", "10")
+        for e in (20, 21, 40, 100, 1000):
+            goal = Fraction(1, 10 ** e)
+            _, _, n, _ = _assert_matches_the_gallop_and_kernel(s, 0, 10 ** 5, goal)
+            for budget in (2, 3, 4, n - 2, n - 1, n, n + 1):
+                _assert_matches_the_gallop_and_kernel(s, 0, budget, goal)
+            for reps in (2, 3, n // 2 - 1, n // 2, n // 2 + 1):
+                t = _pieces_stream([("10", reps), ("0", None)])
+                _assert_walk_matches_the_gallop(t, 0, 2 * reps + 5, goal)
+
+    def test_runs_ending_before_the_goal(self, monkeypatch):
+        # a run of reps = 2, 3 or 40 periods the goal outlasts: the prediction
+        # is clamped to reps, and the power taken is W^reps itself
+        calls = _recording_lucas(monkeypatch)
+        for word in ("0", "00101", "1000000", "01"):
+            for reps in (2, 3, 40):
+                s = _pieces_stream([("0", 1), (word, reps), ("1", 1), ("0", None)])
+                calls.clear()
+                _assert_walk_matches_the_gallop(s, 0, 1 + len(word) * reps, Fraction(1, 10 ** 600))
+                assert calls[0][0] == reps - 1, (word, reps, calls)
+
+    def test_budgets_around_the_predicted_periods(self, monkeypatch):
+        # budgets of t - 1, t and t + 1 whole periods (and a symbol either
+        # side) around the prediction t, from an empty prefix and behind a lead
+        calls = _recording_lucas(monkeypatch)
+        for pre, per in (("", "0"), ("", "01"), ("1", "00100"), ("0100", "00101"), ("01", "0001")):
+            s = CodeStream.periodic(pre, per)
+            for e in (30, 300, 3000):
+                goal = Fraction(1, 10 ** e)
+                calls.clear()
+                _enclose(s, 0, 10 ** 6, 1, 10 ** e)
+                t = calls[-1][0] + 1
+                for periods in (t - 1, t, t + 1):
+                    for extra in (-1, 0, 1):
+                        budget = len(pre) + len(per) * periods + extra
+                        if budget >= 1:
+                            _assert_matches_the_gallop_and_kernel(s, 0, budget, goal)
+
+    def test_deep_goals_on_mu_and_tau(self):
+        # mu's zero run at 122 (up to 241) and the runs of a tau block, from
+        # each run start and a few symbols into it
+        mu = _read_limited(mu_code("011010"))
+        for e in (20, 40, 300, 1000, 3000):
+            for k in (122, 123, 125, 240):
+                _assert_walk_matches_the_gallop(mu, k, 10 ** 5, Fraction(1, 10 ** e))
+        tracked = [CodeStream.periodic("1", "00100")]
+        tau = _read_limited(tau_code("0110", alpha_transitive(), tracked))
+        lay = BlockLayout.for_k(6)
+        anchors = [lay.run_start(w) + t for w in range(3) for t in range(3)]
+        anchors += [lay.encode_cell(1) + 1, lay.tracking_start(1) + 1, lay.separation_source(1, 1)]
+        for n in anchors:
+            for e in (20, 100, 1000):
+                _assert_walk_matches_the_gallop(tau, n, 10 ** 5, Fraction(1, 10 ** e))
+
+    def test_enclose_deep_draw(self, monkeypatch):
+        # codes and goals as enclose-deep draws them: the prediction takes
+        # (t - 1).bit_length() doublings, at most 3 corrections follow, and
+        # some are down, some up
+        rng = random.Random(46)
+        muls = _counting_calls(monkeypatch, "_mul")
+        calls = _recording_lucas(monkeypatch)
+        ways = set()
+        for pre, per in _enclose_deep_codes(rng, 60):
+            s = CodeStream.periodic(pre, per)
+            m, last = _word_matrix(pre), int(per[-1])
+            w = _word_matrix(per)
+            for e in (60, 300, 1500):
+                goal = Fraction(1, 10 ** e)
+                muls.append(0)
+                calls.clear()
+                got = _assert_walk_matches_the_gallop(s, 0, 50000, goal)
+                assert got[3], (pre, per, e)
+                t_hat = _predicted_periods(m, w, last, (50000 - len(pre)) // len(per), goal)
+                assert calls == [(t_hat - 1, (t_hat - 1).bit_length())], (pre, per, e, calls)
+                corrections = muls[-1] - (1 if pre else 0)
+                assert 1 <= corrections <= 3, (pre, per, e, muls[-1])
+                t = (got[2] - len(pre) - 1) // len(per)
+                ways.add((t > t_hat) - (t < t_hat))
+        assert ways == {-1, 0, 1}, ways
 
 
 def _assert_enclose_matches(s, k, max_prefix, goal):
