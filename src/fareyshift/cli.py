@@ -423,17 +423,76 @@ def cmd_gdemo(args) -> int:
     return 0 if all(checks.values()) else 1
 
 
-def _add_common(p, fmt_default=None, formats=("json", "csv", "table")):
+def _common(fmt_default=None, formats=("json", "csv", "table")):
     """--out on every command; --format only where the output has formats."""
-    if fmt_default:
-        p.add_argument("--format", choices=formats, default=fmt_default)
-    p.add_argument("--out", default=None, help="write output to a file")
+    fmt = {"--format": dict(choices=formats, default=fmt_default)} if fmt_default else {}
+    return {**fmt, "--out": dict(default=None, help="write output to a file")}
+
+
+def _family(help_, flags):
+    """A scramble family's entry: its own flags among those every family takes."""
+    return help_, {"--beta": dict(help="0/1 word recycled as the first parameter"), **flags,
+                   "--k-range": dict(default="5..8"), "--eps": dict(default="1/100"),
+                   "--m-big": dict(default="3/2"),
+                   "--prefix-budget": dict(type=int, default=10 ** 5), **_common(),
+                   "--seed": dict(type=int, default=0,
+                                  help="seed for the parameter words left out")}
+
+
+_PAIR = dict(help="second parameter of the pair")
+_SHIFT = dict(type=int, default=0)
+_TRACKED = dict(default="1/1", help="rational whose code the tau stream tracks; no theorem2 "
+                "or rational event reads a tracking window, so it changes no printed byte")
+
+# Each command's arguments, as add_argument reads them, in order: a name
+# without "-" is a positional, and a store_true flag states its default.
+# scramble's arguments are its families', by family name.
+_COMMANDS = {
+    "iterate": ("exact orbit of a point", cmd_iterate, {
+        "point": {}, "--steps": dict(type=int, default=10), **_common("table")}),
+    "code": ("itinerary word of a point", cmd_code, {
+        "point": {}, "--length": dict(type=int, default=12),
+        "--tie-high": dict(action="store_true", default=False,
+                           help="emit 1 at the first visit to 1 (the other rational code)"),
+        **_common()}),
+    "interval": ("exact cylinder of an admissible word", cmd_interval,
+                 {"word": {}, **_common()}),
+    "point": ("certified enclosure of a coded point", cmd_point, {
+        "code": dict(help='eventually periodic code "PRE(PER)", e.g. 0(010)'),
+        "--max-prefix": dict(type=int, default=64),
+        "--precision": dict(default="1/1000", help="enclosure width goal, a fraction like 1/1000"),
+        **_common("table", formats=("json", "table"))}),
+    "conjugacy": ("level table with exact h values and checks", cmd_conjugacy, {
+        "--level": dict(type=int, default=6),
+        "--phi-grid": dict(type=int, default=0, help="append x,phi(x) sample rows for plotting"),
+        **_common("csv")}),
+    "farey": ("mediant level listing and identity report", cmd_farey, {
+        "--level": dict(type=int, default=5),
+        "--report": dict(action="store_true", default=False), **_common("csv")}),
+    "entropy": ("entropy estimates from several routes", cmd_entropy, {
+        "--methods": dict(default="all", help="all or comma list: "
+                          "polynomial-root,word-growth,spectral,lap-count"),
+        "--depth": dict(type=int, default=50), "--lap-depth": dict(type=int, default=18),
+        "--tol": dict(type=float, default=1e-12), **_common()}),
+    "mixing": ("exact covering certificate of a cylinder", cmd_mixing,
+               {"word": {}, **_common()}),
+    "periodic": ("irrational periodic witness inside a cylinder", cmd_periodic,
+                 {"word": {}, **_common()}),
+    "scramble": ("scheduled close/far event verification", cmd_scramble, {
+        "theorem1": _family("bounded-family pair mu(beta), mu(xi)",
+                            {"--xi": _PAIR, "--shift": _SHIFT}),
+        "theorem2": _family("unbounded-family pair tau(beta), tau(eta)",
+                            {"--eta": _PAIR, "--shift": _SHIFT, "--tracked": _TRACKED}),
+        "rational": _family("rational orbit against tau(beta)",
+                            {"--rational": dict(default="1/1"), "--tracked": _TRACKED})}),
+    "gdemo": ("counterexample map sanity demonstration", cmd_gdemo, _common()),
+}
 
 
 @functools.cache
 def _parsers() -> tuple[argparse.ArgumentParser, dict[str, argparse.ArgumentParser]]:
-    """The top-level parser and each command's own, by command name, built
-    on first use and shared by every later call.
+    """The top-level parser, built from _COMMANDS, and each command's own, by
+    command name, built on first use and shared by every later call.
 
     Sharing is safe because parsing leaves the parsers unchanged and every
     default is immutable (str, int, float, bool, None or Fraction);
@@ -445,99 +504,17 @@ def _parsers() -> tuple[argparse.ArgumentParser, dict[str, argparse.ArgumentPars
     )
     ap.add_argument("--version", action="version", version="%(prog)s " + __version__)
     sub = ap.add_subparsers(dest="command", required=True)
-
-    p = sub.add_parser("iterate", help="exact orbit of a point")
-    p.add_argument("point")
-    p.add_argument("--steps", type=int, default=10)
-    _add_common(p, "table")
-    p.set_defaults(func=cmd_iterate)
-
-    p = sub.add_parser("code", help="itinerary word of a point")
-    p.add_argument("point")
-    p.add_argument("--length", type=int, default=12)
-    p.add_argument("--tie-high", action="store_true",
-                   help="emit 1 at the first visit to 1 (the other rational code)")
-    _add_common(p)
-    p.set_defaults(func=cmd_code)
-
-    p = sub.add_parser("interval", help="exact cylinder of an admissible word")
-    p.add_argument("word")
-    _add_common(p)
-    p.set_defaults(func=cmd_interval)
-
-    p = sub.add_parser("point", help="certified enclosure of a coded point")
-    p.add_argument("code", help='eventually periodic code "PRE(PER)", e.g. 0(010)')
-    p.add_argument("--max-prefix", type=int, default=64)
-    p.add_argument("--precision", default="1/1000",
-                   help="enclosure width goal, a fraction like 1/1000")
-    _add_common(p, "table", formats=("json", "table"))
-    p.set_defaults(func=cmd_point)
-
-    p = sub.add_parser("conjugacy", help="level table with exact h values and checks")
-    p.add_argument("--level", type=int, default=6)
-    p.add_argument("--phi-grid", type=int, default=0,
-                   help="append x,phi(x) sample rows for plotting")
-    _add_common(p, "csv")
-    p.set_defaults(func=cmd_conjugacy)
-
-    p = sub.add_parser("farey", help="mediant level listing and identity report")
-    p.add_argument("--level", type=int, default=5)
-    p.add_argument("--report", action="store_true")
-    _add_common(p, "csv")
-    p.set_defaults(func=cmd_farey)
-
-    p = sub.add_parser("entropy", help="entropy estimates from several routes")
-    p.add_argument("--methods", default="all",
-                   help="all or comma list: polynomial-root,word-growth,spectral,lap-count")
-    p.add_argument("--depth", type=int, default=50)
-    p.add_argument("--lap-depth", type=int, default=18)
-    p.add_argument("--tol", type=float, default=1e-12)
-    _add_common(p)
-    p.set_defaults(func=cmd_entropy)
-
-    p = sub.add_parser("mixing", help="exact covering certificate of a cylinder")
-    p.add_argument("word")
-    _add_common(p)
-    p.set_defaults(func=cmd_mixing)
-
-    p = sub.add_parser("periodic", help="irrational periodic witness inside a cylinder")
-    p.add_argument("word")
-    _add_common(p)
-    p.set_defaults(func=cmd_periodic)
-
-    p = sub.add_parser("scramble", help="scheduled close/far event verification")
-    p.set_defaults(func=cmd_scramble)
-    families = p.add_subparsers(dest="which", required=True)
-    family_flags = {
-        "--xi": dict(help="second parameter of the pair"),
-        "--eta": dict(help="second parameter of the pair"),
-        "--shift": dict(type=int, default=0),
-        "--rational": dict(default="1/1"),
-        "--tracked": dict(default="1/1", help="rational whose code the tau stream tracks; no "
-                          "theorem2 or rational event reads a tracking window, so it changes "
-                          "no printed byte"),
-    }
-    for which, help_, flags in (
-            ("theorem1", "bounded-family pair mu(beta), mu(xi)", ("--xi", "--shift")),
-            ("theorem2", "unbounded-family pair tau(beta), tau(eta)",
-             ("--eta", "--shift", "--tracked")),
-            ("rational", "rational orbit against tau(beta)", ("--rational", "--tracked"))):
-        f = families.add_parser(which, help=help_)
-        f.add_argument("--beta", help="0/1 word recycled as the first parameter")
-        for flag in flags:
-            f.add_argument(flag, **family_flags[flag])
-        f.add_argument("--k-range", default="5..8")
-        f.add_argument("--eps", default="1/100")
-        f.add_argument("--m-big", default="3/2")
-        f.add_argument("--prefix-budget", type=int, default=10 ** 5)
-        _add_common(f)
-        f.add_argument("--seed", type=int, default=0,
-                       help="seed for the parameter words left out")
-
-    p = sub.add_parser("gdemo", help="counterexample map sanity demonstration")
-    _add_common(p)
-    p.set_defaults(func=cmd_gdemo)
-
+    for name, (help_, func, args) in _COMMANDS.items():
+        p = sub.add_parser(name, help=help_)
+        p.set_defaults(func=func)
+        readers = [(p, args)]
+        if name == "scramble":
+            families = p.add_subparsers(dest="which", required=True)
+            readers = [(families.add_parser(which, help=help_), flags)
+                       for which, (help_, flags) in args.items()]
+        for reader, args in readers:
+            for arg, kw in args.items():
+                reader.add_argument(arg, **kw)
     return ap, sub.choices
 
 
@@ -546,14 +523,65 @@ def build_parser() -> argparse.ArgumentParser:
     return _parsers()[0]
 
 
+def _plain(argv):
+    """argv's namespace read from _COMMANDS as argparse reads it, or None where
+    argparse must read argv: read here are a command (and scramble's family)
+    followed by exact options of its own, each with a value that does not
+    start with "-" and passes its type and choices, store_true flags, and
+    exactly as many positionals as it takes, none starting with "-"."""
+    entry = _COMMANDS.get(argv[0]) if argv else None
+    if entry is None:
+        return None
+    _, func, args = entry
+    ns, tokens = {"func": func}, argv[1:]
+    if argv[0] == "scramble":  # the family's arguments read the rest
+        if not tokens or tokens[0] not in args:
+            return None
+        ns["which"], args, tokens = tokens[0], args[tokens[0]][1], tokens[1:]
+    ns.update((arg[2:].replace("-", "_"), kw.get("default"))
+              for arg, kw in args.items() if arg.startswith("-"))
+    positionals = []
+    tokens = iter(tokens)
+    for token in tokens:
+        if not token.startswith("-"):
+            positionals.append(token)
+            continue
+        kw = args.get(token)
+        if kw is None:
+            return None
+        dest = token[2:].replace("-", "_")
+        if "action" in kw:  # store_true: it takes no value
+            ns[dest] = True
+            continue
+        value = next(tokens, "-")
+        if value.startswith("-"):  # missing, or one argparse may read as an option
+            return None
+        try:
+            value = kw.get("type", str)(value)
+        except ValueError:
+            return None
+        if value not in kw.get("choices", (value,)):
+            return None
+        ns[dest] = value
+    names = [arg for arg in args if not arg.startswith("-")]
+    if len(positionals) != len(names):
+        return None
+    ns.update(zip(names, positionals))
+    return argparse.Namespace(**ns)
+
+
 def _parse_args(argv):
-    """The namespace of argv, from one parser pass: a known command's own
+    """The namespace of argv, without "command": a plain command line (see
+    _plain) is read from _COMMANDS and builds no parser; any other argv gets
+    one parser pass, as argparse's parse_args reads it: a known command's own
     parser reads the rest of argv, and the top-level parser reads the argv
     that names no command (--version, -h, nothing or an unknown command).
 
-    The namespace is the top-level parser's without its "command", and
-    usage errors exit as its parse_args does.
+    Usage errors exit as the top-level parser's parse_args does.
     """
+    plain = _plain(argv)
+    if plain is not None:
+        return plain
     ap, commands = _parsers()
     command = commands.get(argv[0]) if argv else None
     if command is None:

@@ -31,7 +31,11 @@ TIMEOUT_S = 300  # one mutant's pytest run
 Mutant = namedtuple("Mutant", "name file old new tests")
 
 CODING = "fareyshift/coding.py"
+CLI = "fareyshift/cli.py"
 T = "tests/test_coding.py::"
+C = "tests/test_cli.py::"
+ONE_PARSE = C + "test_one_parse_matches_the_top_level_parse"
+PLAIN = C + "test_plain_parse_matches_argparse"
 WHOLE = T + "TestWholePeriods::"
 STEP_DOWN = """\
     if met(x):  # down, to t = 0 and x = m at the least (one period meets the goal)
@@ -83,6 +87,18 @@ MUTANTS = [
     Mutant("neutral q without + d", CODING,
            "q = md + d1, (mc + md if last else mc) + q1", "q = md + d1, mc + q1",
            [T + "TestNeutralRuns::test_closed_form_against_a_scan"]),
+    # the plain command-line reader, against argparse
+    Mutant("plain reader skips choices", CLI,
+           'if value not in kw.get("choices", (value,)):', "if False:",
+           [ONE_PARSE, C + "TestCommands::test_flags_a_command_does_not_read_are_rejected"]),
+    Mutant("plain reader takes a -leading value", CLI,
+           'if value.startswith("-"):', 'if value == "-":', [ONE_PARSE, PLAIN]),
+    Mutant("plain reader ignores the positional count", CLI,
+           "if len(positionals) != len(names):", "if False:",
+           [ONE_PARSE, C + "TestCommands::test_usage_error_exit_code", PLAIN]),
+    Mutant("plain reader's flag takes the next token", CLI,
+           'if "action" in kw:', "if False:",
+           [ONE_PARSE, C + "test_a_plain_command_line_builds_no_parser"]),
 ]
 
 

@@ -1,4 +1,5 @@
 import argparse
+import functools
 import hashlib
 import json
 import math
@@ -12,6 +13,8 @@ from fractions import Fraction
 from pathlib import Path
 
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 import fareyshift
 from fareyshift import cli, coding, conjugacy, entropy, scrambled
@@ -604,6 +607,7 @@ class TestSharedParser:
         ["farey", "--level", "4", "--report"],
         ["entropy", "--lap-depth", "12"],
         ["code", "1/1", "--length", "7"],
+        ["code", "1/2", "--length=5"],  # read by argparse, not the table
         ["scramble", "theorem1", "--beta", "01", "--xi", "10", "--k-range", "5..6",
          "--seed", "3"],
     ]
@@ -817,9 +821,160 @@ def _outcome(capsys, parse, argv):
     "conjugacy --level 5 --phi-grid 2 --format table", "farey --lev 3 --rep",
     "scramble theorem2 --beta 01 --shift 2 --k-range 5..6", "scramble", "interval",
     "-h", "gdemo --out x", "code -- 1/1",
+    # the README's command lines
+    "iterate 3/5 --steps 5", "iterate (-1+1*sqrt(5))/2 --steps 3", "code 1/1 --length 7",
+    "point 0(010) --max-prefix 64 --precision 1/1000", "conjugacy --level 8 --format csv",
+    "farey --level 6 --report", "entropy --depth 50 --lap-depth 18", "mixing 00",
+    "periodic 0100", "scramble theorem1 --beta 01 --xi 10 --k-range 5..7",
+    "scramble rational --rational 7/3 --beta 0110 --k-range 5..7", "gdemo",
+    # the bench's forms
+    "conjugacy --level 3 --out x", "farey --level 3 --report --out x", "mixing 0100 --out x",
+    "periodic 0100 --out x", "entropy --lap-depth 8 --out x", "interval 0100 --out x",
+    "code 3/7 --length 10 --out x", "iterate 3/7 --steps 5 --format csv --out x",
+    "point 0(01) --precision 1/1000 --max-prefix 5000 --format json --out x",
+    # a choice not in the list, "-"-leading values, a flag before a token
+    "point (0) --format csv", "point (0) --precision -h", "scramble theorem1 --beta --seed",
+    "scramble theorem1 --shift -1", "code 1/2 --tie-high 7", "farey --level 3 --report 4",
 ])
 def test_one_parse_matches_the_top_level_parse(capsys, monkeypatch, argv):
     monkeypatch.setenv("COLUMNS", "80")  # argparse wraps usage at the terminal width
     argv = argv.split()
     assert _outcome(capsys, cli._parse_args, argv) == \
         _outcome(capsys, build_parser().parse_args, argv)
+
+
+def _tables():
+    """(leading words, arguments) of each command and each scramble family."""
+    for name, (_, _, args) in cli._COMMANDS.items():
+        if name == "scramble":
+            yield from (([name, which], flags) for which, (_, flags) in args.items())
+        else:
+            yield [name], args
+
+
+def _values(kw, refused):
+    """Values an option takes, or ones it refuses: not in its choices, not of
+    its type, or read by argparse as an option or a negative number."""
+    if refused:
+        own = ["xml", "JSON"] if "choices" in kw else ["3.5", "x", "0x10"] if "type" in kw else []
+        return st.sampled_from(own + ["-1", "-h", "--out"])
+    if "choices" in kw:
+        return st.sampled_from(kw["choices"])
+    return st.sampled_from({int: ["0", "3", "12", " 7", "1_0"], float: ["1e-6", "0.5", "inf"]}
+                           .get(kw.get("type"), ["1/3", "01", "", "5..6", "(0)"]))
+
+
+@st.composite
+def _argv(draw):
+    """A plain command line of one command or family, in about half the draws
+    perturbed by one or two tokens the table does not read."""
+    lead, args = draw(st.sampled_from(list(_tables())))
+    options = [a for a in args if a.startswith("-")]
+    positional = st.sampled_from(["0100", "1/2", "0(010)", ""]).map(lambda v: [v])
+
+    def option(refused):
+        # refused, a store_true flag is followed by a token it must not take
+        return st.sampled_from(options).flatmap(
+            lambda a: (st.just([a, "7"] if refused else [a]) if "action" in args[a]
+                       else _values(args[a], refused).map(lambda v: [a, v])))
+
+    groups = draw(st.lists(option(False), max_size=5))
+    groups += [draw(positional) for a in args if not a.startswith("-")]
+    perturbation = st.one_of(
+        option(True), positional, st.sampled_from(options).map(lambda a: [a]),
+        st.sampled_from(options).flatmap(lambda a: st.sampled_from(
+            [[a[:-1], "3"], [a[:4]], [a + "=3"], [a + "="]])),  # prefixes and "=" forms
+        st.sampled_from([["--"], ["-h"], ["--bogus"], ["--version"], ["-"], ["-1/2"]]))
+    groups += draw(st.one_of(st.just([]), st.lists(perturbation, min_size=1, max_size=2)))
+    tokens = [t for group in draw(st.permutations(groups)) for t in group]
+    if tokens and draw(st.integers(0, 9)) == 0:  # a token left out
+        tokens.pop(draw(st.integers(0, len(tokens) - 1)))
+    # in one draw in ten, scramble's family left out
+    return lead[:draw(st.sampled_from([len(lead)] * 9 + [1]))] + tokens
+
+
+@settings(max_examples=400, suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(argv=_argv())
+def test_plain_parse_matches_argparse(capsys, monkeypatch, argv):
+    # the table's reading of a plain command line and argparse's of any argv
+    monkeypatch.setenv("COLUMNS", "80")  # argparse wraps usage at the terminal width
+    assert _outcome(capsys, cli._parse_args, argv) == \
+        _outcome(capsys, build_parser().parse_args, argv)
+
+
+# a plain command line for each command and family, every option given
+PLAIN = [
+    "iterate 7/3 --steps 3 --format csv --steps 4", "code 1/2 --length 5 --tie-high",
+    "interval 0100", "point 0(010) --max-prefix 64 --precision 1/1000 --format json",
+    "conjugacy --level 3 --phi-grid 2 --format table", "farey --report --level 3 --format json",
+    "entropy --methods lap-count,spectral --depth 20 --lap-depth 8 --tol 0.001", "mixing 00",
+    "periodic 0100", "gdemo",
+    "scramble theorem1 --beta 01 --xi 10 --shift 0 --k-range 5..6 --eps 1/100 --m-big 3/2 "
+    "--prefix-budget 1000 --seed 3",
+    "scramble theorem2 --beta 01 --eta 0110 --shift 1 --tracked 1/1 --k-range 5..6 --seed 3",
+    "scramble rational --rational 7/3 --tracked 1/1 --beta 0110 --k-range 5..6",
+]
+
+
+def _fresh_parsers(monkeypatch, init):
+    """Route every ArgumentParser built from here on through init, with
+    nothing cached, so any parse that needs a parser builds one."""
+    monkeypatch.setattr(cli, "_parsers", functools.cache(cli._parsers.__wrapped__))
+    monkeypatch.setattr(argparse.ArgumentParser, "__init__", init)
+
+
+@pytest.mark.parametrize("argv", PLAIN)
+def test_a_plain_command_line_builds_no_parser(capsys, monkeypatch, argv):
+    argv = argv.split()
+    args = build_parser().parse_args(argv)
+    want = (args.func(args), *capsys.readouterr())
+
+    def refuse(self, *a, **kw):
+        raise AssertionError("an ArgumentParser was built")
+
+    _fresh_parsers(monkeypatch, refuse)
+    assert (main(argv), *capsys.readouterr()) == want
+
+
+FAREY_3 = """\
+index,fraction,h
+0,0/1,0/2^0
+1,1/3,1/2^3
+2,1/2,1/2^2
+3,2/3,3/2^3
+4,1/1,1/2^1
+5,3/2,5/2^3
+6,2/1,3/2^2
+7,3/1,7/2^3
+8,1/0,1/2^0
+{
+  "n": 3,
+  "note": "fold identity checked on indices 2^(n-1)+i, 0 <= i <= 2^(n-1); the nominal window \
+2^n+i exceeds the level's index range",
+  "phi_fold": true,
+  "phi_refine": true,
+  "reciprocal": true,
+  "unit_sum": true
+}
+"""
+
+
+@pytest.mark.parametrize("argv, out", [
+    ("farey --lev 3 --rep", FAREY_3),  # abbreviations
+    ("code 1/2 --length=5", "00010\n"),
+    ("point (0) -h", None),  # the point parser's help, at this Python's argparse
+])
+def test_other_command_lines_reach_argparse(capsys, monkeypatch, argv, out):
+    monkeypatch.setenv("COLUMNS", "80")
+    if out is None:
+        out = cli._parsers()[1]["point"].format_help()
+        assert out.startswith("usage: fareyshift point [-h] [--max-prefix MAX_PREFIX]")
+    built, init = [], argparse.ArgumentParser.__init__
+
+    def record(self, *a, **kw):
+        built.append(kw.get("prog"))
+        init(self, *a, **kw)
+
+    _fresh_parsers(monkeypatch, record)
+    assert (main(argv.split()), *capsys.readouterr()) == (0, out, "")
+    assert "fareyshift" in built
