@@ -523,6 +523,20 @@ def build_parser() -> argparse.ArgumentParser:
     return _parsers()[0]
 
 
+@functools.cache
+def _reader(command, family=None):
+    """A command's (or scramble family's) arguments as _plain reads them, built
+    once: each option's dest and keywords by flag, the defaults a namespace
+    starts from, and the positionals' names in order."""
+    args = _COMMANDS[command][2]
+    if family is not None:
+        args = args[family][1]
+    options = {arg: (arg[2:].replace("-", "_"), kw) for arg, kw in args.items()
+               if arg.startswith("-")}
+    defaults = {dest: kw.get("default") for dest, kw in options.values()}
+    return options, defaults, tuple(arg for arg in args if not arg.startswith("-"))
+
+
 def _plain(argv):
     """argv's namespace read from _COMMANDS as argparse reads it, or None where
     argparse must read argv: read here are a command (and scramble's family)
@@ -532,24 +546,27 @@ def _plain(argv):
     entry = _COMMANDS.get(argv[0]) if argv else None
     if entry is None:
         return None
-    _, func, args = entry
-    ns, tokens = {"func": func}, argv[1:]
+    family, tokens = None, argv[1:]
     if argv[0] == "scramble":  # the family's arguments read the rest
-        if not tokens or tokens[0] not in args:
+        if not tokens or tokens[0] not in entry[2]:
             return None
-        ns["which"], args, tokens = tokens[0], args[tokens[0]][1], tokens[1:]
-    ns.update((arg[2:].replace("-", "_"), kw.get("default"))
-              for arg, kw in args.items() if arg.startswith("-"))
+        family, tokens = tokens[0], tokens[1:]
+    options, defaults, names = _reader(argv[0], family)
+    args = argparse.Namespace(func=entry[1])
+    ns = vars(args)  # filled in place: no keyword call per argument
+    if family is not None:
+        ns["which"] = family
+    ns.update(defaults)
     positionals = []
     tokens = iter(tokens)
     for token in tokens:
         if not token.startswith("-"):
             positionals.append(token)
             continue
-        kw = args.get(token)
-        if kw is None:
+        option = options.get(token)
+        if option is None:
             return None
-        dest = token[2:].replace("-", "_")
+        dest, kw = option
         if "action" in kw:  # store_true: it takes no value
             ns[dest] = True
             continue
@@ -563,11 +580,10 @@ def _plain(argv):
         if value not in kw.get("choices", (value,)):
             return None
         ns[dest] = value
-    names = [arg for arg in args if not arg.startswith("-")]
     if len(positionals) != len(names):
         return None
     ns.update(zip(names, positionals))
-    return argparse.Namespace(**ns)
+    return args
 
 
 def _parse_args(argv):

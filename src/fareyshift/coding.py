@@ -388,12 +388,14 @@ def _walk_segments(s: CodeStream, k: int, max_prefix: int, goal_num: int, goal_d
     stream's segments, or a periodic stream's preperiod in pieces of at most
     _PRE_RUN symbols and then its period in phase forever.  A run of r >= 2
     periods of a word with no "11" (inside, across its seam or at its join)
-    first takes the most whole periods that leave the goal unmet (exact:
-    cylinders nest), in closed form for the neutral 3-cycle's powers
-    (_neutral_periods), else by one predicted power (_whole_periods) where
-    the bit bound (see _enclose) proves the next _GALLOP_MIN symbols cannot
-    meet the goal.  The rest is stepped with _enclose's width test (no abs:
-    d, q >= 0 along an admissible word, see _endpoints)."""
+    first takes whole periods that leave the goal unmet (exact: cylinders
+    nest): the most such in closed form for the neutral 3-cycle's powers
+    (_neutral_periods), else one predicted power, stepped down while it meets
+    the goal (_whole_periods), where the bit bound (see _enclose) proves the
+    next _GALLOP_MIN symbols cannot meet the goal.  The rest of the run, the
+    period that meets the goal or any the prediction fell short of, is
+    stepped with _enclose's width test (no abs: d, q >= 0 along an
+    admissible word, see _endpoints)."""
     half = (short_bits - 1) // 2  # see _enclose: the next half - row symbols fail the test
     m = (1, 0, 0, 1)
     prev = 0
@@ -433,17 +435,15 @@ def _walk_segments(s: CodeStream, k: int, max_prefix: int, goal_num: int, goal_d
 
 
 def _whole_periods(m, w, last, reps, goal_num, goal_den, short_bits, i):
-    """(m * W^t, t) for the most whole periods t <= reps of a word that is not
-    neutral after which the goal is unmet; i is 0 when m is the identity.
+    """(m * W^t, t) for whole periods t <= reps of a word that is not neutral,
+    the goal unmet after each; i is 0 when m is the identity.
 
-    W^t = U_t*W - det*U_(t-1)*I (Cayley-Hamilton; U from _lucas), at a t
-    predicted from d*q after one period and W's spectral radius rho > 1 (logs
-    of ints: a long period's trace overflows a float), corrected exactly: down
-    by W^-1 = det*adj(W) while the goal is met, else up by W while unmet."""
-    def met(x):
-        d, q = x[3], (x[2] + x[3] if last else x[2])
-        return d.bit_length() + q.bit_length() > short_bits and goal_den < goal_num * d * q
-
+    W^t = U_t*W - det*U_(t-1)*I (Cayley-Hamilton; det*U_(t-1) = (p*U_t - V_t)/2,
+    U and V from _lucas), at a t predicted from d*q after one period and W's
+    spectral radius rho > 1 (logs of ints: a long period's trace overflows a
+    float), then stepped down by W^-1 = det*adj(W) while the goal is met.  A t
+    short of the most such periods is not stepped up: the caller's tail steps
+    the rest of the run symbol by symbol, with the same exact test."""
     mw = _mul(m, w) if i else w
     a, b, c, d = w
     p, det = a + d, a * d - b * c
@@ -451,26 +451,28 @@ def _whole_periods(m, w, last, reps, goal_num, goal_den, short_bits, i):
     dq = mw[3] * (mw[2] + mw[3] if last else mw[2]) or 1  # d = 0 while unbounded
     t = 1 + math.floor((math.log2(goal_den) - math.log2(goal_num * dq)) / (2 * log_rho))
     t = min(max(t, 1), reps)
-    u, v = _lucas(p, det, t - 1)  # U_(t-1), U_t
-    du = det * u
-    x = (v * mw[0] - du * m[0], v * mw[1] - du * m[1], v * mw[2] - du * m[2],
-         v * mw[3] - du * m[3])
-    if met(x):  # down, to t = 0 and x = m at the least (one period meets the goal)
-        while t and met(x):
-            x, t = _mul(x, (det * d, -det * b, -det * c, det * a)), t - 1  # W^-1 = det*adj(W)
-        return x, t
-    while t < reps and not met(nxt := _mul(x, w)):
-        x, t = nxt, t + 1
+    u, v = _lucas(p, det, t)  # U_t, V_t
+    du = (p * u - v) // 2  # det*U_(t-1)
+    x = (u * mw[0] - du * m[0], u * mw[1] - du * m[1], u * mw[2] - du * m[2],
+         u * mw[3] - du * m[3])
+    while t:  # down, to t = 0 and x = m at the least (one period meets the goal)
+        xd, q = x[3], (x[2] + x[3] if last else x[2])
+        if xd.bit_length() + q.bit_length() <= short_bits or goal_den >= goal_num * xd * q:
+            break
+        x, t = _mul(x, (det * d, -det * b, -det * c, det * a)), t - 1  # W^-1 = det*adj(W)
     return x, t
 
 
 def _lucas(p: int, det: int, n: int) -> tuple[int, int]:
-    """(U_n, U_(n+1)) of U_0 = 0, U_1 = 1, U_(j+1) = p*U_j - det*U_(j-1), doubling per bit of n."""
-    u, v = 0, 1
+    """(U_n, V_n) of x^2 - p*x + det, det = +-1: U_0, U_1 = 0, 1 and V_0, V_1 = 2, p,
+    each with X_(j+1) = p*X_j - det*X_(j-1).  Per bit of n, U_2k = U_k*V_k and
+    V_2k = V_k^2 - 2*det^k, then for a 1 bit U_(k+1) = (p*U_k + V_k)/2 and
+    V_(k+1) = (D*U_k + p*V_k)/2, D = p^2 - 4*det (both halves exact)."""
+    u, v, power, disc = 0, 2, 1, p * p - 4 * det  # power = det^k
     for j in range(n.bit_length() - 1, -1, -1):
-        u, v = u * (2 * v - p * u), v * v - det * u * u
+        u, v, power = u * v, v * v - 2 * power, 1
         if n >> j & 1:
-            u, v = v, p * v - det * u
+            u, v, power = (p * u + v) // 2, (disc * u + p * v) // 2, det
     return u, v
 
 

@@ -38,20 +38,32 @@ ONE_PARSE = C + "test_one_parse_matches_the_top_level_parse"
 PLAIN = C + "test_plain_parse_matches_argparse"
 WHOLE = T + "TestWholePeriods::"
 STEP_DOWN = """\
-    if met(x):  # down, to t = 0 and x = m at the least (one period meets the goal)
-        while t and met(x):
-            x, t = _mul(x, (det * d, -det * b, -det * c, det * a)), t - 1  # W^-1 = det*adj(W)
-        return x, t
+    while t:  # down, to t = 0 and x = m at the least (one period meets the goal)
+        xd, q = x[3], (x[2] + x[3] if last else x[2])
+        if xd.bit_length() + q.bit_length() <= short_bits or goal_den >= goal_num * xd * q:
+            break
+        x, t = _mul(x, (det * d, -det * b, -det * c, det * a)), t - 1  # W^-1 = det*adj(W)
 """
+LUCAS = WHOLE + "test_lucas_pair_is_the_recurrence_and_the_power"
 
 MUTANTS = [
-    # the whole-periods power and its corrections
-    Mutant("power det sign flipped", CODING, "du = det * u", "du = -det * u",
+    # the whole-periods power, its Lucas pair and its step down
+    Mutant("power det sign flipped", CODING, "_lucas(p, det, t)", "_lucas(p, -det, t)",
            [WHOLE + "test_enclose_deep_draw", WHOLE + "test_words_of_either_determinant"]),
-    Mutant("Lucas pair one index off", CODING, "_lucas(p, det, t - 1)", "_lucas(p, det, t)",
+    Mutant("Lucas pair one index off", CODING, "_lucas(p, det, t)", "_lucas(p, det, t - 1)",
            [WHOLE + "test_enclose_deep_draw", WHOLE + "test_runs_ending_before_the_goal"]),
+    Mutant("sign of (p*U_t - V_t)/2 flipped", CODING,
+           "du = (p * u - v) // 2", "du = (v - p * u) // 2",
+           [WHOLE + "test_enclose_deep_draw", WHOLE + "test_words_of_either_determinant"]),
+    Mutant("odd-bit halving dropped", CODING,
+           "(p * u + v) // 2, (disc * u + p * v) // 2", "p * u + v, disc * u + p * v",
+           [LUCAS, WHOLE + "test_enclose_deep_draw"]),
+    Mutant("det^k not reset after an even bit", CODING,
+           "v * v - 2 * power, 1", "v * v - 2 * power, power",
+           [LUCAS, WHOLE + "test_words_of_either_determinant"]),
     Mutant("step-down loop removed", CODING, STEP_DOWN, "",
-           [WHOLE + "test_enclose_deep_draw", WHOLE + "test_budgets_around_the_predicted_periods"]),
+           [WHOLE + "test_enclose_deep_draw", WHOLE + "test_budgets_around_the_predicted_periods",
+            WHOLE + "test_lopsided_leads"]),
     Mutant("inverse step without det", CODING,
            "_mul(x, (det * d, -det * b, -det * c, det * a))", "_mul(x, (d, -b, -c, a))",
            [WHOLE + "test_enclose_deep_draw", WHOLE + "test_words_of_either_determinant"]),
@@ -90,7 +102,8 @@ MUTANTS = [
     # the plain command-line reader, against argparse
     Mutant("plain reader skips choices", CLI,
            'if value not in kw.get("choices", (value,)):', "if False:",
-           [ONE_PARSE, C + "TestCommands::test_flags_a_command_does_not_read_are_rejected"]),
+           [ONE_PARSE, C + "TestCommands::test_flags_a_command_does_not_read_are_rejected",
+            PLAIN]),
     Mutant("plain reader takes a -leading value", CLI,
            'if value.startswith("-"):', 'if value == "-":', [ONE_PARSE, PLAIN]),
     Mutant("plain reader ignores the positional count", CLI,

@@ -867,7 +867,8 @@ def _values(kw, refused):
 @st.composite
 def _argv(draw):
     """A plain command line of one command or family, in about half the draws
-    perturbed by one or two tokens the table does not read."""
+    perturbed by one or two tokens the table does not read (among them, where
+    the command has choices, a value outside them)."""
     lead, args = draw(st.sampled_from(list(_tables())))
     options = [a for a in args if a.startswith("-")]
     positional = st.sampled_from(["0100", "1/2", "0(010)", ""]).map(lambda v: [v])
@@ -880,11 +881,17 @@ def _argv(draw):
 
     groups = draw(st.lists(option(False), max_size=5))
     groups += [draw(positional) for a in args if not a.startswith("-")]
+    chosen = [a for a in options if "choices" in args[a]]
+    # one branch per value outside an option's choices, so that together they
+    # weigh against the other perturbations (one_of merges equal branches)
+    refused_choice = [st.sampled_from(chosen).map(lambda a, v=v: [a, v])
+                      for v in ("xml", "JSON", "tsv")] if chosen else []
     perturbation = st.one_of(
         option(True), positional, st.sampled_from(options).map(lambda a: [a]),
         st.sampled_from(options).flatmap(lambda a: st.sampled_from(
             [[a[:-1], "3"], [a[:4]], [a + "=3"], [a + "="]])),  # prefixes and "=" forms
-        st.sampled_from([["--"], ["-h"], ["--bogus"], ["--version"], ["-"], ["-1/2"]]))
+        st.sampled_from([["--"], ["-h"], ["--bogus"], ["--version"], ["-"], ["-1/2"]]),
+        *refused_choice)
     groups += draw(st.one_of(st.just([]), st.lists(perturbation, min_size=1, max_size=2)))
     tokens = [t for group in draw(st.permutations(groups)) for t in group]
     if tokens and draw(st.integers(0, 9)) == 0:  # a token left out

@@ -1437,10 +1437,10 @@ class TestGallopGate:
     @pytest.mark.parametrize("lead", ["", "0"], ids=["none", "0"])
     def test_walk_at_the_gate(self, word, lead, monkeypatch):
         # over 2^14 periods; goals whose bound is _GALLOP_MIN - 1 (stepped,
-        # no multiply), _GALLOP_MIN and _GALLOP_MIN + 1 (one power, then a
-        # multiply at least, the check of one more period); budgets
-        # ending inside the stepped stretch, at the goal and past the run
-        counts = _counting_calls(monkeypatch, "_mul")
+        # no power taken) and _GALLOP_MIN and _GALLOP_MIN + 1 (one power, one
+        # _lucas call); budgets ending inside the stepped stretch, at the goal
+        # and past the run
+        counts = _counting_calls(monkeypatch, "_lucas")
         reps = 2 ** 14 + 37  # more symbols than _ReadLimitedWord lets a walk step
         s = _pieces_stream(([(lead, 1)] if lead else []) + [(word, reps), ("0", None)])
         whole = len(lead) + len(word) * reps
@@ -1452,7 +1452,7 @@ class TestGallopGate:
             counts.append(0)
             _, _, n, ok = _enclose(s, 0, whole, goal.numerator, goal.denominator)
             assert ok and n > len(lead) + 2 * len(word), (goal, n)
-            assert (counts[-1] > 0) == (_gate_bound(m, goal) >= _GALLOP_MIN), (goal, counts[-1])
+            assert counts[-1] == (_gate_bound(m, goal) >= _GALLOP_MIN), (goal, counts[-1])
             for budget in sorted({1, 2, len(lead) + 2 * len(word), n // 2, n - 1, n, n + 1,
                                   whole - 1, whole + 5}):
                 _assert_walk_matches_the_gallop(s, 0, budget, goal)
@@ -1461,20 +1461,20 @@ class TestGallopGate:
     def test_mu_zero_run_multiplies(self, monkeypatch):
         # mu's zero run at 122 (up to 241): the scramble goal eps/8 = 1/800,
         # met after 9 symbols, is stepped with no multiply; a deep goal takes
-        # one predicted power per run of 0 and a multiply per correction (the
+        # one predicted power per run of 0 and a multiply per step down (the
         # power-table gallop made 15, 16 and 88): at 10^-20, 48 periods
-        # predicted and 49 right, one step up and one check; at 10^-40, 96
-        # and one check; at 10^-300 five runs of 119 periods, the power
-        # clamped to the run (a multiply by the lead for each run but the
-        # first), then 123 periods of the run from 600 on and one check
+        # predicted and 49 right, the 49th stepped by the tail; at 10^-40, 96
+        # and right; at 10^-300 five runs of 119 periods, the power clamped
+        # to the run (a multiply by the lead for each run but the first),
+        # then 123 periods of the run from 600 on (and a multiply by its lead)
         counts = _counting_calls(monkeypatch, "_mul")
         calls = _recording_lucas(monkeypatch)
         mu = _read_limited(mu_code("011010"))
         assert mu.run_at(122) == ("0", 241)
         for goal, want, indices in ((Fraction(1, 800), 0, []),
-                                    (Fraction(1, 10 ** 20), 2, [47]),
-                                    (Fraction(1, 10 ** 40), 1, [95]),
-                                    (Fraction(1, 10 ** 300), 6, [118] * 5 + [122])):
+                                    (Fraction(1, 10 ** 20), 0, [48]),
+                                    (Fraction(1, 10 ** 40), 0, [96]),
+                                    (Fraction(1, 10 ** 300), 5, [119] * 5 + [123])):
             counts.append(0)
             calls.clear()
             _enclose(mu, 122, 10 ** 5, goal.numerator, goal.denominator)
@@ -1497,6 +1497,7 @@ class TestPeriodicGate:
     ], ids=repr)
     def test_enclosures_at_the_gate(self, s, k, monkeypatch):
         counts = _counting_calls(monkeypatch, "_walk_segments")
+        powers = _counting_calls(monkeypatch, "_lucas")
         goals = [Fraction(num, 2 ** e) for e in range(40, 70) for num in (1, 5)
                  if abs(_half(Fraction(num, 2 ** e)) - _GALLOP_MIN) <= 1]
         assert {_half(goal) - _GALLOP_MIN for goal in goals} == {-1, 0, 1}
@@ -1505,17 +1506,20 @@ class TestPeriodicGate:
             stop = _point_of_code_reference(t, 10 ** 3, goal).prefix_len
             for budget in sorted({1, 2, stop // 2, stop - 1, stop, stop + 1, 10 ** 3}):
                 counts.append(0)
+                powers.append(0)
                 m, last, n, ok = _enclose(s, k, budget, goal.numerator, goal.denominator)
                 want = _point_of_code_reference(t, budget, goal)
                 assert PointEnclosure(_interval_of(m, last), n, ok) == want, (goal, budget)
                 assert counts[-1] == (_half(goal) >= _GALLOP_MIN), (goal, budget, counts[-1])
+                assert powers[-1] <= counts[-1], (goal, budget, powers[-1])  # below it, no power
 
     def test_a_deep_goal_costs_logarithmic_multiplies(self, monkeypatch):
         # (01) at 10^-2000 and 10^-20000 (9572 and 95700 symbols): the period
         # is read by no symbol_at call, in one power whose Lucas pair takes a
         # doubling per bit of the 4785 and 47849 periods predicted (13 and 16),
-        # and one multiply, the check that one more period meets the goal
-        # (the power-table gallop made 36 and 45)
+        # and no multiply: the tail steps the period that meets the goal (the
+        # power-table gallop made 36 and 45 multiplies, the check of one more
+        # period 1)
         muls = _counting_calls(monkeypatch, "_mul")
         calls = _recording_lucas(monkeypatch)
         reads = [0]
@@ -1532,8 +1536,8 @@ class TestPeriodicGate:
             _, _, n, ok = _enclose(s, 0, 10 ** 6, 1, 10 ** e)
             assert ok and n > 4 * e, (e, n)
         assert reads == [0]
-        assert muls == [0, 1, 1]
-        assert calls == [(4784, 13), (47848, 16)]
+        assert muls == [0, 0, 0]
+        assert calls == [(4785, 13), (47849, 16)]
 
     @settings(max_examples=300, deadline=None)
     @given(st.one_of(admissible_periodic_codes, periodic_codes, rational_and_unbounded_codes),
@@ -1563,7 +1567,7 @@ class TestPeriodicGate:
 
 
 def _predicted_periods(m, w, last, reps, goal):
-    """The whole periods _whole_periods predicts before its exact corrections:
+    """The whole periods _whole_periods predicts before it steps down:
     1 + floor(log2(goal's reciprocal / (d*q after one period)) / (2 log2 rho)),
     clamped to [1, reps] (d*q read as 1 while the cylinder is unbounded)."""
     mw = _mul(m, w)
@@ -1573,6 +1577,73 @@ def _predicted_periods(m, w, last, reps, goal):
     dq = mw[3] * (mw[2] + mw[3] if last else mw[2]) or 1
     gap = math.log2(goal.denominator) - math.log2(goal.numerator * dq)
     return min(max(1 + math.floor(gap / (2 * math.log2(rho))), 1), reps)
+
+
+def _whole_periods_stepping_up(m, w, last, reps, goal_num, goal_den, short_bits, i):
+    """(m * W^t, t) for the most whole periods t <= reps of a word that is not
+    neutral after which the goal is unmet; i is 0 when m is the identity.
+
+    W^t = U_t*W - det*U_(t-1)*I (Cayley-Hamilton; U from _lucas_u), at a t
+    predicted from d*q after one period and W's spectral radius rho > 1 (logs
+    of ints: a long period's trace overflows a float), corrected exactly: down
+    by W^-1 = det*adj(W) while the goal is met, else up by W while unmet."""
+    def met(x):
+        d, q = x[3], (x[2] + x[3] if last else x[2])
+        return d.bit_length() + q.bit_length() > short_bits and goal_den < goal_num * d * q
+
+    mw = _mul(m, w) if i else w
+    a, b, c, d = w
+    p, det = a + d, a * d - b * c
+    log_rho = math.log2(abs(p)) + math.log2((1 + math.sqrt(1 - 4 * det / (p * p))) / 2)
+    dq = mw[3] * (mw[2] + mw[3] if last else mw[2]) or 1  # d = 0 while unbounded
+    t = 1 + math.floor((math.log2(goal_den) - math.log2(goal_num * dq)) / (2 * log_rho))
+    t = min(max(t, 1), reps)
+    u, v = _lucas_u(p, det, t - 1)  # U_(t-1), U_t
+    du = det * u
+    x = (v * mw[0] - du * m[0], v * mw[1] - du * m[1], v * mw[2] - du * m[2],
+         v * mw[3] - du * m[3])
+    if met(x):  # down, to t = 0 and x = m at the least (one period meets the goal)
+        while t and met(x):
+            x, t = _mul(x, (det * d, -det * b, -det * c, det * a)), t - 1  # W^-1 = det*adj(W)
+        return x, t
+    while t < reps and not met(nxt := _mul(x, w)):
+        x, t = nxt, t + 1
+    return x, t
+
+
+def _lucas_u(p: int, det: int, n: int) -> tuple[int, int]:
+    """(U_n, U_(n+1)) of U_0 = 0, U_1 = 1, U_(j+1) = p*U_j - det*U_(j-1), doubling per bit of n."""
+    u, v = 0, 1
+    for j in range(n.bit_length() - 1, -1, -1):
+        u, v = u * (2 * v - p * u), v * v - det * u * u
+        if n >> j & 1:
+            u, v = v, p * v - det * u
+    return u, v
+
+
+def _enclose_stepping_up(s, k, max_prefix, goal_num, goal_den):
+    """_enclose with whole periods read as before the walk's tail finished
+    each run (_whole_periods_stepping_up): the predicted power corrected up
+    by W while one more period leaves the goal unmet, over (U_(t-1), U_t)."""
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(coding, "_whole_periods", _whole_periods_stepping_up)
+        return _enclose(s, k, max_prefix, goal_num, goal_den)
+
+
+def _assert_matches_the_step_up(s, k, max_prefix, goal):
+    """_enclose against _enclose_stepping_up and _walk_segments_by_gallop:
+    the same tuple, or the same error and index."""
+    got = _assert_walk_matches_the_gallop(s, k, max_prefix, goal)
+    num, den = goal.numerator, goal.denominator
+    if got is None:
+        with pytest.raises(InadmissibleWordError) as want:
+            _enclose_stepping_up(s, k, max_prefix, num, den)
+        with pytest.raises(InadmissibleWordError) as again:
+            _enclose(s, k, max_prefix, num, den)
+        assert str(again.value) == str(want.value), (s, k, max_prefix, goal)
+    else:
+        assert _enclose_stepping_up(s, k, max_prefix, num, den) == got, (s, k, max_prefix, goal)
+    return got
 
 
 def _assert_matches_the_gallop_and_kernel(s, k, max_prefix, goal):
@@ -1602,27 +1673,51 @@ def _enclose_deep_codes(rng, count):
     return codes
 
 
+def _cyclic_word(rng, size):
+    """A random word of size symbols with no "11", across its seam too, and
+    not neutral: a period the walk reads by _whole_periods."""
+    while True:
+        word = ""
+        while len(word) < size:  # blocks 0 and 10, then a rotation
+            word += rng.choice(["0", "0", "10"])
+        r = rng.randrange(size)
+        word = word[r:size] + word[:r]
+        if "11" not in word + word and not _is_neutral(word):
+            return word
+
+
+# neutral runs of 2^20 periods that leave a bottom row (c, d) of 21 to 23 bits
+# and 1 or 2 bits, one way round or the other: (lead, word), each 0-ended
+LOPSIDED_LEADS = [("", "010"), ("0", "100"), ("1", "010"), ("01", "010"), ("00", "100")]
+
+
 class TestWholePeriods:
     """A run that is not neutral, read in whole periods by one predicted power
-    W^t = U_t*W - det*U_(t-1)*I and exact corrections, against the power-table
-    gallop it replaced and the bottom-row kernel, at the edges of the prediction."""
+    W^t = U_t*W - det*U_(t-1)*I stepped down while it meets the goal, the rest
+    of the run stepped, against the power-table gallop, the bottom-row kernel
+    and the walk that stepped the power up by W (_enclose_stepping_up), at the
+    edges of the prediction."""
 
     def test_lucas_pair_is_the_recurrence_and_the_power(self):
         for p in range(-6, 9):
             for det in (-1, 1):
-                u = [0, 1]
+                u, v = [0, 1], [2, p]
                 for _ in range(70):
                     u.append(p * u[-1] - det * u[-2])
+                    v.append(p * v[-1] - det * v[-2])
                 for n in range(69):
-                    assert coding._lucas(p, det, n) == (u[n], u[n + 1]), (p, det, n)
+                    assert coding._lucas(p, det, n) == (u[n], v[n]), (p, det, n)
+                    assert _lucas_u(p, det, n) == (u[n], u[n + 1]), (p, det, n)
         for word in ("0", "01", "0001", "00100", "00101", "1000000", "10"):
             w = _word_matrix(word)
-            det = w[0] * w[3] - w[1] * w[2]
+            p, det = w[0] + w[3], w[0] * w[3] - w[1] * w[2]
             power = w
             for t in range(2, 40):
                 power = _mul(power, w)
-                u, v = coding._lucas(w[0] + w[3], det, t - 1)
-                assert tuple(v * e - det * u * f for e, f in zip(w, (1, 0, 0, 1))) == power
+                u, v = coding._lucas(p, det, t)
+                du = (p * u - v) // 2  # det*U_(t-1), an exact half
+                assert 2 * du == p * u - v and du == det * _lucas_u(p, det, t - 1)[0], (word, t)
+                assert tuple(u * e - du * f for e, f in zip(w, (1, 0, 0, 1))) == power
 
     def test_a_trace_that_overflows_a_float(self):
         # a 1602-symbol period: its trace has over 1100 bits, so a float
@@ -1658,7 +1753,7 @@ class TestWholePeriods:
                 for reps in (2, 3, 50, 2 ** 12):
                     s = _pieces_stream(([(lead, 1)] if lead else []) + [(word, reps), ("0", None)])
                     for e in (30, 100, 400):
-                        _assert_walk_matches_the_gallop(
+                        _assert_matches_the_step_up(
                             s, 0, len(lead) + len(word) * reps + 3, Fraction(1, 10 ** e))
 
     def test_10_from_the_empty_prefix(self):
@@ -1684,7 +1779,7 @@ class TestWholePeriods:
                 s = _pieces_stream([("0", 1), (word, reps), ("1", 1), ("0", None)])
                 calls.clear()
                 _assert_walk_matches_the_gallop(s, 0, 1 + len(word) * reps, Fraction(1, 10 ** 600))
-                assert calls[0][0] == reps - 1, (word, reps, calls)
+                assert calls[0][0] == reps, (word, reps, calls)
 
     def test_budgets_around_the_predicted_periods(self, monkeypatch):
         # budgets of t - 1, t and t + 1 whole periods (and a symbol either
@@ -1696,7 +1791,7 @@ class TestWholePeriods:
                 goal = Fraction(1, 10 ** e)
                 calls.clear()
                 _enclose(s, 0, 10 ** 6, 1, 10 ** e)
-                t = calls[-1][0] + 1
+                t = calls[-1][0]
                 for periods in (t - 1, t, t + 1):
                     for extra in (-1, 0, 1):
                         budget = len(pre) + len(per) * periods + extra
@@ -1721,8 +1816,10 @@ class TestWholePeriods:
 
     def test_enclose_deep_draw(self, monkeypatch):
         # codes and goals as enclose-deep draws them: the prediction takes
-        # (t - 1).bit_length() doublings, at most 3 corrections follow, and
-        # some are down, some up
+        # t.bit_length() doublings, misses by at most 3 periods, and one
+        # multiply follows per period it overshoots, none where it is right or
+        # short (the tail steps those); some predictions are over, some right,
+        # some short
         rng = random.Random(46)
         muls = _counting_calls(monkeypatch, "_mul")
         calls = _recording_lucas(monkeypatch)
@@ -1735,15 +1832,56 @@ class TestWholePeriods:
                 goal = Fraction(1, 10 ** e)
                 muls.append(0)
                 calls.clear()
-                got = _assert_walk_matches_the_gallop(s, 0, 50000, goal)
+                got = _assert_matches_the_step_up(s, 0, 50000, goal)
                 assert got[3], (pre, per, e)
                 t_hat = _predicted_periods(m, w, last, (50000 - len(pre)) // len(per), goal)
-                assert calls == [(t_hat - 1, (t_hat - 1).bit_length())], (pre, per, e, calls)
-                corrections = muls[-1] - (1 if pre else 0)
-                assert 1 <= corrections <= 3, (pre, per, e, muls[-1])
+                assert calls == [(t_hat, t_hat.bit_length())], (pre, per, e, calls)
                 t = (got[2] - len(pre) - 1) // len(per)
+                assert -3 <= t_hat - t <= 3, (pre, per, e, t_hat, t)
+                assert muls[-1] - (1 if pre else 0) == max(t_hat - t, 0), (pre, per, e, muls[-1])
                 ways.add((t > t_hat) - (t < t_hat))
         assert ways == {-1, 0, 1}, ways
+
+    def test_long_periods(self):
+        # periods of 50 to 400 symbols, from each admissible lead of up to two
+        # symbols, goals one to about sixty periods deep, budgets around the stop
+        rng = random.Random(48)
+        for size in (50, 97, 200, 400):
+            word = _cyclic_word(rng, size)
+            for pre in ("", "0", "1", "00", "01", "10"):
+                if "11" in pre + word[:1] or "11" in pre:
+                    continue
+                s = CodeStream.periodic(pre, word)
+                for e in (60, 400, 3000, 8000):
+                    goal = Fraction(1, 10 ** e)
+                    got = _assert_matches_the_step_up(s, 0, 10 ** 6, goal)
+                    assert got[3], (size, pre, e)
+                    for budget in (got[2] - size, got[2] - 1, got[2] + 1):
+                        _assert_matches_the_step_up(s, 0, budget, goal)
+
+    def test_lopsided_leads(self):
+        # behind a neutral run of 2^20 periods the bottom row (c, d) is 21 to
+        # 23 bits one way and 1 or 2 the other, so d*q after one period misjudges the
+        # growth of the next (the prediction overshoots by up to 14 periods
+        # on the word 0); runs of 2 to 2^12 periods of short words after it
+        leads = []
+        for lead, neutral in LOPSIDED_LEADS:
+            pieces = ([(lead, 1)] if lead else []) + [(neutral, 2 ** 20)]
+            size = len(lead) + 3 * 2 ** 20
+            m = _enclose(_pieces_stream(pieces + [("0", None)]), 0, size, 1, 10 ** 9000)[0]
+            small, large = sorted((m[2].bit_length(), m[3].bit_length()))
+            assert small <= 2 and large >= 21, (lead, m)
+            leads.append((pieces, size))
+        for pieces, size in leads:
+            for word in ("0", "01", "0001", "00101", "1000000", "10", "0010001"):
+                for reps in (2, 50, 2 ** 12):
+                    s = _pieces_stream(pieces + [(word, reps), ("0", None)])
+                    for e in (30, 60, 300, 3000):
+                        goal = Fraction(1, 10 ** e)
+                        got = _assert_matches_the_step_up(s, size, len(word) * reps + 3, goal)
+                        if got[3]:
+                            _assert_matches_the_step_up(s, size, got[2] - 1, goal)
+                        _assert_matches_the_step_up(s, 0, size + len(word) * reps + 3, goal)
 
 
 def _assert_enclose_matches(s, k, max_prefix, goal):
