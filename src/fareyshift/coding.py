@@ -270,13 +270,17 @@ def _endpoints(m: tuple[int, int, int, int], last_sym: int) -> tuple[int, int, i
     sign needs fixing: on vectors (x, y), psi0 maps the cone x, y >= 0
     into the cone 0 <= x <= y and psi1 maps the latter into the former,
     so along an admissible word M maps the base's cone to nonnegative
-    vectors, and infinity is (1, 0).  One cross-multiplication orders
-    the two.
+    vectors, and infinity is (1, 0).  The sign of det orders the two:
+    M is a product of step matrices of det +-1, and the column sum after
+    a 1 leaves det = ad - bc as it is, so det = +1 exactly when bc < ad,
+    that is b/d < a/c.  det mod 4 is 1 for +1 and 3 for -1, read off the
+    entries' low two bits (& gives the residue of a negative entry too),
+    so no product of the full-size entries is formed.
     """
     a, b, c, d = m
     if last_sym:
         a, c = a + b, c + d
-    return (b, d, a, c) if b * c < a * d else (a, c, b, d)
+    return (b, d, a, c) if ((a & 3) * (d & 3) - (b & 3) * (c & 3)) & 3 == 1 else (a, c, b, d)
 
 
 def _interval_of(m: tuple[int, int, int, int], last_sym: int) -> FareyInterval:
@@ -465,13 +469,14 @@ def _whole_periods(m, w, last, reps, goal_num, goal_den, short_bits, i):
 
 def _lucas(p: int, det: int, n: int) -> tuple[int, int]:
     """(U_n, V_n) of x^2 - p*x + det, det = +-1: U_0, U_1 = 0, 1 and V_0, V_1 = 2, p,
-    each with X_(j+1) = p*X_j - det*X_(j-1).  Per bit of n, U_2k = U_k*V_k and
-    V_2k = V_k^2 - 2*det^k, then for a 1 bit U_(k+1) = (p*U_k + V_k)/2 and
+    each with X_(j+1) = p*X_j - det*X_(j-1).  Per binary digit of n >= 0, from
+    the top (bin(n), so n = 0 gives U_0, V_0), U_2k = U_k*V_k and
+    V_2k = V_k^2 - 2*det^k, then for a 1 U_(k+1) = (p*U_k + V_k)/2 and
     V_(k+1) = (D*U_k + p*V_k)/2, D = p^2 - 4*det (both halves exact)."""
     u, v, power, disc = 0, 2, 1, p * p - 4 * det  # power = det^k
-    for j in range(n.bit_length() - 1, -1, -1):
+    for digit in bin(n)[2:]:
         u, v, power = u * v, v * v - 2 * power, 1
-        if n >> j & 1:
+        if digit == "1":
             u, v, power = (p * u + v) // 2, (disc * u + p * v) // 2, det
     return u, v
 

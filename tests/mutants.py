@@ -45,6 +45,7 @@ STEP_DOWN = """\
         x, t = _mul(x, (det * d, -det * b, -det * c, det * a)), t - 1  # W^-1 = det*adj(W)
 """
 LUCAS = WHOLE + "test_lucas_pair_is_the_recurrence_and_the_power"
+ORDER = T + "TestEndpointOrder::"
 
 MUTANTS = [
     # the whole-periods power, its Lucas pair and its step down
@@ -70,6 +71,15 @@ MUTANTS = [
     Mutant("lead's matrix dropped from the power", CODING,
            "mw = _mul(m, w) if i else w", "mw = w",
            [WHOLE + "test_enclose_deep_draw", WHOLE + "test_budgets_around_the_predicted_periods"]),
+    Mutant("Lucas digit test inverted", CODING, 'if digit == "1":', 'if digit == "0":',
+           [LUCAS, WHOLE + "test_enclose_deep_draw"]),
+    # the endpoint order read off det mod 4
+    Mutant("endpoint order flipped", CODING, "& 3 == 1 else", "& 3 == 3 else",
+           [ORDER + "test_admissible_words_to_14_on_either_base", ORDER + "test_enclose_deep_draw",
+            T + "TestIntervalOf::test_exhaustive_to_12"]),
+    Mutant("det residue taken mod 2", CODING, ") & 3 == 1 else", ") & 1 == 1 else",
+           [ORDER + "test_admissible_words_to_14_on_either_base", ORDER + "test_enclose_deep_draw",
+            ORDER + "test_unbounded_enclosures"]),
     # the gates between stepping and reading whole periods
     Mutant("gallop gate constant 0", CODING, "_GALLOP_MIN = 26", "_GALLOP_MIN = 0",
            [T + "TestGallopGate::test_walk_at_the_gate"]),

@@ -160,6 +160,13 @@ PINS = [
     # recorded from the kernel that stepped the whole matrix per symbol
     ("certificate", "point 0(001) --precision 1/1000000000000 --max-prefix 5000 --format json",
      "4cb64ee5717e867046793f1612742dea96d6ba0e860e033d4a9496b98e2a3ec9"),
+    # deep enclosures whose matrices (about 5000 bits) have det +1 and det -1,
+    # so each order of the endpoints is printed; recorded while the order was
+    # read off a cross-multiplication of the full-size entries
+    ("certificate", "point 1(00101) --precision 1e-3000 --max-prefix 100000 --format json",
+     "598755a484a58ea2f731d5f76c63a518eee2e08ffb9c2dfb98e1142beccf35fe"),
+    ("certificate", "point (1000000) --precision 1e-3000 --max-prefix 100000 --format json",
+     "491798dd087e7a6887fc7eac198e7ca29e0936e819d094016ae05519bf914e5d"),
     # a long surd itinerary read off the continued fraction, its 60-bit
     # prime radicand never factored
     ("certificate", "code (0+1*sqrt(1000000000000000003))/1 --length 100000",

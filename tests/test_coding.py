@@ -88,6 +88,15 @@ def _interval_of_reference(m, last_sym):
     return FareyInterval(p1, p2) if p1 <= p2 else FareyInterval(p2, p1)
 
 
+def _endpoints_by_cross(m, last_sym):
+    """_endpoints ordered by cross-multiplying the full-size entries: the
+    reference for the det-mod-4 order."""
+    a, b, c, d = m
+    if last_sym:
+        a, c = a + b, c + d
+    return (b, d, a, c) if b * c < a * d else (a, c, b, d)
+
+
 def _point_of_code_reference(s, max_prefix, width_goal):
     """The per-symbol FareyInterval loop that point_of_code replaced."""
     if max_prefix < 1:
@@ -533,6 +542,126 @@ class TestIntervalOf:
     @given(long_admissible_word)
     def test_long_words(self, w):
         self._assert_matches_reference(w)
+
+
+def _enclose_deep_ops(seed):
+    """(pre, per, e) of the enclose-deep bench workload's 150 ops at seed,
+    drawn as it draws them: admissible pre of up to 5 symbols and per of 1
+    to 8 with an irrational periodic point, and the goal 10^-e from a
+    log-stratified work target over the symbols one digit costs."""
+    rng = random.Random(seed)
+
+    def word(length):
+        out = ""
+        for _ in range(length):
+            out += "0" if out[-1:] == "1" else rng.choice("01")
+        return out
+
+    ops = []
+    for i in range(150):
+        while True:
+            pre, per = word(rng.randint(0, 5)), word(rng.randint(1, 8))
+            if "11" in pre + per + per:
+                continue
+            a, b, c, d = _word_matrix(per)
+            disc = (d - a) ** 2 + 4 * b * c
+            if c != 0 and math.isqrt(disc) ** 2 != disc:
+                break
+        trace, det = a + d, a * d - b * c
+        rho = (abs(trace) + math.sqrt(trace * trace - 4 * det)) / 2
+        per_digit = len(per) * math.log(10) / (2 * math.log(rho))
+        work = 4e4 * (1.2e6 / 4e4) ** ((i + rng.random()) / 150)
+        ops.append((pre, per, max(1, round(math.sqrt(work / per_digit)))))
+    return ops
+
+
+class TestEndpointOrder:
+    """_endpoints orders the endpoints by det mod 4 (det = +-1) against the
+    cross-multiplication of the full-size entries (_endpoints_by_cross)."""
+
+    @staticmethod
+    def _assert_same_order(m, last):
+        a, b, c, d = m
+        det = a * d - b * c
+        assert det in (-1, 1), (m, last)
+        assert _endpoints(m, last) == _endpoints_by_cross(m, last), (m, last)
+        return det
+
+    def test_admissible_words_to_14_on_either_base(self):
+        dets = set()
+        for n in range(1, 15):
+            for w in admissible_words(n):
+                m = _word_matrix(w)
+                dets |= {self._assert_same_order(m, last) for last in (0, 1)}
+        assert dets == {-1, 1}
+
+    def test_enclose_deep_draw(self):
+        # seeds 1..10 of the bench's draw, at its prefix cap of 50000: every
+        # goal is met, on matrices of up to about 1200 bits, with either det
+        dets, bits = set(), 0
+        for seed in range(1, 11):
+            for pre, per, e in _enclose_deep_ops(seed):
+                m, last, _, ok = _enclose(CodeStream.periodic(pre, per), 0, 50000, 1, 10 ** e)
+                assert ok, (seed, pre, per, e)
+                dets.add(self._assert_same_order(m, last))
+                bits = max(bits, m[3].bit_length())
+        assert dets == {-1, 1} and bits > 1000, (dets, bits)
+
+    def test_mu_and_tau_streams(self):
+        # the scramble checks' streams, at eps/8 for eps = 1/100 and at a
+        # goal thousands of bits deep, from run starts and points inside runs
+        streams = _PROCEDURAL + [mu_code("0")]
+        starts = list(range(0, 130, 3)) + [239, 240, 719, 720, 5039, 5040, 5100]
+        dets = set()
+        for s in streams:
+            for k in starts:
+                for goal_den in (800, 10 ** 3000):
+                    try:
+                        m, last, _, _ = _enclose(s, k, 10 ** 5, 1, goal_den)
+                    except InadmissibleWordError:
+                        continue
+                    dets.add(self._assert_same_order(m, last))
+        assert dets == {-1, 1}
+
+    def test_every_small_unimodular_matrix(self):
+        # entries of -6..6 with det +-1, either sign of each, so the masks
+        # are read on negative entries too
+        dets = set()
+        for m in itertools.product(range(-6, 7), repeat=4):
+            if m[0] * m[3] - m[1] * m[2] in (-1, 1):
+                dets |= {self._assert_same_order(m, last) for last in (0, 1)}
+        assert dets == {-1, 1}
+
+    def test_unbounded_enclosures(self):
+        # c = 0 or d = 0 after the trailing symbol's column sum: an endpoint
+        # at infinity, on the neutral cycle's codes and on 10 from nothing;
+        # infinity is always the upper endpoint, so c = 0 comes with det +1
+        # and d = 0 with det -1
+        zeros = set()
+        for pre, per in (("", "100"), ("", "010"), ("", "001"), ("", "10"), ("0", "10"),
+                         ("1", "010"), ("01", "001")):
+            s = CodeStream.periodic(pre, per)
+            for max_prefix in list(range(1, 13)) + [1000, 10 ** 5]:
+                for goal_den in (800, 10 ** 3000):
+                    m, last, _, _ = _enclose(s, 0, max_prefix, 1, goal_den)
+                    det = self._assert_same_order(m, last)
+                    _, _, c, d = m
+                    q = c + d if last else c
+                    if not q or not d:
+                        zeros.add(("c" if not q else "d", det))
+        assert zeros == {("c", 1), ("d", -1)}, zeros
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.one_of(admissible_periodic_codes, rewrapped_periodic_codes, procedural_codes,
+                     rational_and_unbounded_codes),
+           st.integers(0, 40), st.integers(1, 3000), width_goals)
+    def test_enclose_matrices_have_det_one_or_minus_one(self, s, k, max_prefix, goal):
+        goal = Fraction(goal)
+        try:
+            m, last, _, _ = _enclose(s, k, max_prefix, goal.numerator, goal.denominator)
+        except InadmissibleWordError:
+            return
+        self._assert_same_order(m, last)
 
 
 class TestCylinder:
@@ -1718,6 +1847,19 @@ class TestWholePeriods:
                 du = (p * u - v) // 2  # det*U_(t-1), an exact half
                 assert 2 * du == p * u - v and du == det * _lucas_u(p, det, t - 1)[0], (word, t)
                 assert tuple(u * e - du * f for e, f in zip(w, (1, 0, 0, 1))) == power
+        # n of 10 to 12 bits against W^n by repeated multiplication (n = 0,
+        # one "0" digit, is in the recurrence check above)
+        for word in ("0", "01", "00101", "1000000", "10"):
+            w = _word_matrix(word)
+            p, det = w[0] + w[3], w[0] * w[3] - w[1] * w[2]
+            power, t = w, 1
+            for n in (512, 683, 1000, 1365, 2047, 2730, 4095):
+                while t < n:
+                    power, t = _mul(power, w), t + 1
+                u, v = coding._lucas(p, det, n)
+                du = (p * u - v) // 2
+                assert 2 * du == p * u - v, (word, n)
+                assert tuple(u * e - du * f for e, f in zip(w, (1, 0, 0, 1))) == power, (word, n)
 
     def test_a_trace_that_overflows_a_float(self):
         # a 1602-symbol period: its trace has over 1100 bits, so a float
