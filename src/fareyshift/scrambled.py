@@ -30,6 +30,7 @@ from .exact import INFINITE_DISTANCE, ExtendedRational, escape_time
 # _CYCLE_POINTS[j] is that point as enclosure endpoints (lo_num, lo_den, hi_num, hi_den).
 _CYCLE_NAMES = ("zero", "inf", "one")
 _CYCLE_POINTS = ((0, 1, 0, 1), (1, 0, 1, 0), (1, 1, 1, 1))
+_NO_GAP = Fraction(0)  # the lower bound of two enclosures that meet, built once
 _SCHEDULE_MAX_K = 9  # largest block schedule_events will schedule
 _SCHEDULE_PARAMS = {  # the params of each schedule_events kind: (required, optional)
     "theorem1": ((), ("shift", "diff_indices")),          # int >= 0, ints >= 0
@@ -446,7 +447,7 @@ def _classify(ev: ScheduleEvent, e1, e2, eps: Fraction, m_big: Fraction) -> Even
         else:
             status = "fail" if un * td <= tn * ud else "inconclusive"
     return EventOutcome(ev, status,
-                        Fraction(ln, ld) if ld else INFINITE_DISTANCE,
+                        (Fraction(ln, ld) if ln else _NO_GAP) if ld else INFINITE_DISTANCE,
                         Fraction(un, ud) if ud else INFINITE_DISTANCE)
 
 
@@ -505,11 +506,11 @@ class ScrambleReport(namedtuple("ScrambleReport", "pair outcomes")):
         }
 
 
-def _thresholds(eps, m_big) -> tuple[Fraction, Fraction]:
-    """eps and m_big as Fractions, rejected unless both are positive."""
+def _thresholds(eps, m_big, budget_name: str, budget: int) -> tuple[Fraction, Fraction]:
+    """eps and m_big as Fractions, rejected unless both and the prefix budget are positive."""
     eps = eps if isinstance(eps, Fraction) else Fraction(eps)
     m_big = m_big if isinstance(m_big, Fraction) else Fraction(m_big)
-    for name, value in (("eps", eps), ("m_big", m_big)):
+    for name, value in (("eps", eps), ("m_big", m_big), (budget_name, budget)):
         if value.numerator <= 0:
             raise ValueError("%s must be positive, got %s" % (name, value))
     return eps, m_big
@@ -517,29 +518,54 @@ def _thresholds(eps, m_big) -> tuple[Fraction, Fraction]:
 
 def _verify(first, t: CodeStream, events, eps: Fraction, m_big: Fraction,
             prefix_len: int, pair: str) -> ScrambleReport:
-    """Decide each event on first(n, cap, goal_num, goal_den) against t's enclosure at n.
+    """Decide each event on its two enclosures' endpoint quadruples.
 
-    An event's enclosures share a prefix cap, prefix_len or the event's
-    own cap when smaller, and a width goal, an eighth of a close event's
-    own threshold, else eps / 8 (formed once).  Each side is an endpoint
+    first is the first stream, enclosed from the event's index, or a
+    rational's function n -> its orbit point's endpoints at n.  An
+    event's enclosures share a prefix cap, prefix_len or the event's own
+    cap when smaller, and a width goal, an eighth of a close event's own
+    threshold, else eps / 8 (formed once).  Each side is an endpoint
     quadruple (lo_num, lo_den, hi_num, hi_den); t's is enclosed from its
     own index n + t_offset by coding._enclose, with no shifted stream
-    and no record.  An event's cap or threshold that is not positive is
-    refused (ValueError) before any enclosure, and so is no events at
-    all, as no verdict can rest on it.
+    and no record.  At a close event, where the constructions make both
+    codes read one long block, the first stream's enclosure stands for
+    t's too when both opening runs (run_at) read the same word for at
+    least the symbols it consumed: t then reads the same prefix under
+    the same cap and goal, so its walk stops at the same matrix.  An
+    event's cap or threshold that is not positive is refused
+    (ValueError) before any enclosure, and so is no events at all, as
+    no verdict can rest on it.
     """
+    s = first if isinstance(first, CodeStream) else None
     eps_goal = eps / 8
+    eps_num, eps_den = eps_goal.numerator, eps_goal.denominator
     outcomes = []
     for ev in events:
-        cap, thr = ev.prefix_cap, ev.threshold
+        kind, index, _, thr, cap, t_offset = ev
         if cap is not None and cap < 1 or thr is not None and thr <= 0:
             raise ValueError("prefix_cap and threshold must be positive: %s" % (ev,))
-        cap = prefix_len if cap is None else min(prefix_len, cap)
-        goal = Fraction(thr) / 8 if ev.kind == "close" and thr is not None else eps_goal
-        num, den = goal.numerator, goal.denominator
-        e1 = first(ev.index, cap, num, den)
-        e2 = _endpoints(*_enclose(t, ev.index + ev.t_offset, cap, num, den)[:2])
-        outcomes.append(_classify(ev, e1, e2, eps, m_big))
+        if cap is None or cap > prefix_len:
+            cap = prefix_len
+        if kind == "close" and thr is not None:
+            goal = Fraction(thr) / 8
+            num, den = goal.numerator, goal.denominator
+        else:
+            num, den = eps_num, eps_den
+        t_index = index + t_offset
+        if s is None:
+            e1 = first(index)
+        else:
+            m, last, used, _ = _enclose(s, index, cap, num, den)
+            e1 = _endpoints(m, last)
+            if kind == "close":
+                word1, end1 = s.run_at(index)
+                word2, end2 = t.run_at(t_index)
+                if (word1 == word2 and (end1 is None or end1 - index >= used)
+                        and (end2 is None or end2 - t_index >= used)):
+                    outcomes.append(_classify(ev, e1, e1, eps, m_big))
+                    continue
+        m, last, _, _ = _enclose(t, t_index, cap, num, den)
+        outcomes.append(_classify(ev, e1, _endpoints(m, last), eps, m_big))
     if not outcomes:
         raise ValueError("no events to verify")
     return ScrambleReport(pair, outcomes)
@@ -554,14 +580,13 @@ def verify_scrambling(s: CodeStream, t: CodeStream, events,
     Close events pass when the enclosures force |x - y| < eps, far
     events when they force a gap above m_big or a positive gap with an
     infinite upper bound (an enclosure reaching infinity).  An enclosure
-    too wide to decide yields "inconclusive", never a silent pass.  eps
-    and m_big must be positive (ValueError, raised before any enclosure);
-    no events at all is refused (ValueError), as no verdict can rest on it.
+    too wide to decide yields "inconclusive", never a silent pass.  eps,
+    m_big and prefix_len must be positive (ValueError, raised before any
+    enclosure); no events at all is refused (ValueError), as no verdict
+    can rest on it.
     """
-    eps, m_big = _thresholds(eps, m_big)
-    return _verify(lambda n, cap, num, den: _endpoints(*_enclose(s, n, cap, num, den)[:2]),
-                   t, events, eps, m_big, prefix_len,
-                   pair or "%s vs %s" % (s.label, t.label))
+    eps, m_big = _thresholds(eps, m_big, "prefix_len", prefix_len)
+    return _verify(s, t, events, eps, m_big, prefix_len, pair or "%s vs %s" % (s.label, t.label))
 
 
 def rational_vs_tau(r: ExtendedRational, t: CodeStream, k_range,
@@ -575,16 +600,17 @@ def rational_vs_tau(r: ExtendedRational, t: CodeStream, k_range,
     certified close events; the infinity phases give certified far
     events (an exactly-infinite orbit point against a bounded enclosure,
     or an enclosure pushed past every bound while the orbit sits at a
-    finite cycle point).
+    finite cycle point).  eps, m_big and prefix_budget must be positive
+    (ValueError, raised before any enclosure).
     """
     if r.is_infinite:
         raise ValueError("r must be a finite rational")
-    eps, m_big = _thresholds(eps, m_big)
+    eps, m_big = _thresholds(eps, m_big, "prefix_budget", prefix_budget)
     e = escape_time(r)
     events = schedule_events("rational_vs_tau", k_range, escape=e, eps=eps)
     # the exact orbit point; the schedule skips n < e
-    return _verify(lambda n, cap, num, den: _CYCLE_POINTS[(n - e) % 3],
-                   t, events, eps, m_big, prefix_budget, "rational %s vs %s" % (r, t.label))
+    return _verify(lambda n: _CYCLE_POINTS[(n - e) % 3], t, events, eps, m_big, prefix_budget,
+                   "rational %s vs %s" % (r, t.label))
 
 
 _G_NODES = (

@@ -32,6 +32,7 @@ Mutant = namedtuple("Mutant", "name file old new tests")
 
 CODING = "fareyshift/coding.py"
 CLI = "fareyshift/cli.py"
+SCRAMBLED = "fareyshift/scrambled.py"
 T = "tests/test_coding.py::"
 C = "tests/test_cli.py::"
 ONE_PARSE = C + "test_one_parse_matches_the_top_level_parse"
@@ -46,6 +47,7 @@ STEP_DOWN = """\
 """
 LUCAS = WHOLE + "test_lucas_pair_is_the_recurrence_and_the_power"
 ORDER = T + "TestEndpointOrder::"
+SHARE = "tests/test_scrambled.py::TestShareRule::"
 
 MUTANTS = [
     # the whole-periods power, its Lucas pair and its step down
@@ -109,6 +111,17 @@ MUTANTS = [
     Mutant("neutral q without + d", CODING,
            "q = md + d1, (mc + md if last else mc) + q1", "q = md + d1, mc + q1",
            [T + "TestNeutralRuns::test_closed_form_against_a_scan"]),
+    # a close event decided on one enclosure when both sides open on one run
+    Mutant("share without t's run length", SCRAMBLED,
+           "\n                        and (end2 is None or end2 - t_index >= used)", "",
+           [SHARE + "test_hand_cases", SHARE + "test_events_near_run_ends"]),
+    Mutant("share without the word comparison", SCRAMBLED, "word1 == word2 and ", "",
+           [SHARE + "test_hand_cases", SHARE + "test_events_near_run_ends"]),
+    Mutant("share reads end1 - index as end1", SCRAMBLED, "end1 - index >= used", "end1 >= used",
+           [SHARE + "test_hand_cases", SHARE + "test_events_near_run_ends"]),
+    Mutant("share reads t's run at index", SCRAMBLED,
+           "t.run_at(t_index)", "t.run_at(index)",
+           [SHARE + "test_hand_cases", SHARE + "test_events_near_run_ends"]),
     # the plain command-line reader, against argparse
     Mutant("plain reader skips choices", CLI,
            'if value not in kw.get("choices", (value,)):', "if False:",

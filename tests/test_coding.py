@@ -1985,21 +1985,31 @@ class TestWholePeriods:
         assert ways == {-1, 0, 1}, ways
 
     def test_long_periods(self):
-        # periods of 50 to 400 symbols, from each admissible lead of up to two
-        # symbols, goals one to about sixty periods deep, budgets around the stop
-        rng = random.Random(48)
-        for size in (50, 97, 200, 400):
-            word = _cyclic_word(rng, size)
-            for pre in ("", "0", "1", "00", "01", "10"):
-                if "11" in pre + word[:1] or "11" in pre:
-                    continue
-                s = CodeStream.periodic(pre, word)
-                for e in (60, 400, 3000, 8000):
-                    goal = Fraction(1, 10 ** e)
-                    got = _assert_matches_the_step_up(s, 0, 10 ** 6, goal)
-                    assert got[3], (size, pre, e)
-                    for budget in (got[2] - size, got[2] - 1, got[2] + 1):
-                        _assert_matches_the_step_up(s, 0, budget, goal)
+        _check_long_periods()
+
+    def test_the_tail_steps_a_period_the_prediction_left_out(self, monkeypatch):
+        # no reachable input is known to make the prediction fall short, so
+        # _whole_periods is made to return one period fewer than it found,
+        # m*W^(t-1) with W^-1 = det*adj(W): the walk's tail steps that whole
+        # long period symbol by symbol, to the same enclosures
+        found = coding._whole_periods
+        shortfalls = []
+
+        def one_short(m, w, last, reps, goal_num, goal_den, short_bits, i):
+            x, t = found(m, w, last, reps, goal_num, goal_den, short_bits, i)
+            if not t:
+                return x, t
+            a, b, c, d = w
+            det = a * d - b * c
+            shortfalls.append(t)
+            return _mul(x, (det * d, -det * b, -det * c, det * a)), t - 1
+
+        monkeypatch.setattr(coding, "_whole_periods", one_short)
+        _check_long_periods()
+        word = "0" * 1600 + "10"
+        _assert_matches_the_gallop_and_kernel(CodeStream.periodic("", word), 0, 10 ** 5,
+                                              Fraction(1, 10 ** 3000))
+        assert len(shortfalls) > 50 and max(shortfalls) > 10, shortfalls
 
     def test_lopsided_leads(self):
         # behind a neutral run of 2^20 periods the bottom row (c, d) is 21 to
@@ -2024,6 +2034,25 @@ class TestWholePeriods:
                         if got[3]:
                             _assert_matches_the_step_up(s, size, got[2] - 1, goal)
                         _assert_matches_the_step_up(s, 0, size + len(word) * reps + 3, goal)
+
+
+def _check_long_periods():
+    """Periods of 50 to 400 symbols, from each admissible lead of up to two
+    symbols, goals one to about sixty periods deep, budgets around the stop,
+    against the walk that stepped the power up and the gallop."""
+    rng = random.Random(48)
+    for size in (50, 97, 200, 400):
+        word = _cyclic_word(rng, size)
+        for pre in ("", "0", "1", "00", "01", "10"):
+            if "11" in pre + word[:1] or "11" in pre:
+                continue
+            s = CodeStream.periodic(pre, word)
+            for e in (60, 400, 3000, 8000):
+                goal = Fraction(1, 10 ** e)
+                got = _assert_matches_the_step_up(s, 0, 10 ** 6, goal)
+                assert got[3], (size, pre, e)
+                for budget in (got[2] - size, got[2] - 1, got[2] + 1):
+                    _assert_matches_the_step_up(s, 0, budget, goal)
 
 
 def _assert_enclose_matches(s, k, max_prefix, goal):

@@ -4,16 +4,17 @@ import random
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from conftest import per_symbol_stream
+from conftest import _verify_both_sides, per_symbol_stream
 from fareyshift.exact import (INF, INFINITE_DISTANCE, ONE, ZERO, ExtendedRational,
                               escape_time, phi_rat)
 from fareyshift.coding import (
     CodeStream,
     FareyInterval,
     _enclose,
+    _endpoints,
     admissible_words,
     code_of_rational,
     cylinder,
@@ -878,16 +879,19 @@ class TestVerifyScrambling:
         with pytest.raises(ValueError, match=name):
             rational_vs_tau(ONE, tau, (5, 5), **thresholds)
 
-    @pytest.mark.parametrize("event", [
-        ScheduleEvent("far", 200, "cap 0", prefix_cap=0),
-        ScheduleEvent("close", 200, "cap -3", prefix_cap=-3),
-        ScheduleEvent("close", 200, "threshold 0", threshold=Fraction(0)),
-        ScheduleEvent("close", 200, "threshold -1/2", threshold=Fraction(-1, 2)),
-        ScheduleEvent("far", 200, "threshold 0", threshold=Fraction(0)),
-    ])
-    def test_nonpositive_event_cap_or_threshold_rejected(self, event, monkeypatch):
+    @pytest.mark.parametrize("event, budget", [
+        (ScheduleEvent("far", 200, "cap 0", prefix_cap=0), 10 ** 5),
+        (ScheduleEvent("close", 200, "cap -3", prefix_cap=-3), 10 ** 5),
+        (ScheduleEvent("close", 200, "threshold 0", threshold=Fraction(0)), 10 ** 5),
+        (ScheduleEvent("close", 200, "threshold -1/2", threshold=Fraction(-1, 2)), 10 ** 5),
+        (ScheduleEvent("far", 200, "threshold 0", threshold=Fraction(0)), 10 ** 5),
+        (ScheduleEvent("close", 200, "budget 0"), 0),
+        (ScheduleEvent("far", 200, "budget -5"), -5),
+    ], ids=["event%d" % i for i in range(5)] + ["budget0", "budget-5"])
+    def test_nonpositive_event_cap_or_threshold_rejected(self, event, budget, monkeypatch):
         # a cap of 0 read as "no cap" let the enclosure run the whole budget,
-        # and a close threshold of 0 was enclosed at eps/8 but judged against 0
+        # a close threshold of 0 was enclosed at eps/8 but judged against 0,
+        # and a budget of 0 or less reported every event inconclusive on [0, inf]
         def no_enclosure(*args):
             raise AssertionError("enclosure computed before the check")
 
@@ -895,32 +899,44 @@ class TestVerifyScrambling:
         monkeypatch.setattr("fareyshift.scrambled.schedule_events", lambda *a, **kw: [event])
         s = mu_code("01")
         match = "prefix_cap and threshold must be positive"
-        with pytest.raises(ValueError, match=match):
-            verify_scrambling(s, s, [event])
+        with pytest.raises(ValueError,
+                           match=match if budget > 0 else "prefix_len must be positive"):
+            verify_scrambling(s, s, [event], prefix_len=budget)
         tau = tau_code("0110", alpha_transitive(), [code_of_rational(ONE)])
-        with pytest.raises(ValueError, match=match):
-            rational_vs_tau(ONE, tau, (5, 5))
+        with pytest.raises(ValueError,
+                           match=match if budget > 0 else "prefix_budget must be positive"):
+            rational_vs_tau(ONE, tau, (5, 5), prefix_budget=budget)
 
     def test_enclosure_rule(self, monkeypatch):
         # the verification's goal eps / 8 is formed once and its numerator and
         # denominator passed through as they are (the same int objects); an
         # event's own cap binds when smaller, and a close event's own
-        # threshold sets the goal; both enclosures of an event share them
+        # threshold sets the goal; both enclosures of an event share them.
+        # A far event, or a close event whose opening runs differ (mu's zero
+        # run against 010), makes two calls; a close event whose sides share
+        # an opening run (mu's 121-symbol zero run, read for at most 99) makes one
         calls = _record_enclosures(monkeypatch)
         events = [ScheduleEvent(kind, 0, "x") for kind in ("close", "far")]
         events += [ScheduleEvent(kind, 0, "x", threshold=Fraction(1, 10), prefix_cap=1)
                    for kind in ("close", "far")]
         events.append(ScheduleEvent("far", 0, "x", prefix_cap=500))
         s = mu_code("01")
-        verify_scrambling(s, s, events, eps=Fraction(1, 100), prefix_len=99)
-        assert calls[0::2] == calls[1::2] and len(calls) == 2 * len(events)
-        rules = calls[0::2]
-        _, num, den = rules[0]
-        assert (num, den) == (1, 800)
-        for kind, (_, own_num, own_den), capped in zip(("close", "far"), rules, rules[2:]):
-            assert own_num is num and own_den is den
-            assert capped == ((1, 1, 80) if kind == "close" else (1, num, den))
-        assert rules[-1][0] == 99 and rules[-1][1] is num and rules[-1][2] is den
+        for t, shared in ((CodeStream.periodic("", "010"), False), (s, True)):
+            calls.clear()
+            verify_scrambling(s, t, events, eps=Fraction(1, 100), prefix_len=99)
+            per_event = iter(calls)
+            rules = []
+            for ev in events:
+                rules.append(next(per_event))
+                if ev.kind == "far" or not shared:
+                    assert next(per_event) == rules[-1], (ev, shared)
+            assert next(per_event, None) is None, shared
+            _, num, den = rules[0]
+            assert (num, den) == (1, 800)
+            for kind, (_, own_num, own_den), capped in zip(("close", "far"), rules, rules[2:]):
+                assert own_num is num and own_den is den
+                assert capped == ((1, 1, 80) if kind == "close" else (1, num, den))
+            assert rules[-1][0] == 99 and rules[-1][1] is num and rules[-1][2] is den
 
     def test_deeply_shifted_streams_are_labelled(self):
         # the label was formatted by one recursive call per shift, so about
@@ -942,6 +958,128 @@ class TestVerifyScrambling:
         rep = verify_scrambling(s, t, ev)
         payload = json.dumps(rep.to_dict(), sort_keys=True)
         assert '"pass"' in payload and '"index"' in payload
+
+
+@st.composite
+def admissible_periodic(draw, max_pre_blocks=0):
+    """An admissible periodic code: a preperiod of up to 5 symbols (repeated
+    up to max_pre_blocks times, so it can outlast a block's first tracking
+    window) and a period of 1 to 7, no "11" in pre + per + per."""
+    words = [w for n in range(8) for w in admissible_words(n)]
+    pre = draw(st.sampled_from(words[:20])) * draw(st.integers(1, max(1, max_pre_blocks)))
+    per = draw(st.sampled_from(words[1:]))
+    assume("11" not in pre + per + per)
+    return CodeStream.periodic(pre, per)
+
+
+# the verification's thresholds and budget: shallow and deep goals, small caps
+verify_settings = st.tuples(
+    st.sampled_from([Fraction(1, 100), Fraction(1, 7), Fraction(1, 10 ** 6)]),
+    st.sampled_from([Fraction(3, 2), Fraction(1000)]),
+    st.sampled_from([1, 2, 7, 40, 10 ** 5]))
+k_ranges = st.sampled_from([(5, 5), (6, 6), (5, 6)])
+
+
+def _assert_matches_both_sides(s, t, events, eps=Fraction(1, 100), m_big=Fraction(1000),
+                               prefix_len=10 ** 5):
+    """verify_scrambling's outcomes against the both-sides loop."""
+    got = verify_scrambling(s, t, events, eps=eps, m_big=m_big, prefix_len=prefix_len)
+    want = _verify_both_sides(s, t, events, eps, m_big, prefix_len)
+    assert got.outcomes == want, (s, t, eps, prefix_len)
+    return want
+
+
+class TestShareRule:
+    """A close event whose two sides open on one run for at least the symbols
+    the first side's enclosure consumed is decided on that enclosure alone;
+    every outcome equals the loop that encloses both sides of every event."""
+
+    @settings(max_examples=100, deadline=None)
+    @given(betas, betas, st.integers(0, 3), st.sets(st.integers(0, 4)), k_ranges, verify_settings)
+    def test_theorem1_pairs(self, beta, other, shift, diffs, k_range, setting):
+        events = schedule_events("theorem1", k_range, shift=shift, diff_indices=sorted(diffs))
+        _assert_matches_both_sides(mu_code(beta), mu_code(other).shifted(shift), events, *setting)
+
+    @settings(max_examples=100, deadline=None)
+    @given(betas, betas, st.lists(admissible_periodic(), min_size=1, max_size=2),
+           st.integers(0, 3), st.one_of(st.none(), st.integers(0, 6)), k_ranges, verify_settings)
+    def test_theorem2_pairs(self, beta, other, tracked, shift, diff, k_range, setting):
+        alpha = alpha_transitive()
+        events = schedule_events("theorem2", k_range, shift=shift, diff_index=diff)
+        _assert_matches_both_sides(tau_code(beta, alpha, tracked),
+                                   tau_code(other, alpha, tracked).shifted(shift), events,
+                                   *setting)
+
+    @settings(max_examples=100, deadline=None)
+    @given(betas, admissible_periodic(max_pre_blocks=1200), admissible_periodic(),
+           st.sampled_from([1, 2]), k_ranges, verify_settings)
+    def test_theorem2_tracked_pairs(self, beta, x_code, spare, i, k_range, setting):
+        # t_offset = j - 1 on window j; a preperiod of up to 6000 symbols is
+        # read in 64-symbol runs, which can end before the enclosure does
+        if i > k_range[1] - 3:
+            i = 1
+        targets = [x_code, spare] if i == 1 else [spare, x_code]
+        events = schedule_events("theorem2_tracked", k_range, track_index=i, x_code=x_code)
+        assert any(ev.t_offset for ev in events)
+        _assert_matches_both_sides(x_code, tau_code(beta, alpha_transitive(), targets), events,
+                                   *setting)
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.data(), st.sampled_from(["mu", "tau"]), betas, betas, verify_settings)
+    def test_events_near_run_ends(self, data, family, beta, other, setting):
+        # events from 24 symbols before a block, part, cell or window boundary
+        # below 8! to 2 after it, t read up to 3 symbols further on: runs that
+        # end before, at and after the symbols the first side's enclosure consumes
+        if family == "mu":
+            s, t = mu_code(beta), mu_code(other)
+        else:
+            alpha, tracked = alpha_transitive(), [data.draw(admissible_periodic())]
+            s, t = tau_code(beta, alpha, tracked), tau_code(other, alpha, tracked)
+        bounds = sorted(b for b in _boundaries(family) if b < math.factorial(8))
+        drawn = data.draw(st.lists(st.tuples(st.sampled_from(bounds), st.integers(0, 3),
+                                             st.sampled_from(["close", "far"])),
+                                   min_size=1, max_size=3))
+        events = [ScheduleEvent(kind, max(0, b + d), "drawn", t_offset=offset)
+                  for b, offset, kind in drawn for d in range(-24, 3)]
+        _assert_matches_both_sides(s, t, events, *setting)
+
+    @pytest.mark.parametrize("s, t, ev, shared", [
+        # t's zero run ends one symbol before the enclosure would, then 10...
+        (CodeStream.periodic("", "0"), "t_short", ScheduleEvent("close", 40, "t short"), False),
+        # the same run one symbol longer: t reads the same prefix
+        (CodeStream.periodic("", "0"), "t_exact", ScheduleEvent("close", 40, "t exact"), True),
+        # the first side's zero run ends 3 symbols in, at index 1000
+        ("s_short", CodeStream.periodic("", "0"), ScheduleEvent("close", 1000, "s short"), False),
+        # long runs of different words
+        (CodeStream.periodic("", "0"), CodeStream.periodic("", "010"),
+         ScheduleEvent("close", 5, "words differ"), False),
+        # 010 at the event's index, its rotation 100 at index + t_offset
+        (CodeStream.periodic("", "010"), CodeStream.periodic("", "010"),
+         ScheduleEvent("close", 3, "offset", t_offset=1), False),
+        # equal words, 010, read at different offsets of different periods
+        (CodeStream.periodic("", "001"), CodeStream.periodic("", "010"),
+         ScheduleEvent("close", 1, "offsets", t_offset=2), True),
+        (CodeStream.periodic("1", "00"), CodeStream.periodic("", "00"),
+         ScheduleEvent("close", 7, "offsets", t_offset=93), True),
+        # a far event never shares
+        (CodeStream.periodic("", "0"), CodeStream.periodic("", "0"),
+         ScheduleEvent("far", 3, "far"), False),
+    ])
+    def test_hand_cases(self, s, t, ev, shared, monkeypatch):
+        def zeros_then(end, tail):
+            return CodeStream.segmented(lambda n: ("0", end) if n < end else (tail, None))
+
+        zeros = CodeStream.periodic("", "0")
+        used = _enclose(zeros, 40, 10 ** 5, 1, 800)[2]
+        t = {"t_short": zeros_then(40 + used - 1, "10"),
+             "t_exact": zeros_then(40 + used, "10")}.get(t, t)
+        s = zeros_then(1003, "10") if s == "s_short" else s
+        calls = _record_enclosures(monkeypatch)
+        want = _assert_matches_both_sides(s, t, [ev], prefix_len=300)
+        assert len(calls) == (1 if shared else 2), calls
+        if ev.kind == "close" and not shared:  # one side's enclosure alone would decide wrongly
+            e1 = _endpoints(*_enclose(s, ev.index, 300, 1, 800)[:2])
+            assert _classify(ev, e1, e1, Fraction(1, 100), Fraction(1000)) != want[0]
 
 
 def iv(lo, hi):
