@@ -989,6 +989,15 @@ def _assert_matches_both_sides(s, t, events, eps=Fraction(1, 100), m_big=Fractio
     return want
 
 
+def _zeros_then(end, tail):
+    """0 up to index end, then tail forever."""
+    return CodeStream.segmented(lambda n: ("0", end) if n < end else (tail, None))
+
+
+_ZEROS = CodeStream.periodic("", "0")
+_USED_AT_40 = _enclose(_ZEROS, 40, 10 ** 5, 1, 800)[2]  # symbols to width 1/800 from 40
+
+
 class TestShareRule:
     """A close event whose two sides open on one run for at least the symbols
     the first side's enclosure consumed is decided on that enclosure alone;
@@ -1045,14 +1054,14 @@ class TestShareRule:
 
     @pytest.mark.parametrize("s, t, ev, shared", [
         # t's zero run ends one symbol before the enclosure would, then 10...
-        (CodeStream.periodic("", "0"), "t_short", ScheduleEvent("close", 40, "t short"), False),
+        (_ZEROS, _zeros_then(40 + _USED_AT_40 - 1, "10"), ScheduleEvent("close", 40, "t short"),
+         False),
         # the same run one symbol longer: t reads the same prefix
-        (CodeStream.periodic("", "0"), "t_exact", ScheduleEvent("close", 40, "t exact"), True),
+        (_ZEROS, _zeros_then(40 + _USED_AT_40, "10"), ScheduleEvent("close", 40, "t exact"), True),
         # the first side's zero run ends 3 symbols in, at index 1000
-        ("s_short", CodeStream.periodic("", "0"), ScheduleEvent("close", 1000, "s short"), False),
+        (_zeros_then(1003, "10"), _ZEROS, ScheduleEvent("close", 1000, "s short"), False),
         # long runs of different words
-        (CodeStream.periodic("", "0"), CodeStream.periodic("", "010"),
-         ScheduleEvent("close", 5, "words differ"), False),
+        (_ZEROS, CodeStream.periodic("", "010"), ScheduleEvent("close", 5, "words differ"), False),
         # 010 at the event's index, its rotation 100 at index + t_offset
         (CodeStream.periodic("", "010"), CodeStream.periodic("", "010"),
          ScheduleEvent("close", 3, "offset", t_offset=1), False),
@@ -1062,18 +1071,9 @@ class TestShareRule:
         (CodeStream.periodic("1", "00"), CodeStream.periodic("", "00"),
          ScheduleEvent("close", 7, "offsets", t_offset=93), True),
         # a far event never shares
-        (CodeStream.periodic("", "0"), CodeStream.periodic("", "0"),
-         ScheduleEvent("far", 3, "far"), False),
+        (_ZEROS, _ZEROS, ScheduleEvent("far", 3, "far"), False),
     ])
     def test_hand_cases(self, s, t, ev, shared, monkeypatch):
-        def zeros_then(end, tail):
-            return CodeStream.segmented(lambda n: ("0", end) if n < end else (tail, None))
-
-        zeros = CodeStream.periodic("", "0")
-        used = _enclose(zeros, 40, 10 ** 5, 1, 800)[2]
-        t = {"t_short": zeros_then(40 + used - 1, "10"),
-             "t_exact": zeros_then(40 + used, "10")}.get(t, t)
-        s = zeros_then(1003, "10") if s == "s_short" else s
         calls = _record_enclosures(monkeypatch)
         want = _assert_matches_both_sides(s, t, [ev], prefix_len=300)
         assert len(calls) == (1 if shared else 2), calls
