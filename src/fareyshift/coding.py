@@ -301,6 +301,9 @@ def _word_matrix(word: str) -> tuple[int, int, int, int]:
     return _steps((1, 0, 0, 1), word.encode().translate(_TO_BITS))
 
 
+_CYCLE_MATRIX = {w: _word_matrix(w) for w in _CYCLE_CODE}  # the neutral runs' one-period matrices
+
+
 def cylinder(word: str) -> FareyInterval:
     """Exact cylinder interval of an admissible word.
 
@@ -413,7 +416,8 @@ def _walk_segments(s: CodeStream, k: int, max_prefix: int, goal_num: int, goal_d
         if reps >= 2 and not (prev and word[0] == "1"):
             t, last = 0, int(word[-1])
             if word[:3] in _CYCLE_CODE and word == word[:3] * (size // 3):  # neutral, no "11"
-                m, t = _neutral_periods(m, _word_matrix(word), last, reps, goal_den // goal_num, i)
+                w = _CYCLE_MATRIX[word] if size == 3 else _word_matrix(word)  # 100100: a power
+                m, t = _neutral_periods(m, w, last, reps, goal_den // goal_num, i)
             elif (half - max(m[2].bit_length(), m[3].bit_length()) >= _GALLOP_MIN
                     and "11" not in word + word):
                 m, t = _whole_periods(m, _word_matrix(word), last, reps, goal_num, goal_den,

@@ -19,6 +19,9 @@ from __future__ import annotations
 
 import functools
 import math
+import operator
+import threading
+from bisect import bisect_right
 from collections import namedtuple
 from fractions import Fraction
 
@@ -36,11 +39,17 @@ _SCHEDULE_PARAMS = {  # the params of each schedule_events kind: (required, opti
     "theorem1": ((), ("shift", "diff_indices")),          # int >= 0, ints >= 0
     "theorem2": ((), ("shift", "diff_index")),            # int >= 0, int >= 0 | None
     "theorem2_tracked": (("track_index", "x_code"), ()),  # int >= 1, CodeStream
-    "rational_vs_tau": (("escape",), ("eps",)),           # int >= 0, Fraction
+    "rational_vs_tau": (("escape",), ("eps",)),           # int >= 0, Fraction > 0
 }
 
 
-def _at_least(name: str, value: int, least: int) -> int:
+def _int_param(name: str, value, least: int) -> int:
+    """A schedule param as an int (operator.index: a float or any other
+    non-integer is refused, not truncated), at least least; else ValueError."""
+    try:
+        value = operator.index(value)
+    except TypeError:
+        raise ValueError("schedule param %r must be an integer, got %r" % (name, value)) from None
     if value < least:
         raise ValueError("schedule param %r must be >= %d, got %d" % (name, least, value))
     return value
@@ -62,7 +71,9 @@ class BlockLayout(namedtuple("BlockLayout", [
 
     Both stream families tile this block with k strings of length k!;
     the derived offsets below are the ones the event schedules address.
-    All sub-lengths divide evenly for k >= 5.
+    All sub-lengths divide evenly for k >= 5.  The streams' runs and
+    schedule_events read the fields and inline these offsets on them; the
+    methods state the arithmetic, and the tests hold the inlined copies to it.
     """
 
     __slots__ = ()
@@ -108,18 +119,18 @@ def _layout(k: int) -> BlockLayout:
     return BlockLayout.for_k(k)
 
 
+_FACTORIALS = [1, 1, 2, 6]  # k! at index k; _factorial_floor extends it on demand
+_FACTORIALS_GROW = threading.Lock()  # one writer: each entry is its predecessor times its index
+
+
 def _factorial_floor(n: int) -> int:
-    """The k with k! <= n < (k+1)!, for n >= 3!."""
-    k, fk = 3, 6
-    while fk * (k + 1) <= n:
-        k += 1
-        fk *= k
-    return k
-
-
-def _block_at(n: int) -> BlockLayout:
-    """Layout of the block [k!, (k+1)!) holding the index n >= 5!."""
-    return _layout(_factorial_floor(n))
+    """The k with k! <= n < (k+1)!, for n >= 3!; _FACTORIALS then reaches (k+1)!."""
+    facts = _FACTORIALS
+    if facts[-1] <= n:
+        with _FACTORIALS_GROW:
+            while facts[-1] <= n:
+                facts.append(facts[-1] * len(facts))
+    return bisect_right(facts, n) - 1
 
 
 def mu_code(beta) -> CodeStream:
@@ -136,12 +147,12 @@ def mu_code(beta) -> CodeStream:
     def runs(n: int):
         if n < 120:
             return "0", 121
-        lay = _block_at(n)
-        j, off = divmod(n - lay.start, lay.string_len)
-        cell = lay.part_start(j) + 1
+        fk = _FACTORIALS[_factorial_floor(n)]
+        j, off = divmod(n - fk, fk)
+        cell = n - off + 1  # string j's cell
         if off == 1:
             return ("1" if j == 0 else str(beta[j - 1])), cell + 1
-        return "0", cell if off == 0 else cell + lay.string_len  # to the next cell
+        return "0", cell if off == 0 else cell + fk  # to the next cell
 
     return CodeStream.segmented(runs, label="mu(%s)" % beta.label)
 
@@ -190,7 +201,7 @@ def alpha_transitive() -> CodeStream:
         if n < 6:
             return "0", 6
         k = _factorial_floor(n)
-        start, word = math.factorial(k), _alpha_word(k - 3)
+        start, word = _FACTORIALS[k], _alpha_word(k - 3)
         if n < start + len(word):
             return word[n - start:], start + len(word)
         return "0", start * (k + 1)
@@ -233,28 +244,29 @@ def tau_code(beta, alpha: CodeStream, x_codes) -> CodeStream:
             return clipped(alpha, n, n, 119)
         if n == 119:
             return "0", 120
-        lay = _block_at(n)
-        part, off = divmod(n - lay.start, lay.string_len)
+        k, fk, _, quarter, encode_sub, window = _layout(_factorial_floor(n))
+        part, off = divmod(n - fk, fk)  # string part starts at n - off
         if part == 0:
-            return clipped(alpha, off, n, lay.part_start(1))
+            return clipped(alpha, off, n, n - off + fk)
         if part == 1:
-            if off < lay.quarter:
-                return "0", lay.run_start(0)
-            which, po = divmod(off - lay.quarter, lay.quarter)
-            return _CYCLE_CODE[(which + 1 + po) % 3], lay.run_start(which) + lay.quarter
+            if off < quarter:
+                return "0", n - off + quarter
+            which, po = divmod(off - quarter, quarter)
+            return _CYCLE_CODE[(which + 1 + po) % 3], n - po + quarter  # to run which's end
         if part == 2:
-            j, po = divmod(off, lay.encode_sub)
-            return (_CYCLE_CODE[(1 + po) % 3] if beta[j] else "000"), n - po + lay.encode_sub
+            j, po = divmod(off, encode_sub)
+            return (_CYCLE_CODE[(1 + po) % 3] if beta[j] else "000"), n - po + encode_sub
         i = part - 2  # tracked code index, 1-based
         code = x_codes[(i - 1) % len(x_codes)]
-        j, so = divmod(off, lay.window)
-        window_end = n - so + lay.window
-        if j < lay.k:  # copy window j+1: the code's symbols, then a 0
-            if so == lay.window - 1:
+        j, so = divmod(off, window)
+        window_end = n - so + window
+        src = n - off + (j % k) * (window - 1)  # copy_source(i, j % k + 1)
+        if j < k:  # copy window j+1: the code's symbols, then a 0
+            if so == window - 1:
                 return "0", window_end
-            return clipped(code, lay.copy_source(i, j + 1) + so, n, window_end - 1)
+            return clipped(code, src + so, n, window_end - 1)
         # (100)^m, or 0 (100)^m 10 (the cycle from phase 0) where the code reads 1
-        bit = code[lay.separation_source(i, j - lay.k + 1)]
+        bit = code[src + fk // 2]  # separation_source(i, j - k + 1)
         return _CYCLE_CODE[(1 - bit + so) % 3], window_end
 
     return CodeStream.segmented(runs, label="tau(%s)" % beta.label)
@@ -277,13 +289,20 @@ class ScheduleEvent(namedtuple("ScheduleEvent", [
     __slots__ = ()
 
 
+# A record from all of its fields in order, built by tuple.__new__: a
+# namedtuple's generated __new__ would only pass them through, one Python
+# call more per record.
+_event = functools.partial(tuple.__new__, ScheduleEvent)
+
+
 def schedule_events(kind: str, k_range, **params) -> list[ScheduleEvent]:
     """Exact event indices predicted by the block constructions.
 
     kind is a key of _SCHEDULE_PARAMS, params are its names and k_range is a
     (lo, hi) pair with 5 <= lo <= hi <= 9; a foreign name, a missing required
-    one, a value below its range (see _SCHEDULE_PARAMS) or no events at all
-    (no verdict can rest on none) raise ValueError.  rational_vs_tau matches
+    one, a value out of its range (see _SCHEDULE_PARAMS; an int param must be
+    an integer, not a float to truncate) or no events at all (no verdict can
+    rest on none) raise ValueError.  rational_vs_tau matches
     the rational's 3-cycle phase at index n, (n - escape) % 3, with tau's.
     """
     if kind not in _SCHEDULE_PARAMS:
@@ -300,59 +319,65 @@ def schedule_events(kind: str, k_range, **params) -> list[ScheduleEvent]:
         raise ValueError("k_range must be increasing within 5..%d" % _SCHEDULE_MAX_K)
     layouts = [_layout(k) for k in range(lo, hi + 1)]
     events: list[ScheduleEvent] = []
-    sh = _at_least("shift", int(params.get("shift", 0)), 0)
+    # Each block's fields are read once, and BlockLayout's index methods are
+    # inlined on them: part_start(p) = fk + p*fk, run_start(w) = 2*fk + (1 + w)*quarter,
+    # encode_cell(j) = 3*fk + j*encode_sub, tracking_start(i) = fk + (2 + i)*fk.
+    sh = _int_param("shift", params.get("shift", 0), 0)
     if kind == "theorem1":
-        diffs = tuple(params.get("diff_indices", ()))
-        _at_least("diff_indices", min(diffs, default=0), 0)
-        for lay in layouts:
-            events.append(ScheduleEvent("close", lay.start + 2, "zero-run k=%d" % lay.k))
+        diffs = [_int_param("diff_indices", m, 0) for m in params.get("diff_indices", ())]
+        for k, fk, _, _, _, _ in layouts:
+            events.append(_event(("close", fk + 2, "zero-run k=%d" % k, None, None, 0)))
             if sh >= 1:
-                events.append(ScheduleEvent("far", lay.start + 1, "head-cell k=%d" % lay.k))
+                events.append(_event(("far", fk + 1, "head-cell k=%d" % k, None, None, 0)))
             else:
                 for m in diffs:
-                    if m <= lay.k - 2:
-                        events.append(ScheduleEvent(
-                            "far", lay.part_start(m + 1) + 1,
-                            "beta-cell m=%d k=%d" % (m, lay.k)))
+                    if m <= k - 2:
+                        events.append(_event(("far", (m + 2) * fk + 1,
+                                              "beta-cell m=%d k=%d" % (m, k), None, None, 0)))
     elif kind == "theorem2":
         diff = params.get("diff_index")
-        _at_least("diff_index", 0 if diff is None else diff, 0)
-        for lay in layouts:
-            events.append(ScheduleEvent("close", lay.part_start(1), "zero-run k=%d" % lay.k))
+        if diff is not None:
+            diff = _int_param("diff_index", diff, 0)
+        for k, fk, _, quarter, encode_sub, _ in layouts:
+            events.append(_event(("close", 2 * fk, "zero-run k=%d" % k, None, None, 0)))
             if sh >= 1:
-                if lay.quarter - sh - 3 < 3:
+                if quarter - sh - 3 < 3:
                     continue  # shift crosses the whole run at this block size
-                events.append(ScheduleEvent(
-                    "far", lay.run_start(0) - sh, "inf-run k=%d shift=%d" % (lay.k, sh),
-                    prefix_cap=lay.quarter - sh - 3))
-            elif diff is not None and diff <= lay.k - 1:
-                events.append(ScheduleEvent(
-                    "far", lay.encode_cell(diff), "beta-sub j=%d k=%d" % (diff, lay.k),
-                    prefix_cap=3 * (lay.encode_sub // 3) - 3))
+                events.append(_event(("far", 2 * fk + quarter - sh,
+                                      "inf-run k=%d shift=%d" % (k, sh),
+                                      None, quarter - sh - 3, 0)))
+            elif diff is not None and diff <= k - 1:
+                events.append(_event(("far", 3 * fk + diff * encode_sub,
+                                      "beta-sub j=%d k=%d" % (diff, k),
+                                      None, 3 * (encode_sub // 3) - 3, 0)))
     elif kind == "theorem2_tracked":
-        i = _at_least("track_index", int(params["track_index"]), 1)
+        i = _int_param("track_index", params["track_index"], 1)
         code = params["x_code"]
-        for lay in layouts:
-            if i > lay.k - 3:
+        for k, fk, _, _, _, window in layouts:
+            if i > k - 3:
                 continue
-            for j in range(1, lay.k + 1):
-                events.append(ScheduleEvent(
-                    "close", lay.copy_source(i, j),
-                    "copy-window i=%d j=%d k=%d" % (i, j, lay.k),
-                    prefix_cap=lay.window - 1, t_offset=j - 1))
-                a_star = lay.separation_source(i, j)
-                delta = 1 if code[a_star] == 1 else 0
-                events.append(ScheduleEvent(
-                    "far", a_star + delta,
-                    "sep-window i=%d j=%d k=%d" % (i, j, lay.k),
-                    prefix_cap=lay.window - delta - 2, t_offset=j - 1))
+            base, cap, half = fk + (2 + i) * fk, window - 1, fk // 2
+            for j in range(1, k + 1):
+                events.append(_event(("close", base, "copy-window i=%d j=%d k=%d" % (i, j, k),
+                                      None, cap, j - 1)))
+                delta = 1 if code[base + half] == 1 else 0  # the separation source's symbol
+                events.append(_event(("far", base + half + delta,
+                                      "sep-window i=%d j=%d k=%d" % (i, j, k),
+                                      None, cap - delta - 1, j - 1)))
+                base += cap  # windows j and j + 1 read sources window - 1 apart
     else:  # rational_vs_tau
-        e = _at_least("escape", int(params["escape"]), 0)
-        eps = Fraction(params.get("eps", Fraction(1, 100)))
-        for lay in layouts:
-            reps = lay.quarter // 3
+        e = _int_param("escape", params["escape"], 0)
+        eps = params.get("eps", Fraction(1, 100))
+        eps = eps if isinstance(eps, Fraction) else Fraction(eps)
+        en, ed = eps.numerator, eps.denominator
+        if en <= 0:
+            raise ValueError("eps must be positive, got %s" % eps)
+        for k, fk, _, quarter, _, _ in layouts:
+            # parabolic approach: the true gap scales like 1/(2*reps), reps =
+            # quarter // 3; close only when 1/(2*reps) < eps * 7/8
+            close_ok = 8 * ed < 14 * (quarter // 3) * en
             for which in range(3):
-                run = lay.run_start(which)
+                run = 2 * fk + (1 + which) * quarter
                 for t in range(3):
                     n = run + t
                     if n < e:
@@ -360,17 +385,14 @@ def schedule_events(kind: str, k_range, **params) -> list[ScheduleEvent]:
                     # run `which` starts at phase which + 1; phase 1 is infinity
                     r_ph, lim = (n - e) % 3, (which + 1 + t) % 3
                     tag = "phase k=%d run@%d t=%d (%s vs %s)" % (
-                        lay.k, run, t, _CYCLE_NAMES[r_ph], _CYCLE_NAMES[lim])
+                        k, run, t, _CYCLE_NAMES[r_ph], _CYCLE_NAMES[lim])
                     if r_ph == lim != 1:
-                        # parabolic approach: the true gap scales like 1/(2*reps);
-                        # close only when 1/(2*reps) < eps * 7/8
-                        if 8 * eps.denominator < 14 * reps * eps.numerator:
-                            events.append(ScheduleEvent("close", n, tag))
+                        if close_ok:
+                            events.append(_event(("close", n, tag, None, None, 0)))
                     elif r_ph == 1:
-                        events.append(ScheduleEvent("far", n, tag))
+                        events.append(_event(("far", n, tag, None, None, 0)))
                     elif lim == 1:
-                        events.append(ScheduleEvent(
-                            "far", n, tag, prefix_cap=lay.quarter - t - 3))
+                        events.append(_event(("far", n, tag, None, quarter - t - 3, 0)))
     if not events:
         raise ValueError("no %s events in k_range %d..%d" % (kind, lo, hi))
     return events
@@ -419,6 +441,9 @@ class EventOutcome(namedtuple("EventOutcome", [
         }
 
 
+_outcome = functools.partial(tuple.__new__, EventOutcome)  # as _event
+
+
 def _dist_str(v) -> str:
     return "inf" if v == INFINITE_DISTANCE else "%d/%d" % (v.numerator, v.denominator)
 
@@ -446,9 +471,9 @@ def _classify(ev: ScheduleEvent, e1, e2, eps: Fraction, m_big: Fraction) -> Even
             status = "pass"
         else:
             status = "fail" if un * td <= tn * ud else "inconclusive"
-    return EventOutcome(ev, status,
-                        (Fraction(ln, ld) if ln else _NO_GAP) if ld else INFINITE_DISTANCE,
-                        Fraction(un, ud) if ud else INFINITE_DISTANCE)
+    return _outcome((
+        ev, status, (Fraction(ln, ld) if ln else _NO_GAP) if ld else INFINITE_DISTANCE,
+        Fraction(un, ud) if ud else INFINITE_DISTANCE))
 
 
 class ScrambleReport(namedtuple("ScrambleReport", "pair outcomes")):
@@ -537,8 +562,8 @@ def _verify(first, t: CodeStream, events, eps: Fraction, m_big: Fraction,
     no verdict can rest on it.
     """
     s = first if isinstance(first, CodeStream) else None
-    eps_goal = eps / 8
-    eps_num, eps_den = eps_goal.numerator, eps_goal.denominator
+    g = math.gcd(eps.numerator, 8)  # eps / 8 in lowest terms
+    eps_num, eps_den = eps.numerator // g, eps.denominator * (8 // g)
     outcomes = []
     for ev in events:
         kind, index, _, thr, cap, t_offset = ev

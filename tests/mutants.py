@@ -48,6 +48,8 @@ STEP_DOWN = """\
 LUCAS = WHOLE + "test_lucas_pair_is_the_recurrence_and_the_power"
 ORDER = T + "TestEndpointOrder::"
 SHARE = "tests/test_scrambled.py::TestShareRule::"
+INLINED = "tests/test_scrambled.py::TestInlinedBlockArithmetic::"
+NEUTRAL = T + "TestNeutralRuns::"
 
 MUTANTS = [
     # the whole-periods power, its Lucas pair and its step down
@@ -110,7 +112,24 @@ MUTANTS = [
            [T + "TestSegmentWalk::test_inadmissible_segments"]),
     Mutant("neutral q without + d", CODING,
            "q = md + d1, (mc + md if last else mc) + q1", "q = md + d1, mc + q1",
-           [T + "TestNeutralRuns::test_closed_form_against_a_scan"]),
+           [NEUTRAL + "test_closed_form_against_a_scan"]),
+    Mutant("3-cycle matrix table built from a rotated word", CODING,
+           "{w: _word_matrix(w) for w in _CYCLE_CODE}",
+           "{w: _word_matrix(w[1:] + w[0]) for w in _CYCLE_CODE}",
+           [NEUTRAL + "test_cycle_matrix_table",
+            NEUTRAL + "test_rotations_leads_goals_and_budgets"]),
+    # the scramble layer's blocks read as flat integers
+    Mutant("factorial list read one entry off", SCRAMBLED,
+           "return bisect_right(facts, n) - 1", "return bisect_right(facts, n)",
+           [INLINED + "test_factorial_floor_at_each_factorial",
+            INLINED + "test_runs_at_every_segment_boundary"]),
+    Mutant("tau's source offset without j % k", SCRAMBLED,
+           "(j % k) * (window - 1)", "j * (window - 1)",
+           [INLINED + "test_runs_at_every_segment_boundary",
+            INLINED + "test_runs_at_drawn_indices"]),
+    Mutant("schedule's tracking base one string late", SCRAMBLED,
+           "fk + (2 + i) * fk", "fk + (3 + i) * fk",
+           [INLINED + "test_schedule_on_a_grid"]),
     # a close event decided on one enclosure when both sides open on one run
     Mutant("share without t's run length", SCRAMBLED,
            "\n                        and (end2 is None or end2 - t_index >= used)", "",

@@ -25,6 +25,7 @@ from fareyshift.exact import (
 from fareyshift import coding
 from fareyshift.coding import (
     _CYCLE_CODE,
+    _CYCLE_MATRIX,
     _GALLOP_MIN,
     FULL_LINE,
     CodeStream,
@@ -1446,6 +1447,22 @@ class TestNeutralRuns:
         assert len(words) == 3568
         want = sorted(word * j for word in _CYCLE_CODE for j in range(1, 6))
         assert sorted(w for w in words if neutral(w)) == want and len(want) == 15
+
+    def test_cycle_matrix_table(self):
+        # the neutral branch reads a 3-cycle code's one-period matrix from the table
+        assert _CYCLE_MATRIX == {word: _word_matrix(word) for word in _CYCLE_CODE}
+
+    def test_walk_over_the_period_100100(self):
+        # a power of a 3-cycle code is no key of the table, so its matrix is
+        # stepped; from each rotation, with and without a lead, at goals deep
+        # enough for a periodic stream to be walked, met (10^-20 within 10^12
+        # symbols) and never met
+        for pre in ("", "0"):
+            s = CodeStream.periodic(pre, "100100")
+            for k in range(7):
+                for budget in (6, 13, 10 ** 4, 10 ** 12):
+                    for e in (20, 300):
+                        _assert_walk_matches_the_gallop(s, k, budget, Fraction(1, 10 ** e))
 
     def test_closed_form_against_a_scan(self):
         # every admissible lead of up to five symbols, each neutral word that

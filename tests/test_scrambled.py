@@ -7,7 +7,8 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from conftest import _verify_both_sides, per_symbol_stream
+from conftest import (_factorial_floor_by_loop, _mu_code_by_layout, _schedule_events_by_layout,
+                      _tau_code_by_layout, _verify_both_sides, per_symbol_stream)
 from fareyshift.exact import (INF, INFINITE_DISTANCE, ONE, ZERO, ExtendedRational,
                               escape_time, phi_rat)
 from fareyshift.coding import (
@@ -33,6 +34,7 @@ from fareyshift.scrambled import (
     _alpha_word,
     _classify,
     _distance_bounds,
+    _factorial_floor,
     _layout,
     alpha_transitive,
     g_map,
@@ -654,6 +656,82 @@ class TestBlockBookkeeping:
                 lay.tracking_start(k - 2)
 
 
+# tracked codes: periodic and rational, each reading both 0 and 1 at the separation sources
+_TRACKED = [CodeStream.periodic("0", "10100"), code_of_rational(xr(7, 3))]
+
+
+class TestInlinedBlockArithmetic:
+    """The runs and the schedule read each block's fields as integers; they are
+    held to the same arithmetic through BlockLayout's methods (conftest)."""
+
+    def test_factorial_floor_at_each_factorial(self):
+        # k! - 1 for k = 3 is below the domain n >= 3!: held to the definition only
+        for k in range(3, 41):
+            fk = math.factorial(k)
+            for n in (fk - 1, fk, fk + 1):
+                want = k if n >= fk else k - 1
+                assert _factorial_floor(n) == want, n
+                if n >= 6:
+                    assert _factorial_floor_by_loop(n) == want, n
+        n = 10 ** 300
+        k = _factorial_floor(n)
+        assert math.factorial(k) <= n < math.factorial(k + 1)
+        assert k == _factorial_floor_by_loop(n) == 166
+
+    @pytest.mark.parametrize("beta", ["0110", "1"])
+    def test_runs_at_every_segment_boundary(self, beta):
+        # within 2 of every string, cell, run and window boundary for k = 5..10
+        pairs = [(mu_code(beta), _mu_code_by_layout(beta)),
+                 (tau_code(beta, alpha_transitive(), _TRACKED),
+                  _tau_code_by_layout(beta, alpha_transitive(), _TRACKED)),
+                 (tau_code(beta, alpha_transitive(), _TRACKED[::-1]),
+                  _tau_code_by_layout(beta, alpha_transitive(), _TRACKED[::-1]))]
+        starts = sorted(_starts("tau", 0))
+        for stream, ref in pairs:
+            for n in starts:
+                assert stream.run_at(n) == ref.run_at(n), (stream.label, n)
+        # both separation shapes occur: each tracked code reads 1 at some source, 0 at another
+        for k in range(6, 11):
+            lay = BlockLayout.for_k(k)
+            for i in (1, 2):
+                assert {_TRACKED[i - 1][lay.separation_source(i, j)]
+                        for j in range(1, k + 1)} == {0, 1}, (k, i)
+
+    @settings(max_examples=40, deadline=None)
+    @given(betas, st.integers(0, math.factorial(11) - 1))
+    def test_runs_at_drawn_indices(self, beta, n):
+        assert mu_code(beta).run_at(n) == _mu_code_by_layout(beta).run_at(n)
+        assert (tau_code(beta, alpha_transitive(), _TRACKED).run_at(n)
+                == _tau_code_by_layout(beta, alpha_transitive(), _TRACKED).run_at(n))
+
+    def test_schedule_on_a_grid(self):
+        grid = [("theorem1", dict(shift=sh, diff_indices=d)) for sh in (0, 1, 3)
+                for d in ((), (0,), (1, 3), (0, 7), (5, 5))]
+        grid += [("theorem2", dict(shift=sh, diff_index=d)) for sh in (0, 1, 2, 26, 27, 400)
+                 for d in (None, 0, 2, 8)]
+        grid += [("theorem2_tracked", dict(track_index=i, x_code=x))
+                 for i in range(1, 8) for x in _TRACKED]
+        grid += [("rational_vs_tau", dict(escape=e, eps=eps))
+                 for e in (0, 1, 2, 3, 5, 299, 300, 301, 14999, 10 ** 5, 10 ** 6)
+                 for eps in (Fraction(1, 100), Fraction(1, 10), Fraction(1, 1000), Fraction(3))]
+
+        def events_or_error(schedule, kind, k_range, params):
+            try:
+                return schedule(kind, k_range, **params)
+            except ValueError as exc:
+                return str(exc)
+
+        empty = 0
+        for lo in range(5, 10):
+            for hi in range(lo, 10):
+                for kind, params in grid:
+                    got = events_or_error(schedule_events, kind, (lo, hi), params)
+                    want = events_or_error(_schedule_events_by_layout, kind, (lo, hi), params)
+                    assert got == want, (kind, lo, hi, params)
+                    empty += isinstance(got, str)
+        assert 0 < empty < 200  # the grid reaches empty schedules too, but mostly not
+
+
 class TestScheduleEvents:
     def test_theorem1_indices(self):
         ev = schedule_events("theorem1", (6, 6), shift=1)
@@ -746,6 +824,25 @@ class TestScheduleEvents:
     def test_out_of_range_param_is_rejected(self, kind, params, name):
         with pytest.raises(ValueError, match="schedule param '%s' must be >= " % name):
             schedule_events(kind, (5, 9), **params)
+
+    @pytest.mark.parametrize("kind, params, name", [
+        ("theorem1", dict(shift=1.7), "shift"),  # int() read it as 1
+        ("theorem2", dict(shift=-0.5), "shift"),  # int() read it as 0
+        ("theorem1", dict(diff_indices=[0, 1.0]), "diff_indices"),
+        ("theorem2", dict(diff_index=1.5), "diff_index"),  # a far event at index 396.0
+        ("theorem2_tracked", dict(track_index=1.0, x_code=code_of_rational(ONE)),
+         "track_index"),
+        ("rational_vs_tau", dict(escape=Fraction(3)), "escape"),
+    ])
+    def test_non_integer_param_is_rejected(self, kind, params, name):
+        with pytest.raises(ValueError, match="schedule param '%s' must be an integer" % name):
+            schedule_events(kind, (5, 9), **params)
+
+    @pytest.mark.parametrize("eps", [0, -1, Fraction(-1, 100)])
+    def test_nonpositive_eps_is_rejected(self, eps):
+        # eps = -1 dropped every close event and left block 5's five far ones
+        with pytest.raises(ValueError, match="eps must be positive"):
+            schedule_events("rational_vs_tau", (5, 5), escape=1, eps=eps)
 
     def test_unknown_kind_is_rejected(self):
         with pytest.raises(ValueError, match="unknown schedule kind 'theorem3'"):
