@@ -353,6 +353,9 @@ def schedule_events(kind: str, k_range, **params) -> list[ScheduleEvent]:
     elif kind == "theorem2_tracked":
         i = _int_param("track_index", params["track_index"], 1)
         code = params["x_code"]
+        if not isinstance(code, CodeStream):  # a str would be read as characters, never 1
+            raise ValueError("schedule param 'x_code' must be a CodeStream, got %s"
+                             % type(code).__name__)
         for k, fk, _, _, _, window in layouts:
             if i > k - 3:
                 continue
@@ -448,23 +451,19 @@ def _dist_str(v) -> str:
     return "inf" if v == INFINITE_DISTANCE else "%d/%d" % (v.numerator, v.denominator)
 
 
-def _classify(ev: ScheduleEvent, e1, e2, eps: Fraction, m_big: Fraction) -> EventOutcome:
+def _decide(ev: ScheduleEvent, e1, e2, tn: int, td: int) -> EventOutcome:
     """Decide an event from the distance bounds of its two enclosures'
-    endpoint quadruples (either bound may be infinite).
+    endpoint quadruples (either bound may be infinite) at the threshold
+    tn/td (td > 0) its kind reads.
 
-    Each rule cross-multiplies a bound (num, den) with the threshold's
-    numerator and denominator; since den >= 0 and the threshold's
-    denominator is positive, infinity (1, 0) compares above every
-    threshold.  The record's Fractions are built once the status is known.
+    Each rule cross-multiplies a bound (num, den) with tn and td; since
+    den >= 0 and td > 0, infinity (1, 0) compares above every threshold.
+    The record's Fractions are built once the status is known.
     """
     (ln, ld), (un, ud) = _distance_bounds(e1, e2)
     if ev.kind == "close":
-        thr = eps if ev.threshold is None else ev.threshold
-        tn, td = thr.numerator, thr.denominator
         status = "pass" if un * td < tn * ud else "fail" if ln * td >= tn * ld else "inconclusive"
     else:
-        thr = m_big if ev.threshold is None else ev.threshold
-        tn, td = thr.numerator, thr.denominator
         # a positive gap with an infinite upper bound certifies an excursion
         # on the unbounded side (two unbounded enclosures never have a gap)
         if ln * td > tn * ld or (ln > 0 and not ud):
@@ -474,6 +473,29 @@ def _classify(ev: ScheduleEvent, e1, e2, eps: Fraction, m_big: Fraction) -> Even
     return _outcome((
         ev, status, (Fraction(ln, ld) if ln else _NO_GAP) if ld else INFINITE_DISTANCE,
         Fraction(un, ud) if ud else INFINITE_DISTANCE))
+
+
+def _decide_shared(ev: ScheduleEvent, e, tn: int, td: int) -> EventOutcome:
+    """_decide for a close event whose two sides are the one enclosure e,
+    on its width alone.
+
+    e = (lo_num, lo_den, hi_num, hi_den) is a unimodular pair,
+    hi_num*lo_den - lo_num*hi_den = 1 (see coding._endpoints), so the
+    distance lies in [0, 1/w] with w = lo_den*hi_den, and w = 0 (hi
+    infinite) leaves it in [0, inf]: the event passes iff td < tn*w
+    (never when w = 0), and a zero lower bound never fails it.
+    """
+    w = e[1] * e[3]
+    return _outcome((ev, "pass" if td < tn * w else "inconclusive", _NO_GAP,
+                     Fraction(1, w) if w else INFINITE_DISTANCE))
+
+
+def _classify(ev: ScheduleEvent, e1, e2, eps: Fraction, m_big: Fraction) -> EventOutcome:
+    """_decide at the event's own threshold, else eps (close) or m_big (far)."""
+    thr = ev.threshold
+    if thr is None:
+        thr = eps if ev.kind == "close" else m_big
+    return _decide(ev, e1, e2, thr.numerator, thr.denominator)
 
 
 class ScrambleReport(namedtuple("ScrambleReport", "pair outcomes")):
@@ -552,18 +574,36 @@ def _verify(first, t: CodeStream, events, eps: Fraction, m_big: Fraction,
     threshold, else eps / 8 (formed once).  Each side is an endpoint
     quadruple (lo_num, lo_den, hi_num, hi_den); t's is enclosed from its
     own index n + t_offset by coding._enclose, with no shifted stream
-    and no record.  At a close event, where the constructions make both
-    codes read one long block, the first stream's enclosure stands for
-    t's too when both opening runs (run_at) read the same word for at
-    least the symbols it consumed: t then reads the same prefix under
-    the same cap and goal, so its walk stops at the same matrix.  An
-    event's cap or threshold that is not positive is refused
-    (ValueError) before any enclosure, and so is no events at all, as
-    no verdict can rest on it.
+    and no record.  eps's and m_big's integers are read once, and each
+    event is decided at its threshold's integers (_decide).
+
+    A periodic first stream is enclosed past its preperiod once per key,
+    and the key's enclosure serves every later event with that key.
+    From an index n >= p (its preperiod) it reads its period from phase
+    n mod q on, so two such indices of one phase read the same symbols,
+    and the walk, a function of the symbols, the cap and the goal, stops
+    at the same matrix under the same cap and goal.  A walk that met its
+    goal after `used` symbols stopped at the first prefix that meets it
+    (cylinders nest, so their widths only shrink), which any cap >= used
+    reaches too: its key is (phase, goal).  A walk that stopped at its
+    cap read exactly cap symbols: its key is (phase, goal, cap).
+
+    At a close event, where the constructions make both codes read one
+    long block, the first stream's enclosure stands for t's too when
+    both opening runs (run_at) read the same word for at least the
+    symbols it consumed: t then reads the same prefix under the same cap
+    and goal, so its walk stops at the same matrix, and the event is
+    decided on that enclosure's width (_decide_shared).  An event's cap
+    or threshold that is not positive is refused (ValueError) before any
+    enclosure, and so is no events at all, as no verdict can rest on it.
     """
     s = first if isinstance(first, CodeStream) else None
-    g = math.gcd(eps.numerator, 8)  # eps / 8 in lowest terms
-    eps_num, eps_den = eps.numerator // g, eps.denominator * (8 // g)
+    q = s._q if s is not None and s._cycle is not None else 0  # 0: no period list
+    known = {}  # a periodic first stream's enclosures past its preperiod, by key
+    close_n, close_d = eps.numerator, eps.denominator
+    far_n, far_d = m_big.numerator, m_big.denominator
+    g = math.gcd(close_n, 8)  # eps / 8 in lowest terms
+    eps_num, eps_den = close_n // g, close_d * (8 // g)
     outcomes = []
     for ev in events:
         kind, index, _, thr, cap, t_offset = ev
@@ -571,26 +611,40 @@ def _verify(first, t: CodeStream, events, eps: Fraction, m_big: Fraction,
             raise ValueError("prefix_cap and threshold must be positive: %s" % (ev,))
         if cap is None or cap > prefix_len:
             cap = prefix_len
-        if kind == "close" and thr is not None:
-            goal = Fraction(thr) / 8
-            num, den = goal.numerator, goal.denominator
+        num, den = eps_num, eps_den
+        if thr is None:
+            tn, td = (close_n, close_d) if kind == "close" else (far_n, far_d)
         else:
-            num, den = eps_num, eps_den
+            tn, td = thr.numerator, thr.denominator
+            if kind == "close":
+                g = math.gcd(tn, 8)  # thr / 8 in lowest terms
+                num, den = tn // g, td * (8 // g)
         t_index = index + t_offset
         if s is None:
             e1 = first(index)
         else:
-            m, last, used, _ = _enclose(s, index, cap, num, den)
-            e1 = _endpoints(m, last)
+            if q and index >= s._p:
+                met = (index % q, num, den)  # a met walk serves every cap >= its used
+                hit = known.get(met)
+                if hit is None or cap < hit[1]:
+                    bound = met + (cap,)  # a walk its cap stopped serves that cap alone
+                    hit = known.get(bound)
+                    if hit is None:
+                        m, last, used, ok = _enclose(s, index, cap, num, den)
+                        hit = known[met if ok else bound] = _endpoints(m, last), used
+                e1, used = hit
+            else:
+                m, last, used, _ = _enclose(s, index, cap, num, den)
+                e1 = _endpoints(m, last)
             if kind == "close":
                 word1, end1 = s.run_at(index)
                 word2, end2 = t.run_at(t_index)
                 if (word1 == word2 and (end1 is None or end1 - index >= used)
                         and (end2 is None or end2 - t_index >= used)):
-                    outcomes.append(_classify(ev, e1, e1, eps, m_big))
+                    outcomes.append(_decide_shared(ev, e1, tn, td))
                     continue
         m, last, _, _ = _enclose(t, t_index, cap, num, den)
-        outcomes.append(_classify(ev, e1, _endpoints(m, last), eps, m_big))
+        outcomes.append(_decide(ev, e1, _endpoints(m, last), tn, td))
     if not outcomes:
         raise ValueError("no events to verify")
     return ScrambleReport(pair, outcomes)

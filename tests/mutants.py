@@ -48,6 +48,8 @@ STEP_DOWN = """\
 LUCAS = WHOLE + "test_lucas_pair_is_the_recurrence_and_the_power"
 ORDER = T + "TestEndpointOrder::"
 SHARE = "tests/test_scrambled.py::TestShareRule::"
+PHASES = "tests/test_scrambled.py::TestPeriodicPhases::"
+WIDTH = "tests/test_scrambled.py::TestSharedWidth::"
 INLINED = "tests/test_scrambled.py::TestInlinedBlockArithmetic::"
 NEUTRAL = T + "TestNeutralRuns::"
 
@@ -141,6 +143,18 @@ MUTANTS = [
     Mutant("share reads t's run at index", SCRAMBLED,
            "t.run_at(t_index)", "t.run_at(index)",
            [SHARE + "test_hand_cases", SHARE + "test_events_near_run_ends"]),
+    # a periodic first stream enclosed once per key, and a shared close event
+    # decided on its enclosure's width
+    Mutant("cap dropped from the cap-bound key", SCRAMBLED,
+           "bound = met + (cap,)", "bound = met",
+           [PHASES + "test_met_and_cap_bound_walks_at_one_phase",
+            PHASES + "test_drawn_periodic_first_streams"]),
+    Mutant("phase key inside the preperiod", SCRAMBLED,
+           "if q and index >= s._p:", "if q:",
+           [PHASES + "test_drawn_periodic_first_streams"]),
+    Mutant("shared width test <= for <", SCRAMBLED,
+           "td < tn * w", "td <= tn * w",
+           [WIDTH + "test_admissible_words_to_14"]),
     # the plain command-line reader, against argparse
     Mutant("plain reader skips choices", CLI,
            'if value not in kw.get("choices", (value,)):', "if False:",

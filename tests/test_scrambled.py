@@ -2,6 +2,7 @@ import bisect
 import math
 import random
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 from hypothesis import assume, given, settings
@@ -16,6 +17,7 @@ from fareyshift.coding import (
     FareyInterval,
     _enclose,
     _endpoints,
+    _word_matrix,
     admissible_words,
     code_of_rational,
     cylinder,
@@ -33,6 +35,7 @@ from fareyshift.scrambled import (
     _CYCLE_POINTS,
     _alpha_word,
     _classify,
+    _decide_shared,
     _distance_bounds,
     _factorial_floor,
     _layout,
@@ -838,6 +841,14 @@ class TestScheduleEvents:
         with pytest.raises(ValueError, match="schedule param '%s' must be an integer" % name):
             schedule_events(kind, (5, 9), **params)
 
+    @pytest.mark.parametrize("x_code", [
+        "1" * 2000,  # read as characters, never == 1: every window as if the code read 0
+        "10",  # a bare IndexError
+    ])
+    def test_x_code_that_is_not_a_stream_is_rejected(self, x_code):
+        with pytest.raises(ValueError, match="schedule param 'x_code' must be a CodeStream"):
+            schedule_events("theorem2_tracked", (5, 5), track_index=1, x_code=x_code)
+
     @pytest.mark.parametrize("eps", [0, -1, Fraction(-1, 100)])
     def test_nonpositive_eps_is_rejected(self, eps):
         # eps = -1 dropped every close event and left block 5's five far ones
@@ -1179,6 +1190,117 @@ class TestShareRule:
             assert _classify(ev, e1, e1, Fraction(1, 100), Fraction(1000)) != want[0]
 
 
+def _record_streams(monkeypatch):
+    """Record the stream of each scrambled._enclose call."""
+    streams = []
+
+    def recording(stream, k, cap, num, den):
+        streams.append(stream)
+        return _enclose(stream, k, cap, num, den)
+
+    monkeypatch.setattr("fareyshift.scrambled._enclose", recording)
+    return streams
+
+
+def _first_side_walks(s, events, eps, prefix_len):
+    """The walks verify_scrambling needs on its periodic first stream s: one per
+    event inside the preperiod, and past it one per distinct key, (phase, goal)
+    for a walk that met its goal and (phase, goal, cap) for one its cap stopped."""
+    inside, keys = 0, set()
+    for ev in events:
+        cap = prefix_len if ev.prefix_cap is None else min(prefix_len, ev.prefix_cap)
+        goal = Fraction(ev.threshold) / 8 if ev.kind == "close" and ev.threshold is not None \
+            else Fraction(eps) / 8
+        if ev.index < s._p:
+            inside += 1
+            continue
+        ok = _enclose(s, ev.index, cap, goal.numerator, goal.denominator)[3]
+        keys.add((ev.index % s._q, goal) + (() if ok else (cap,)))
+    return inside + len(keys)
+
+
+@st.composite
+def periodic_first_streams(draw):
+    """(pre, per, shift): a preperiod of 0 to 6000 symbols (a word of up to 6
+    repeated), a period of 1 to 12, and a shift that lands inside the
+    preperiod, at its end or past it; no "11" in pre + per + per."""
+    words = [w for n in range(13) for w in admissible_words(n)]
+    piece = draw(st.sampled_from([w for w in words if len(w) <= 6]))
+    pre = piece * draw(st.one_of(st.integers(0, 3), st.integers(0, 6000 // max(1, len(piece)))))
+    per = draw(st.sampled_from(words[1:]))
+    assume("11" not in pre + per + per)
+    shift = draw(st.one_of(st.just(0), st.integers(0, len(pre) + 2 * len(per))))
+    return pre, per, shift
+
+
+class TestPeriodicPhases:
+    """Past its preperiod a periodic first stream is enclosed once per key
+    (see scrambled._verify); every outcome equals the loop that encloses both
+    sides of every event, and its walks number the distinct keys."""
+
+    @staticmethod
+    def _check(pre, per, shift, t, events, eps, m_big, prefix_len):
+        s = CodeStream.periodic(pre, per).shifted(shift)
+        t = CodeStream.periodic(pre, per).shifted(shift) if t is None else t
+        with pytest.MonkeyPatch.context() as mp:  # undone after each drawn example
+            streams = _record_streams(mp)
+            _assert_matches_both_sides(s, t, events, eps, m_big, prefix_len)
+        assert sum(x is s for x in streams) == _first_side_walks(s, events, eps, prefix_len)
+
+    @settings(max_examples=150, deadline=None)
+    @given(st.data(), periodic_first_streams(), verify_settings)
+    def test_drawn_periodic_first_streams(self, data, code, setting):
+        # events inside and past the preperiod (of the shifted stream, its _p),
+        # with phases that repeat; t reads the same symbols (close events
+        # share) or another periodic code
+        pre, per, shift = code
+        p, q = max(0, len(pre) - shift), len(per)
+        index = st.one_of(st.integers(0, p + 40), st.integers(p, p + 4 * q + 40))
+        event = st.builds(ScheduleEvent, st.sampled_from(["close", "far"]), index,
+                          st.just("drawn"),
+                          st.sampled_from([None, None, Fraction(1, 3), Fraction(1, 10 ** 4)]),
+                          st.one_of(st.none(), st.integers(1, 60)), st.integers(0, 3))
+        events = data.draw(st.lists(event, min_size=1, max_size=12))
+        t = data.draw(st.one_of(st.none(), admissible_periodic()))
+        self._check(pre, per, shift, t, events, *setting)
+
+    @settings(max_examples=100, deadline=None)
+    @given(st.data(), periodic_first_streams(),
+           st.sampled_from([Fraction(1, 100), Fraction(1, 7)]))
+    def test_met_and_cap_bound_walks_at_one_phase(self, data, code, eps):
+        # at one phase, a close event at the cap c its walk meets the goal in
+        # and far events at caps c - 1 and c - 2 (as the tracked schedule
+        # makes them), and a close event with its own threshold (a second
+        # goal), in any order: the cap-bound walks must not stand for the met one
+        pre, per, shift = code
+        p, q = max(0, len(pre) - shift), len(per)
+        s = CodeStream.periodic(pre, per).shifted(shift)
+        n = p + data.draw(st.integers(0, q - 1))
+        _, _, c, ok = _enclose(s, n, 10 ** 5, eps.numerator, 8 * eps.denominator)
+        assert ok
+        events = [ScheduleEvent("close", n, "met", prefix_cap=c)]
+        events += [ScheduleEvent("far", n + m * q, "capped", prefix_cap=c - m, t_offset=m)
+                   for m in (1, 2) if c - m >= 1]
+        events.append(ScheduleEvent("close", n + 3 * q, "own goal", threshold=eps / 3))
+        events = data.draw(st.permutations(events))
+        self._check(pre, per, shift, None, events + events[:2], eps, Fraction(1000), 10 ** 5)
+
+    def test_seed_1_tracked_walks(self, monkeypatch):
+        # the scramble-verify bench pass at seed 1: its 33 theorem2-tracked
+        # ops are the only ones with a periodic first stream, which was
+        # enclosed at each of its 386 events and is now enclosed 176 times
+        # (t, a tau stream, 193 times: the other close events share)
+        monkeypatch.syspath_prepend(str(Path(__file__).resolve().parents[1] / "bench"))
+        import workloads
+        work = workloads.ScrambleVerify(1)
+        streams = _record_streams(monkeypatch)
+        tracked = [op for op in work.ops if op[0] == "theorem2-tracked"]
+        for op in tracked:
+            work.run(op)
+        assert len(tracked) == 33
+        assert (len(streams), sum(x._cycle is not None for x in streams)) == (369, 176)
+
+
 def iv(lo, hi):
     """FareyInterval from two (num, den) pairs; (1, 0) is infinity."""
     return FareyInterval(xr(*lo), xr(*hi))
@@ -1303,6 +1425,53 @@ class TestClassifyReference:
     @given(_pairs)
     def test_random_pairs(self, pair):
         self._assert_matches_reference(*pair)
+
+
+# admissible words of 40 to 800 symbols: cylinders thousands of bits deep
+_deep_words = st.builds(
+    lambda pieces, tail: "".join(pieces) + tail,
+    st.lists(st.sampled_from(["0", "10", "100"]), min_size=40, max_size=400),
+    st.sampled_from(["", "1"]),
+)
+
+
+class TestSharedWidth:
+    """A close event whose two sides are one enclosure e is decided on e's
+    width (_decide_shared): e's ends are a unimodular pair, so the distance
+    lies in [0, 1/w], w = lo_den * hi_den, and in [0, inf] when w = 0."""
+
+    EPS, M_BIG = Fraction(1, 100), Fraction(3, 2)
+
+    def _check(self, word):
+        e = _endpoints(_word_matrix(word), int(word[-1]))
+        w = e[1] * e[3]
+        assert _distance_bounds(e, e) == ((0, 1), (1, w)), (word, e)
+        ref = FareyInterval(xr(e[0], e[1]), xr(e[2], e[3]))
+        # the thresholds around the width 1/w, or on either side of every
+        # finite bound when the enclosure is unbounded
+        if w:
+            thresholds = [Fraction(1, v) for v in (w + 1, w, w - 1) if v]
+        else:
+            thresholds = [Fraction(1, 10 ** 6), Fraction(10 ** 6)]
+        for thr in thresholds:
+            for ev in (ScheduleEvent("close", 0, "shared", threshold=thr),
+                       ScheduleEvent("close", 0, "shared")):
+                t = ev.threshold or self.EPS
+                got = _decide_shared(ev, e, t.numerator, t.denominator)
+                want = _classify_reference(ev, ref, ref, self.EPS, self.M_BIG)
+                assert got == want, (word, thr)
+                assert [type(v) for v in got] == [type(v) for v in want], (word, thr)
+                assert got == _classify(ev, e, e, self.EPS, self.M_BIG), (word, thr)
+        return w
+
+    def test_admissible_words_to_14(self):
+        widths = [self._check(w) for n in range(1, 15) for w in admissible_words(n)]
+        assert 0 in widths and 1 in widths and max(widths) > 10 ** 4
+
+    @settings(max_examples=200, deadline=None)
+    @given(_deep_words)
+    def test_deep_words(self, word):
+        self._check(word)
 
 
 class TestVerdictRules:
