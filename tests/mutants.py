@@ -151,7 +151,8 @@ MUTANTS = [
             PHASES + "test_drawn_periodic_first_streams"]),
     Mutant("phase key inside the preperiod", SCRAMBLED,
            "if q and index >= s._p:", "if q:",
-           [PHASES + "test_drawn_periodic_first_streams"]),
+           [PHASES + "test_events_inside_and_past_a_preperiod",
+            PHASES + "test_drawn_periodic_first_streams"]),
     Mutant("shared width test <= for <", SCRAMBLED,
            "td < tn * w", "td <= tn * w",
            [WIDTH + "test_admissible_words_to_14"]),

